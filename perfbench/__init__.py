@@ -1,0 +1,6 @@
+"""Benchmark harness for openmaps: three workloads, end-to-end and per-layer metrics.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; ``perfbench/run.py`` describes
+what is measured.
+"""
