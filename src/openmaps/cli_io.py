@@ -430,7 +430,6 @@ def _write_outputs(args, name, payload, csv, svg):
         "command": name,
         "config": args.config,
         "seed": args.seed,
-        "threads": args.threads,
         "written": written,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -449,7 +448,6 @@ def make_parser():
         p.add_argument("--config", default=None, help="INI-like config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--format", default="json",
                        choices=["json", "csv", "svg", "all"])
     return parser

@@ -7,8 +7,11 @@ maps act exactly on this data; floating error enters only when a packet
 is sampled on a grid.  The torus side discretizes packets by periodizing
 line values with a half-integer twist, which makes the N-point coherent
 family an exactly tight frame (the frame operator is a scalar), and that
-exactness is what the trace quadrature, the Husimi mass bookkeeping, and
-the anti-Wick damping assembly all lean on.
+exactness is what the trace quadrature and the Husimi mass bookkeeping
+lean on.  On that grid the anti-Wick quantization of the separable
+escape weight u(x) − u(ξ) is a diagonal plus a θ=½-twisted circulant,
+both read off the grid window in O(N log N); damped propagation applies
+its exponential matrix-free by a Chebyshev series.
 
 Conventions: the ground profile is (πh)^{-1/4} e^{-x²/2h}; excited
 levels use physicists' Hermite polynomials scaled by 2^{-n/2}, so the
@@ -25,15 +28,18 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermval
+from scipy.special import ive
 
 from .baker_classical import BakerSpec, TorusPoint, forward
-from .errors import DegenerateFrame, DimensionMismatch, NotSymplectic
+from .errors import BadDimension, DegenerateFrame, DimensionMismatch, NotSymplectic
 from .quantum_baker import QuantumState, apply, build, dense
+from .quantum_baker import _fourier_apply, _fourier_inverse_apply
 
 TWO_PI = 2.0 * math.pi
 DET_TOL = 1e-12
 GRID_THETA = 0.5  # half-integer twist on both torus directions
 PERIODIZE_TAIL = 1e-14
+CHEB_TAIL = 1e-17  # the Chebyshev series of e^{-tG} stops at I_k/I_0 below this
 
 
 def _as_frame(mat):
@@ -364,14 +370,18 @@ def escape_g(spec, rho, params, depth=None):
     return float(math.log(floor + d_minus**2) - math.log(floor + d_plus**2))
 
 
-def escape_grid(spec, K, params, depth=None):
-    """Escape weight on the (i/K, j/K) grid; separable, so O(K) work."""
+def _escape_row(spec, K, params, depth):
+    """u_i = log(floor + dist(i/K)²); the escape weight is u(x) − u(ξ)."""
     depth = default_depth(spec, params) if depth is None else int(depth)
     eps = params.epsilon
     floor = params.m_const * eps + eps
-    vals = np.arange(K) / K
-    d = _cover_distance(spec, vals, depth)
-    u = np.log(floor + d**2)
+    d = _cover_distance(spec, np.arange(K) / K, depth)
+    return np.log(floor + d**2)
+
+
+def escape_grid(spec, K, params, depth=None):
+    """Escape weight on the (i/K, j/K) grid; separable, so O(K) work."""
+    u = _escape_row(spec, K, params, depth)
     return u[:, None] - u[None, :]
 
 
@@ -379,30 +389,44 @@ def _expm_scaled(evals, evecs, t):
     return (evecs * np.exp(-t * evals)[None, :]) @ evecs.conj().T
 
 
+def _damping_symbols(spec, N, params, depth):
+    """(d, λ) with G = diag(d) + F⁻¹ diag(λ) F, F the θ=½ Fourier kernel.
+
+    The window at x0 = i/N is the x0 = 0 window g₀ shifted by i (sign
+    flips on wrap cancel in the squares), so the u(x) part of G is
+    diagonal with d = u ⊛ g₀² and the −u(ξ) part is diagonal in momentum
+    with λ = −u ⊛ |F g₀|²: two periodic convolutions, O(N log N).
+    """
+    u_hat = np.fft.fft(_escape_row(spec, N, params, depth))
+    g0 = _gauss_window(N, 0.0)
+
+    def smooth(window):
+        return np.fft.ifft(u_hat * np.fft.fft(window)).real
+
+    return smooth(g0 * g0), -smooth(np.abs(_fourier_apply(g0, GRID_THETA)) ** 2)
+
+
+def _damping_apply(d, lam, v):
+    """G v along the last axis, from the symbols of `_damping_symbols`."""
+    twisted = _fourier_apply(v, GRID_THETA)
+    return d * v + _fourier_inverse_apply(lam * twisted, GRID_THETA)
+
+
 def damping_operator(spec, N, params, depth=None, also_inverse=False):
     """Anti-Wick quantization of the escape weight and its exponential.
 
     G = Σ_grid g(ρ) w |φ_ρ⟩⟨φ_ρ| over the N×N coherent grid with weight
-    w = N/K² (K = N).  Per x0 column the ξ0 sum of projectors is a
-    Toeplitz multiplier given by the FFT of the g row, so assembly costs
-    O(N² + N·W²) with W the Gaussian window.  Returns (G, expm(-t·G)),
-    plus expm(+t·G) when also_inverse is set.
+    w = N/K² (K = N).  The weight g(x, ξ) = u(x) − u(ξ) is separable, so
+    G = diag(d) + F⁻¹ diag(λ) F, a diagonal plus a θ=½-twisted
+    circulant (see `_damping_symbols`).  This assembles G densely and
+    exponentiates it by eigh, for callers that need whole matrices.
+    Returns (G, expm(-t·G)), plus expm(+t·G) when also_inverse is set.
     """
-    from .errors import BadDimension  # alignment with quantized map sizes
-
     if N <= 0:
         raise BadDimension(f"N={N} must be positive")
-    K = N
-    gfield = escape_grid(spec, K, params, depth)
-    G = np.zeros((N, N), dtype=np.complex128)
-    idx = np.arange(N)
-    for i1 in range(K):
-        g = _gauss_window(N, i1 / K)
-        win = np.nonzero(np.abs(g) > 1e-18 * np.max(np.abs(g)))[0]
-        fr = np.fft.ifft(gfield[i1, :]) * N  # Σ_ξ g·e^{2πi(k-l)ξ0}
-        block = (g[win, None] * g[None, win]) * fr[(idx[win, None] - idx[None, win]) % N]
-        G[np.ix_(win, win)] += block
-    G *= N / (K * K)
+    d, lam = _damping_symbols(spec, N, params, depth)
+    # applied along the rows of the identity, the map gives Gᵀ
+    G = _damping_apply(d, lam, np.eye(N)).T
     G = 0.5 * (G + G.conj().T)
     evals, evecs = np.linalg.eigh(G)
     expm_neg = _expm_scaled(evals, evecs, params.t)
@@ -447,14 +471,33 @@ def default_vartheta(epsilon, lambda_max):
 
 
 def damped_propagation_experiment(spec, N, rho0, params, n_max, depth=None):
-    """Norm² history w_n = ‖(e^{-tG} M)ⁿ φ_ρ0‖², n = 0..n_max."""
+    """Norm² history w_n = ‖(e^{-tG} M)ⁿ φ_ρ0‖², n = 0..n_max.
+
+    Matrix-free: e^{-tG} = e^{-t·lo} Σ' 2 e^{-z} I_k(z) T_k(Y) with
+    Y = (c − G)/r, where [lo, hi] = [min d + min λ, max d + max λ]
+    encloses the spectrum of G (Weyl's inequality), c and r are its
+    center and radius and z = t·r.  The series stops once I_k/I_0 <
+    CHEB_TAIL, so equal inputs give bit-identical w.
+    """
     op = build(spec, N)
-    _, damp = damping_operator(spec, N, params, depth)
-    state = torus_coherent(N, rho0, normalize=True)
-    psi = state.amps
+    d, lam = _damping_symbols(spec, N, params, depth)
+    lo, hi = d.min() + lam.min(), d.max() + lam.max()
+    c, r = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    z = params.t * r
+    # z = 0 keeps only I_0, so Y, which divides by r, is never applied
+    bessel = [ive(0, z)]
+    while (nxt := ive(len(bessel), z)) >= CHEB_TAIL * bessel[0]:
+        bessel.append(nxt)
+    psi = torus_coherent(N, rho0, normalize=True).amps
     w = [1.0]
     for _ in range(int(n_max)):
-        psi = damp @ apply(op, QuantumState(N, psi)).amps
+        v = apply(op, QuantumState(N, psi)).amps
+        acc, prev, cur = bessel[0] * v, np.zeros_like(v), v
+        for k in range(1, len(bessel)):
+            y_cur = (c * cur - _damping_apply(d, lam, cur)) / r
+            prev, cur = cur, (1.0 if k == 1 else 2.0) * y_cur - prev
+            acc += 2.0 * bessel[k] * cur
+        psi = math.exp(-params.t * lo) * acc
         w.append(float(np.vdot(psi, psi).real))
     return np.array(w)
 
@@ -474,7 +517,7 @@ def hs_trace_experiment(spec, N_list, params, exp_params, depth=None,
         N = int(N)
         h = 1.0 / (TWO_PI * N)
         p = replace(params, h=h)
-        mat = dense(build(spec, N), cap=max(N, 6561))
+        mat = dense(build(spec, N))
         _, damp, undamp = damping_operator(spec, N, p, depth, also_inverse=True)
         step = damp @ mat @ undamp
         n = exp_params.n_steps(h)

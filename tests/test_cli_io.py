@@ -92,6 +92,7 @@ class TestDimensionCommand:
         meta = json.loads((tmp_path / "metadata.json").read_text())
         assert meta["written"] == ["dimension.json"]
         assert "timestamp" in meta
+        assert "threads" not in meta
 
 
 class TestSigmaCurveCommand:

@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openmaps.baker_classical import BakerSpec, TorusPoint, forward
-from openmaps.errors import DimensionMismatch, NotSymplectic
+from openmaps.errors import BadDimension, DimensionCap, DimensionMismatch, NotSymplectic
 from openmaps.phase_space import (
+    _gauss_window,
     EscapeParams,
     ExperimentParams,
     coherent_grid_trace,
@@ -72,6 +73,34 @@ def phase_fit_residual(vals, oracle, xs):
     fit = inner / abs(inner)
     scale = math.sqrt(quad_norm_sq(oracle, xs))
     return float(np.sqrt(quad_norm_sq(vals - fit * oracle, xs)) / scale)
+
+
+def _assembled_G_oracle(spec, N, params, depth=None):
+    """Anti-Wick sum assembled per x0 column as a windowed Toeplitz block."""
+    gfield = escape_grid(spec, N, params, depth)
+    G = np.zeros((N, N), dtype=np.complex128)
+    idx = np.arange(N)
+    for i1 in range(N):
+        g = _gauss_window(N, i1 / N)
+        win = np.nonzero(np.abs(g) > 1e-18 * np.max(np.abs(g)))[0]
+        fr = np.fft.ifft(gfield[i1, :]) * N  # Σ_ξ g·e^{2πi(k-l)ξ0}
+        block = (g[win, None] * g[None, win]) * fr[(idx[win, None] - idx[None, win]) % N]
+        G[np.ix_(win, win)] += block
+    G /= N
+    return 0.5 * (G + G.conj().T)
+
+
+def _oracle_propagation(spec, N, rho0, params, n_max, depth=None):
+    """w_n with e^{-tG} formed densely from the oracle G by eigh."""
+    evals, evecs = np.linalg.eigh(_assembled_G_oracle(spec, N, params, depth))
+    damp = (evecs * np.exp(-params.t * evals)) @ evecs.conj().T
+    op = build(spec, N)
+    psi = torus_coherent(N, rho0, normalize=True).amps
+    w = [1.0]
+    for _ in range(n_max):
+        psi = damp @ apply(op, QuantumState(N, psi)).amps
+        w.append(float(np.vdot(psi, psi).real))
+    return np.array(w)
 
 
 def random_frame(rng):
@@ -461,6 +490,39 @@ class TestDamping:
         w = damped_propagation_experiment(CLOSED2, N, (0.3, 0.6), p, 3)
         assert np.max(np.abs(w - 1.0)) < 1e-10
 
+    def test_nonpositive_dimension_rejected(self):
+        p = EscapeParams(h=0.01, delta=0.4)
+        with pytest.raises(BadDimension):
+            damping_operator(SPEC32, 0, p)
+
+    @pytest.mark.parametrize("N", [27, 81, 243, 729])
+    def test_closed_form_matches_assembled_oracle(self, N):
+        p = EscapeParams(h=1.0 / (2 * math.pi * N), delta=0.4, t=1.0)
+        G, _ = damping_operator(SPEC32, N, p)
+        oracle = _assembled_G_oracle(SPEC32, N, p)
+        assert np.linalg.norm(G - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("N, rho0, delta, t, depth", [
+        (27, (0.1, 0.1), 0.4, 1.0, None),
+        (81, (0.6, 0.2), 0.3, 1.5, 3),
+        (243, (1.0 / 3.0, 0.0), 0.4, 1.0, None),
+        (729, (1.0 / 3.0, 0.0), 0.4, 1.0, None),
+        (729, (0.4, 0.3), 0.4, 0.5, None),
+    ])
+    def test_matrix_free_propagation_matches_oracle(self, N, rho0, delta, t,
+                                                    depth):
+        p = EscapeParams(h=1.0 / (2 * math.pi * N), delta=delta, t=t)
+        w = damped_propagation_experiment(SPEC32, N, rho0, p, 8, depth)
+        ref = _oracle_propagation(SPEC32, N, rho0, p, 8, depth)
+        assert np.max(np.abs(w - ref) / ref) <= 1e-12
+
+    def test_propagation_bit_identical_on_repeat(self):
+        N = 243
+        p = EscapeParams(h=1.0 / (2 * math.pi * N), delta=0.4, t=1.0)
+        runs = [damped_propagation_experiment(SPEC32, N, (0.3, 0.2), p, 6)
+                for _ in range(2)]
+        assert np.array_equal(runs[0], runs[1])
+
 
 class TestExperimentParams:
     def test_window_cap_enforced(self):
@@ -513,6 +575,14 @@ class TestTraceExperiment:
                                   both_paths_max_N=27)
         assert out["entries"][0]["trace_quadrature"] is not None
         assert out["entries"][1]["trace_quadrature"] is None
+
+    def test_dense_cap_enforced(self):
+        # the cap check in dense() fires before any N×N array exists
+        p = EscapeParams(h=1.0, delta=0.4, t=1.0)
+        ep = ExperimentParams(vartheta=0.1, lambda_max=math.log(3),
+                              n_override=1)
+        with pytest.raises(DimensionCap):
+            hs_trace_experiment(SPEC32, [3**9], p, ep)
 
 
 class TestSerialization:
