@@ -197,20 +197,24 @@ def plot_svg(data, kind=None):
             raise EmptyData("empty field")
         if field.ndim != 2:
             raise ValueError("field must be 2D")
+        if not np.all(np.isfinite(field)):
+            raise ValueError("field must be finite")
         vmin = float(field.min())
         span = float(field.max()) - vmin or 1.0
         n1, n2 = field.shape
         cw = (SVG_W - 2 * SVG_MARGIN) / n1
         ch = (SVG_H - 2 * SVG_MARGIN) / n2
-        for i in range(n1):
-            for j in range(n2):
-                level = int(round(255 * (1.0 - (field[i, j] - vmin) / span)))
-                x = SVG_MARGIN + i * cw
-                y = SVG_H - SVG_MARGIN - (j + 1) * ch
-                parts.append(
-                    f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(cw)}" '
-                    f'height="{_fmt(ch)}" '
-                    f'fill="rgb({level},{level},{level})"/>')
+        # x depends only on i, y only on j; np.round and round() both
+        # round half to even
+        levels = np.round(255 * (1.0 - (field - vmin) / span)).astype(int)
+        xs = [_fmt(SVG_MARGIN + i * cw) for i in range(n1)]
+        ys = [_fmt(SVG_H - SVG_MARGIN - (j + 1) * ch) for j in range(n2)]
+        size = f'width="{_fmt(cw)}" height="{_fmt(ch)}"'
+        for x, row in zip(xs, levels.tolist()):
+            parts.extend(
+                f'<rect x="{x}" y="{y}" {size} '
+                f'fill="rgb({level},{level},{level})"/>'
+                for y, level in zip(ys, row))
     else:
         raise ValueError(f"unknown plot kind {kind!r}")
     parts.append("</svg>")
@@ -288,7 +292,8 @@ def cmd_spectrum(cfg, args):
     record = eigenvalues(dense(op))
     moduli = np.abs(record.eigenvalues)
     payload = json.dumps({
-        "N": N, "residual_max": record.residual_max,
+        "N": N, "backward_error": record.backward_error,
+        "structural_zeros": record.structural_zeros,
         "eigenvalues": [[float(z.real), float(z.imag)]
                         for z in record.eigenvalues],
     }, sort_keys=True)

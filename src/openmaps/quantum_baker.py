@@ -97,21 +97,20 @@ def _fourier_matrix(M, theta):
 
 
 def _walsh_apply(v, a, theta, inverse=False):
-    """Tensor-factorized kernel G_a^{⊗k} applied axis by axis."""
+    """Tensor-factorized kernel G_a^{⊗k} applied axis by axis (last axis)."""
     if inverse:
         return np.conj(_walsh_apply(np.conj(v), a, theta))
-    k = round(math.log(v.size) / math.log(a))
+    k = round(math.log(v.shape[-1]) / math.log(a))
     Ga = _fourier_matrix(a, theta)
-    tensor = v.reshape((a,) * k)
-    for axis in range(k):
+    batch = v.ndim - 1
+    tensor = v.reshape(v.shape[:-1] + (a,) * k)
+    for axis in range(batch, batch + k):
         tensor = np.moveaxis(np.tensordot(Ga, tensor, axes=(1, axis)), 0, axis)
-    return tensor.reshape(-1)
+    return tensor.reshape(v.shape)
 
 
-def apply(op, state, adjoint=False):
-    """Apply the open map (or its adjoint) to a state, O(N log N)."""
-    if state.N != op.N:
-        raise DimensionMismatch(f"operator N={op.N}, state N={state.N}")
+def _map_rows(op, v, adjoint):
+    """The open map (or its adjoint) applied along the last axis of v."""
     a = op.spec.a
     na = op.N // a
     walsh = op.variant == "WALSH"
@@ -124,35 +123,46 @@ def apply(op, state, adjoint=False):
         return _fourier_apply(seg, op.theta)
 
     if not adjoint:
-        mid = np.zeros(op.N, dtype=np.complex128)
+        mid = np.zeros(v.shape, dtype=np.complex128)
         for j in op.spec.alphabet:
-            mid[j * na : (j + 1) * na] = block(
-                state.amps[j * na : (j + 1) * na], inverse=False
+            mid[..., j * na : (j + 1) * na] = block(
+                v[..., j * na : (j + 1) * na], inverse=False
             )
-        out = block(mid, inverse=True)
-    else:
-        # M* = blockdiag* · G_N: forward full transform, inverse blocks
-        mid = block(state.amps, inverse=False)
-        out = np.zeros(op.N, dtype=np.complex128)
-        for j in op.spec.alphabet:
-            out[j * na : (j + 1) * na] = block(
-                mid[j * na : (j + 1) * na], inverse=True
-            )
-    return QuantumState(op.N, out)
+        return block(mid, inverse=True)
+    # M* = blockdiag* · G_N: forward full transform, inverse blocks
+    mid = block(v, inverse=False)
+    out = np.zeros(v.shape, dtype=np.complex128)
+    for j in op.spec.alphabet:
+        out[..., j * na : (j + 1) * na] = block(
+            mid[..., j * na : (j + 1) * na], inverse=True
+        )
+    return out
+
+
+def apply(op, state, adjoint=False):
+    """Apply the open map (or its adjoint) to a state, O(N log N)."""
+    if state.N != op.N:
+        raise DimensionMismatch(f"operator N={op.N}, state N={state.N}")
+    return QuantumState(op.N, _map_rows(op, state.amps, adjoint))
 
 
 def dense(op, cap=DENSE_CAP, adjoint=False):
-    """Materialize the matrix column-by-column through apply; cached."""
+    """Materialize the matrix one strip of basis vectors at a time; cached.
+
+    Each strip's N/a basis vectors go through the map as one batch.
+    Columns of excluded strips are exactly zero for the map itself, so
+    only the allowed strips are computed; the adjoint needs all of them.
+    """
     if op.N > cap:
         raise DimensionCap(f"N={op.N} exceeds dense cap {cap}")
     if not adjoint and op._dense is not None:
         return op._dense
+    na = op.N // op.spec.a
     cols = np.zeros((op.N, op.N), dtype=np.complex128)
-    basis = np.zeros(op.N, dtype=np.complex128)
-    for k in range(op.N):
-        basis[k] = 1.0
-        cols[:, k] = apply(op, QuantumState(op.N, basis.copy()), adjoint=adjoint).amps
-        basis[k] = 0.0
+    for j in range(op.spec.a) if adjoint else op.spec.alphabet:
+        basis = np.zeros((na, op.N), dtype=np.complex128)
+        basis[:, j * na : (j + 1) * na] = np.eye(na)
+        cols[:, j * na : (j + 1) * na] = _map_rows(op, basis, adjoint).T
     if not adjoint:
         op._dense = cols
     return cols

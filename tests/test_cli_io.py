@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from openmaps.cli_io import main, parse_config, plot_svg
+from openmaps.cli_io import SVG_H, SVG_MARGIN, SVG_W, main, parse_config, plot_svg
 from openmaps.errors import ConfigParse, EmptyData
 
 GAMMA_CL = 0.3690702464285426
@@ -47,6 +47,27 @@ class TestConfigParsing:
         assert cfg == {"map": {"key": "1,2 , 3"}}
 
 
+def field_svg_by_cells(field):
+    """Oracle: the field SVG formatted cell by cell, four floats each."""
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_W}" '
+             f'height="{SVG_H}" viewBox="0 0 {SVG_W} {SVG_H}">']
+    vmin = float(field.min())
+    span = float(field.max()) - vmin or 1.0
+    n1, n2 = field.shape
+    cw = (SVG_W - 2 * SVG_MARGIN) / n1
+    ch = (SVG_H - 2 * SVG_MARGIN) / n2
+    for i in range(n1):
+        for j in range(n2):
+            level = int(round(255 * (1.0 - (field[i, j] - vmin) / span)))
+            x = SVG_MARGIN + i * cw
+            y = SVG_H - SVG_MARGIN - (j + 1) * ch
+            parts.append(
+                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw:.2f}" '
+                f'height="{ch:.2f}" fill="rgb({level},{level},{level})"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
 class TestPlotSvg:
     def test_two_point_series_single_polyline(self):
         svg = plot_svg([(0.0, 1.0), (1.0, 2.0)])
@@ -61,6 +82,23 @@ class TestPlotSvg:
         svg = plot_svg(np.array([[0.0, 1.0], [2.0, 3.0]]))
         assert "rgb(255,255,255)" in svg  # smallest value
         assert "rgb(0,0,0)" in svg        # largest value
+
+    def test_field_matches_per_cell_oracle(self):
+        # on [0, 1] these values give raw levels of exactly k + 1/2,
+        # where round-half-to-even picks k for even k and k + 1 for odd k
+        ties = [k for k in range(255)
+                if 255 * (1.0 - (1.0 - (k + 0.5) / 255)) == k + 0.5]
+        assert {k % 2 for k in ties} == {0, 1}
+        values = [0.0, 1.0] + [1.0 - (k + 0.5) / 255 for k in ties]
+        field = np.resize(np.array(values), (9, 21))
+        assert plot_svg(field) == field_svg_by_cells(field)
+        rng = np.random.Generator(np.random.Philox(0))
+        field = rng.random((7, 5))
+        assert plot_svg(field) == field_svg_by_cells(field)
+
+    def test_non_finite_field_rejected(self):
+        with pytest.raises(ValueError):
+            plot_svg(np.array([[0.0, np.nan], [1.0, 2.0]]))
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(EmptyData):
@@ -136,6 +174,16 @@ class TestSpectrumCommand:
             assert (out_dir / f"spectrum.{suffix}").exists()
         csv = (out_dir / "spectrum.csv").read_text()
         assert csv.splitlines()[0] == "re,im,modulus"
+
+    def test_payload_carries_schur_certificate(self, capsys, tmp_path):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text("[quantum]\nN = 27\n")
+        code, out, _ = run(capsys, ["spectrum", "--config", str(cfgfile)])
+        assert code == 0
+        data = json.loads(out)
+        assert "residual_max" not in data
+        assert data["structural_zeros"] == 9
+        assert 0.0 <= data["backward_error"] <= 1e-12
 
     def test_config_parse_failure_exits_two(self, capsys, tmp_path):
         cfgfile = tmp_path / "bad.ini"

@@ -47,6 +47,16 @@ def dense_from_kernels(spec, N, theta):
     return np.linalg.inv(kernel_matrix(N, theta)) @ blocks
 
 
+def dense_by_columns(op, adjoint=False):
+    """Oracle assembly: one apply call per basis vector."""
+    cols = np.zeros((op.N, op.N), dtype=np.complex128)
+    for k in range(op.N):
+        basis = np.zeros(op.N, dtype=np.complex128)
+        basis[k] = 1.0
+        cols[:, k] = apply(op, QuantumState(op.N, basis), adjoint=adjoint).amps
+    return cols
+
+
 def rand_state(N, seed):
     rng = np.random.Generator(np.random.Philox(seed))
     v = rng.normal(size=N) + 1j * rng.normal(size=N)
@@ -184,6 +194,32 @@ class TestWalsh:
         amps = np.zeros(27, dtype=np.complex128)
         amps[9:18] = rand_state(9, 2).amps
         assert apply(op, QuantumState(27, amps)).norm() <= 1e-12
+
+
+class TestDenseStrips:
+    """Strip-batched assembly against the per-column apply loop."""
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    def test_fft_bit_identical(self, theta):
+        op = build(SPEC32, 243, theta=theta)
+        assert np.array_equal(dense(op), dense_by_columns(op))
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    def test_fft_adjoint(self, theta):
+        op = build(SPEC32, 243, theta=theta)
+        gap = np.abs(dense(op, adjoint=True) - dense_by_columns(op, adjoint=True))
+        assert gap.max() <= 1e-14
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_walsh(self, adjoint):
+        op = build(SPEC32, 243, variant="WALSH")
+        gap = np.abs(dense(op, adjoint=adjoint) - dense_by_columns(op, adjoint))
+        assert gap.max() <= 1e-14
+
+    def test_excluded_strip_columns_exactly_zero(self):
+        M = dense(build(SPEC32, 81))
+        assert not np.any(M[:, 27:54])
+        assert np.all(np.any(M[:, :27] != 0, axis=0))
 
 
 class TestDenseCap:

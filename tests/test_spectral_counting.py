@@ -2,8 +2,10 @@
 
 Oracles: diagonal matrices with hand-picked spectra; the SVD rank of
 the open baker matrix (rank deficiency forces N·(1-m/a) null
-eigenvalues); synthetic records with exactly geometric counts, where
-the log-log slope is log 2/log 3 by construction.
+eigenvalues); the full-matrix `scipy.linalg.eig` spectrum at N <= 729,
+which the deflated Schur path must match; synthetic records with
+exactly geometric counts, where the log-log slope is log 2/log 3 by
+construction.
 """
 
 import json
@@ -11,9 +13,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
 from openmaps.baker_classical import BakerSpec
-from openmaps.errors import DegenerateCounts
+from openmaps.errors import DegenerateCounts, NoConvergence
 from openmaps.quantum_baker import build, dense
 from openmaps.spectral_counting import (
     SpectrumRecord,
@@ -37,7 +41,7 @@ def synthetic_record(N, n_big):
         np.full(n_big, 0.9 + 0j),
         np.full(N - n_big, 0.1 + 0j),
     ])
-    return SpectrumRecord(N=N, eigenvalues=vals, residual_max=0.0)
+    return SpectrumRecord(N=N, eigenvalues=vals, backward_error=0.0)
 
 
 class TestEigenvalues:
@@ -45,7 +49,7 @@ class TestEigenvalues:
         rec = eigenvalues(np.diag([1.0, 0.5, 0.25]))
         assert np.allclose(np.sort(rec.eigenvalues.real), [0.25, 0.5, 1.0], atol=1e-14)
         assert np.max(np.abs(rec.eigenvalues.imag)) < 1e-14
-        assert rec.residual_max < 1e-12
+        assert rec.backward_error < 1e-12
 
     def test_closed_baker_unit_moduli(self):
         rec = eigenvalues(dense(build(BakerSpec(2, (0, 1)), 64)))
@@ -74,6 +78,70 @@ class TestEigenvalues:
         rec = eigenvalues(dense(build(SPEC32, 27)))
         mods = np.abs(rec.eigenvalues)
         assert np.all(mods[:-1] >= mods[1:] - 1e-15)
+
+    def test_all_zero_matrix(self):
+        rec = eigenvalues(np.zeros((5, 5)))
+        assert np.array_equal(rec.eigenvalues, np.zeros(5))
+        assert rec.structural_zeros == 5
+        assert rec.backward_error == 0.0
+
+    def test_one_by_one(self):
+        rec = eigenvalues(np.array([[0.5 - 0.25j]]))
+        assert rec.eigenvalues[0] == 0.5 - 0.25j
+        assert rec.structural_zeros == 0
+        assert rec.backward_error == 0.0
+
+    def test_zero_compression(self):
+        # the kept column is nonzero only in a deflated row, so the
+        # compression is the 1x1 zero matrix: nilpotent, both eigenvalues 0
+        rec = eigenvalues(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        assert np.array_equal(rec.eigenvalues, np.zeros(2))
+        assert rec.structural_zeros == 1
+        assert rec.backward_error == 0.0
+
+    def test_perturbed_schur_vectors_rejected(self, monkeypatch):
+        schur = scipy.linalg.schur
+
+        def perturbed(a, output):
+            T, Z = schur(a, output=output)
+            return T, Z + 1e-6 * np.roll(Z, 1, axis=0)
+
+        monkeypatch.setattr(scipy.linalg, "schur", perturbed)
+        with pytest.raises(NoConvergence):
+            eigenvalues(dense(build(SPEC32, 27)))
+
+
+class TestEigOracle:
+    """The deflated Schur spectrum against the full-matrix eig spectrum."""
+
+    @pytest.fixture(scope="class", params=[27, 81, 243, 729])
+    def pair(self, request):
+        M = dense(build(SPEC32, request.param))
+        return eigenvalues(M), scipy.linalg.eig(M, right=False)
+
+    def test_annulus_counts_identical(self, pair):
+        rec, oracle = pair
+        for nu in (0.25, 0.5, 0.9):
+            expect = int(np.sum(np.abs(oracle) >= nu - 1e-10))
+            assert count_annulus(rec, nu) == expect
+
+    def test_large_eigenvalues_agree(self, pair):
+        rec, oracle = pair
+        got = rec.eigenvalues[np.abs(rec.eigenvalues) >= 0.2]
+        want = oracle[np.abs(oracle) >= 0.2]
+        assert got.size == want.size
+        gap = np.abs(got[:, None] - want[None, :])
+        rows, cols = linear_sum_assignment(gap)
+        assert gap[rows, cols].max() <= 1e-10
+
+    def test_structural_zeros_are_excluded_strip(self, pair):
+        rec, _ = pair
+        assert rec.structural_zeros == rec.N // 3
+        assert np.sum(rec.eigenvalues == 0) >= rec.N // 3
+
+    def test_backward_error_small(self, pair):
+        rec, _ = pair
+        assert rec.backward_error <= 1e-12
 
 
 class TestCountAnnulus:
@@ -203,6 +271,9 @@ class TestSerialization:
         rec = eigenvalues(dense(build(SPEC32, 27)))
         back = spectrum_from_csv(spectrum_to_csv(rec))
         assert np.array_equal(back.eigenvalues, rec.eigenvalues)
+        # the CSV carries no certificate, so none is reported
+        assert math.isnan(back.backward_error)
+        assert back.structural_zeros is None
 
     def test_csv_header(self):
         rec = synthetic_record(4, 2)
