@@ -4,7 +4,7 @@ Commands read an INI-like config (one-level [section] headers over
 key=value pairs), run one experiment, print a deterministic JSON payload
 on stdout, and optionally write payload files under --out in the formats
 requested.  Timestamps and invocation details go to a separate
-metadata.json so payload bytes depend only on config and seed.
+metadata.json so payload bytes depend only on the config.
 
 Exit codes: 0 on success, 2 on config parse failure, 1 on any module
 error (the error class name is printed verbatim on stderr).
@@ -434,7 +434,6 @@ def _write_outputs(args, name, payload, csv, svg):
     meta = {
         "command": name,
         "config": args.config,
-        "seed": args.seed,
         "written": written,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -452,7 +451,6 @@ def make_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="INI-like config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", default="json",
                        choices=["json", "csv", "svg", "all"])
     return parser

@@ -82,7 +82,7 @@ class NotSymplectic(LabError):
 
 
 class DegenerateFrame(LabError):
-    """Frame with a + ib = 0; handled internally by pre-composing with J."""
+    """Frame top row with |a+ib|² < 1e-300; raised to the caller."""
 
 
 # cli_io

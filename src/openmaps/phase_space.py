@@ -30,7 +30,6 @@ import numpy as np
 from numpy.polynomial.hermite import hermval
 from scipy.special import ive
 
-from .baker_classical import BakerSpec, TorusPoint, forward
 from .errors import BadDimension, DegenerateFrame, DimensionMismatch, NotSymplectic
 from .quantum_baker import QuantumState, apply, build, dense
 from .quantum_baker import _fourier_apply, _fourier_inverse_apply
@@ -90,7 +89,8 @@ class WavePacket:
         (a, b), (c, d) = self.frame
         w = complex(a, b)
         if abs(w) ** 2 < 1e-300:
-            # unit determinant forces |a+ib| > 0; this is pure paranoia
+            # unit determinant allows |a+ib|² to underflow, e.g. for the
+            # frame ((1e-160, 0), (0, 1e160)); γ would then overflow
             raise DegenerateFrame("frame top row is numerically null")
         return complex(c, d) / w
 
@@ -149,24 +149,34 @@ def sample_line(wp, xs):
     return wp.phase * pref * trans * herm * gauss
 
 
-def _torus_amps(wp, N, theta=GRID_THETA):
+def _periodize(line, N):
+    """Σ_j (−1)^j line(x + j) on the grid x = (k + ½)/N, with its terms.
+
+    Walks the lattice translates j = 0, 1, −1, 2, −2, … and stops after
+    the first ring ±j whose terms fall below PERIODIZE_TAIL times the
+    peak of the sum so far.  Returns the sum and the (j, signed term)
+    pairs it was built from.
+    """
+    base = (np.arange(N) + GRID_THETA) / N
+    total, terms = 0.0, []
+    for j in range(0, 65):
+        ring = 0.0
+        for jj in (j, -j) if j else (0,):
+            vals = (1.0 if jj % 2 == 0 else -1.0) * line(base + jj)
+            total = total + vals
+            terms.append((jj, vals))
+            ring = max(ring, float(np.max(np.abs(vals))))
+        peak = float(np.max(np.abs(total)))
+        if j > 0 and ring <= PERIODIZE_TAIL * max(peak, 1e-300):
+            break
+    return total, terms
+
+
+def _torus_amps(wp, N):
     """Periodize line values over lattice translates with the grid twist."""
     if abs(wp.h * TWO_PI * N - 1.0) > 1e-9:
         raise DimensionMismatch(f"packet h={wp.h} does not match torus N={N}")
-    base = (np.arange(N) + theta) / N
-    amps = np.zeros(N, dtype=np.complex128)
-    peak = 0.0
-    for j in range(0, 65):
-        shifts = [0] if j == 0 else [j, -j]
-        ring = 0.0
-        for jj in shifts:
-            sign = 1.0 if jj % 2 == 0 else -1.0
-            vals = sign * sample_line(wp, base + jj)
-            amps += vals
-            ring = max(ring, float(np.max(np.abs(vals))))
-        peak = max(peak, float(np.max(np.abs(amps))))
-        if j > 0 and ring <= PERIODIZE_TAIL * max(peak, 1e-300):
-            break
+    amps, _ = _periodize(lambda x: sample_line(wp, x), N)
     return amps / math.sqrt(N)
 
 
@@ -188,23 +198,27 @@ def torus_coherent(N, rho, normalize=False):
     return state
 
 
-def _gauss_window(N, x0, theta=GRID_THETA):
-    """Signed periodized ground Gaussian column at position center x0."""
+def _ground_line(N, x0):
+    """Ground Gaussian centered at x0 on the line, scaled for the N-grid."""
     h = 1.0 / (TWO_PI * N)
-    base = (np.arange(N) + theta) / N
-    out = np.zeros(N)
     pref = (math.pi * h) ** -0.25 / math.sqrt(N)
-    for j in range(0, 65):
-        shifts = [0] if j == 0 else [j, -j]
-        ring = 0.0
-        for jj in shifts:
-            sign = 1.0 if jj % 2 == 0 else -1.0
-            vals = sign * pref * np.exp(-((base + jj - x0) ** 2) / (2 * h))
-            out += vals
-            ring = max(ring, float(np.max(np.abs(vals))))
-        if j > 0 and ring <= PERIODIZE_TAIL * max(float(np.max(np.abs(out))), 1e-300):
-            break
-    return out
+    return lambda x: pref * np.exp(-((x - x0) ** 2) / (2 * h))
+
+
+def _gauss_window(N):
+    """Signed periodized ground Gaussian g₀ on the N-point grid (x0 = 0)."""
+    return _periodize(_ground_line(N, 0.0), N)[0]
+
+
+def _signed_roll(g0, i):
+    """The window at x0 = i/N: g₀ shifted by i, the i wrapped entries negated.
+
+    Shifting x0 by one grid step shifts the translate index of the
+    entries that cross the cell edge by one, so their (−1)^j twist flips.
+    """
+    g = np.roll(g0, i)
+    g[:i] *= -1.0
+    return g
 
 
 def husimi(state, K):
@@ -217,25 +231,16 @@ def husimi(state, K):
     if K == N:
         # at grid step 1/N the lattice-translate phases collapse and the
         # row over ξ0 is one inverse FFT of the windowed amplitudes
+        g0 = _gauss_window(N)
         for i1 in range(K):
-            v = u * _gauss_window(N, i1 / K)
-            row = np.fft.ifft(v) * N
+            row = np.fft.ifft(u * _signed_roll(g0, i1)) * N
             field[i1, :] = N * np.abs(row) ** 2
         return field
-    k = np.arange(N)
     k2 = np.arange(K)
-    phase_k = np.exp(2j * np.pi * np.outer(k2, (k + GRID_THETA)) / K)
-    h = 1.0 / (TWO_PI * N)
-    base = (k + GRID_THETA) / N
-    pref = (math.pi * h) ** -0.25 / math.sqrt(N)
+    phase_k = np.exp(2j * np.pi * np.outer(k2, (np.arange(N) + GRID_THETA)) / K)
     for i1 in range(K):
-        x0 = i1 / K
         acc = np.zeros(K, dtype=np.complex128)
-        for jj in range(-3, 4):
-            sign = 1.0 if jj % 2 == 0 else -1.0
-            amp_j = sign * pref * np.exp(-((base + jj - x0) ** 2) / (2 * h))
-            if np.max(np.abs(amp_j)) < 1e-18:
-                continue
+        for jj, amp_j in _periodize(_ground_line(N, i1 / K), N)[1]:
             acc += np.exp(2j * np.pi * k2 * jj * N / K) * (phase_k @ (u * amp_j))
         field[i1, :] = N * np.abs(acc) ** 2
     return field
@@ -252,10 +257,11 @@ def coherent_grid_trace(matrix, K=None):
 
     At the native grid K = N the lattice-translate phases of the torus
     coherent states cancel exactly and each ξ0 row of rank-one projectors
-    sums to N·diag(g²), so the whole quadrature collapses to a weighted
-    diagonal sum; that collapse is an identity of the sum, not an
-    approximation, and keeps the cost at O(N²).  Other grids fall back to
-    assembling every coherent state explicitly.
+    sums to N·diag(g_i²), g_i the window at x0 = i/N.  Each g_i is a
+    signed roll of g₀, so Σ_i g_i² = ‖g₀‖² on every entry and the whole
+    quadrature is ‖g₀‖²·tr(M): an identity of the sum, not an
+    approximation.  Other grids fall back to assembling every coherent
+    state explicitly.
     """
     matrix = np.asarray(matrix, dtype=np.complex128)
     N = matrix.shape[0]
@@ -263,11 +269,8 @@ def coherent_grid_trace(matrix, K=None):
         raise ValueError("square matrix expected")
     K = N if K is None else int(K)
     if K == N:
-        diag = np.zeros(N)
-        for i1 in range(N):
-            g = _gauss_window(N, i1 / N)
-            diag += g * g
-        return complex(np.sum(np.diagonal(matrix) * diag))
+        g0 = _gauss_window(N)
+        return complex(np.dot(g0, g0) * np.trace(matrix))
     h = 1.0 / (TWO_PI * N)
     total = 0.0 + 0.0j
     for i1 in range(K):
@@ -362,26 +365,21 @@ def escape_g(spec, rho, params, depth=None):
     backward-trapped set, zero on the trapped set itself and anywhere
     the two cover distances tie.
     """
+    u_x, u_xi = _escape_u(spec, [rho[0], rho[1]], params, depth)
+    return float(u_x - u_xi)
+
+
+def _escape_u(spec, vals, params, depth):
+    """u = log(floor + dist²) at each value; the escape weight is u(x) − u(ξ)."""
     depth = default_depth(spec, params) if depth is None else int(depth)
     eps = params.epsilon
     floor = params.m_const * eps + eps
-    d_minus = _cover_distance(spec, float(rho[0]), depth)[0]
-    d_plus = _cover_distance(spec, float(rho[1]), depth)[0]
-    return float(math.log(floor + d_minus**2) - math.log(floor + d_plus**2))
-
-
-def _escape_row(spec, K, params, depth):
-    """u_i = log(floor + dist(i/K)²); the escape weight is u(x) − u(ξ)."""
-    depth = default_depth(spec, params) if depth is None else int(depth)
-    eps = params.epsilon
-    floor = params.m_const * eps + eps
-    d = _cover_distance(spec, np.arange(K) / K, depth)
-    return np.log(floor + d**2)
+    return np.log(floor + _cover_distance(spec, vals, depth) ** 2)
 
 
 def escape_grid(spec, K, params, depth=None):
     """Escape weight on the (i/K, j/K) grid; separable, so O(K) work."""
-    u = _escape_row(spec, K, params, depth)
+    u = _escape_u(spec, np.arange(K) / K, params, depth)
     return u[:, None] - u[None, :]
 
 
@@ -392,13 +390,13 @@ def _expm_scaled(evals, evecs, t):
 def _damping_symbols(spec, N, params, depth):
     """(d, λ) with G = diag(d) + F⁻¹ diag(λ) F, F the θ=½ Fourier kernel.
 
-    The window at x0 = i/N is the x0 = 0 window g₀ shifted by i (sign
+    The window at x0 = i/N is the signed roll of g₀ by i (the sign
     flips on wrap cancel in the squares), so the u(x) part of G is
     diagonal with d = u ⊛ g₀² and the −u(ξ) part is diagonal in momentum
     with λ = −u ⊛ |F g₀|²: two periodic convolutions, O(N log N).
     """
-    u_hat = np.fft.fft(_escape_row(spec, N, params, depth))
-    g0 = _gauss_window(N, 0.0)
+    u_hat = np.fft.fft(_escape_u(spec, np.arange(N) / N, params, depth))
+    g0 = _gauss_window(N)
 
     def smooth(window):
         return np.fft.ifft(u_hat * np.fft.fft(window)).real
@@ -412,7 +410,7 @@ def _damping_apply(d, lam, v):
     return d * v + _fourier_inverse_apply(lam * twisted, GRID_THETA)
 
 
-def damping_operator(spec, N, params, depth=None, also_inverse=False):
+def damping_operator(spec, N, params, depth=None):
     """Anti-Wick quantization of the escape weight and its exponential.
 
     G = Σ_grid g(ρ) w |φ_ρ⟩⟨φ_ρ| over the N×N coherent grid with weight
@@ -420,7 +418,7 @@ def damping_operator(spec, N, params, depth=None, also_inverse=False):
     G = diag(d) + F⁻¹ diag(λ) F, a diagonal plus a θ=½-twisted
     circulant (see `_damping_symbols`).  This assembles G densely and
     exponentiates it by eigh, for callers that need whole matrices.
-    Returns (G, expm(-t·G)), plus expm(+t·G) when also_inverse is set.
+    Returns (G, expm(-t·G), expm(+t·G)).
     """
     if N <= 0:
         raise BadDimension(f"N={N} must be positive")
@@ -429,10 +427,8 @@ def damping_operator(spec, N, params, depth=None, also_inverse=False):
     G = _damping_apply(d, lam, np.eye(N)).T
     G = 0.5 * (G + G.conj().T)
     evals, evecs = np.linalg.eigh(G)
-    expm_neg = _expm_scaled(evals, evecs, params.t)
-    if also_inverse:
-        return G, expm_neg, _expm_scaled(evals, evecs, -params.t)
-    return G, expm_neg
+    return (G, _expm_scaled(evals, evecs, params.t),
+            _expm_scaled(evals, evecs, -params.t))
 
 
 @dataclass(frozen=True)
@@ -518,7 +514,7 @@ def hs_trace_experiment(spec, N_list, params, exp_params, depth=None,
         h = 1.0 / (TWO_PI * N)
         p = replace(params, h=h)
         mat = dense(build(spec, N))
-        _, damp, undamp = damping_operator(spec, N, p, depth, also_inverse=True)
+        _, damp, undamp = damping_operator(spec, N, p, depth)
         step = damp @ mat @ undamp
         n = exp_params.n_steps(h)
         power = np.linalg.matrix_power(step, n)

@@ -244,11 +244,12 @@ class TestPropagateCommand:
         outs = []
         for d in dirs:
             code, out, _ = run(capsys, ["propagate", "--config", str(cfgfile),
-                                        "--out", str(d), "--format", "all",
-                                        "--seed", "7"])
+                                        "--out", str(d), "--format", "all"])
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+        meta = json.loads((dirs[0] / "metadata.json").read_text())
+        assert "seed" not in meta
         for name in ("propagate.json", "propagate.csv", "propagate.svg"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 

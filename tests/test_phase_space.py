@@ -9,6 +9,7 @@ the exact tight-frame property of the half-integer coherent grid.
 
 import json
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -16,9 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openmaps.baker_classical import BakerSpec, TorusPoint, forward
-from openmaps.errors import BadDimension, DimensionCap, DimensionMismatch, NotSymplectic
+from openmaps.errors import (
+    BadDimension,
+    DegenerateFrame,
+    DimensionCap,
+    DimensionMismatch,
+    NotSymplectic,
+)
 from openmaps.phase_space import (
     _gauss_window,
+    _signed_roll,
+    _torus_amps,
     EscapeParams,
     ExperimentParams,
     coherent_grid_trace,
@@ -75,13 +84,37 @@ def phase_fit_residual(vals, oracle, xs):
     return float(np.sqrt(quad_norm_sq(vals - fit * oracle, xs)) / scale)
 
 
+@lru_cache(maxsize=8)
+def _oracle_windows(N):
+    """Row i: the window at x0 = i/N, periodized from the translated packet."""
+    h = 1.0 / (2 * math.pi * N)
+    return np.array([_torus_amps(translate(ground_state(h), (i / N, 0.0)), N).real
+                     for i in range(N)])
+
+
+def _husimi_oracle(state):
+    """K = N Husimi field row by row from the oracle windows."""
+    N = state.N
+    u = np.conj(state.amps)
+    field = np.empty((N, N))
+    for i1, g in enumerate(_oracle_windows(N)):
+        row = np.fft.ifft(u * g) * N
+        field[i1, :] = N * np.abs(row) ** 2
+    return field
+
+
+def _trace_oracle(matrix):
+    """K = N coherent-grid trace as the diagonal weighted by Σ_i g_i²."""
+    weight = np.sum(_oracle_windows(matrix.shape[0]) ** 2, axis=0)
+    return complex(np.sum(np.diagonal(matrix) * weight))
+
+
 def _assembled_G_oracle(spec, N, params, depth=None):
     """Anti-Wick sum assembled per x0 column as a windowed Toeplitz block."""
     gfield = escape_grid(spec, N, params, depth)
     G = np.zeros((N, N), dtype=np.complex128)
     idx = np.arange(N)
-    for i1 in range(N):
-        g = _gauss_window(N, i1 / N)
+    for i1, g in enumerate(_oracle_windows(N)):
         win = np.nonzero(np.abs(g) > 1e-18 * np.max(np.abs(g)))[0]
         fr = np.fft.ifft(gfield[i1, :]) * N  # Σ_ξ g·e^{2πi(k-l)ξ0}
         block = (g[win, None] * g[None, win]) * fr[(idx[win, None] - idx[None, win]) % N]
@@ -125,6 +158,14 @@ class TestPacketAlgebra:
         with pytest.raises(ValueError):
             WavePacket(h=H_REF, center=(0.0, 0.0),
                        frame=((2.0, 0.0), (0.0, 1.0)), hermite_coeffs=(1.0,))
+
+    def test_underflowing_frame_rejected(self):
+        # unit determinant, but |a+ib|² = 1e-320 underflows the guard
+        wp = WavePacket(h=H_REF, center=(0.0, 0.0),
+                        frame=((1e-160, 0.0), (0.0, 1e160)),
+                        hermite_coeffs=(1.0,))
+        with pytest.raises(DegenerateFrame):
+            wp.squeeze
 
     def test_metaplectic_rejects_nonsymplectic(self):
         with pytest.raises(NotSymplectic):
@@ -372,6 +413,33 @@ class TestCoherentTrace:
         assert abs(coherent_grid_trace(mat, K=2 * N) - tr) < 1e-6 * abs(tr)
 
 
+class TestShiftedWindow:
+    """The K = N paths against per-row windows built from translated packets."""
+
+    @pytest.mark.parametrize("N", [27, 81, 243, 729])
+    def test_signed_roll_matches_translated_packet(self, N):
+        g0 = _gauss_window(N)
+        for i, oracle in enumerate(_oracle_windows(N)):
+            err = np.max(np.abs(_signed_roll(g0, i) - oracle))
+            assert err <= 1e-13 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("N", [27, 81, 243, 729])
+    def test_husimi_matches_row_oracle(self, N):
+        rng = np.random.Generator(np.random.Philox(N))
+        state = QuantumState(N, rng.normal(size=N) + 1j * rng.normal(size=N))
+        oracle = _husimi_oracle(state)
+        err = np.max(np.abs(husimi(state, N) - oracle))
+        assert err <= 1e-13 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("N", [27, 81, 243, 729])
+    def test_trace_matches_weighted_diagonal_oracle(self, N):
+        rng = np.random.Generator(np.random.Philox(N + 1))
+        raw = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+        mat = raw @ raw.conj().T
+        oracle = _trace_oracle(mat)
+        assert abs(coherent_grid_trace(mat) - oracle) <= 1e-13 * abs(oracle)
+
+
 class TestEscapeFunction:
     def params(self, N=729, delta=0.4, m_const=1.0, t=1.0):
         return EscapeParams(h=1.0 / (2 * math.pi * N), delta=delta,
@@ -447,7 +515,7 @@ class TestEscapeFunction:
 class TestDamping:
     def make(self, N=81, t=1.0):
         p = EscapeParams(h=1.0 / (2 * math.pi * N), delta=0.4, t=t)
-        G, E = damping_operator(SPEC32, N, p)
+        G, E, _ = damping_operator(SPEC32, N, p)
         return p, G, E
 
     def test_hermitian(self):
@@ -457,14 +525,14 @@ class TestDamping:
     def test_exponential_norm_bound(self):
         N = 81
         p = EscapeParams(h=1.0 / (2 * math.pi * N), delta=0.4, t=1.5)
-        _, E = damping_operator(SPEC32, N, p)
+        _, E, _ = damping_operator(SPEC32, N, p)
         gmax = float(np.max(escape_grid(SPEC32, N, p)))
         assert np.linalg.norm(E, 2) <= math.exp(p.t * gmax) * (1 + 1e-9)
 
     def test_quadratic_form_tracks_symbol(self):
         N = 729
         p = EscapeParams(h=1.0 / (2 * math.pi * N), delta=0.4, t=1.0)
-        G, _ = damping_operator(SPEC32, N, p)
+        G, _, _ = damping_operator(SPEC32, N, p)
         for rho in [(0.5, 0.05), (0.52, 0.15), (0.18, 0.5)]:
             phi = torus_coherent(N, rho, normalize=True).amps
             qf = float(np.vdot(phi, G @ phi).real)
@@ -474,7 +542,7 @@ class TestDamping:
     def test_inverse_factor(self):
         N = 27
         p = EscapeParams(h=1.0 / (2 * math.pi * N), delta=0.4, t=0.8)
-        G, E, Einv = damping_operator(SPEC32, N, p, also_inverse=True)
+        G, E, Einv = damping_operator(SPEC32, N, p)
         assert np.allclose(E @ Einv, np.eye(N), atol=1e-10)
 
     def test_propagation_starts_at_one_and_decays(self):
@@ -498,7 +566,7 @@ class TestDamping:
     @pytest.mark.parametrize("N", [27, 81, 243, 729])
     def test_closed_form_matches_assembled_oracle(self, N):
         p = EscapeParams(h=1.0 / (2 * math.pi * N), delta=0.4, t=1.0)
-        G, _ = damping_operator(SPEC32, N, p)
+        G, _, _ = damping_operator(SPEC32, N, p)
         oracle = _assembled_G_oracle(SPEC32, N, p)
         assert np.linalg.norm(G - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
