@@ -22,9 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .baker_classical import BakerSpec, cylinder_table
-from .disk_billiard import DiskConfig, orbit_for_word
-from .disk_billiard import cylinder_table as disk_cylinder_table
-from .disk_billiard import orbit_to_csv_row
+from .disk_billiard import DiskConfig, _cycle_orbits, orbit_to_csv_row
 from .errors import ConfigParse, EmptyData, LabError
 from .phase_space import (
     EscapeParams,
@@ -266,16 +264,15 @@ def cmd_sigma_curve(cfg, args):
 def cmd_billiard_orbits(cfg, args):
     config = _disk_config(cfg)
     depth = _get(cfg, "orbits", "depth", int, 3)
-    table = disk_cylinder_table(config, depth)
-    words = sorted(table.entries)
+    orbits = _cycle_orbits(config, depth)
     header = ("word,"
               + ",".join(f"angle_{i}" for i in range(depth)) + ","
               + ",".join(f"length_{i}" for i in range(depth))
               + ",logJ,t\n")
     lines = []
     summary = []
-    for word in words:
-        seg = orbit_for_word(config, tuple(int(c) for c in word), closed=True)
+    for word in sorted(orbits):
+        seg = orbits[word]
         lines.append(orbit_to_csv_row(seg) + "\n")
         summary.append([word, seg.logJ, seg.t_total])
     payload = json.dumps({"depth": depth, "orbits": summary}, sort_keys=True)
@@ -359,6 +356,7 @@ def cmd_husimi_frames(cfg, args):
         fields.append(field)
         masses.append(husimi_mass(field))
         state = apply(op, state)
+    svg = None
     if args is not None and args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -367,12 +365,14 @@ def cmd_husimi_frames(cfg, args):
                 husimi_to_csv(field, out_dir / f"husimi_{i:03d}.csv")
         if args.format in ("svg", "all"):
             for i, field in enumerate(fields):
-                (out_dir / f"husimi_{i:03d}.svg").write_text(
-                    plot_svg(field, kind="field"))
+                svg = plot_svg(field, kind="field")
+                (out_dir / f"husimi_{i:03d}.svg").write_text(svg)
     payload = json.dumps({"N": N, "K": K, "frames": frames,
                           "masses": [float(m) for m in masses]},
                          sort_keys=True)
-    return payload, None, plot_svg(fields[-1], kind="field")
+    if svg is None:
+        svg = plot_svg(fields[-1], kind="field")
+    return payload, None, svg
 
 
 def cmd_trace_check(cfg, args):

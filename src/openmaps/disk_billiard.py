@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -187,22 +187,47 @@ def _flight_pairs(n, closed):
     return pairs
 
 
+def _rowdot(a, b):
+    return np.einsum("ij,ij->i", a, b)
+
+
 def _total_length_grad(config, word, phis, closed):
-    """(lengths, gradient) of the polygonal flight length in the angles."""
+    """(lengths, gradient, Hessian) of the polygonal flight length in the angles.
+
+    Flight j runs from bounce k0 = j to k1 = j + 1 (mod n when closed).
+    With t_k = dp_k/dphi_k the tangent and rho_k = p_k - c_k the radius
+    vector (dt_k/dphi_k = -rho_k), each flight of length l and direction
+    u adds -u.t0 and +u.t1 to the gradient and
+        d2l/dphi0^2     = (|t0|^2 - (u.t0)^2)/l + u.rho0
+        d2l/dphi1^2     = (|t1|^2 - (u.t1)^2)/l - u.rho1
+        d2l/dphi0 dphi1 = -(t0.t1 - (u.t0)(u.t1))/l
+    to the Hessian, which is therefore cyclic tridiagonal (tridiagonal
+    for open words).
+    """
     n = len(word)
-    pts = [_point(config, word[k], phis[k]) for k in range(n)]
+    idx = list(word)
+    cos, sin = np.cos(phis), np.sin(phis)
+    radii = np.array(config.radii)[idx]
+    rho = radii[:, None] * np.column_stack([cos, sin])
+    tan = radii[:, None] * np.column_stack([-sin, cos])
+    pts = np.array(config.centers)[idx] + rho
+    k0 = np.arange(n if closed else n - 1)
+    k1 = (k0 + 1) % n
+    seg = pts[k1] - pts[k0]
+    ell = np.hypot(seg[:, 0], seg[:, 1])
+    u = seg / ell[:, None]
+    t0, t1 = tan[k0], tan[k1]
+    ut0, ut1 = _rowdot(u, t0), _rowdot(u, t1)
     grad = np.zeros(n)
-    lengths = []
-    for k0, k1 in _flight_pairs(n, closed):
-        seg = pts[k1] - pts[k0]
-        ell = float(np.linalg.norm(seg))
-        u = seg / ell
-        for k, sign in ((k0, -1.0), (k1, +1.0)):
-            r = config.radii[word[k]]
-            tau = np.array([-math.sin(phis[k]), math.cos(phis[k])]) * r
-            grad[k] += sign * float(u @ tau)
-        lengths.append(ell)
-    return np.array(lengths), grad
+    np.add.at(grad, k0, -ut0)
+    np.add.at(grad, k1, ut1)
+    hess = np.zeros((n, n))
+    np.add.at(hess, (k0, k0), (_rowdot(t0, t0) - ut0 ** 2) / ell + _rowdot(u, rho[k0]))
+    np.add.at(hess, (k1, k1), (_rowdot(t1, t1) - ut1 ** 2) / ell - _rowdot(u, rho[k1]))
+    off = -(_rowdot(t0, t1) - ut0 * ut1) / ell
+    np.add.at(hess, (k0, k1), off)
+    np.add.at(hess, (k1, k0), off)
+    return ell, grad, hess
 
 
 def _initial_angles(config, word, closed):
@@ -248,28 +273,18 @@ def orbit_for_word(config, word, closed=True):
     """Length-minimizing bounce sequence realizing a symbolic word.
 
     Damped Newton on the total-length gradient, initialized at the
-    inter-center chord angles; the Hessian is finite-differenced.
+    inter-center chord angles, with the analytic cyclic tridiagonal
+    Hessian of `_total_length_grad`.
     """
     word = tuple(word)
     _check_word(word, closed)
     n = len(word)
     phis = _initial_angles(config, word, closed)
-    _, grad = _total_length_grad(config, word, phis, closed)
+    _, grad, hess = _total_length_grad(config, word, phis, closed)
     mu = 1e-8
     for _ in range(NEWTON_MAX_ITER):
         if np.max(np.abs(grad)) <= NEWTON_TOL:
             break
-        hess = np.zeros((n, n))
-        step = 1e-6
-        for k in range(n):
-            up = phis.copy()
-            up[k] += step
-            dn = phis.copy()
-            dn[k] -= step
-            _, gu = _total_length_grad(config, word, up, closed)
-            _, gd = _total_length_grad(config, word, dn, closed)
-            hess[:, k] = (gu - gd) / (2 * step)
-        hess = 0.5 * (hess + hess.T)
         while True:
             try:
                 delta = np.linalg.solve(hess + mu * np.eye(n), -grad)
@@ -277,9 +292,9 @@ def orbit_for_word(config, word, closed=True):
                 mu = max(mu * 10, 1e-8)
                 continue
             trial = phis + delta
-            _, gt = _total_length_grad(config, word, trial, closed)
+            _, gt, ht = _total_length_grad(config, word, trial, closed)
             if np.max(np.abs(gt)) < np.max(np.abs(grad)) or mu > 1e6:
-                phis, grad = trial, gt
+                phis, grad, hess = trial, gt, ht
                 mu = max(mu / 10, 1e-12)
                 break
             mu *= 10
@@ -289,7 +304,7 @@ def orbit_for_word(config, word, closed=True):
     phis = np.mod(phis, 2 * math.pi)
     pts = [_point(config, word[k], phis[k]) for k in range(n)]
     _shadow_check(config, word, pts, closed)
-    lengths, _ = _total_length_grad(config, word, phis, closed)
+    lengths, _, _ = _total_length_grad(config, word, phis, closed)
     segment = OrbitSegment(
         word=word,
         angles=tuple(float(p) for p in phis),
@@ -301,16 +316,7 @@ def orbit_for_word(config, word, closed=True):
         closed=closed,
     )
     if closed:
-        segment = OrbitSegment(
-            word=segment.word,
-            angles=segment.angles,
-            lengths=segment.lengths,
-            logJ=stability(config, segment),
-            t_total=segment.t_total,
-            residual=segment.residual,
-            converged=True,
-            closed=True,
-        )
+        segment = replace(segment, logJ=stability(config, segment))
     return segment
 
 
@@ -357,23 +363,49 @@ def _cyclic_words(k, n):
     return [w for w in shift.words(n) if w[-1] != w[0]]
 
 
-def cylinder_table(config, n):
-    """Closed-orbit weight table at depth n; shadowed words are dropped."""
+def _least_rotation(word):
+    """(lexicographically least rotation, shift i with word[i:] + word[:i] == it)."""
+    return min((word[i:] + word[:i], i) for i in range(len(word)))
+
+
+def _cycle_orbits(config, n):
+    """Closed orbits of all `_cyclic_words` of length n, in that order.
+
+    Every rotation of a word traces the same orbit, so one Newton solve
+    per necklace (`_necklaces` representative: a prime cycle or a repeat
+    of one) serves its whole class; the other rotations get its angles
+    and flight lengths rotated.  Shadowed words are dropped and counted.
+    """
     if n < 2:
         raise ValueError("depth n >= 2")
-    shift = no_repeat_shift(config.k)
-    entries = {}
+    solved = {}
+    orbits = {}
     dropped = 0
     for w in _cyclic_words(config.k, n):
-        try:
-            seg = orbit_for_word(config, w, closed=True)
-        except ShadowedPath:
+        canon, i = _least_rotation(w)
+        if canon not in solved:
+            try:
+                solved[canon] = orbit_for_word(config, canon, closed=True)
+            except ShadowedPath:
+                solved[canon] = None
+        seg = solved[canon]
+        if seg is None:
             dropped += 1
             continue
-        entries[w] = (seg.logJ, seg.t_total)
+        back = n - i
+        orbits[w] = replace(seg, word=w,
+                            angles=seg.angles[back:] + seg.angles[:back],
+                            lengths=seg.lengths[back:] + seg.lengths[:back])
     if dropped:
-        log.warning("cylinder_table depth %d: dropped %d shadowed words", n, dropped)
-    return CylinderTable(shift, n, entries)
+        log.warning("depth %d cycles: dropped %d shadowed words", n, dropped)
+    return orbits
+
+
+def cylinder_table(config, n):
+    """Closed-orbit weight table at depth n; shadowed words are dropped."""
+    entries = {w: (seg.logJ, seg.t_total)
+               for w, seg in _cycle_orbits(config, n).items()}
+    return CylinderTable(no_repeat_shift(config.k), n, entries)
 
 
 def escape_rate_mc(config, samples, max_bounces=100, rng_seed=0):
@@ -490,14 +522,7 @@ def escape_rate_mc(config, samples, max_bounces=100, rng_seed=0):
 
 def _necklaces(k, n):
     """One representative (lexicographically least rotation) per cyclic class."""
-    seen = set()
-    out = []
-    for w in _cyclic_words(k, n):
-        canon = min(w[i:] + w[:i] for i in range(n))
-        if canon not in seen:
-            seen.add(canon)
-            out.append(canon)
-    return out
+    return list(dict.fromkeys(_least_rotation(w)[0] for w in _cyclic_words(k, n)))
 
 
 def periodic_points(config, periods):
@@ -513,7 +538,6 @@ def periodic_points(config, periods):
                 seg = orbit_for_word(config, w, closed=True)
             except ShadowedPath:
                 continue
-            cosines = _incidence_cosines(config, seg)
             for k in range(n):
                 r = config.radii[seg.word[k]]
                 pts_k = _point(config, seg.word[k], seg.angles[k])

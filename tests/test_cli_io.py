@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from openmaps import cli_io
 from openmaps.cli_io import SVG_H, SVG_MARGIN, SVG_W, main, parse_config, plot_svg
+from openmaps.disk_billiard import DiskConfig, orbit_for_word
 from openmaps.errors import ConfigParse, EmptyData
 
 GAMMA_CL = 0.3690702464285426
@@ -221,6 +223,38 @@ class TestBilliardCommand:
         csv = (out_dir / "billiard-orbits.csv").read_text().strip().splitlines()
         assert len(csv) == len(data["orbits"]) + 1
 
+    def test_rows_match_per_word_solves(self, capsys, tmp_path):
+        # rows come from one solve per necklace, rotated to each word
+        out_dir = tmp_path / "out"
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text("[orbits]\ndepth = 4\n")
+        code, out, _ = run(capsys, ["billiard-orbits", "--config", str(cfgfile),
+                                    "--out", str(out_dir), "--format", "csv"])
+        assert code == 0
+        config = DiskConfig(
+            centers=((0.0, 0.0), (6.0, 0.0), (3.0, 3.0 * math.sqrt(3.0))),
+            radii=(1.0, 1.0, 1.0))
+        rows = (out_dir / "billiard-orbits.csv").read_text().splitlines()[1:]
+        assert len(rows) == 18
+        for row, (word, logj, t) in zip(rows, json.loads(out)["orbits"]):
+            cells = row.split(",")
+            assert cells[0] == "".join(map(str, word))
+            seg = orbit_for_word(config, tuple(word), closed=True)
+            gap = np.abs(np.array([float(c) for c in cells[1:5]])
+                         - np.array(seg.angles)) % (2 * math.pi)
+            assert np.max(np.minimum(gap, 2 * math.pi - gap)) <= 1e-13
+            assert np.allclose([float(c) for c in cells[5:9]], seg.lengths,
+                               rtol=1e-13, atol=0)
+            assert logj == pytest.approx(seg.logJ, rel=1e-13)
+            assert t == pytest.approx(seg.t_total, rel=1e-13)
+
+    def test_depth_one_rejected(self, capsys, tmp_path):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text("[orbits]\ndepth = 1\n")
+        code, _, err = run(capsys, ["billiard-orbits", "--config", str(cfgfile)])
+        assert code == 1
+        assert "ValueError" in err
+
 
 class TestPropagateCommand:
     def config(self, tmp_path):
@@ -267,6 +301,30 @@ class TestHusimiFramesCommand:
         assert data["masses"][1] < data["masses"][0]
         assert (out_dir / "husimi_000.csv").exists()
         assert (out_dir / "husimi_001.svg").exists()
+
+    def test_each_frame_rendered_once(self, capsys, tmp_path, monkeypatch):
+        rendered = []
+        real = cli_io.plot_svg
+
+        def counting(data, kind=None):
+            rendered.append(kind)
+            return real(data, kind=kind)
+
+        monkeypatch.setattr(cli_io, "plot_svg", counting)
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text("[quantum]\nN = 27\n[husimi]\nframes = 3\n")
+        out_dir = tmp_path / "out"
+        code, _, _ = run(capsys, ["husimi-frames", "--config", str(cfgfile),
+                                  "--out", str(out_dir), "--format", "all"])
+        assert code == 0
+        assert rendered == ["field"] * 3
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "husimi-frames.json", "husimi-frames.svg",
+            "husimi_000.csv", "husimi_000.svg", "husimi_001.csv",
+            "husimi_001.svg", "husimi_002.csv", "husimi_002.svg",
+            "metadata.json"]
+        assert ((out_dir / "husimi-frames.svg").read_bytes()
+                == (out_dir / "husimi_002.svg").read_bytes())
 
 
 class TestTraceCheckCommand:

@@ -2,7 +2,10 @@
 
 Geometric oracles come first: a finite-difference Jacobian of the bounce
 map cross-checks the analytic monodromy, and the two-disk system has a
-closed-form stability exponent.
+closed-form stability exponent.  The per-bounce flight-length loop, its
+finite-differenced Hessian and the per-word Newton solve built on them
+are kept here as oracles for the vectorised analytic Hessian and for
+the one-solve-per-necklace cylinder tables.
 
 Frozen analytic constants (two disks of radius 1, centers 6 apart):
     bounce orbit flight time     t = 8 per period (two flights of 4)
@@ -21,12 +24,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from openmaps import disk_billiard
 from openmaps.disk_billiard import (
     BoundaryCoord,
     DiskConfig,
     OrbitSegment,
+    _cycle_orbits,
     _cyclic_words,
+    _flight_pairs,
+    _initial_angles,
     _necklaces,
+    _point,
+    _total_length_grad,
     billiard_step,
     cylinder_table,
     escape_rate_mc,
@@ -74,6 +83,85 @@ def bounce_jacobian(config, coord, n_steps, h=1e-7):
         dy_out = (plus.y - minus.y + arc / 2) % arc - arc / 2
         J[:, col] = np.array([dy_out, plus.eta - minus.eta]) / (2 * h)
     return J
+
+
+def loop_length_grad(config, word, phis, closed):
+    """(lengths, gradient) of the flight length, one flight at a time."""
+    n = len(word)
+    pts = [_point(config, word[k], phis[k]) for k in range(n)]
+    grad = np.zeros(n)
+    lengths = []
+    for k0, k1 in _flight_pairs(n, closed):
+        seg = pts[k1] - pts[k0]
+        ell = float(np.linalg.norm(seg))
+        u = seg / ell
+        for k, sign in ((k0, -1.0), (k1, +1.0)):
+            r = config.radii[word[k]]
+            tau = np.array([-math.sin(phis[k]), math.cos(phis[k])]) * r
+            grad[k] += sign * float(u @ tau)
+        lengths.append(ell)
+    return np.array(lengths), grad
+
+
+def fd_hessian(config, word, phis, closed, step=1e-6):
+    """Central differences of `loop_length_grad`, symmetrized."""
+    n = len(word)
+    hess = np.zeros((n, n))
+    for k in range(n):
+        up = phis.copy()
+        up[k] += step
+        dn = phis.copy()
+        dn[k] -= step
+        _, gu = loop_length_grad(config, word, up, closed)
+        _, gd = loop_length_grad(config, word, dn, closed)
+        hess[:, k] = (gu - gd) / (2 * step)
+    return 0.5 * (hess + hess.T)
+
+
+def newton_fd_oracle(config, word):
+    """(logJ, t) of a closed word by damped Newton on the FD Hessian."""
+    n = len(word)
+    phis = _initial_angles(config, word, True)
+    _, grad = loop_length_grad(config, word, phis, True)
+    mu = 1e-8
+    for _ in range(120):
+        if np.max(np.abs(grad)) <= 1e-12:
+            break
+        hess = fd_hessian(config, word, phis, True)
+        while True:
+            trial = phis + np.linalg.solve(hess + mu * np.eye(n), -grad)
+            _, gt = loop_length_grad(config, word, trial, True)
+            if np.max(np.abs(gt)) < np.max(np.abs(grad)) or mu > 1e6:
+                phis, grad = trial, gt
+                mu = max(mu / 10, 1e-12)
+                break
+            mu *= 10
+    assert np.max(np.abs(grad)) <= 1e-12
+    lengths, _ = loop_length_grad(config, word, np.mod(phis, 2 * math.pi), True)
+    seg = OrbitSegment(word, tuple(np.mod(phis, 2 * math.pi)), tuple(lengths),
+                       math.nan, float(lengths.sum()), 0.0, True, True)
+    return stability(config, seg), seg.t_total
+
+
+def random_word(rng, n, closed):
+    """Uniform admissible three-disk word (cyclically admissible if closed)."""
+    while True:
+        word = [int(rng.integers(3))]
+        for _ in range(n - 1):
+            word.append(int((word[-1] + rng.integers(1, 3)) % 3))
+        if not closed or word[0] != word[-1]:
+            return tuple(word)
+
+
+def angle_gap(a, b):
+    d = np.abs(np.asarray(a) - np.asarray(b)) % (2 * math.pi)
+    return float(np.max(np.minimum(d, 2 * math.pi - d)))
+
+
+@pytest.fixture(scope="module")
+def tri_tables():
+    """Three-disk cylinder tables at depths 4-8, shared across tests."""
+    return [cylinder_table(TRI, n) for n in range(4, 9)]
 
 
 class TestBounceMap:
@@ -215,6 +303,46 @@ class TestClosedOrbits:
         assert seg.t_total > 4.0 * (len(word) - 1)
 
 
+class TestFlightLengthDerivatives:
+    @pytest.mark.parametrize("closed", [True, False])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_gradient_matches_loop(self, n, closed):
+        rng = np.random.default_rng(100 * n + closed)
+        word = random_word(rng, n, closed)
+        phis = _initial_angles(TRI, word, closed) + rng.uniform(-0.2, 0.2, n)
+        lengths, grad, _ = _total_length_grad(TRI, word, phis, closed)
+        ref_lengths, ref_grad = loop_length_grad(TRI, word, phis, closed)
+        assert np.max(np.abs(lengths - ref_lengths)) <= 1e-13 * ref_lengths.max()
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-13 * np.max(np.abs(ref_grad))
+
+    @pytest.mark.parametrize("closed", [True, False])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_analytic_hessian_matches_finite_differences(self, n, closed):
+        rng = np.random.default_rng(200 * n + closed)
+        word = random_word(rng, n, closed)
+        phis = _initial_angles(TRI, word, closed) + rng.uniform(-0.2, 0.2, n)
+        _, _, hess = _total_length_grad(TRI, word, phis, closed)
+        ref = fd_hessian(TRI, word, phis, closed)
+        assert np.max(np.abs(hess - ref)) <= 1e-6 * np.max(np.abs(ref))
+        # (cyclic) tridiagonal: bounces couple only through shared flights
+        k = np.arange(n)
+        gap = np.abs(k[:, None] - k[None, :])
+        band = (gap <= 1) | (closed & (gap == n - 1))
+        assert np.all(hess[~band] == 0.0)
+        assert np.array_equal(hess, hess.T)
+
+    def test_unequal_radii_hessian(self):
+        config = DiskConfig(centers=((0.0, 0.0), (7.0, 0.5), (3.0, 6.0)),
+                            radii=(1.0, 1.5, 0.7))
+        rng = np.random.default_rng(7)
+        for closed in (True, False):
+            word = random_word(rng, 7, closed)
+            phis = _initial_angles(config, word, closed) + rng.uniform(-0.2, 0.2, 7)
+            _, _, hess = _total_length_grad(config, word, phis, closed)
+            ref = fd_hessian(config, word, phis, closed)
+            assert np.max(np.abs(hess - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+
 class TestCylinderTables:
     def test_depth_two_table(self):
         table = cylinder_table(TRI, 2)
@@ -239,6 +367,70 @@ class TestCylinderTables:
         assert all(len(w) == 4 for w in table.entries)
         assert len(table.entries) == 2**4 + 2
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_necklace_fill_matches_per_word_newton(self, n):
+        table = cylinder_table(TRI, n)
+        assert list(table.entries) == _cyclic_words(3, n)
+        for w, (logj, t) in table.entries.items():
+            ref_logj, ref_t = newton_fd_oracle(TRI, w)
+            assert abs(logj - ref_logj) <= 1e-13 * ref_logj
+            assert abs(t - ref_t) <= 1e-13 * ref_t
+
+    def test_repeated_words_get_their_distinct_rotations(self):
+        table = cylinder_table(TRI, 6)
+        twice = [w for w in table.entries if w[:3] == w[3:]]
+        thrice = [w for w in table.entries if w[:2] == w[2:4] == w[4:]]
+        # 012012-type: 2 necklaces x 3 rotations; 010101-type: 3 x 2
+        assert len(twice) == 6 and len(thrice) == 6
+        for w in twice + thrice:
+            ref_logj, ref_t = newton_fd_oracle(TRI, w)
+            assert table.entries[w][0] == pytest.approx(ref_logj, rel=1e-13)
+            assert table.entries[w][1] == pytest.approx(ref_t, rel=1e-13)
+
+    def test_one_newton_solve_per_necklace(self, monkeypatch):
+        solved = []
+        real = disk_billiard.orbit_for_word
+
+        def counting(config, word, closed=True):
+            solved.append(tuple(word))
+            return real(config, word, closed)
+
+        monkeypatch.setattr(disk_billiard, "orbit_for_word", counting)
+        for n in range(4, 9):
+            solved.clear()
+            table = cylinder_table(TRI, n)
+            assert solved == _necklaces(3, n)
+            assert len(table.entries) == len(_cyclic_words(3, n))
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_rotated_orbits_match_direct_solves(self, n):
+        for w, seg in _cycle_orbits(TRI, n).items():
+            direct = orbit_for_word(TRI, w, closed=True)
+            assert seg.word == w
+            assert angle_gap(seg.angles, direct.angles) <= 1e-13
+            assert np.allclose(seg.lengths, direct.lengths, rtol=1e-13, atol=0)
+            assert seg.logJ == pytest.approx(direct.logJ, rel=1e-13)
+
+    def test_shadowed_words_are_dropped_per_word(self, monkeypatch, caplog):
+        real = disk_billiard.orbit_for_word
+
+        def shadow_repeats(config, word, closed=True):
+            if word == (0, 1, 0, 1):
+                raise ShadowedPath("test")
+            return real(config, word, closed)
+
+        monkeypatch.setattr(disk_billiard, "orbit_for_word", shadow_repeats)
+        with caplog.at_level("WARNING", logger="openmaps.disk_billiard"):
+            table = cylinder_table(TRI, 4)
+        assert (0, 1, 0, 1) not in table.entries
+        assert (1, 0, 1, 0) not in table.entries
+        assert len(table.entries) == len(_cyclic_words(3, 4)) - 2
+        assert "dropped 2 shadowed words" in caplog.text
+
+    def test_depth_one_rejected(self):
+        with pytest.raises(ValueError):
+            cylinder_table(TRI, 1)
+
 
 class TestEscapeRate:
     def test_two_disk_rate_matches_orbit_expansion(self):
@@ -250,9 +442,8 @@ class TestEscapeRate:
         assert rate == pytest.approx(expect, rel=0.05)
         assert 0 < err < 0.1 * rate
 
-    def test_three_disk_rate_matches_pressure_root(self):
-        tables = [cylinder_table(TRI, n) for n in range(4, 9)]
-        gamma = classical_decay_rate(tables)
+    def test_three_disk_rate_matches_pressure_root(self, tri_tables):
+        gamma = classical_decay_rate(tri_tables)
         rate, err = escape_rate_mc(TRI, 10**6, rng_seed=11)
         assert rate == pytest.approx(gamma, rel=0.05)
         assert 0 < err < 0.1 * rate
@@ -288,9 +479,8 @@ class TestTrappedSetGeometry:
         assert len(pts) > 100
         assert np.all(np.abs(pts[:, 1]) < 1.0)
 
-    def test_box_dimension_close_to_bowen_root(self):
-        tables = [cylinder_table(TRI, n) for n in range(4, 9)]
-        d_h = bowen_dimension(tables)
+    def test_box_dimension_close_to_bowen_root(self, tri_tables):
+        d_h = bowen_dimension(tri_tables)
         box = trapped_box_dimension(TRI)
         assert abs(box - d_h) < 0.05
 
