@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Run every experiment config into out/<command>/ with all output
-# formats.  Total runtime is about 20 s on a 2-core machine; the two
-# weyl fits take about 6 s each.
+# formats.  Total runtime is about 18 s on a 2-core machine, about 1 s
+# of it start-up per command; the two weyl fits take about 4 s each.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -3,8 +3,10 @@
 Commands read an INI-like config (one-level [section] headers over
 key=value pairs), run one experiment, print a deterministic JSON payload
 on stdout, and optionally write payload files under --out in the formats
-requested.  Timestamps and invocation details go to a separate
-metadata.json so payload bytes depend only on the config.
+requested.  A command returns its SVG as a function that renders it,
+called only when the SVG is written.  Timestamps and invocation details
+go to a separate metadata.json so payload bytes depend only on the
+config.
 
 Exit codes: 0 on success, 2 on config parse failure, 1 on any module
 error (the error class name is printed verbatim on stderr).
@@ -17,6 +19,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +39,11 @@ from .phase_space import (
     propagation_to_json,
     torus_coherent,
 )
-from .quantum_baker import apply, build, dense
+from .quantum_baker import apply, build, parity_blocks
 from .spectral_counting import (
     annulus_gap_exponent,
+    block_eigenvalues,
     bound_report,
-    eigenvalues,
     spectrum_to_csv,
     weyl_exponent,
 )
@@ -230,7 +233,7 @@ def cmd_pressure(cfg, args):
     csv = "depth,p_n\n" + "".join(
         f"{n},{float(p)!r}\n" for n, p in est.per_depth)
     series = [(float(n), float(p)) for n, p in est.per_depth]
-    return est.to_json(), csv, plot_svg(series, kind="series")
+    return est.to_json(), csv, partial(plot_svg, series, kind="series")
 
 
 def cmd_dimension(cfg, args):
@@ -258,7 +261,7 @@ def cmd_sigma_curve(cfg, args):
                           "points": [[g, s] for g, s in rows]},
                          sort_keys=True)
     csv = "gamma,sigma\n" + "".join(f"{g!r},{s!r}\n" for g, s in rows)
-    return payload, csv, plot_svg(rows, kind="series")
+    return payload, csv, partial(plot_svg, rows, kind="series")
 
 
 def cmd_billiard_orbits(cfg, args):
@@ -277,7 +280,8 @@ def cmd_billiard_orbits(cfg, args):
         summary.append([word, seg.logJ, seg.t_total])
     payload = json.dumps({"depth": depth, "orbits": summary}, sort_keys=True)
     series = [(float(r[2]), float(r[1])) for r in summary]
-    return payload, header + "".join(lines), plot_svg(series, kind="series")
+    return payload, header + "".join(lines), partial(plot_svg, series,
+                                                      kind="series")
 
 
 def cmd_spectrum(cfg, args):
@@ -286,23 +290,27 @@ def cmd_spectrum(cfg, args):
     variant = _get(cfg, "quantum", "variant", str, "FFT")
     theta = _get(cfg, "quantum", "theta", float, 0.5)
     op = build(spec, N, variant=variant, theta=theta)
-    record = eigenvalues(dense(op))
+    blocks, coupling = parity_blocks(op)
+    record = block_eigenvalues(N, blocks, coupling)
     moduli = np.abs(record.eigenvalues)
     payload = json.dumps({
         "N": N, "backward_error": record.backward_error,
+        "blocks": [len(b) for b in blocks],
         "structural_zeros": record.structural_zeros,
         "eigenvalues": [[float(z.real), float(z.imag)]
                         for z in record.eigenvalues],
     }, sort_keys=True)
     series = [(float(i), float(m)) for i, m in enumerate(moduli)]
-    return payload, spectrum_to_csv(record), plot_svg(series, kind="series")
+    return payload, spectrum_to_csv(record), partial(plot_svg, series,
+                                                     kind="series")
 
 
 def cmd_weyl_fit(cfg, args):
     spec = _baker_spec(cfg)
     sizes = _get(cfg, "weyl", "N_list", _ints, (27, 81, 243))
     nu = _get(cfg, "weyl", "nu", float)
-    records = [eigenvalues(dense(build(spec, n))) for n in sizes]
+    records = [block_eigenvalues(n, *parity_blocks(build(spec, n)))
+               for n in sizes]
     fit = weyl_exponent(records, nu)
     depths = _get(cfg, "weyl", "depths", _ints, (4, 5, 6))
     d_h = _get(cfg, "weyl", "d_h", float,
@@ -315,7 +323,7 @@ def cmd_weyl_fit(cfg, args):
     csv = "N,count\n" + "".join(f"{n},{c}\n" for n, c in fit.points)
     series = [(math.log(float(n)), math.log(float(c)))
               for n, c in fit.points if c > 0]
-    return payload, csv, plot_svg(series, kind="series")
+    return payload, csv, partial(plot_svg, series, kind="series")
 
 
 def _escape_params(cfg, N):
@@ -338,7 +346,7 @@ def cmd_propagate(cfg, args):
     payload = propagation_to_json(spec, N, rho0, params, w)
     csv = "n,w\n" + "".join(f"{n},{float(v)!r}\n" for n, v in enumerate(w))
     series = [(float(n), float(v)) for n, v in enumerate(w)]
-    return payload, csv, plot_svg(series, kind="series")
+    return payload, csv, partial(plot_svg, series, kind="series")
 
 
 def cmd_husimi_frames(cfg, args):
@@ -370,9 +378,8 @@ def cmd_husimi_frames(cfg, args):
     payload = json.dumps({"N": N, "K": K, "frames": frames,
                           "masses": [float(m) for m in masses]},
                          sort_keys=True)
-    if svg is None:
-        svg = plot_svg(fields[-1], kind="field")
-    return payload, None, svg
+    # the last frame's SVG, rendered above whenever SVGs are written
+    return payload, None, lambda: svg
 
 
 def cmd_trace_check(cfg, args):
@@ -395,7 +402,7 @@ def cmd_trace_check(cfg, args):
         for e in out["entries"])
     series = [(math.log(1.0 / e["h"]), math.log(e["trace_direct"]))
               for e in out["entries"]]
-    return payload, csv, plot_svg(series, kind="series")
+    return payload, csv, partial(plot_svg, series, kind="series")
 
 
 COMMANDS = {
@@ -411,26 +418,25 @@ COMMANDS = {
 }
 
 
-def _write_outputs(args, name, payload, csv, svg):
+def _write_outputs(args, name, payload, csv, render_svg):
+    """Write the wanted formats; the SVG is rendered only when wanted."""
     if not args.out:
         return []
+    wants = ({"json", "csv", "svg"} if args.format == "all"
+             else {args.format})
+    texts = {
+        "json": None if payload is None else payload + "\n",
+        "csv": csv,
+        "svg": render_svg() if "svg" in wants and render_svg else None,
+    }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    wants = ({"json", "csv", "svg"} if args.format == "all"
-             else {args.format})
-    if "json" in wants and payload is not None:
-        path = out / f"{name}.json"
-        path.write_text(payload + "\n")
-        written.append(path.name)
-    if "csv" in wants and csv is not None:
-        path = out / f"{name}.csv"
-        path.write_text(csv)
-        written.append(path.name)
-    if "svg" in wants and svg is not None:
-        path = out / f"{name}.svg"
-        path.write_text(svg)
-        written.append(path.name)
+    for fmt in ("json", "csv", "svg"):
+        if fmt in wants and texts[fmt] is not None:
+            path = out / f"{name}.{fmt}"
+            path.write_text(texts[fmt])
+            written.append(path.name)
     meta = {
         "command": name,
         "config": args.config,
@@ -460,8 +466,8 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        payload, csv, svg = COMMANDS[args.command](cfg, args)
-        _write_outputs(args, args.command, payload, csv, svg)
+        payload, csv, render_svg = COMMANDS[args.command](cfg, args)
+        _write_outputs(args, args.command, payload, csv, render_svg)
         if payload is not None:
             print(payload)
     except ConfigParse as exc:

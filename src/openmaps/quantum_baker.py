@@ -13,7 +13,6 @@ variant replaces the Fourier kernel by its base-a tensor factorization.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,6 +145,14 @@ def apply(op, state, adjoint=False):
     return QuantumState(op.N, _map_rows(op, state.amps, adjoint))
 
 
+def _strip_images(op, j, adjoint=False):
+    """Images under the map of strip j's N/a basis vectors, one per row."""
+    na = op.N // op.spec.a
+    basis = np.zeros((na, op.N), dtype=np.complex128)
+    basis[:, j * na : (j + 1) * na] = np.eye(na)
+    return _map_rows(op, basis, adjoint)
+
+
 def dense(op, cap=DENSE_CAP, adjoint=False):
     """Materialize the matrix one strip of basis vectors at a time; cached.
 
@@ -160,40 +167,69 @@ def dense(op, cap=DENSE_CAP, adjoint=False):
     na = op.N // op.spec.a
     cols = np.zeros((op.N, op.N), dtype=np.complex128)
     for j in range(op.spec.a) if adjoint else op.spec.alphabet:
-        basis = np.zeros((na, op.N), dtype=np.complex128)
-        basis[:, j * na : (j + 1) * na] = np.eye(na)
-        cols[:, j * na : (j + 1) * na] = _map_rows(op, basis, adjoint).T
+        cols[:, j * na : (j + 1) * na] = _strip_images(op, j, adjoint).T
     if not adjoint:
         op._dense = cols
     return cols
 
 
-def write_dense(matrix, path):
-    """Binary export: magic OQM1, u64 N little-endian, row-major re/im f64."""
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
-        raise ValueError("square matrix expected")
-    interleaved = np.empty((n, n, 2), dtype="<f8")
-    interleaved[..., 0] = matrix.real
-    interleaved[..., 1] = matrix.imag
-    with open(path, "wb") as fh:
-        fh.write(b"OQM1")
-        fh.write(struct.pack("<Q", n))
-        fh.write(interleaved.tobytes())
+def _parity_sector(keep, N, sign):
+    """Indices i, mirrors N-1-i and their weights in one parity sector.
+
+    Basis vector q is w_q e_{i_q} + v_q e_{N-1-i_q}: weights 1/√2 and
+    ±1/√2 for a mirror pair, and 1 and 0 for the middle index of odd N,
+    which belongs to the even sector alone.
+    """
+    half = keep[2 * keep < N - 1]
+    mid = keep[2 * keep == N - 1] if sign > 0 else keep[:0]
+    r = np.full(half.size, math.sqrt(0.5))
+    return (np.concatenate([half, mid]), np.concatenate([N - 1 - half, mid]),
+            np.concatenate([r, np.ones(mid.size)]),
+            np.concatenate([sign * r, np.zeros(mid.size)]))
 
 
-def read_dense(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != b"OQM1":
-            raise ValueError(f"bad magic {magic!r}")
-        (n,) = struct.unpack("<Q", fh.read(8))
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    if raw.size != 2 * n * n:
-        raise ValueError("truncated matrix file")
-    pairs = raw.reshape(n, n, 2)
-    return pairs[..., 0] + 1j * pairs[..., 1]
+def parity_blocks(op):
+    """Kept diagonal blocks of the map in its parity basis, and their coupling.
+
+    At theta = 1/2 with an alphabet closed under j -> a-1-j, the map
+    commutes with the parity e_j -> e_{N-1-j} (x -> 1 - x), so in the
+    basis (e_j ± e_{N-1-j})/√2 it splits into an even and an odd block.
+    Only the pairs of allowed strips are kept; the others span excluded
+    columns, which are structural zeros.  Each sector's basis goes
+    through the map as one batch, and the images are folded onto the
+    kept rows of both sectors: its own gives the block, the other the
+    coupling, zero by symmetry up to round-off and returned as its
+    Frobenius norm.  Without the symmetry the one block is the
+    compression of the matrix to the allowed-strip indices, assembled
+    strip by strip as in `dense`, with coupling 0.
+
+    Returns (blocks, coupling); N minus the total block size is the
+    number of structural zeros.
+    """
+    a, alphabet = op.spec.a, op.spec.alphabet
+    na = op.N // a
+    keep = np.concatenate([np.arange(j * na, (j + 1) * na) for j in alphabet])
+    if op.theta != 0.5 or set(alphabet) != {a - 1 - j for j in alphabet}:
+        images = np.concatenate([_strip_images(op, j)[:, keep] for j in alphabet])
+        # C order, as matrix[keep, keep] is: the same Schur form, bit for bit
+        return [np.ascontiguousarray(images.T)], 0.0
+    sectors = [_parity_sector(keep, op.N, sign) for sign in (1, -1)]
+
+    def fold(images, sector):
+        idx, mirror, w, v = sector
+        return (images[:, idx] * w + images[:, mirror] * v).T
+
+    blocks, coupling = [], 0.0
+    for own, other in zip(sectors, sectors[::-1]):
+        idx, mirror, w, v = own
+        basis = np.zeros((idx.size, op.N), dtype=np.complex128)
+        rows = np.arange(idx.size)
+        basis[rows, mirror] = v
+        basis[rows, idx] = w  # after v: the middle index is its own mirror
+        images = _map_rows(op, basis, adjoint=False)
+        blocks.append(fold(images, own))
+        coupling = math.hypot(coupling, np.linalg.norm(fold(images, other)))
+    return blocks, coupling
 
 
 def state_to_csv(state):

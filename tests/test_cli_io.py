@@ -187,6 +187,23 @@ class TestSpectrumCommand:
         assert data["structural_zeros"] == 9
         assert 0.0 <= data["backward_error"] <= 1e-12
 
+    def test_payload_reports_parity_blocks(self, capsys, tmp_path):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text("[quantum]\nN = 243\n")
+        code, out, _ = run(capsys, ["spectrum", "--config", str(cfgfile)])
+        assert code == 0
+        assert json.loads(out)["blocks"] == [81, 81]
+
+    def test_theta_zero_solves_one_block(self, capsys, tmp_path):
+        # the offset-free kernel breaks the parity: one compression
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text("[quantum]\nN = 243\ntheta = 0.0\n")
+        code, out, _ = run(capsys, ["spectrum", "--config", str(cfgfile)])
+        assert code == 0
+        data = json.loads(out)
+        assert data["blocks"] == [162]
+        assert data["structural_zeros"] == 81
+
     def test_config_parse_failure_exits_two(self, capsys, tmp_path):
         cfgfile = tmp_path / "bad.ini"
         cfgfile.write_text("no sections here\n")
@@ -345,3 +362,64 @@ class TestTraceCheckCommand:
         data = json.loads(out)
         assert len(data["fit"]["points"]) == 3
         assert "bounded" in data["report"]
+
+
+# (command, config) for a quick run of every command
+QUICK_RUNS = [
+    ("pressure", "[pressure]\nc_jacobian = -0.63\nc_return = 0.0\n"),
+    ("dimension", ""),
+    ("sigma-curve", ""),
+    ("billiard-orbits", ""),
+    ("spectrum", "[quantum]\nN = 27\n"),
+    ("weyl-fit", "[weyl]\nN_list = 9,27,81\nnu = 0.1\n"),
+    ("propagate", "[quantum]\nN = 27\n[propagate]\nn_max = 3\n"),
+    ("husimi-frames", "[quantum]\nN = 27\n[husimi]\nframes = 2\n"),
+    ("trace-check", ""),
+]
+
+
+class TestSvgRendering:
+    """SVGs are rendered only when written, with unchanged bytes."""
+
+    @pytest.fixture
+    def rendered(self, monkeypatch):
+        kinds = []
+        real = cli_io.plot_svg
+
+        def counting(data, kind=None):
+            kinds.append(kind)
+            return real(data, kind=kind)
+
+        monkeypatch.setattr(cli_io, "plot_svg", counting)
+        return kinds
+
+    @pytest.mark.parametrize("command, config", QUICK_RUNS,
+                             ids=[c for c, _ in QUICK_RUNS])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_not_rendered_unless_written(self, capsys, tmp_path, rendered,
+                                         command, config, fmt):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(config)
+        out_dir = tmp_path / "out"
+        code, _, _ = run(capsys, [command, "--config", str(cfgfile),
+                                  "--out", str(out_dir), "--format", fmt])
+        assert code == 0
+        assert rendered == []
+        assert not list(out_dir.glob("*.svg"))
+
+    @pytest.mark.parametrize("command, config", QUICK_RUNS,
+                             ids=[c for c, _ in QUICK_RUNS])
+    def test_svg_alone_matches_all_formats(self, capsys, tmp_path, command,
+                                           config):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(config)
+        for fmt in ("svg", "all"):
+            code, _, _ = run(capsys, [command, "--config", str(cfgfile),
+                                      "--out", str(tmp_path / fmt),
+                                      "--format", fmt])
+            assert code == 0
+        svgs = sorted(p.name for p in (tmp_path / "svg").glob("*.svg"))
+        assert svgs == sorted(p.name for p in (tmp_path / "all").glob("*.svg"))
+        for name in svgs:
+            assert ((tmp_path / "svg" / name).read_bytes()
+                    == (tmp_path / "all" / name).read_bytes())

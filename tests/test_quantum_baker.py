@@ -21,10 +21,9 @@ from openmaps.quantum_baker import (
     apply,
     build,
     dense,
-    read_dense,
+    parity_blocks,
     state_from_csv,
     state_to_csv,
-    write_dense,
 )
 
 SPEC32 = BakerSpec(3, (0, 2))
@@ -222,6 +221,86 @@ class TestDenseStrips:
         assert np.all(np.any(M[:, :27] != 0, axis=0))
 
 
+SYMMETRIC = [
+    pytest.param(SPEC32, 243, "FFT", id="3-02-243"),
+    pytest.param(BakerSpec(5, (0, 2, 4)), 125, "FFT", id="5-024-125"),
+    pytest.param(BakerSpec(4, (0, 3)), 64, "FFT", id="4-03-64"),
+    pytest.param(SPEC32, 243, "WALSH", id="3-02-243-walsh"),
+]
+ONE_BLOCK = [
+    pytest.param(BakerSpec(3, (0, 1)), 81, 0.5, id="3-01"),
+    pytest.param(SPEC32, 81, 0.0, id="theta-0"),
+]
+
+
+def kept_indices(spec, N):
+    na = N // spec.a
+    return [i for i in range(N) if i // na in spec.alphabet]
+
+
+def parity_basis(spec, N):
+    """Even and odd bases of the allowed-strip indices, one vector per column.
+
+    Pairs (e_i ± e_{N-1-i})/√2 in increasing i, then the middle index of
+    odd N, alone, at the end of the even sector.
+    """
+    even, odd = [], []
+    for i in kept_indices(spec, N):
+        j = N - 1 - i
+        if i < j:
+            for sign, sector in ((1.0, even), (-1.0, odd)):
+                v = np.zeros(N)
+                v[i], v[j] = math.sqrt(0.5), sign * math.sqrt(0.5)
+                sector.append(v)
+    if N % 2 and N // 2 in kept_indices(spec, N):
+        even.append(np.eye(N)[N // 2])
+    return np.array(even).T, np.array(odd).T
+
+
+class TestParityBlocks:
+    """The parity blocks against compressions of the dense matrix."""
+
+    @pytest.mark.parametrize("spec, N, variant", SYMMETRIC)
+    def test_map_commutes_with_parity(self, spec, N, variant):
+        M = dense(build(spec, N, variant=variant))
+        assert np.max(np.abs(M[::-1, ::-1] - M)) <= 1e-13
+
+    @pytest.mark.parametrize("spec, N, theta", ONE_BLOCK)
+    def test_asymmetric_map_breaks_parity(self, spec, N, theta):
+        M = dense(build(spec, N, theta=theta))
+        assert np.max(np.abs(M[::-1, ::-1] - M)) >= 0.1
+
+    @pytest.mark.parametrize("spec, N, variant", SYMMETRIC)
+    def test_blocks_are_parity_compressions(self, spec, N, variant):
+        op = build(spec, N, variant=variant)
+        M = dense(op)
+        blocks, _ = parity_blocks(op)
+        assert len(blocks) == 2
+        for block, Q in zip(blocks, parity_basis(spec, N)):
+            assert block.shape == (Q.shape[1], Q.shape[1])
+            assert np.max(np.abs(block - Q.T @ M @ Q)) <= 1e-13
+
+    @pytest.mark.parametrize("spec, N, variant", SYMMETRIC)
+    def test_coupling_is_cross_compression(self, spec, N, variant):
+        op = build(spec, N, variant=variant)
+        M = dense(op)
+        even, odd = parity_basis(spec, N)
+        _, coupling = parity_blocks(op)
+        cross = math.hypot(np.linalg.norm(odd.T @ M @ even),
+                           np.linalg.norm(even.T @ M @ odd))
+        assert coupling <= 1e-13
+        assert abs(coupling - cross) <= 1e-13
+
+    @pytest.mark.parametrize("spec, N, theta", ONE_BLOCK)
+    def test_one_block_is_kept_compression(self, spec, N, theta):
+        op = build(spec, N, theta=theta)
+        keep = kept_indices(spec, N)
+        blocks, coupling = parity_blocks(op)
+        assert coupling == 0.0
+        assert len(blocks) == 1
+        assert np.array_equal(blocks[0], dense(op)[np.ix_(keep, keep)])
+
+
 class TestDenseCap:
     def test_cap_enforced(self):
         op = build(SPEC32, 3**9)
@@ -235,21 +314,6 @@ class TestDenseCap:
 
 
 class TestSerialization:
-    def test_matrix_round_trip(self, tmp_path):
-        M = dense(build(SPEC32, 9))
-        path = tmp_path / "m.oqm"
-        write_dense(M, path)
-        back = read_dense(path)
-        assert np.array_equal(back, M)
-        with open(path, "rb") as fh:
-            assert fh.read(4) == b"OQM1"
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.oqm"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError):
-            read_dense(path)
-
     def test_state_csv_round_trip(self):
         psi = rand_state(27, 9)
         back = state_from_csv(state_to_csv(psi))

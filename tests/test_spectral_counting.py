@@ -3,7 +3,8 @@
 Oracles: diagonal matrices with hand-picked spectra; the SVD rank of
 the open baker matrix (rank deficiency forces N·(1-m/a) null
 eigenvalues); the full-matrix `scipy.linalg.eig` spectrum at N <= 729,
-which the deflated Schur path must match; synthetic records with
+which the deflated Schur path must match, and which in turn is the
+oracle of the parity-split path; synthetic records with
 exactly geometric counts, where the log-log slope is log 2/log 3 by
 construction.
 """
@@ -18,10 +19,12 @@ from scipy.optimize import linear_sum_assignment
 
 from openmaps.baker_classical import BakerSpec
 from openmaps.errors import DegenerateCounts, NoConvergence
-from openmaps.quantum_baker import build, dense
+from openmaps.quantum_baker import build, dense, parity_blocks
 from openmaps.spectral_counting import (
+    RESIDUAL_REL,
     SpectrumRecord,
     annulus_gap_exponent,
+    block_eigenvalues,
     bound_report,
     count_annulus,
     eigenvalues,
@@ -142,6 +145,67 @@ class TestEigOracle:
     def test_backward_error_small(self, pair):
         rec, _ = pair
         assert rec.backward_error <= 1e-12
+
+
+def parity_spectrum(op):
+    return block_eigenvalues(op.N, *parity_blocks(op))
+
+
+class TestParityOracle:
+    """The parity-split spectrum against eigenvalues(dense(op))."""
+
+    @pytest.fixture(scope="class", params=[
+        (SPEC32, 729, "FFT"),
+        (BakerSpec(5, (0, 2, 4)), 625, "FFT"),
+        (BakerSpec(4, (0, 3)), 256, "FFT"),
+        (SPEC32, 729, "WALSH"),
+    ], ids=["3-02-729", "5-024-625", "4-03-256", "3-02-729-walsh"])
+    def pair(self, request):
+        spec, N, variant = request.param
+        op = build(spec, N, variant=variant)
+        return parity_spectrum(op), eigenvalues(dense(op))
+
+    def test_large_eigenvalues_match(self, pair):
+        rec, oracle = pair
+        got = rec.eigenvalues[np.abs(rec.eigenvalues) >= 0.2]
+        want = oracle.eigenvalues[np.abs(oracle.eigenvalues) >= 0.2]
+        assert got.size == want.size
+        gap = np.abs(got[:, None] - want[None, :])
+        rows, cols = linear_sum_assignment(gap)
+        assert gap[rows, cols].max() <= 1e-12
+
+    def test_annulus_counts_identical(self, pair):
+        rec, oracle = pair
+        for nu in (0.25, 0.5, 0.9):
+            assert count_annulus(rec, nu) == count_annulus(oracle, nu)
+
+    def test_structural_zeros_equal(self, pair):
+        rec, oracle = pair
+        assert rec.structural_zeros == oracle.structural_zeros
+
+    def test_certificate_within_bound(self, pair):
+        rec, _ = pair
+        assert rec.backward_error <= 1e-12
+
+    @pytest.mark.parametrize("spec, theta", [
+        (BakerSpec(3, (0, 1)), 0.5),
+        (SPEC32, 0.0),
+    ], ids=["3-01", "theta-0"])
+    def test_one_block_path_is_old_result(self, spec, theta):
+        op = build(spec, 243, theta=theta)
+        rec, oracle = parity_spectrum(op), eigenvalues(dense(op))
+        assert len(parity_blocks(op)[0]) == 1
+        assert np.array_equal(rec.eigenvalues, oracle.eigenvalues)
+        assert rec.backward_error == oracle.backward_error
+        assert rec.structural_zeros == oracle.structural_zeros
+
+    def test_coupling_enters_certificate(self):
+        blocks, coupling = parity_blocks(build(SPEC32, 81))
+        norm = math.hypot(*(np.linalg.norm(b) for b in blocks))
+        rec = block_eigenvalues(81, blocks, coupling)
+        assert rec.backward_error >= coupling / math.hypot(norm, coupling)
+        with pytest.raises(NoConvergence):
+            block_eigenvalues(81, blocks, 10 * RESIDUAL_REL * norm)
 
 
 class TestCountAnnulus:
