@@ -419,24 +419,25 @@ COMMANDS = {
 
 
 def _write_outputs(args, name, payload, csv, render_svg):
-    """Write the wanted formats; the SVG is rendered only when wanted."""
     if not args.out:
         return []
-    wants = ({"json", "csv", "svg"} if args.format == "all"
-             else {args.format})
-    texts = {
-        "json": None if payload is None else payload + "\n",
-        "csv": csv,
-        "svg": render_svg() if "svg" in wants and render_svg else None,
-    }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for fmt in ("json", "csv", "svg"):
-        if fmt in wants and texts[fmt] is not None:
-            path = out / f"{name}.{fmt}"
-            path.write_text(texts[fmt])
-            written.append(path.name)
+    wants = ({"json", "csv", "svg"} if args.format == "all"
+             else {args.format})
+    if "json" in wants and payload is not None:
+        path = out / f"{name}.json"
+        path.write_text(payload + "\n")
+        written.append(path.name)
+    if "csv" in wants and csv is not None:
+        path = out / f"{name}.csv"
+        path.write_text(csv)
+        written.append(path.name)
+    if "svg" in wants and render_svg is not None:
+        path = out / f"{name}.svg"
+        path.write_text(render_svg())
+        written.append(path.name)
     meta = {
         "command": name,
         "config": args.config,

@@ -145,14 +145,6 @@ def apply(op, state, adjoint=False):
     return QuantumState(op.N, _map_rows(op, state.amps, adjoint))
 
 
-def _strip_images(op, j, adjoint=False):
-    """Images under the map of strip j's N/a basis vectors, one per row."""
-    na = op.N // op.spec.a
-    basis = np.zeros((na, op.N), dtype=np.complex128)
-    basis[:, j * na : (j + 1) * na] = np.eye(na)
-    return _map_rows(op, basis, adjoint)
-
-
 def dense(op, cap=DENSE_CAP, adjoint=False):
     """Materialize the matrix one strip of basis vectors at a time; cached.
 
@@ -167,7 +159,9 @@ def dense(op, cap=DENSE_CAP, adjoint=False):
     na = op.N // op.spec.a
     cols = np.zeros((op.N, op.N), dtype=np.complex128)
     for j in range(op.spec.a) if adjoint else op.spec.alphabet:
-        cols[:, j * na : (j + 1) * na] = _strip_images(op, j, adjoint).T
+        basis = np.zeros((na, op.N), dtype=np.complex128)
+        basis[:, j * na : (j + 1) * na] = np.eye(na)
+        cols[:, j * na : (j + 1) * na] = _map_rows(op, basis, adjoint).T
     if not adjoint:
         op._dense = cols
     return cols
@@ -188,7 +182,7 @@ def _parity_sector(keep, N, sign):
             np.concatenate([sign * r, np.zeros(mid.size)]))
 
 
-def parity_blocks(op):
+def parity_blocks(op, cap=DENSE_CAP):
     """Kept diagonal blocks of the map in its parity basis, and their coupling.
 
     At theta = 1/2 with an alphabet closed under j -> a-1-j, the map
@@ -200,19 +194,20 @@ def parity_blocks(op):
     kept rows of both sectors: its own gives the block, the other the
     coupling, zero by symmetry up to round-off and returned as its
     Frobenius norm.  Without the symmetry the one block is the
-    compression of the matrix to the allowed-strip indices, assembled
-    strip by strip as in `dense`, with coupling 0.
+    compression of `dense(op)` to the allowed-strip indices, with
+    coupling 0.  Either way N above `cap` raises DimensionCap, as
+    `dense` does.
 
     Returns (blocks, coupling); N minus the total block size is the
     number of structural zeros.
     """
+    if op.N > cap:
+        raise DimensionCap(f"N={op.N} exceeds dense cap {cap}")
     a, alphabet = op.spec.a, op.spec.alphabet
     na = op.N // a
     keep = np.concatenate([np.arange(j * na, (j + 1) * na) for j in alphabet])
     if op.theta != 0.5 or set(alphabet) != {a - 1 - j for j in alphabet}:
-        images = np.concatenate([_strip_images(op, j)[:, keep] for j in alphabet])
-        # C order, as matrix[keep, keep] is: the same Schur form, bit for bit
-        return [np.ascontiguousarray(images.T)], 0.0
+        return [dense(op, cap)[np.ix_(keep, keep)]], 0.0
     sectors = [_parity_sector(keep, op.N, sign) for sign in (1, -1)]
 
     def fold(images, sector):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from openmaps import cli_io
+from openmaps import cli_io, quantum_baker
 from openmaps.cli_io import SVG_H, SVG_MARGIN, SVG_W, main, parse_config, plot_svg
 from openmaps.disk_billiard import DiskConfig, orbit_for_word
 from openmaps.errors import ConfigParse, EmptyData
@@ -203,6 +203,23 @@ class TestSpectrumCommand:
         data = json.loads(out)
         assert data["blocks"] == [162]
         assert data["structural_zeros"] == 81
+
+    @pytest.mark.parametrize("command, body", [
+        ("spectrum", "[quantum]\nN = 19683\n"),
+        ("weyl-fit", "[weyl]\nN_list = 19683\nnu = 0.5\n"),
+    ])
+    def test_above_dense_cap_exits_one(self, capsys, tmp_path, monkeypatch,
+                                       command, body):
+        def no_map(*args, **kwargs):
+            raise AssertionError("the map ran above the cap")
+
+        monkeypatch.setattr(quantum_baker, "_map_rows", no_map)
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(body)
+        code, out, err = run(capsys, [command, "--config", str(cfgfile)])
+        assert code == 1
+        assert out == ""
+        assert "DimensionCap" in err
 
     def test_config_parse_failure_exits_two(self, capsys, tmp_path):
         cfgfile = tmp_path / "bad.ini"

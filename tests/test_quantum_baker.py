@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from openmaps import quantum_baker
 from openmaps.baker_classical import BakerSpec
 from openmaps.errors import BadDimension, DimensionCap, DimensionMismatch
 from openmaps.quantum_baker import (
@@ -306,6 +307,17 @@ class TestDenseCap:
         op = build(SPEC32, 3**9)
         with pytest.raises(DimensionCap):
             dense(op)
+
+    @pytest.mark.parametrize("theta", [0.5, 0.0])
+    def test_parity_blocks_cap_enforced(self, theta, monkeypatch):
+        # both paths stop before any basis goes through the map
+        def no_map(*args, **kwargs):
+            raise AssertionError("the map ran above the cap")
+
+        monkeypatch.setattr(quantum_baker, "_map_rows", no_map)
+        op = build(SPEC32, 3**9, theta=theta)
+        with pytest.raises(DimensionCap):
+            parity_blocks(op)
 
     def test_cache_reused(self):
         op = build(SPEC32, 9)
