@@ -5,11 +5,12 @@ arclength y along a disk and tangential momentum eta in (-1, 1).  The
 outgoing ray leaves at angle asin(eta) from the outward normal; the map
 sends a boundary point to the reflected point on the first disk hit.
 
-Trapped periodic orbits are found per symbolic word (disk sequence with
-no immediate repeats) by minimizing the total flight length over the
-bounce angles -- the no-eclipse condition makes that critical point
-unique -- and their linear stability comes from the standard curvature
-transfer matrices (free flight [[1,tau],[0,1]], dispersing reflection
+Trapped periodic orbits are found for symbolic words (disk sequences
+with no immediate repeats), all words of one length in one batch, by
+minimizing the total flight length over the bounce angles -- the
+no-eclipse condition makes that critical point unique -- and their
+linear stability comes from the standard curvature transfer matrices
+(free flight [[1,tau],[0,1]], dispersing reflection
 [[1,0],[2*kappa/cos(phi),1]]).
 """
 
@@ -127,12 +128,6 @@ class OrbitSegment:
             raise ValueError("converged segments must have residual <= 1e-10")
 
 
-def _point(config, disk, phi):
-    cx, cy = config.centers[disk]
-    r = config.radii[disk]
-    return np.array([cx + r * math.cos(phi), cy + r * math.sin(phi)])
-
-
 def _coord_to_ray(config, c):
     """Boundary coordinate -> (foot point, outgoing unit direction)."""
     r = config.radii[c.disk]
@@ -181,19 +176,29 @@ def _check_word(word, closed):
 
 
 def _flight_pairs(n, closed):
-    pairs = [(k, k + 1) for k in range(n - 1)]
-    if closed:
-        pairs.append((n - 1, 0))
-    return pairs
+    """Bounce indices (k0, k1) of each flight; the last one wraps when closed."""
+    k0 = np.arange(n if closed else n - 1)
+    return k0, (k0 + 1) % n
 
 
-def _rowdot(a, b):
-    return np.einsum("ij,ij->i", a, b)
+def _dot(a, b):
+    return np.einsum("...j,...j->...", a, b)
 
 
-def _total_length_grad(config, word, phis, closed):
+def _bounces(config, words, phis):
+    """Radius vectors rho, tangents t = dp/dphi and points p, each (B, n, 2),
+    of the bounces at angles `phis` (B, n) on the disks `words` (B, n)."""
+    radii = np.array(config.radii)[words][..., None]
+    cos, sin = np.cos(phis), np.sin(phis)
+    rho = radii * np.stack([cos, sin], axis=-1)
+    tan = radii * np.stack([-sin, cos], axis=-1)
+    return rho, tan, np.array(config.centers)[words] + rho
+
+
+def _total_length_grad(config, words, phis, closed):
     """(lengths, gradient, Hessian) of the polygonal flight length in the angles.
 
+    Batched over equal-length words: (B, flights), (B, n) and (B, n, n).
     Flight j runs from bounce k0 = j to k1 = j + 1 (mod n when closed).
     With t_k = dp_k/dphi_k the tangent and rho_k = p_k - c_k the radius
     vector (dt_k/dphi_k = -rho_k), each flight of length l and direction
@@ -204,135 +209,180 @@ def _total_length_grad(config, word, phis, closed):
     to the Hessian, which is therefore cyclic tridiagonal (tridiagonal
     for open words).
     """
-    n = len(word)
-    idx = list(word)
-    cos, sin = np.cos(phis), np.sin(phis)
-    radii = np.array(config.radii)[idx]
-    rho = radii[:, None] * np.column_stack([cos, sin])
-    tan = radii[:, None] * np.column_stack([-sin, cos])
-    pts = np.array(config.centers)[idx] + rho
-    k0 = np.arange(n if closed else n - 1)
-    k1 = (k0 + 1) % n
-    seg = pts[k1] - pts[k0]
-    ell = np.hypot(seg[:, 0], seg[:, 1])
-    u = seg / ell[:, None]
-    t0, t1 = tan[k0], tan[k1]
-    ut0, ut1 = _rowdot(u, t0), _rowdot(u, t1)
-    grad = np.zeros(n)
-    np.add.at(grad, k0, -ut0)
-    np.add.at(grad, k1, ut1)
-    hess = np.zeros((n, n))
-    np.add.at(hess, (k0, k0), (_rowdot(t0, t0) - ut0 ** 2) / ell + _rowdot(u, rho[k0]))
-    np.add.at(hess, (k1, k1), (_rowdot(t1, t1) - ut1 ** 2) / ell - _rowdot(u, rho[k1]))
-    off = -(_rowdot(t0, t1) - ut0 * ut1) / ell
-    np.add.at(hess, (k0, k1), off)
-    np.add.at(hess, (k1, k0), off)
+    batch, n = words.shape
+    rho, tan, pts = _bounces(config, words, phis)
+    k0, k1 = _flight_pairs(n, closed)
+    seg = pts[:, k1] - pts[:, k0]
+    ell = np.hypot(seg[..., 0], seg[..., 1])
+    u = seg / ell[..., None]
+    t0, t1 = tan[:, k0], tan[:, k1]
+    ut0, ut1 = _dot(u, t0), _dot(u, t1)
+    # k0 and k1 each hold distinct indices, so buffered += accumulates
+    grad = np.zeros((batch, n))
+    grad[:, k0] -= ut0
+    grad[:, k1] += ut1
+    hess = np.zeros((batch, n, n))
+    hess[:, k0, k0] += (_dot(t0, t0) - ut0 ** 2) / ell + _dot(u, rho[:, k0])
+    hess[:, k1, k1] += (_dot(t1, t1) - ut1 ** 2) / ell - _dot(u, rho[:, k1])
+    off = -(_dot(t0, t1) - ut0 * ut1) / ell
+    hess[:, k0, k1] += off
+    hess[:, k1, k0] += off
     return ell, grad, hess
 
 
-def _initial_angles(config, word, closed):
-    n = len(word)
-    phis = np.zeros(n)
-    for k in range(n):
-        c = np.array(config.centers[word[k]])
+def _initial_angles(config, words, closed):
+    """Newton start angles (B, n): each bounce faces its neighbours' centers
+    (along the sum of unit chords, or across it if they cancel).  That
+    depends only on the (previous, own, next) disks, so it is computed once
+    per distinct triple; open words lack a neighbour (-1) past each end."""
+    prev, nxt = np.roll(words, 1, axis=1), np.roll(words, -1, axis=1)
+    if not closed:
+        prev[:, 0] = nxt[:, -1] = -1
+    triples, where = np.unique(np.stack([prev, words, nxt], axis=-1).reshape(-1, 3),
+                               axis=0, return_inverse=True)
+    centers = np.array(config.centers)
+    angles = []
+    for before, disk, after in triples:
+        neighbors = [j for j in (before, after) if j >= 0]
         u = np.zeros(2)
-        neighbors = []
-        if k > 0 or closed:
-            neighbors.append(word[(k - 1) % n])
-        if k < n - 1 or closed:
-            neighbors.append(word[(k + 1) % n])
         for other in neighbors:
-            v = np.array(config.centers[other]) - c
+            v = centers[other] - centers[disk]
             u = u + v / np.linalg.norm(v)
         if np.linalg.norm(u) < 1e-9:
-            v = np.array(config.centers[neighbors[0]]) - c
+            v = centers[neighbors[0]] - centers[disk]
             u = np.array([-v[1], v[0]])
-        phis[k] = math.atan2(u[1], u[0])
-    return phis
+        angles.append(math.atan2(u[1], u[0]))
+    return np.array(angles)[where.reshape(words.shape)]
 
 
-def _shadow_check(config, word, pts, closed):
-    n = len(word)
-    for k0, k1 in _flight_pairs(n, closed):
-        a, b = pts[k0], pts[k1]
-        seg = b - a
-        seg_len2 = float(seg @ seg)
-        for other in range(config.k):
-            if other in (word[k0], word[k1]):
-                continue
-            rel = np.array(config.centers[other]) - a
-            t = min(max(float(rel @ seg) / seg_len2, 0.0), 1.0)
-            closest = a + t * seg
-            if np.linalg.norm(np.array(config.centers[other]) - closest) < config.radii[other]:
-                raise ShadowedPath(
-                    f"flight {word[k0]}->{word[k1]} of word {word} crosses disk {other}"
-                )
+def _shadowed(config, words, pts, closed):
+    """Per word, a message naming its first flight through a third disk, or None."""
+    k0, k1 = _flight_pairs(words.shape[1], closed)
+    start = pts[:, k0, None]
+    seg = pts[:, k1, None] - start
+    rel = np.array(config.centers) - start              # (B, flights, disks, 2)
+    t = np.clip(_dot(rel, seg) / _dot(seg, seg), 0.0, 1.0)
+    gap = rel - t[..., None] * seg
+    disks = np.arange(config.k)
+    crosses = ((np.hypot(gap[..., 0], gap[..., 1]) < np.array(config.radii))
+               & (disks != words[:, k0, None]) & (disks != words[:, k1, None]))
+    messages = [None] * len(words)
+    for i in np.flatnonzero(crosses.any(axis=(1, 2))):
+        j, other = np.unravel_index(np.argmax(crosses[i]), crosses[i].shape)
+        word = tuple(words[i].tolist())
+        messages[i] = (f"flight {word[k0[j]]}->{word[k1[j]]} of word {word} "
+                       f"crosses disk {other}")
+    return messages
+
+
+def _solve(a, b):
+    """x with a[i] x[i] = b[i] for a stack; NaN rows where a[i] is singular.
+
+    One stacked solve; only when it meets a singular matrix are the rows
+    solved one by one to find which.
+    """
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.full_like(b, np.nan)
+        return np.concatenate([_solve(a[i:i + 1], b[i:i + 1]) for i in range(len(a))])
+
+
+def _solve_orbits(config, words, closed=True):
+    """Length-minimizing bounce sequences of a batch of equal-length words.
+
+    Damped Newton on the total-length gradient, initialized at the
+    inter-center chord angles, with the analytic cyclic tridiagonal
+    Hessian of `_total_length_grad`.  All words share one loop with one
+    stacked solve per sweep, each word with its own damping mu: a step
+    that lowers its gradient sup-norm (or any step once mu > 1e6) is
+    taken and mu falls tenfold; otherwise, or if its damped Hessian is
+    singular, mu rises tenfold.  Returns an `OrbitSegment` per word, in
+    order, or the (unraised) `ShadowedPath` of a word whose orbit
+    crosses a third disk; raises `NoConvergence` naming the word.
+    """
+    words = [tuple(w) for w in words]
+    if not words:
+        return []
+    for w in words:
+        _check_word(w, closed)
+    idx = np.array(words)
+    phis = _initial_angles(config, idx, closed)
+    _, grad, hess = _total_length_grad(config, idx, phis, closed)
+    res = np.max(np.abs(grad), axis=1)
+    mu = np.full(len(words), 1e-8)
+    steps = np.zeros(len(words), dtype=int)
+    while (act := np.flatnonzero((res > NEWTON_TOL) & (steps < NEWTON_MAX_ITER))).size:
+        delta = _solve(hess[act] + mu[act, None, None] * np.eye(idx.shape[1]), -grad[act])
+        ok = ~np.isnan(delta[:, 0])
+        mu[act[~ok]] = np.maximum(mu[act[~ok]] * 10, 1e-8)
+        act, trial = act[ok], phis[act[ok]] + delta[ok]
+        _, gt, ht = _total_length_grad(config, idx[act], trial, closed)
+        rt = np.max(np.abs(gt), axis=1)
+        take = (rt < res[act]) | (mu[act] > 1e6)
+        acc = act[take]
+        phis[acc], grad[acc], hess[acc], res[acc] = trial[take], gt[take], ht[take], rt[take]
+        mu[acc] = np.maximum(mu[acc] / 10, 1e-12)
+        steps[acc] += 1
+        mu[act[~take]] *= 10
+    for w, r in zip(words, res):
+        if r > NEWTON_TOL:
+            raise NoConvergence(f"word {w}: gradient sup-norm {r:.3g}")
+    phis = np.mod(phis, 2 * math.pi)
+    lengths, _, _ = _total_length_grad(config, idx, phis, closed)
+    shadow = _shadowed(config, idx, _bounces(config, idx, phis)[2], closed)
+    clear = [i for i, s in enumerate(shadow) if s is None]
+    logj = iter(_log_expansions(config, idx[clear], phis[clear], lengths[clear])
+                if closed and clear else [])
+    return [ShadowedPath(s) if s else OrbitSegment(
+                w, tuple(phis[i].tolist()), tuple(lengths[i].tolist()),
+                logJ=next(logj) if closed else math.nan, t_total=float(lengths[i].sum()),
+                residual=float(res[i]), converged=True, closed=closed)
+            for i, (w, s) in enumerate(zip(words, shadow))]
 
 
 def orbit_for_word(config, word, closed=True):
     """Length-minimizing bounce sequence realizing a symbolic word.
 
-    Damped Newton on the total-length gradient, initialized at the
-    inter-center chord angles, with the analytic cyclic tridiagonal
-    Hessian of `_total_length_grad`.
+    The one-word case of `_solve_orbits`; raises `ShadowedPath`.
     """
-    word = tuple(word)
-    _check_word(word, closed)
-    n = len(word)
-    phis = _initial_angles(config, word, closed)
-    _, grad, hess = _total_length_grad(config, word, phis, closed)
-    mu = 1e-8
-    for _ in range(NEWTON_MAX_ITER):
-        if np.max(np.abs(grad)) <= NEWTON_TOL:
-            break
-        while True:
-            try:
-                delta = np.linalg.solve(hess + mu * np.eye(n), -grad)
-            except np.linalg.LinAlgError:
-                mu = max(mu * 10, 1e-8)
-                continue
-            trial = phis + delta
-            _, gt, ht = _total_length_grad(config, word, trial, closed)
-            if np.max(np.abs(gt)) < np.max(np.abs(grad)) or mu > 1e6:
-                phis, grad, hess = trial, gt, ht
-                mu = max(mu / 10, 1e-12)
-                break
-            mu *= 10
-    residual = float(np.max(np.abs(grad)))
-    if residual > NEWTON_TOL:
-        raise NoConvergence(f"word {word}: gradient sup-norm {residual:.3g}")
-    phis = np.mod(phis, 2 * math.pi)
-    pts = [_point(config, word[k], phis[k]) for k in range(n)]
-    _shadow_check(config, word, pts, closed)
-    lengths, _, _ = _total_length_grad(config, word, phis, closed)
-    segment = OrbitSegment(
-        word=word,
-        angles=tuple(float(p) for p in phis),
-        lengths=tuple(float(l) for l in lengths),
-        logJ=math.nan,
-        t_total=float(lengths.sum()),
-        residual=residual,
-        converged=True,
-        closed=closed,
-    )
-    if closed:
-        segment = replace(segment, logJ=stability(config, segment))
+    (segment,) = _solve_orbits(config, [word], closed)
+    if isinstance(segment, ShadowedPath):
+        raise segment
     return segment
 
 
-def _incidence_cosines(config, segment):
-    """cos(incidence angle) per bounce, from the outgoing flight directions."""
-    n = len(segment.word)
-    pts = [_point(config, segment.word[k], segment.angles[k]) for k in range(n)]
-    cosines = []
+def _outgoing(config, words, phis):
+    """Normal and tangential components (B, n) of each closed orbit's unit
+    outgoing flight per bounce: the incidence cosine and eta."""
+    rho, tan, pts = _bounces(config, words, phis)
+    out = np.roll(pts, -1, axis=1) - pts
+    scale = np.linalg.norm(out, axis=-1) * np.array(config.radii)[words]
+    return _dot(out, rho) / scale, _dot(out, tan) / scale
+
+
+def _log_expansions(config, words, phis, lengths):
+    """log of the largest monodromy eigenvalue modulus per closed orbit.
+
+    Batched over words; raises `NotHyperbolic` naming the first word whose
+    monodromy has |trace| <= 2.
+    """
+    batch, n = words.shape
+    radii = np.array(config.radii)[words]
+    cosines = np.abs(_outgoing(config, words, phis)[0])
+    flight = np.tile(np.eye(2), (batch, n, 1, 1))
+    flight[..., 0, 1] = lengths
+    refl = np.tile(np.eye(2), (batch, n, 1, 1))
+    refl[..., 1, 0] = 2.0 * (1.0 / radii) / cosines
+    mono = np.tile(np.eye(2), (batch, 1, 1))
     for k in range(n):
-        nu = (pts[k] - np.array(config.centers[segment.word[k]])) / config.radii[
-            segment.word[k]
-        ]
-        out = pts[(k + 1) % n] - pts[k]
-        out = out / np.linalg.norm(out)
-        cosines.append(abs(float(out @ nu)))
-    return cosines
+        mono = refl[:, (k + 1) % n] @ flight[:, k] @ mono
+    trace = mono[:, 0, 0] + mono[:, 1, 1]
+    for word, tr in zip(words.tolist(), trace):
+        if abs(tr) <= 2.0:
+            raise NotHyperbolic(f"monodromy trace {tr:.6g} for word {tuple(word)}")
+    return [math.log(m) for m in np.abs(np.linalg.eigvals(mono)).max(axis=1)]
 
 
 def stability(config, segment):
@@ -341,20 +391,8 @@ def stability(config, segment):
         raise ValueError("segment must be converged")
     if not segment.closed or len(segment.lengths) != len(segment.word):
         raise ValueError("stability needs a closed segment with cyclic lengths")
-    n = len(segment.word)
-    cosines = _incidence_cosines(config, segment)
-    mono = np.eye(2)
-    for k in range(n):
-        flight = np.array([[1.0, segment.lengths[k]], [0.0, 1.0]])
-        k_next = (k + 1) % n
-        kappa = 1.0 / config.radii[segment.word[k_next]]
-        refl = np.array([[1.0, 0.0], [2.0 * kappa / cosines[k_next], 1.0]])
-        mono = refl @ flight @ mono
-    trace = float(np.trace(mono))
-    if abs(trace) <= 2.0:
-        raise NotHyperbolic(f"monodromy trace {trace:.6g} for word {segment.word}")
-    eigs = np.linalg.eigvals(mono)
-    return float(math.log(max(abs(e) for e in eigs)))
+    return _log_expansions(config, np.array([segment.word]), np.array([segment.angles]),
+                           np.array([segment.lengths]))[0]
 
 
 def _cyclic_words(k, n):
@@ -368,28 +406,30 @@ def _least_rotation(word):
     return min((word[i:] + word[:i], i) for i in range(len(word)))
 
 
+def _necklaces(k, n):
+    """One representative (lexicographically least rotation) per cyclic class."""
+    return list(dict.fromkeys(_least_rotation(w)[0] for w in _cyclic_words(k, n)))
+
+
 def _cycle_orbits(config, n):
     """Closed orbits of all `_cyclic_words` of length n, in that order.
 
-    Every rotation of a word traces the same orbit, so one Newton solve
-    per necklace (`_necklaces` representative: a prime cycle or a repeat
-    of one) serves its whole class; the other rotations get its angles
-    and flight lengths rotated.  Shadowed words are dropped and counted.
+    Every rotation of a word traces the same orbit, so the necklaces
+    (`_necklaces` representatives: prime cycles or repeats of one) are
+    solved as one batch, and each serves its whole class: the other
+    rotations get its angles and flight lengths rotated.  Shadowed words
+    are dropped and counted.
     """
     if n < 2:
         raise ValueError("depth n >= 2")
-    solved = {}
+    necklaces = _necklaces(config.k, n)
+    solved = dict(zip(necklaces, _solve_orbits(config, necklaces, closed=True)))
     orbits = {}
     dropped = 0
     for w in _cyclic_words(config.k, n):
         canon, i = _least_rotation(w)
-        if canon not in solved:
-            try:
-                solved[canon] = orbit_for_word(config, canon, closed=True)
-            except ShadowedPath:
-                solved[canon] = None
         seg = solved[canon]
-        if seg is None:
+        if isinstance(seg, ShadowedPath):
             dropped += 1
             continue
         back = n - i
@@ -438,21 +478,18 @@ def escape_rate_mc(config, samples, max_bounces=100, rng_seed=0):
     pos = centers[disk] + radii[disk, None] * nu
     dirs = eta[:, None] * tau + np.sqrt(1 - eta ** 2)[:, None] * nu
 
-    alive = np.ones(samples, dtype=bool)
-    time_total = np.zeros(samples)
-    escape_time = np.full(samples, np.nan)
+    # live rays only, compacted after every bounce (order kept)
+    time_live = np.zeros(samples)
+    escaped = []
     late_flights = []
     for bounce in range(max_bounces):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
+        if time_live.size == 0:
             break
-        p = pos[idx]
-        d = dirs[idx]
-        t_best = np.full(idx.size, np.inf)
-        k_best = np.full(idx.size, -1)
+        t_best = np.full(time_live.size, np.inf)
+        k_best = np.full(time_live.size, -1)
         for k in range(config.k):
-            rel = p - centers[k]
-            b = np.einsum("ij,ij->i", d, rel)
+            rel = pos - centers[k]
+            b = np.einsum("ij,ij->i", dirs, rel)
             c0 = np.einsum("ij,ij->i", rel, rel) - radii[k] ** 2
             disc = b * b - c0
             ok = disc > 0
@@ -461,47 +498,41 @@ def escape_rate_mc(config, samples, max_bounces=100, rng_seed=0):
             t_best[hit] = t[hit]
             k_best[hit] = k
         gone = k_best < 0
-        gi = idx[gone]
-        rel = pos[gi] - centroid
-        b_out = np.einsum("ij,ij->i", dirs[gi], rel)
+        rel = pos[gone] - centroid
+        b_out = np.einsum("ij,ij->i", dirs[gone], rel)
         c_out = np.einsum("ij,ij->i", rel, rel) - r_out ** 2
-        t_exit = -b_out + np.sqrt(b_out * b_out - c_out)
-        escape_time[gi] = time_total[gi] + t_exit
-        alive[gi] = False
+        escaped.append(time_live[gone] + (-b_out + np.sqrt(b_out * b_out - c_out)))
         stay = ~gone
-        sidx = idx[stay]
+        t_best, k_best = t_best[stay], k_best[stay]
         # flights past the first bounces sample the trapped dynamics
         if bounce >= 2:
-            late_flights.append(t_best[stay])
-        q = p[stay] + t_best[stay, None] * d[stay]
-        time_total[sidx] += t_best[stay]
-        nuq = (q - centers[k_best[stay]]) / radii[k_best[stay], None]
-        dd = d[stay]
-        dd = dd - 2 * np.einsum("ij,ij->i", dd, nuq)[:, None] * nuq
-        pos[sidx] = q
-        dirs[sidx] = dd
+            late_flights.append(t_best)
+        d = dirs[stay]
+        pos = pos[stay] + t_best[:, None] * d
+        time_live = time_live[stay] + t_best
+        nuq = (pos - centers[k_best]) / radii[k_best, None]
+        dirs = d - 2 * np.einsum("ij,ij->i", d, nuq)[:, None] * nuq
 
-    censored_min = time_total[alive].min() if alive.any() else np.inf
-    times = escape_time[~np.isnan(escape_time)]
-    if times.size < samples // 2:
+    censored_min = time_live.min() if time_live.size else np.inf
+    order = np.sort(np.concatenate(escaped or [np.empty(0)]))
+    if order.size < samples // 2:
         raise TooFewSurvivors("most samples never escaped; raise max_bounces")
     if not late_flights or sum(f.size for f in late_flights) < 100:
         raise TooFewSurvivors("too few multi-bounce paths to set the flight period")
     period = float(np.mean(np.concatenate(late_flights)))
 
     # window endpoints: times where the survivor fraction crosses 1e-1, 1e-3
-    order = np.sort(times)
     surv = 1.0 - np.arange(1, order.size + 1) / samples
-    if surv[-1] + alive.mean() > 1e-3:
+    if surv[-1] + time_live.size / samples > 1e-3:
         raise TooFewSurvivors("survivor fraction never reaches 1e-3; raise max_bounces")
     t_lo = float(order[np.searchsorted(-surv, -1e-1)])
     t_hi = float(order[np.searchsorted(-surv, -1e-3)])
     if not (t_lo < t_hi < censored_min):
         raise TooFewSurvivors("fit window empty or censored; raise max_bounces")
     grid = np.linspace(t_lo, t_hi, 60)
-    frac = np.array([
-        ((escape_time > T) | np.isnan(escape_time)).mean() for T in grid
-    ])
+    # survivors at T: escaped later than T, or never escaped
+    frac = (order.size - np.searchsorted(order, grid, side="right")
+            + time_live.size) / samples
     harmonics = 2 if (t_hi - t_lo) > 2 * period else (1 if (t_hi - t_lo) > period else 0)
     x = grid
     y = np.log(frac)
@@ -520,35 +551,25 @@ def escape_rate_mc(config, samples, max_bounces=100, rng_seed=0):
     return float(-coef[1]), float(math.sqrt(var_slope))
 
 
-def _necklaces(k, n):
-    """One representative (lexicographically least rotation) per cyclic class."""
-    return list(dict.fromkeys(_least_rotation(w)[0] for w in _cyclic_words(k, n)))
-
-
 def periodic_points(config, periods):
     """Boundary-coordinate samples (y mod arc, eta) of all periodic orbits.
 
     Points are pooled across disks in local coordinates; for symmetric
-    configurations the per-disk traces coincide.
+    configurations the per-disk traces coincide.  Each period's
+    necklaces are solved as one batch; shadowed ones are skipped.
     """
     pts = []
     for n in periods:
-        for w in _necklaces(config.k, n):
-            try:
-                seg = orbit_for_word(config, w, closed=True)
-            except ShadowedPath:
-                continue
-            for k in range(n):
-                r = config.radii[seg.word[k]]
-                pts_k = _point(config, seg.word[k], seg.angles[k])
-                nxt = _point(config, seg.word[(k + 1) % n], seg.angles[(k + 1) % n])
-                out = (nxt - pts_k) / np.linalg.norm(nxt - pts_k)
-                nu = (pts_k - np.array(config.centers[seg.word[k]])) / r
-                tau = np.array([-nu[1], nu[0]])
-                eta = float(out @ tau)
-                y = (seg.angles[k] % (2 * math.pi)) * r
-                pts.append((y, eta))
-    return np.array(pts)
+        segs = [s for s in _solve_orbits(config, _necklaces(config.k, n))
+                if isinstance(s, OrbitSegment)]
+        if not segs:
+            continue
+        words = np.array([s.word for s in segs])
+        phis = np.array([s.angles for s in segs])
+        y = np.mod(phis, 2 * math.pi) * np.array(config.radii)[words]
+        eta = _outgoing(config, words, phis)[1]
+        pts.append(np.column_stack([y.ravel(), eta.ravel()]))
+    return np.concatenate(pts) if pts else np.empty((0, 2))
 
 
 def trapped_box_dimension(config, max_period=12, n_scales=11):

@@ -5,7 +5,11 @@ map cross-checks the analytic monodromy, and the two-disk system has a
 closed-form stability exponent.  The per-bounce flight-length loop, its
 finite-differenced Hessian and the per-word Newton solve built on them
 are kept here as oracles for the vectorised analytic Hessian and for
-the one-solve-per-necklace cylinder tables.
+the one-solve-per-necklace cylinder tables.  The per-word damped Newton
+with its per-word start angles, shadow check and monodromy loop, the
+per-necklace periodic-point loop and the gather/scatter Monte-Carlo
+loop are kept as oracles for the batched solver and the compacted
+escape loop.
 
 Frozen analytic constants (two disks of radius 1, centers 6 apart):
     bounce orbit flight time     t = 8 per period (two flights of 4)
@@ -18,6 +22,8 @@ Equilateral three-disk system, centers 6 apart, radius 1:
 """
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,8 +39,8 @@ from openmaps.disk_billiard import (
     _cyclic_words,
     _flight_pairs,
     _initial_angles,
+    _log_expansions,
     _necklaces,
-    _point,
     _total_length_grad,
     billiard_step,
     cylinder_table,
@@ -45,7 +51,13 @@ from openmaps.disk_billiard import (
     stability,
     trapped_box_dimension,
 )
-from openmaps.errors import GrazingHit, ShadowedPath, TooFewSurvivors
+from openmaps.errors import (
+    GrazingHit,
+    NoConvergence,
+    NotHyperbolic,
+    ShadowedPath,
+    TooFewSurvivors,
+)
 from openmaps.symbolic_pressure import bowen_dimension, classical_decay_rate
 
 LOGJ_TWO_DISK = 4.584863339122355
@@ -57,6 +69,10 @@ TRI = DiskConfig(
     centers=((0.0, 0.0), (6.0, 0.0), (3.0, 3.0 * math.sqrt(3.0))),
     radii=(1.0, 1.0, 1.0),
 )
+UNEQUAL = DiskConfig(centers=((0.0, 0.0), (7.0, 0.5), (3.0, 6.0)),
+                     radii=(1.0, 1.5, 0.7))
+DOUBLED = DiskConfig(centers=tuple((2 * x, 2 * y) for x, y in TRI.centers),
+                     radii=(2.0, 2.0, 2.0))
 
 
 def bounce_jacobian(config, coord, n_steps, h=1e-7):
@@ -85,13 +101,26 @@ def bounce_jacobian(config, coord, n_steps, h=1e-7):
     return J
 
 
+def point(config, disk, phi):
+    cx, cy = config.centers[disk]
+    r = config.radii[disk]
+    return np.array([cx + r * math.cos(phi), cy + r * math.sin(phi)])
+
+
+def one_word(config, word, phis, closed):
+    """`_total_length_grad` on a batch of one word."""
+    ell, grad, hess = _total_length_grad(config, np.array([word]),
+                                         np.array([phis]), closed)
+    return ell[0], grad[0], hess[0]
+
+
 def loop_length_grad(config, word, phis, closed):
     """(lengths, gradient) of the flight length, one flight at a time."""
     n = len(word)
-    pts = [_point(config, word[k], phis[k]) for k in range(n)]
+    pts = [point(config, word[k], phis[k]) for k in range(n)]
     grad = np.zeros(n)
     lengths = []
-    for k0, k1 in _flight_pairs(n, closed):
+    for k0, k1 in zip(*_flight_pairs(n, closed)):
         seg = pts[k1] - pts[k0]
         ell = float(np.linalg.norm(seg))
         u = seg / ell
@@ -121,7 +150,7 @@ def fd_hessian(config, word, phis, closed, step=1e-6):
 def newton_fd_oracle(config, word):
     """(logJ, t) of a closed word by damped Newton on the FD Hessian."""
     n = len(word)
-    phis = _initial_angles(config, word, True)
+    phis = initial_angles_oracle(config, word, True)
     _, grad = loop_length_grad(config, word, phis, True)
     mu = 1e-8
     for _ in range(120):
@@ -140,7 +169,271 @@ def newton_fd_oracle(config, word):
     lengths, _ = loop_length_grad(config, word, np.mod(phis, 2 * math.pi), True)
     seg = OrbitSegment(word, tuple(np.mod(phis, 2 * math.pi)), tuple(lengths),
                        math.nan, float(lengths.sum()), 0.0, True, True)
-    return stability(config, seg), seg.t_total
+    return stability_oracle(config, seg), seg.t_total
+
+
+def initial_angles_oracle(config, word, closed):
+    """Per-word Newton start: each bounce faces its neighbours' centers."""
+    n = len(word)
+    phis = np.zeros(n)
+    for k in range(n):
+        c = np.array(config.centers[word[k]])
+        u = np.zeros(2)
+        neighbors = []
+        if k > 0 or closed:
+            neighbors.append(word[(k - 1) % n])
+        if k < n - 1 or closed:
+            neighbors.append(word[(k + 1) % n])
+        for other in neighbors:
+            v = np.array(config.centers[other]) - c
+            u = u + v / np.linalg.norm(v)
+        if np.linalg.norm(u) < 1e-9:
+            v = np.array(config.centers[neighbors[0]]) - c
+            u = np.array([-v[1], v[0]])
+        phis[k] = math.atan2(u[1], u[0])
+    return phis
+
+
+def shadow_check_oracle(config, word, pts, closed):
+    """Raise ShadowedPath if a flight crosses a third disk, flight by flight."""
+    for k0, k1 in zip(*_flight_pairs(len(word), closed)):
+        a, b = pts[k0], pts[k1]
+        seg = b - a
+        seg_len2 = float(seg @ seg)
+        for other in range(config.k):
+            if other in (word[k0], word[k1]):
+                continue
+            rel = np.array(config.centers[other]) - a
+            t = min(max(float(rel @ seg) / seg_len2, 0.0), 1.0)
+            closest = a + t * seg
+            if np.linalg.norm(np.array(config.centers[other]) - closest) < config.radii[other]:
+                raise ShadowedPath(
+                    f"flight {word[k0]}->{word[k1]} of word {word} crosses disk {other}"
+                )
+
+
+def stability_oracle(config, segment):
+    """logJ by the per-bounce monodromy product of one closed segment."""
+    n = len(segment.word)
+    pts = [point(config, segment.word[k], segment.angles[k]) for k in range(n)]
+    cosines = []
+    for k in range(n):
+        nu = (pts[k] - np.array(config.centers[segment.word[k]])) / config.radii[
+            segment.word[k]
+        ]
+        out = pts[(k + 1) % n] - pts[k]
+        cosines.append(abs(float(out / np.linalg.norm(out) @ nu)))
+    mono = np.eye(2)
+    for k in range(n):
+        flight = np.array([[1.0, segment.lengths[k]], [0.0, 1.0]])
+        k_next = (k + 1) % n
+        kappa = 1.0 / config.radii[segment.word[k_next]]
+        refl = np.array([[1.0, 0.0], [2.0 * kappa / cosines[k_next], 1.0]])
+        mono = refl @ flight @ mono
+    assert abs(float(np.trace(mono))) > 2.0
+    return float(math.log(max(abs(e) for e in np.linalg.eigvals(mono))))
+
+
+def orbit_oracle(config, word, closed=True):
+    """Per-word damped Newton on the analytic Hessian, one word at a time."""
+    n = len(word)
+    phis = initial_angles_oracle(config, word, closed)
+    _, grad, hess = one_word(config, word, phis, closed)
+    mu = 1e-8
+    for _ in range(120):
+        if np.max(np.abs(grad)) <= 1e-12:
+            break
+        while True:
+            try:
+                delta = np.linalg.solve(hess + mu * np.eye(n), -grad)
+            except np.linalg.LinAlgError:
+                mu = max(mu * 10, 1e-8)
+                continue
+            trial = phis + delta
+            _, gt, ht = one_word(config, word, trial, closed)
+            if np.max(np.abs(gt)) < np.max(np.abs(grad)) or mu > 1e6:
+                phis, grad, hess = trial, gt, ht
+                mu = max(mu / 10, 1e-12)
+                break
+            mu *= 10
+    residual = float(np.max(np.abs(grad)))
+    assert residual <= 1e-12
+    phis = np.mod(phis, 2 * math.pi)
+    shadow_check_oracle(config, word, [point(config, word[k], phis[k]) for k in range(n)],
+                        closed)
+    lengths, _, _ = one_word(config, word, phis, closed)
+    seg = OrbitSegment(word, tuple(float(p) for p in phis),
+                       tuple(float(l) for l in lengths), math.nan,
+                       float(lengths.sum()), residual, True, closed)
+    if closed:
+        seg = replace(seg, logJ=stability_oracle(config, seg))
+    return seg
+
+
+def periodic_points_oracle(config, periods):
+    """(y, eta) of every bounce, necklace by necklace, bounce by bounce."""
+    pts = []
+    for n in periods:
+        for w in _necklaces(config.k, n):
+            try:
+                seg = orbit_oracle(config, w, closed=True)
+            except ShadowedPath:
+                continue
+            for k in range(n):
+                r = config.radii[seg.word[k]]
+                pts_k = point(config, seg.word[k], seg.angles[k])
+                nxt = point(config, seg.word[(k + 1) % n], seg.angles[(k + 1) % n])
+                out = (nxt - pts_k) / np.linalg.norm(nxt - pts_k)
+                nu = (pts_k - np.array(config.centers[seg.word[k]])) / r
+                tau = np.array([-nu[1], nu[0]])
+                pts.append(((seg.angles[k] % (2 * math.pi)) * r, float(out @ tau)))
+    return np.array(pts)
+
+
+def escape_rate_mc_oracle(config, samples, max_bounces=100, rng_seed=0):
+    """`escape_rate_mc` gathering and scattering full-size arrays per bounce."""
+    if samples < 10 ** 4:
+        raise ValueError("samples >= 1e4")
+    rng = np.random.Generator(np.random.Philox(rng_seed))
+    radii = np.array(config.radii)
+    centers = np.array(config.centers)
+    centroid = centers.mean(axis=0)
+    # scale-covariant exit radius: rescaling the whole table rescales it
+    r_out = 2.0 * float(np.max(np.linalg.norm(centers - centroid, axis=1) + radii))
+    disk = rng.choice(config.k, size=samples, p=radii / radii.sum())
+    phi = rng.uniform(0.0, 2 * math.pi, samples)
+    eta = rng.uniform(-1.0, 1.0, samples)
+    nu = np.column_stack([np.cos(phi), np.sin(phi)])
+    tau = np.column_stack([-np.sin(phi), np.cos(phi)])
+    pos = centers[disk] + radii[disk, None] * nu
+    dirs = eta[:, None] * tau + np.sqrt(1 - eta ** 2)[:, None] * nu
+
+    alive = np.ones(samples, dtype=bool)
+    time_total = np.zeros(samples)
+    escape_time = np.full(samples, np.nan)
+    late_flights = []
+    for bounce in range(max_bounces):
+        idx = np.flatnonzero(alive)
+        if idx.size == 0:
+            break
+        p = pos[idx]
+        d = dirs[idx]
+        t_best = np.full(idx.size, np.inf)
+        k_best = np.full(idx.size, -1)
+        for k in range(config.k):
+            rel = p - centers[k]
+            b = np.einsum("ij,ij->i", d, rel)
+            c0 = np.einsum("ij,ij->i", rel, rel) - radii[k] ** 2
+            disc = b * b - c0
+            ok = disc > 0
+            t = np.where(ok, -b - np.sqrt(np.where(ok, disc, 0.0)), np.inf)
+            hit = ok & (t > disk_billiard.RAY_EPS) & (t < t_best)
+            t_best[hit] = t[hit]
+            k_best[hit] = k
+        gone = k_best < 0
+        gi = idx[gone]
+        rel = pos[gi] - centroid
+        b_out = np.einsum("ij,ij->i", dirs[gi], rel)
+        c_out = np.einsum("ij,ij->i", rel, rel) - r_out ** 2
+        t_exit = -b_out + np.sqrt(b_out * b_out - c_out)
+        escape_time[gi] = time_total[gi] + t_exit
+        alive[gi] = False
+        stay = ~gone
+        sidx = idx[stay]
+        # flights past the first bounces sample the trapped dynamics
+        if bounce >= 2:
+            late_flights.append(t_best[stay])
+        q = p[stay] + t_best[stay, None] * d[stay]
+        time_total[sidx] += t_best[stay]
+        nuq = (q - centers[k_best[stay]]) / radii[k_best[stay], None]
+        dd = d[stay]
+        dd = dd - 2 * np.einsum("ij,ij->i", dd, nuq)[:, None] * nuq
+        pos[sidx] = q
+        dirs[sidx] = dd
+
+    censored_min = time_total[alive].min() if alive.any() else np.inf
+    times = escape_time[~np.isnan(escape_time)]
+    if times.size < samples // 2:
+        raise TooFewSurvivors("most samples never escaped; raise max_bounces")
+    if not late_flights or sum(f.size for f in late_flights) < 100:
+        raise TooFewSurvivors("too few multi-bounce paths to set the flight period")
+    period = float(np.mean(np.concatenate(late_flights)))
+
+    # window endpoints: times where the survivor fraction crosses 1e-1, 1e-3
+    order = np.sort(times)
+    surv = 1.0 - np.arange(1, order.size + 1) / samples
+    if surv[-1] + alive.mean() > 1e-3:
+        raise TooFewSurvivors("survivor fraction never reaches 1e-3; raise max_bounces")
+    t_lo = float(order[np.searchsorted(-surv, -1e-1)])
+    t_hi = float(order[np.searchsorted(-surv, -1e-3)])
+    if not (t_lo < t_hi < censored_min):
+        raise TooFewSurvivors("fit window empty or censored; raise max_bounces")
+    grid = np.linspace(t_lo, t_hi, 60)
+    frac = np.array([
+        ((escape_time > T) | np.isnan(escape_time)).mean() for T in grid
+    ])
+    harmonics = 2 if (t_hi - t_lo) > 2 * period else (1 if (t_hi - t_lo) > period else 0)
+    x = grid
+    y = np.log(frac)
+    w = frac  # var(log S) ~ (1-S)/(N S), so S is the inverse-variance weight up to scale
+    cols = [np.ones(x.size), x]
+    for m in range(1, harmonics + 1):
+        cols.append(np.cos(2 * math.pi * m * x / period))
+        cols.append(np.sin(2 * math.pi * m * x / period))
+    design = np.column_stack(cols)
+    sw = np.sqrt(w)
+    coef, *_ = np.linalg.lstsq(sw[:, None] * design, sw * y, rcond=None)
+    resid = y - design @ coef
+    dof = max(x.size - design.shape[1], 1)
+    cov = np.linalg.inv(design.T @ (w[:, None] * design))
+    var_slope = float(resid @ (w * resid)) / dof * cov[1, 1]
+    return float(-coef[1]), float(math.sqrt(var_slope))
+
+
+class DampingSpy:
+    """Logs (word, mu) of every damped Newton solve `_solve_orbits` makes.
+
+    Wraps `_total_length_grad` to map each Hessian it returns (by its
+    off-diagonal entries) to its word, and `np.linalg.solve` to read mu off
+    the diagonal of each damped Hessian.  Use a table without symmetries,
+    whose words all have distinct Hessians.  `singular(word, mu)` makes a
+    solve raise LinAlgError (logged in `failed` for one-row solves);
+    the gradient of the word `stuck` is pinned at 1, so it never converges.
+    """
+
+    def __init__(self, monkeypatch, singular=None, stuck=None):
+        self.log, self.failed = [], []
+        rows = {}
+        real_grad, real_solve = disk_billiard._total_length_grad, np.linalg.solve
+
+        def off_diagonal(h):
+            return (h - np.diag(np.diag(h))).tobytes()
+
+        def grad(config, idx, phis, closed):
+            ell, g, h = real_grad(config, idx, phis, closed)
+            for w, gi, hi in zip(map(tuple, idx.tolist()), g, h):
+                rows[off_diagonal(hi)] = (w, hi.copy())
+                if w == stuck:
+                    gi[:] = 1.0
+            return ell, g, h
+
+        def solve(a, b):
+            damped = []
+            for m in a:
+                w, h = rows[off_diagonal(m)]
+                damped.append((w, float(np.mean(np.diag(m) - np.diag(h)))))
+            if singular and any(singular(w, mu) for w, mu in damped):
+                if len(a) == 1:
+                    self.failed += damped
+                raise np.linalg.LinAlgError("singular")
+            self.log += damped
+            return real_solve(a, b)
+
+        monkeypatch.setattr(disk_billiard, "_total_length_grad", grad)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+
+    def mus(self, word):
+        return [mu for w, mu in self.log if w == word]
 
 
 def random_word(rng, n, closed):
@@ -309,8 +602,8 @@ class TestFlightLengthDerivatives:
     def test_gradient_matches_loop(self, n, closed):
         rng = np.random.default_rng(100 * n + closed)
         word = random_word(rng, n, closed)
-        phis = _initial_angles(TRI, word, closed) + rng.uniform(-0.2, 0.2, n)
-        lengths, grad, _ = _total_length_grad(TRI, word, phis, closed)
+        phis = initial_angles_oracle(TRI, word, closed) + rng.uniform(-0.2, 0.2, n)
+        lengths, grad, _ = one_word(TRI, word, phis, closed)
         ref_lengths, ref_grad = loop_length_grad(TRI, word, phis, closed)
         assert np.max(np.abs(lengths - ref_lengths)) <= 1e-13 * ref_lengths.max()
         assert np.max(np.abs(grad - ref_grad)) <= 1e-13 * np.max(np.abs(ref_grad))
@@ -320,8 +613,8 @@ class TestFlightLengthDerivatives:
     def test_analytic_hessian_matches_finite_differences(self, n, closed):
         rng = np.random.default_rng(200 * n + closed)
         word = random_word(rng, n, closed)
-        phis = _initial_angles(TRI, word, closed) + rng.uniform(-0.2, 0.2, n)
-        _, _, hess = _total_length_grad(TRI, word, phis, closed)
+        phis = initial_angles_oracle(TRI, word, closed) + rng.uniform(-0.2, 0.2, n)
+        _, _, hess = one_word(TRI, word, phis, closed)
         ref = fd_hessian(TRI, word, phis, closed)
         assert np.max(np.abs(hess - ref)) <= 1e-6 * np.max(np.abs(ref))
         # (cyclic) tridiagonal: bounces couple only through shared flights
@@ -332,13 +625,12 @@ class TestFlightLengthDerivatives:
         assert np.array_equal(hess, hess.T)
 
     def test_unequal_radii_hessian(self):
-        config = DiskConfig(centers=((0.0, 0.0), (7.0, 0.5), (3.0, 6.0)),
-                            radii=(1.0, 1.5, 0.7))
+        config = UNEQUAL
         rng = np.random.default_rng(7)
         for closed in (True, False):
             word = random_word(rng, 7, closed)
-            phis = _initial_angles(config, word, closed) + rng.uniform(-0.2, 0.2, 7)
-            _, _, hess = _total_length_grad(config, word, phis, closed)
+            phis = initial_angles_oracle(config, word, closed) + rng.uniform(-0.2, 0.2, 7)
+            _, _, hess = one_word(config, word, phis, closed)
             ref = fd_hessian(config, word, phis, closed)
             assert np.max(np.abs(hess - ref)) <= 1e-6 * np.max(np.abs(ref))
 
@@ -388,19 +680,22 @@ class TestCylinderTables:
             assert table.entries[w][1] == pytest.approx(ref_t, rel=1e-13)
 
     def test_one_newton_solve_per_necklace(self, monkeypatch):
-        solved = []
-        real = disk_billiard.orbit_for_word
+        batches = []
+        real = disk_billiard._solve_orbits
 
-        def counting(config, word, closed=True):
-            solved.append(tuple(word))
-            return real(config, word, closed)
+        def counting(config, words, closed=True):
+            batches.append(list(words))
+            return real(config, words, closed)
 
-        monkeypatch.setattr(disk_billiard, "orbit_for_word", counting)
+        monkeypatch.setattr(disk_billiard, "_solve_orbits", counting)
         for n in range(4, 9):
-            solved.clear()
+            batches.clear()
             table = cylinder_table(TRI, n)
-            assert solved == _necklaces(3, n)
+            assert batches == [_necklaces(3, n)]
             assert len(table.entries) == len(_cyclic_words(3, n))
+        batches.clear()
+        periodic_points(TRI, range(2, 9))
+        assert batches == [_necklaces(3, n) for n in range(2, 9)]
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_rotated_orbits_match_direct_solves(self, n):
@@ -412,14 +707,13 @@ class TestCylinderTables:
             assert seg.logJ == pytest.approx(direct.logJ, rel=1e-13)
 
     def test_shadowed_words_are_dropped_per_word(self, monkeypatch, caplog):
-        real = disk_billiard.orbit_for_word
+        real = disk_billiard._solve_orbits
 
-        def shadow_repeats(config, word, closed=True):
-            if word == (0, 1, 0, 1):
-                raise ShadowedPath("test")
-            return real(config, word, closed)
+        def shadow_repeats(config, words, closed=True):
+            return [ShadowedPath("test") if w == (0, 1, 0, 1) else seg
+                    for w, seg in zip(words, real(config, words, closed))]
 
-        monkeypatch.setattr(disk_billiard, "orbit_for_word", shadow_repeats)
+        monkeypatch.setattr(disk_billiard, "_solve_orbits", shadow_repeats)
         with caplog.at_level("WARNING", logger="openmaps.disk_billiard"):
             table = cylinder_table(TRI, 4)
         assert (0, 1, 0, 1) not in table.entries
@@ -430,6 +724,86 @@ class TestCylinderTables:
     def test_depth_one_rejected(self):
         with pytest.raises(ValueError):
             cylinder_table(TRI, 1)
+
+
+class TestBatchedSolver:
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+    @pytest.mark.parametrize("config", [TRI, UNEQUAL], ids=["tri", "unequal"])
+    def test_batch_matches_per_word_newton(self, config, closed, n):
+        words = (_necklaces(3, n) if closed
+                 else disk_billiard.no_repeat_shift(3).words(n))
+        batch = disk_billiard._solve_orbits(config, words, closed)
+        assert len(batch) == len(words)
+        for w, seg in zip(words, batch):
+            try:
+                ref = orbit_oracle(config, w, closed)
+            except ShadowedPath:
+                assert isinstance(seg, ShadowedPath) and str(w) in str(seg)
+                continue
+            assert seg.word == w
+            assert angle_gap(seg.angles, ref.angles) <= 1e-13
+            assert np.allclose(seg.lengths, ref.lengths, rtol=1e-13, atol=0)
+            assert seg.t_total == pytest.approx(ref.t_total, rel=1e-13)
+            if closed:
+                assert seg.logJ == pytest.approx(ref.logJ, rel=1e-13)
+                assert stability(config, seg) == seg.logJ
+            else:
+                assert math.isnan(seg.logJ)
+
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_start_angles_match_per_word(self, closed):
+        words = (_cyclic_words(3, 6) if closed
+                 else disk_billiard.no_repeat_shift(3).words(6))
+        got = _initial_angles(UNEQUAL, np.array(words), closed)
+        for w, row in zip(words, got):
+            assert np.array_equal(row, initial_angles_oracle(UNEQUAL, w, closed))
+
+    def test_singular_solve_raises_mu_only_for_that_word(self, monkeypatch):
+        words = _necklaces(3, 6)
+        target = words[3]
+        with pytest.MonkeyPatch.context() as mp:
+            ref_spy = DampingSpy(mp)
+            ref = disk_billiard._solve_orbits(UNEQUAL, words)
+        # the target's damped Hessian is singular until mu reaches 1e-5
+        spy = DampingSpy(monkeypatch, singular=lambda w, mu: (
+            w == target and mu < 5e-6 and not spy.mus(target)))
+        got = disk_billiard._solve_orbits(UNEQUAL, words)
+        assert [w for w, _ in spy.failed] == [target] * 3
+        assert [mu for _, mu in spy.failed] == pytest.approx([1e-8, 1e-7, 1e-6], rel=1e-6)
+        assert spy.mus(target)[0] == pytest.approx(1e-5, rel=1e-6)
+        for w, seg, r in zip(words, got, ref):
+            if w == target:
+                assert angle_gap(seg.angles, r.angles) <= 1e-13
+            else:
+                assert spy.mus(w) == ref_spy.mus(w)
+                assert seg.angles == r.angles
+        # each word's damping falls tenfold per step, as in the per-word loop
+        assert ref_spy.mus(target) == pytest.approx(
+            [10.0 ** -(8 + k) for k in range(len(ref_spy.mus(target)))], rel=1e-6)
+
+    def test_rejected_steps_and_no_convergence(self, monkeypatch):
+        words = _necklaces(3, 5)
+        target = words[2]
+        spy = DampingSpy(monkeypatch, stuck=target)
+        with pytest.raises(NoConvergence, match=re.escape(f"word {target}:")):
+            disk_billiard._solve_orbits(UNEQUAL, words)
+        # a step that does not lower the gradient is rejected and mu rises
+        # tenfold until it passes 1e6; each forced step then lowers it again
+        mus = spy.mus(target)
+        assert mus[:16] == pytest.approx([1e-8 * 10.0 ** k for k in range(16)], rel=1e-6)
+        assert mus[16:] == pytest.approx([1e6, 1e7] * (disk_billiard.NEWTON_MAX_ITER - 1),
+                                         rel=1e-6)
+
+    def test_not_hyperbolic_names_the_word(self):
+        words = np.array([(0, 1), (1, 0)])
+        phis = np.array([(0.0, math.pi), (math.pi, 0.0)])
+        # negative flights make the second word's monodromy trace -1
+        lengths = np.array([(4.0, 4.0), (-0.5, -0.5)])
+        with pytest.raises(NotHyperbolic, match=re.escape("word (1, 0)")):
+            _log_expansions(TWO_DISK, words, phis, lengths)
+        logj = _log_expansions(TWO_DISK, words[:1], phis[:1], lengths[:1])
+        assert logj[0] == pytest.approx(LOGJ_TWO_DISK, abs=1e-10)
 
 
 class TestEscapeRate:
@@ -451,12 +825,8 @@ class TestEscapeRate:
     def test_scaling_covariance(self):
         # doubling every length halves rates; matched seeds make the
         # comparison exact because the sampled geometry just rescales
-        big = DiskConfig(
-            centers=tuple((2 * x, 2 * y) for x, y in TRI.centers),
-            radii=(2.0, 2.0, 2.0),
-        )
         r1, _ = escape_rate_mc(TRI, 10**5, rng_seed=5)
-        r2, _ = escape_rate_mc(big, 10**5, rng_seed=5)
+        r2, _ = escape_rate_mc(DOUBLED, 10**5, rng_seed=5)
         assert r2 == pytest.approx(r1 / 2.0, rel=1e-9)
 
     def test_reproducible_given_seed(self):
@@ -468,9 +838,31 @@ class TestEscapeRate:
         with pytest.raises(ValueError):
             escape_rate_mc(TWO_DISK, 100)
 
-    def test_too_few_survivors_when_capped(self):
+    @pytest.mark.parametrize("max_bounces", [0, 1])
+    def test_too_few_survivors_when_capped(self, max_bounces):
         with pytest.raises(TooFewSurvivors):
-            escape_rate_mc(TWO_DISK, 10**5, max_bounces=1, rng_seed=0)
+            escape_rate_mc(TWO_DISK, 10**5, max_bounces=max_bounces, rng_seed=0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("config, samples, max_bounces", [
+        (TRI, 10**5, 100), (DOUBLED, 10**5, 100),
+        # at 1e5 samples too few two-disk paths bounce thrice to fit a rate
+        (TWO_DISK, 3 * 10**5, 100),
+        # rays still alive after 6 bounces count as survivors in the fit
+        (TRI, 10**5, 6),
+    ], ids=["tri", "doubled", "two_disk", "tri_censored"])
+    def test_compacted_loop_matches_gather_scatter(self, config, samples,
+                                                    max_bounces, seed):
+        # same draws, same per-ray arithmetic, same fit: exactly equal
+        got = escape_rate_mc(config, samples, max_bounces, rng_seed=seed)
+        assert got == escape_rate_mc_oracle(config, samples, max_bounces, rng_seed=seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_compacted_loop_fails_like_gather_scatter(self, seed):
+        with pytest.raises(TooFewSurvivors) as ref:
+            escape_rate_mc_oracle(TWO_DISK, 10**5, rng_seed=seed)
+        with pytest.raises(TooFewSurvivors, match=re.escape(str(ref.value))):
+            escape_rate_mc(TWO_DISK, 10**5, rng_seed=seed)
 
 
 class TestTrappedSetGeometry:
@@ -478,6 +870,12 @@ class TestTrappedSetGeometry:
         pts = periodic_points(TRI, range(2, 7))
         assert len(pts) > 100
         assert np.all(np.abs(pts[:, 1]) < 1.0)
+
+    def test_periodic_points_match_per_necklace_loop(self):
+        pts = periodic_points(TRI, range(2, 9))
+        ref = periodic_points_oracle(TRI, range(2, 9))
+        assert pts.shape == ref.shape
+        assert np.max(np.abs(pts - ref)) <= 1e-13
 
     def test_box_dimension_close_to_bowen_root(self, tri_tables):
         d_h = bowen_dimension(tri_tables)
