@@ -345,7 +345,7 @@ def _solve_orbits(config, words, closed=True):
 def orbit_for_word(config, word, closed=True):
     """Length-minimizing bounce sequence realizing a symbolic word.
 
-    The one-word case of `_solve_orbits`; raises `ShadowedPath`.
+    The one-word case of `_solve_orbits`; a shadowed orbit raises `ShadowedPath`.
     """
     (segment,) = _solve_orbits(config, [word], closed)
     if isinstance(segment, ShadowedPath):
@@ -474,7 +474,7 @@ def escape_rate_mc(config, samples, max_bounces=100, rng_seed=0):
     phi = rng.uniform(0.0, 2 * math.pi, samples)
     eta = rng.uniform(-1.0, 1.0, samples)
     nu = np.column_stack([np.cos(phi), np.sin(phi)])
-    tau = np.column_stack([-np.sin(phi), np.cos(phi)])
+    tau = np.column_stack([-nu[:, 1], nu[:, 0]])
     pos = centers[disk] + radii[disk, None] * nu
     dirs = eta[:, None] * tau + np.sqrt(1 - eta ** 2)[:, None] * nu
 
@@ -492,11 +492,12 @@ def escape_rate_mc(config, samples, max_bounces=100, rng_seed=0):
             b = np.einsum("ij,ij->i", dirs, rel)
             c0 = np.einsum("ij,ij->i", rel, rel) - radii[k] ** 2
             disc = b * b - c0
-            ok = disc > 0
-            t = np.where(ok, -b - np.sqrt(np.where(ok, disc, 0.0)), np.inf)
-            hit = ok & (t > RAY_EPS) & (t < t_best)
-            t_best[hit] = t[hit]
-            k_best[hit] = k
+            # the few rays whose line meets disk k
+            ok = np.flatnonzero(disc > 0)
+            t = -b[ok] - np.sqrt(disc[ok])
+            hit = (t > RAY_EPS) & (t < t_best[ok])
+            t_best[ok[hit]] = t[hit]
+            k_best[ok[hit]] = k
         gone = k_best < 0
         rel = pos[gone] - centroid
         b_out = np.einsum("ij,ij->i", dirs[gone], rel)
