@@ -492,12 +492,11 @@ def escape_rate_mc(config, samples, max_bounces=100, rng_seed=0):
             b = np.einsum("ij,ij->i", dirs, rel)
             c0 = np.einsum("ij,ij->i", rel, rel) - radii[k] ** 2
             disc = b * b - c0
-            # the few rays whose line meets disk k
-            ok = np.flatnonzero(disc > 0)
-            t = -b[ok] - np.sqrt(disc[ok])
-            hit = (t > RAY_EPS) & (t < t_best[ok])
-            t_best[ok[hit]] = t[hit]
-            k_best[ok[hit]] = k
+            ok = disc > 0
+            t = np.where(ok, -b - np.sqrt(np.where(ok, disc, 0.0)), np.inf)
+            hit = ok & (t > RAY_EPS) & (t < t_best)
+            t_best[hit] = t[hit]
+            k_best[hit] = k
         gone = k_best < 0
         rel = pos[gone] - centroid
         b_out = np.einsum("ij,ij->i", dirs[gone], rel)
