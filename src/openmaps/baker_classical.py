@@ -173,11 +173,3 @@ def cylinder_table(spec, n):
     entries = {w: (weight, weight) for w in shift.words(n)}
     return CylinderTable(shift, n, entries)
 
-
-def cover_to_csv(boxes, path):
-    """Serialize cover boxes as `x0,xi0,side_x,side_xi` rows."""
-    lines = ["x0,xi0,side_x,side_xi"]
-    for x0, xi0, sx, sxi in boxes:
-        lines.append(f"{float(x0)!r},{float(xi0)!r},{float(sx)!r},{float(sxi)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -3,10 +3,11 @@
 Commands read an INI-like config (one-level [section] headers over
 key=value pairs), run one experiment, print a deterministic JSON payload
 on stdout, and optionally write payload files under --out in the formats
-requested.  A command returns its SVG as a function that renders it,
-called only when the SVG is written.  Timestamps and invocation details
-go to a separate metadata.json so payload bytes depend only on the
-config.
+requested.  This module is the only one that knows a file format: each
+command is a function of its config alone and returns its payload and
+its files, each file with a function that renders it, called only when
+the file is written.  Timestamps and invocation details go to a
+separate metadata.json so payload bytes depend only on the config.
 
 Exit codes: 0 on success, 2 on config parse failure, 1 on any module
 error (the error class name is printed verbatim on stderr).
@@ -19,13 +20,14 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
 
 from .baker_classical import BakerSpec, cylinder_table
-from .disk_billiard import DiskConfig, _cycle_orbits, orbit_to_csv_row
+from .disk_billiard import DiskConfig, _cycle_orbits
 from .errors import ConfigParse, EmptyData, LabError
 from .phase_space import (
     EscapeParams,
@@ -35,8 +37,6 @@ from .phase_space import (
     hs_trace_experiment,
     husimi,
     husimi_mass,
-    husimi_to_csv,
-    propagation_to_json,
     torus_coherent,
 )
 from .quantum_baker import apply, build, parity_blocks
@@ -44,7 +44,6 @@ from .spectral_counting import (
     annulus_gap_exponent,
     block_eigenvalues,
     bound_report,
-    spectrum_to_csv,
     weyl_exponent,
 )
 from .symbolic_pressure import (
@@ -155,17 +154,13 @@ def _fmt(v):
     return f"{v:.2f}"
 
 
-def plot_svg(data, kind=None):
+def plot_svg(data, kind):
     """Render a series (list of (x, y)) or a 2D field to an SVG string.
 
     Series become a single polyline over light axes; fields become one
     grayscale rect per cell, darker for larger values.  Output bytes
     depend only on the data.
     """
-    if kind is None:
-        arr = np.asarray(data)
-        kind = "field" if (isinstance(data, np.ndarray) and arr.ndim == 2) \
-            else "series"
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_W}" '
             f'height="{SVG_H}" viewBox="0 0 {SVG_W} {SVG_H}">')
     parts = [head]
@@ -222,32 +217,64 @@ def plot_svg(data, kind=None):
     return "\n".join(parts) + "\n"
 
 
+# ------------------------------------------------------------- formats
+
+def _json(obj):
+    """The one JSON encoding: keys sorted, floats as their shortest repr."""
+    return json.dumps(obj, sort_keys=True)
+
+
+def _csv(header, rows):
+    """CSV text, one line per row of strings, Python ints and floats.
+
+    A Python float formats as its shortest round-trip repr, so every
+    value reads back exactly.
+    """
+    line = ",".join(["{}"] * len(header)) + "\n"
+    return line.format(*header) + "".join(starmap(line.format, rows))
+
+
+def _husimi_csv(field):
+    """One x_index,xi_index,value row per cell of a Husimi field."""
+    i, j = np.indices(field.shape)
+    return _csv(("x_index", "xi_index", "value"),
+                zip(i.ravel().tolist(), j.ravel().tolist(),
+                    field.ravel().tolist()))
+
+
+def _files(header, rows, series=None):
+    """The command's own CSV of `rows`, and its SVG of `series` if any."""
+    files = [(None, "csv", partial(_csv, header, rows))]
+    if series is not None:
+        files.append((None, "svg", partial(plot_svg, series, kind="series")))
+    return files
+
+
 # ------------------------------------------------------------- commands
 
-def cmd_pressure(cfg, args):
+def cmd_pressure(cfg):
     spec = _baker_spec(cfg)
     depths = _get(cfg, "pressure", "depths", _ints, (4, 5, 6))
     c_j = _get(cfg, "pressure", "c_jacobian", float)
     c_t = _get(cfg, "pressure", "c_return", float)
     est = pressure(_tables(spec, depths), c_j, c_t)
-    csv = "depth,p_n\n" + "".join(
-        f"{n},{float(p)!r}\n" for n, p in est.per_depth)
-    series = [(float(n), float(p)) for n, p in est.per_depth]
-    return est.to_json(), csv, partial(plot_svg, series, kind="series")
+    rows = [(int(n), float(p)) for n, p in est.per_depth]
+    payload = _json({"coeff_J": est.coeff_J, "coeff_t": est.coeff_t,
+                     "per_depth": [list(r) for r in rows],
+                     "value": est.value, "uncertainty": est.uncertainty})
+    return payload, _files(("depth", "p_n"), rows, rows)
 
 
-def cmd_dimension(cfg, args):
+def cmd_dimension(cfg):
     spec = _baker_spec(cfg)
     depths = _get(cfg, "dimension", "depths", _ints, (4, 5, 6))
     value = bowen_dimension(_tables(spec, depths))
-    payload = json.dumps({"a": spec.a, "alphabet": list(spec.alphabet),
-                          "depths": list(depths), "dimension": value},
-                         sort_keys=True)
-    csv = f"dimension\n{float(value)!r}\n"
-    return payload, csv, None
+    payload = _json({"a": spec.a, "alphabet": list(spec.alphabet),
+                     "depths": list(depths), "dimension": value})
+    return payload, _files(("dimension",), [(float(value),)])
 
 
-def cmd_sigma_curve(cfg, args):
+def cmd_sigma_curve(cfg):
     spec = _baker_spec(cfg)
     depths = _get(cfg, "sigma", "depths", _ints, (4, 5, 6))
     n_points = _get(cfg, "sigma", "n_points", int, 9)
@@ -257,34 +284,27 @@ def cmd_sigma_curve(cfg, args):
     top = _get(cfg, "sigma", "max_gamma", float, gamma_cl)
     gammas = np.linspace(0.0, top, n_points)
     rows = [(float(g), float(sigma_of_gamma(tables, g, lam))) for g in gammas]
-    payload = json.dumps({"gamma_cl": gamma_cl, "lambda_max": lam,
-                          "points": [[g, s] for g, s in rows]},
-                         sort_keys=True)
-    csv = "gamma,sigma\n" + "".join(f"{g!r},{s!r}\n" for g, s in rows)
-    return payload, csv, partial(plot_svg, rows, kind="series")
+    payload = _json({"gamma_cl": gamma_cl, "lambda_max": lam,
+                     "points": [[g, s] for g, s in rows]})
+    return payload, _files(("gamma", "sigma"), rows, rows)
 
 
-def cmd_billiard_orbits(cfg, args):
+def cmd_billiard_orbits(cfg):
     config = _disk_config(cfg)
     depth = _get(cfg, "orbits", "depth", int, 3)
     orbits = _cycle_orbits(config, depth)
-    header = ("word,"
-              + ",".join(f"angle_{i}" for i in range(depth)) + ","
-              + ",".join(f"length_{i}" for i in range(depth))
-              + ",logJ,t\n")
-    lines = []
-    summary = []
-    for word in sorted(orbits):
-        seg = orbits[word]
-        lines.append(orbit_to_csv_row(seg) + "\n")
-        summary.append([word, seg.logJ, seg.t_total])
-    payload = json.dumps({"depth": depth, "orbits": summary}, sort_keys=True)
-    series = [(float(r[2]), float(r[1])) for r in summary]
-    return payload, header + "".join(lines), partial(plot_svg, series,
-                                                      kind="series")
+    header = ("word", *(f"angle_{i}" for i in range(depth)),
+              *(f"length_{i}" for i in range(depth)), "logJ", "t")
+    table = sorted(orbits.items())
+    rows = [("".join(map(str, s.word)), *s.angles, *s.lengths, s.logJ,
+             s.t_total) for _, s in table]
+    payload = _json({"depth": depth,
+                     "orbits": [[w, s.logJ, s.t_total] for w, s in table]})
+    series = [(s.t_total, s.logJ) for _, s in table]
+    return payload, _files(header, rows, series)
 
 
-def cmd_spectrum(cfg, args):
+def cmd_spectrum(cfg):
     spec = _baker_spec(cfg)
     N = _get(cfg, "quantum", "N", int)
     variant = _get(cfg, "quantum", "variant", str, "FFT")
@@ -292,20 +312,21 @@ def cmd_spectrum(cfg, args):
     op = build(spec, N, variant=variant, theta=theta)
     blocks, coupling = parity_blocks(op)
     record = block_eigenvalues(N, blocks, coupling)
-    moduli = np.abs(record.eigenvalues)
-    payload = json.dumps({
+    vals = record.eigenvalues.tolist()
+    payload = _json({
         "N": N, "backward_error": record.backward_error,
         "blocks": [len(b) for b in blocks],
         "structural_zeros": record.structural_zeros,
-        "eigenvalues": [[float(z.real), float(z.imag)]
-                        for z in record.eigenvalues],
-    }, sort_keys=True)
-    series = [(float(i), float(m)) for i, m in enumerate(moduli)]
-    return payload, spectrum_to_csv(record), partial(plot_svg, series,
-                                                     kind="series")
+        "eigenvalues": [[z.real, z.imag] for z in vals],
+    })
+    # the CSV's scalar hypot and the SVG's vectorized np.abs can differ
+    # in the last bit
+    rows = [(z.real, z.imag, abs(z)) for z in vals]
+    series = list(enumerate(np.abs(record.eigenvalues).tolist()))
+    return payload, _files(("re", "im", "modulus"), rows, series)
 
 
-def cmd_weyl_fit(cfg, args):
+def cmd_weyl_fit(cfg):
     spec = _baker_spec(cfg)
     sizes = _get(cfg, "weyl", "N_list", _ints, (27, 81, 243))
     nu = _get(cfg, "weyl", "nu", float)
@@ -318,12 +339,12 @@ def cmd_weyl_fit(cfg, args):
     sigma_nu = _get(cfg, "weyl", "sigma_nu", float,
                     annulus_gap_exponent(nu, d_h, math.log(spec.a)))
     report = bound_report(fit, d_h, sigma_nu)
-    payload = json.dumps({"fit": json.loads(fit.to_json()),
-                          "report": report}, sort_keys=True)
-    csv = "N,count\n" + "".join(f"{n},{c}\n" for n, c in fit.points)
-    series = [(math.log(float(n)), math.log(float(c)))
-              for n, c in fit.points if c > 0]
-    return payload, csv, partial(plot_svg, series, kind="series")
+    points = [[int(n), int(c)] for n, c in fit.points]
+    payload = _json({"fit": {"nu": fit.nu, "points": points,
+                             "slope": fit.slope, "stderr": fit.stderr},
+                     "report": report})
+    series = [(math.log(n), math.log(c)) for n, c in points if c > 0]
+    return payload, _files(("N", "count"), points, series)
 
 
 def _escape_params(cfg, N):
@@ -335,21 +356,26 @@ def _escape_params(cfg, N):
     )
 
 
-def cmd_propagate(cfg, args):
+def cmd_propagate(cfg):
     spec = _baker_spec(cfg)
     N = _get(cfg, "quantum", "N", int)
     rho0 = _get(cfg, "propagate", "rho0", _floats, (0.1, 0.1))
     n_max = _get(cfg, "propagate", "n_max", int, 10)
     depth = _get(cfg, "escape", "depth", int, None)
     params = _escape_params(cfg, N)
-    w = damped_propagation_experiment(spec, N, rho0, params, n_max, depth)
-    payload = propagation_to_json(spec, N, rho0, params, w)
-    csv = "n,w\n" + "".join(f"{n},{float(v)!r}\n" for n, v in enumerate(w))
-    series = [(float(n), float(v)) for n, v in enumerate(w)]
-    return payload, csv, partial(plot_svg, series, kind="series")
+    w = damped_propagation_experiment(spec, N, rho0, params, n_max,
+                                      depth).tolist()
+    payload = _json({
+        "N": N, "a": spec.a, "alphabet": list(spec.alphabet),
+        "rho0": [float(rho0[0]), float(rho0[1])],
+        "t": params.t, "delta": params.delta,
+        "n": list(range(len(w))), "w": w,
+    })
+    rows = list(enumerate(w))
+    return payload, _files(("n", "w"), rows, rows)
 
 
-def cmd_husimi_frames(cfg, args):
+def cmd_husimi_frames(cfg):
     spec = _baker_spec(cfg)
     N = _get(cfg, "quantum", "N", int)
     rho0 = _get(cfg, "husimi", "rho0", _floats, (0.1, 0.1))
@@ -364,25 +390,22 @@ def cmd_husimi_frames(cfg, args):
         fields.append(field)
         masses.append(husimi_mass(field))
         state = apply(op, state)
-    svg = None
-    if args is not None and args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if args.format in ("csv", "all"):
-            for i, field in enumerate(fields):
-                husimi_to_csv(field, out_dir / f"husimi_{i:03d}.csv")
-        if args.format in ("svg", "all"):
-            for i, field in enumerate(fields):
-                svg = plot_svg(field, kind="field")
-                (out_dir / f"husimi_{i:03d}.svg").write_text(svg)
-    payload = json.dumps({"N": N, "K": K, "frames": frames,
-                          "masses": [float(m) for m in masses]},
-                         sort_keys=True)
-    # the last frame's SVG, rendered above whenever SVGs are written
-    return payload, None, lambda: svg
+    payload = _json({"N": N, "K": K, "frames": frames,
+                     "masses": [float(m) for m in masses]})
+    files = []
+    for i, field in enumerate(fields):
+        svg = partial(plot_svg, field, kind="field")
+        if i == frames - 1:
+            # the last frame's SVG is also the command's own: cached, so
+            # it is rendered once
+            svg = cache(svg)
+            files.append((None, "svg", svg))
+        files += [(f"husimi_{i:03d}", "csv", partial(_husimi_csv, field)),
+                  (f"husimi_{i:03d}", "svg", svg)]
+    return payload, files
 
 
-def cmd_trace_check(cfg, args):
+def cmd_trace_check(cfg):
     spec = _baker_spec(cfg)
     sizes = _get(cfg, "trace", "N_list", _ints, (27, 81))
     params = _escape_params(cfg, max(sizes))
@@ -395,14 +418,14 @@ def cmd_trace_check(cfg, args):
     ep = ExperimentParams(vartheta=vartheta, lambda_max=lam, slack=slack,
                           n_override=n_override)
     out = hs_trace_experiment(spec, sizes, params, ep, depth)
-    payload = json.dumps(out, sort_keys=True)
-    csv = "N,h,n,trace_direct,trace_quadrature\n" + "".join(
-        f"{e['N']},{e['h']!r},{e['n']},{e['trace_direct']!r},"
-        f"{'' if e['trace_quadrature'] is None else repr(e['trace_quadrature'])}\n"
-        for e in out["entries"])
+    entries = out["entries"]
+    rows = [(e["N"], e["h"], e["n"], e["trace_direct"],
+             "" if e["trace_quadrature"] is None else e["trace_quadrature"])
+            for e in entries]
     series = [(math.log(1.0 / e["h"]), math.log(e["trace_direct"]))
-              for e in out["entries"]]
-    return payload, csv, partial(plot_svg, series, kind="series")
+              for e in entries]
+    return _json(out), _files(
+        ("N", "h", "n", "trace_direct", "trace_quadrature"), rows, series)
 
 
 COMMANDS = {
@@ -418,34 +441,32 @@ COMMANDS = {
 }
 
 
-def _write_outputs(args, name, payload, csv, render_svg):
+def _write_outputs(args, name, payload, files):
+    """Write the JSON payload and every file in a format asked for.
+
+    `files` holds (stem, format, render) triples: stem None names the
+    file after the command, and render() makes its text, called only
+    when the file is written.  metadata.json lists what was written.
+    """
     if not args.out:
-        return []
+        return
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     wants = ({"json", "csv", "svg"} if args.format == "all"
              else {args.format})
-    if "json" in wants and payload is not None:
-        path = out / f"{name}.json"
-        path.write_text(payload + "\n")
-        written.append(path.name)
-    if "csv" in wants and csv is not None:
-        path = out / f"{name}.csv"
-        path.write_text(csv)
-        written.append(path.name)
-    if "svg" in wants and render_svg is not None:
-        path = out / f"{name}.svg"
-        path.write_text(render_svg())
-        written.append(path.name)
+    written = []
+    for stem, fmt, render in [(None, "json", lambda: payload + "\n"), *files]:
+        if fmt in wants:
+            path = out / f"{stem or name}.{fmt}"
+            path.write_text(render())
+            written.append(path.name)
     meta = {
         "command": name,
         "config": args.config,
         "written": written,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    (out / "metadata.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
-    return written
+    (out / "metadata.json").write_text(_json(meta) + "\n")
 
 
 def make_parser():
@@ -467,10 +488,9 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        payload, csv, render_svg = COMMANDS[args.command](cfg, args)
-        _write_outputs(args, args.command, payload, csv, render_svg)
-        if payload is not None:
-            print(payload)
+        payload, files = COMMANDS[args.command](cfg)
+        _write_outputs(args, args.command, payload, files)
+        print(payload)
     except ConfigParse as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -605,11 +605,3 @@ def trapped_box_dimension(config, max_period=12, n_scales=11):
     (_, slope), *_ = np.linalg.lstsq(design, y, rcond=None)
     return float(slope / 2.0)
 
-
-def orbit_to_csv_row(segment):
-    """Serialize one orbit as `word,angle_k...,length_k...,logJ,t`."""
-    cells = ["".join(map(str, segment.word))]
-    cells += [repr(a) for a in segment.angles]
-    cells += [repr(l) for l in segment.lengths]
-    cells += [repr(segment.logJ), repr(segment.t_total)]
-    return ",".join(cells)

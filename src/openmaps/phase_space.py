@@ -21,7 +21,6 @@ u(x) → e^{-i x0 ξ0/2h} e^{i x ξ0/h} u(x - x0).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -539,38 +538,3 @@ def hs_trace_experiment(spec, N_list, params, exp_params, depth=None,
             "vartheta": exp_params.vartheta, "entries": entries,
             "exponent": exponent, "stderr": stderr}
 
-
-def propagation_to_json(spec, N, rho0, params, w):
-    """Stable JSON payload for a damped propagation run."""
-    return json.dumps({
-        "N": int(N), "a": spec.a, "alphabet": list(spec.alphabet),
-        "rho0": [float(rho0[0]), float(rho0[1])],
-        "t": params.t, "delta": params.delta,
-        "n": list(range(len(w))), "w": [float(v) for v in w],
-    }, sort_keys=True)
-
-
-def husimi_to_csv(field, path):
-    """Write a Husimi field as x_index,xi_index,value rows."""
-    K = field.shape[0]
-    with open(path, "w") as fh:
-        fh.write("x_index,xi_index,value\n")
-        for i in range(K):
-            for j in range(K):
-                fh.write(f"{i},{j},{float(field[i, j])!r}\n")
-
-
-def husimi_from_csv(path):
-    rows = []
-    with open(path) as fh:
-        header = fh.readline()
-        if header.strip() != "x_index,xi_index,value":
-            raise ValueError("unexpected Husimi CSV header")
-        for line in fh:
-            i, j, v = line.strip().split(",")
-            rows.append((int(i), int(j), float(v)))
-    K = max(r[0] for r in rows) + 1
-    field = np.zeros((K, K))
-    for i, j, v in rows:
-        field[i, j] = v
-    return field

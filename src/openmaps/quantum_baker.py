@@ -13,7 +13,7 @@ variant replaces the Fourier kernel by its base-a tensor factorization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,15 +50,14 @@ class QuantumState:
         return float(np.linalg.norm(self.amps))
 
 
-@dataclass
+@dataclass(frozen=True)
 class OpenMapOperator:
-    """Quantized open baker map; immutable after build, dense is cached."""
+    """Quantized open baker map; immutable after build."""
 
     spec: BakerSpec
     N: int
     variant: str = "FFT"
     theta: float = 0.5
-    _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def build(spec, N, variant="FFT", theta=0.5):
@@ -146,7 +145,7 @@ def apply(op, state, adjoint=False):
 
 
 def dense(op, cap=DENSE_CAP, adjoint=False):
-    """Materialize the matrix one strip of basis vectors at a time; cached.
+    """Materialize the matrix one strip of basis vectors at a time.
 
     Each strip's N/a basis vectors go through the map as one batch.
     Columns of excluded strips are exactly zero for the map itself, so
@@ -154,16 +153,12 @@ def dense(op, cap=DENSE_CAP, adjoint=False):
     """
     if op.N > cap:
         raise DimensionCap(f"N={op.N} exceeds dense cap {cap}")
-    if not adjoint and op._dense is not None:
-        return op._dense
     na = op.N // op.spec.a
     cols = np.zeros((op.N, op.N), dtype=np.complex128)
     for j in range(op.spec.a) if adjoint else op.spec.alphabet:
         basis = np.zeros((na, op.N), dtype=np.complex128)
         basis[:, j * na : (j + 1) * na] = np.eye(na)
         cols[:, j * na : (j + 1) * na] = _map_rows(op, basis, adjoint).T
-    if not adjoint:
-        op._dense = cols
     return cols
 
 
@@ -226,20 +221,3 @@ def parity_blocks(op, cap=DENSE_CAP):
         coupling = math.hypot(coupling, np.linalg.norm(fold(images, other)))
     return blocks, coupling
 
-
-def state_to_csv(state):
-    lines = ["index,re,im"]
-    for k, z in enumerate(state.amps):
-        lines.append(f"{k},{float(z.real)!r},{float(z.imag)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def state_from_csv(text):
-    rows = [ln for ln in text.strip().splitlines() if ln]
-    if rows[0] != "index,re,im":
-        raise ValueError(f"bad header {rows[0]!r}")
-    amps = np.zeros(len(rows) - 1, dtype=np.complex128)
-    for ln in rows[1:]:
-        k, re, im = ln.split(",")
-        amps[int(k)] = float(re) + 1j * float(im)
-    return QuantumState(len(amps), amps)

@@ -22,7 +22,6 @@ by symmetry only up to round-off.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -43,14 +42,13 @@ class SpectrumRecord:
 
     ``backward_error`` is the relative Schur backward error of the
     eigensolve and ``structural_zeros`` the number of eigenvalues fixed
-    at exactly zero by identically zero columns.  NaN and None mean "not
-    computed" (records read back from CSV, which carries neither).
+    at exactly zero by identically zero columns.
     """
 
     N: int
     eigenvalues: np.ndarray
     backward_error: float
-    structural_zeros: int | None = None
+    structural_zeros: int
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=np.complex128)
@@ -67,17 +65,6 @@ class WeylFit:
     points: tuple
     slope: float
     stderr: float
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "nu": self.nu,
-                "points": [[int(n), int(c)] for n, c in self.points],
-                "slope": self.slope,
-                "stderr": self.stderr,
-            },
-            sort_keys=True,
-        )
 
 
 def eigenvalues(matrix):
@@ -204,20 +191,3 @@ def bound_report(fit, d_h, sigma_nu):
         "bounded": not growing,
     }
 
-
-def spectrum_to_csv(record):
-    lines = ["re,im,modulus"]
-    for z in record.eigenvalues:
-        lines.append(f"{float(z.real)!r},{float(z.imag)!r},{float(abs(z))!r}")
-    return "\n".join(lines) + "\n"
-
-
-def spectrum_from_csv(text):
-    rows = [ln for ln in text.strip().splitlines() if ln]
-    if rows[0] != "re,im,modulus":
-        raise ValueError(f"bad header {rows[0]!r}")
-    vals = np.array(
-        [complex(float(r.split(",")[0]), float(r.split(",")[1])) for r in rows[1:]]
-    )
-    return SpectrumRecord(N=len(vals), eigenvalues=vals,
-                          backward_error=float("nan"))

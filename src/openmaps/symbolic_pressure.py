@@ -14,7 +14,6 @@ classical decay rate, and the improved-gap function sigma(gamma).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -140,27 +139,6 @@ class PressureEstimate:
             raise ValueError("per_depth depths must be strictly increasing")
         if self.uncertainty < 0:
             raise ValueError("uncertainty must be >= 0")
-
-    def to_json(self):
-        payload = {
-            "coeff_J": self.coeff_J,
-            "coeff_t": self.coeff_t,
-            "per_depth": [[int(n), p] for n, p in self.per_depth],
-            "value": self.value,
-            "uncertainty": self.uncertainty,
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text):
-        d = json.loads(text)
-        return PressureEstimate(
-            coeff_J=d["coeff_J"],
-            coeff_t=d["coeff_t"],
-            per_depth=[(int(n), float(p)) for n, p in d["per_depth"]],
-            value=float(d["value"]),
-            uncertainty=float(d["uncertainty"]),
-        )
 
 
 def finite_pressure(table, coeff_J, coeff_t):
@@ -308,33 +286,3 @@ def lyapunov_bounds(table):
     assert 0.0 < lam_min <= lam_max + 1e-12
     return float(lam_min), float(lam_max)
 
-
-def table_to_csv(table, path):
-    """Write `word,logJ,t` rows; words as digit strings (symbols < 10 only)."""
-    if table.subshift.m > 10:
-        raise ValueError("digit-string serialization needs symbols < 10")
-    lines = ["word,logJ,t"]
-    for word in sorted(table.entries):
-        logj, t = table.entries[word]
-        lines.append(f"{''.join(map(str, word))},{logj!r},{t!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def table_from_csv(subshift, path, lambda_floor=1e-6, t_min=1e-6):
-    """Inverse of table_to_csv; the depth is inferred from the first word."""
-    entries = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "word,logJ,t":
-            raise ValueError(f"unexpected header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            digits, logj, t = line.split(",")
-            entries[tuple(int(c) for c in digits)] = (float(logj), float(t))
-    if not entries:
-        raise EmptyTable(f"no rows in {path}")
-    n = len(next(iter(entries)))
-    return CylinderTable(subshift, n, entries, lambda_floor, t_min)

@@ -15,7 +15,6 @@ from openmaps.baker_classical import (
     BakerSpec,
     TorusPoint,
     box_dimension_estimate,
-    cover_to_csv,
     cylinder_table,
     forward,
     inverse,
@@ -172,14 +171,6 @@ def test_cover_nesting():
         num_xi = round(xi0 * 3 ** 3)
         assert num_x // 3 in parent_nums_x
         assert num_xi // 3 in parent_nums_x
-
-
-def test_cover_csv(tmp_path):
-    path = tmp_path / "cover.csv"
-    cover_to_csv(trapped_cover(SPEC32, 1, 1), path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "x0,xi0,side_x,side_xi"
-    assert len(lines) == 5
 
 
 # -- dimension --------------------------------------------------------------

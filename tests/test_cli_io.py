@@ -7,12 +7,25 @@ import numpy as np
 import pytest
 
 from openmaps import cli_io, quantum_baker
+from openmaps.baker_classical import BakerSpec, cylinder_table
 from openmaps.cli_io import SVG_H, SVG_MARGIN, SVG_W, main, parse_config, plot_svg
-from openmaps.disk_billiard import DiskConfig, orbit_for_word
+from openmaps.disk_billiard import DiskConfig, _cycle_orbits, orbit_for_word
 from openmaps.errors import ConfigParse, EmptyData
+from openmaps.phase_space import (
+    EscapeParams,
+    damped_propagation_experiment,
+    husimi,
+    torus_coherent,
+)
+from openmaps.quantum_baker import apply, build, parity_blocks
+from openmaps.spectral_counting import block_eigenvalues, weyl_exponent
+from openmaps.symbolic_pressure import pressure
 
 GAMMA_CL = 0.3690702464285426
 D_H = 0.6309297535714574
+SPEC32 = BakerSpec(3, (0, 2))
+TRI = DiskConfig(centers=((0.0, 0.0), (6.0, 0.0), (3.0, 3.0 * math.sqrt(3.0))),
+                 radii=(1.0, 1.0, 1.0))
 
 
 def run(capsys, argv):
@@ -72,16 +85,16 @@ def field_svg_by_cells(field):
 
 class TestPlotSvg:
     def test_two_point_series_single_polyline(self):
-        svg = plot_svg([(0.0, 1.0), (1.0, 2.0)])
+        svg = plot_svg([(0.0, 1.0), (1.0, 2.0)], kind="series")
         assert svg.count("<polyline") == 1
         assert svg.startswith("<svg")
 
     def test_two_by_two_field_four_rects(self):
-        svg = plot_svg(np.array([[0.0, 1.0], [2.0, 3.0]]))
+        svg = plot_svg(np.array([[0.0, 1.0], [2.0, 3.0]]), kind="field")
         assert svg.count("<rect") == 4
 
     def test_field_grayscale_limits(self):
-        svg = plot_svg(np.array([[0.0, 1.0], [2.0, 3.0]]))
+        svg = plot_svg(np.array([[0.0, 1.0], [2.0, 3.0]]), kind="field")
         assert "rgb(255,255,255)" in svg  # smallest value
         assert "rgb(0,0,0)" in svg        # largest value
 
@@ -93,27 +106,28 @@ class TestPlotSvg:
         assert {k % 2 for k in ties} == {0, 1}
         values = [0.0, 1.0] + [1.0 - (k + 0.5) / 255 for k in ties]
         field = np.resize(np.array(values), (9, 21))
-        assert plot_svg(field) == field_svg_by_cells(field)
+        assert plot_svg(field, kind="field") == field_svg_by_cells(field)
         rng = np.random.Generator(np.random.Philox(0))
         field = rng.random((7, 5))
-        assert plot_svg(field) == field_svg_by_cells(field)
+        assert plot_svg(field, kind="field") == field_svg_by_cells(field)
 
     def test_non_finite_field_rejected(self):
         with pytest.raises(ValueError):
-            plot_svg(np.array([[0.0, np.nan], [1.0, 2.0]]))
+            plot_svg(np.array([[0.0, np.nan], [1.0, 2.0]]), kind="field")
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(EmptyData):
-            plot_svg([])
+            plot_svg([], kind="series")
         with pytest.raises(EmptyData):
-            plot_svg(np.zeros((0, 0)))
+            plot_svg(np.zeros((0, 0)), kind="field")
 
     def test_byte_determinism(self):
         data = [(math.pi, math.e), (1.0, 2.0), (4.0, -1.0)]
-        assert plot_svg(list(data)) == plot_svg(list(data))
+        assert (plot_svg(list(data), kind="series")
+                == plot_svg(list(data), kind="series"))
 
     def test_constant_series_handled(self):
-        svg = plot_svg([(0.0, 5.0), (1.0, 5.0)])
+        svg = plot_svg([(0.0, 5.0), (1.0, 5.0)], kind="series")
         assert svg.count("<polyline") == 1
 
 
@@ -176,6 +190,19 @@ class TestSpectrumCommand:
             assert (out_dir / f"spectrum.{suffix}").exists()
         csv = (out_dir / "spectrum.csv").read_text()
         assert csv.splitlines()[0] == "re,im,modulus"
+
+    def test_csv_rows_are_the_eigenvalues(self, capsys, tmp_path):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text("[quantum]\nN = 27\n")
+        code, _, _ = run(capsys, ["spectrum", "--config", str(cfgfile),
+                                  "--out", str(tmp_path), "--format", "csv"])
+        assert code == 0
+        record = block_eigenvalues(27, *parity_blocks(build(SPEC32, 27)))
+        lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+        assert lines[0] == "re,im,modulus"
+        rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+        assert rows == [(z.real, z.imag, abs(z))
+                        for z in record.eigenvalues.tolist()]
 
     def test_payload_carries_schur_certificate(self, capsys, tmp_path):
         cfgfile = tmp_path / "c.ini"
@@ -245,6 +272,24 @@ class TestPressureCommand:
         assert code == 0
         assert abs(json.loads(out)["value"]) < 1e-9
 
+    def test_payload_is_the_estimate(self, capsys, tmp_path):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text("[pressure]\ndepths = 2,3,4\n"
+                           "c_jacobian = -1.0\nc_return = 0.5\n")
+        code, out, _ = run(capsys, ["pressure", "--config", str(cfgfile),
+                                    "--out", str(tmp_path), "--format", "all"])
+        assert code == 0
+        est = pressure([cylinder_table(SPEC32, n) for n in (2, 3, 4)],
+                       -1.0, 0.5)
+        data = json.loads((tmp_path / "pressure.json").read_text())
+        assert data == {"coeff_J": -1.0, "coeff_t": 0.5,
+                        "per_depth": [[n, p] for n, p in est.per_depth],
+                        "value": est.value, "uncertainty": est.uncertainty}
+        rows = (tmp_path / "pressure.csv").read_text().splitlines()
+        assert rows[0] == "depth,p_n"
+        assert [(int(n), float(p)) for n, p in
+                (r.split(",") for r in rows[1:])] == list(est.per_depth)
+
 
 class TestBilliardCommand:
     def test_symmetric_table_rows(self, capsys, tmp_path):
@@ -281,6 +326,19 @@ class TestBilliardCommand:
                                rtol=1e-13, atol=0)
             assert logj == pytest.approx(seg.logJ, rel=1e-13)
             assert t == pytest.approx(seg.t_total, rel=1e-13)
+
+    def test_rows_are_repr_of_segments(self, capsys, tmp_path):
+        code, _, _ = run(capsys, ["billiard-orbits", "--out", str(tmp_path),
+                                  "--format", "csv"])
+        assert code == 0
+        rows = (tmp_path / "billiard-orbits.csv").read_text().splitlines()
+        assert rows[0] == ("word,angle_0,angle_1,angle_2,"
+                           "length_0,length_1,length_2,logJ,t")
+        orbits = _cycle_orbits(TRI, 3)
+        assert rows[1:] == [
+            ",".join(["".join(map(str, s.word)), *map(repr, s.angles),
+                      *map(repr, s.lengths), repr(s.logJ), repr(s.t_total)])
+            for _, s in sorted(orbits.items())]
 
     def test_depth_one_rejected(self, capsys, tmp_path):
         cfgfile = tmp_path / "c.ini"
@@ -321,6 +379,19 @@ class TestPropagateCommand:
         for name in ("propagate.json", "propagate.csv", "propagate.svg"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
+    def test_payload_is_the_history(self, capsys, tmp_path):
+        code, out, _ = run(capsys, ["propagate", "--config",
+                                    str(self.config(tmp_path)),
+                                    "--out", str(tmp_path), "--format", "all"])
+        assert code == 0
+        params = EscapeParams(h=1.0 / (2.0 * math.pi * 27), delta=0.4, t=1.0)
+        w = damped_propagation_experiment(SPEC32, 27, (0.1, 0.1), params, 3)
+        assert json.loads(out) == {
+            "N": 27, "a": 3, "alphabet": [0, 2], "rho0": [0.1, 0.1],
+            "t": 1.0, "delta": 0.4, "n": [0, 1, 2, 3], "w": w.tolist()}
+        rows = (tmp_path / "propagate.csv").read_text().splitlines()
+        assert rows == ["n,w"] + [f"{n},{v!r}" for n, v in enumerate(w.tolist())]
+
 
 class TestHusimiFramesCommand:
     def test_frames_and_masses(self, capsys, tmp_path):
@@ -360,6 +431,41 @@ class TestHusimiFramesCommand:
         assert ((out_dir / "husimi-frames.svg").read_bytes()
                 == (out_dir / "husimi_002.svg").read_bytes())
 
+    def test_frame_csvs_are_the_fields(self, capsys, tmp_path):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text("[quantum]\nN = 27\n"
+                           "[husimi]\nframes = 2\nrho0 = 0.25,0.1\nK = 30\n")
+        code, _, _ = run(capsys, ["husimi-frames", "--config", str(cfgfile),
+                                  "--out", str(tmp_path), "--format", "csv"])
+        assert code == 0
+        state = torus_coherent(27, (0.25, 0.1), normalize=True)
+        for i in range(2):
+            lines = (tmp_path / f"husimi_{i:03d}.csv").read_text().splitlines()
+            assert lines[0] == "x_index,xi_index,value"
+            back = np.full((30, 30), np.nan)
+            for line in lines[1:]:
+                x, xi, value = line.split(",")
+                back[int(x), int(xi)] = float(value)
+            assert np.array_equal(back, husimi(state, 30))
+            state = apply(build(SPEC32, 27), state)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "svg", "all"])
+    def test_metadata_lists_every_file(self, capsys, tmp_path, fmt):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text("[quantum]\nN = 27\n[husimi]\nframes = 2\n")
+        out_dir = tmp_path / "out"
+        code, _, _ = run(capsys, ["husimi-frames", "--config", str(cfgfile),
+                                  "--out", str(out_dir), "--format", fmt])
+        assert code == 0
+        written = json.loads((out_dir / "metadata.json").read_text())["written"]
+        on_disk = sorted(p.name for p in out_dir.iterdir())
+        assert sorted(written) == [n for n in on_disk if n != "metadata.json"]
+        frames = {f"husimi_{i:03d}.{ext}" for i in range(2)
+                  for ext in ("csv", "svg")}
+        wanted = {"csv", "svg"} if fmt == "all" else {fmt}
+        assert frames & set(written) == {
+            n for n in frames if n.rsplit(".", 1)[1] in wanted}
+
 
 class TestTraceCheckCommand:
     def test_default_window_gives_identity_traces(self, capsys):
@@ -379,6 +485,20 @@ class TestTraceCheckCommand:
         data = json.loads(out)
         assert len(data["fit"]["points"]) == 3
         assert "bounded" in data["report"]
+
+    def test_weyl_fit_payload_is_the_fit(self, capsys, tmp_path):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text("[weyl]\nN_list = 9,27,81\nnu = 0.1\n")
+        code, out, _ = run(capsys, ["weyl-fit", "--config", str(cfgfile),
+                                    "--out", str(tmp_path), "--format", "csv"])
+        assert code == 0
+        fit = weyl_exponent([block_eigenvalues(n, *parity_blocks(
+            build(SPEC32, n))) for n in (9, 27, 81)], 0.1)
+        assert json.loads(out)["fit"] == {
+            "nu": 0.1, "points": [list(p) for p in fit.points],
+            "slope": fit.slope, "stderr": fit.stderr}
+        rows = (tmp_path / "weyl-fit.csv").read_text().splitlines()
+        assert rows == ["N,count"] + [f"{n},{c}" for n, c in fit.points]
 
 
 # (command, config) for a quick run of every command

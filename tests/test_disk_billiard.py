@@ -46,7 +46,6 @@ from openmaps.disk_billiard import (
     cylinder_table,
     escape_rate_mc,
     orbit_for_word,
-    orbit_to_csv_row,
     periodic_points,
     stability,
     trapped_box_dimension,
@@ -446,6 +445,22 @@ def random_word(rng, n, closed):
             return tuple(word)
 
 
+@st.composite
+def cyclic_words(draw, k, max_size):
+    """Admissible cyclic words over k symbols, built directly.
+
+    Each symbol differs from the one before it, and the last from the
+    first, so no example is thrown away.
+    """
+    n = draw(st.integers(2, max_size))
+    word = [draw(st.integers(0, k - 1))]
+    for _ in range(n - 2):
+        word.append((word[-1] + draw(st.integers(1, k - 1))) % k)
+    word.append(draw(st.sampled_from(
+        [s for s in range(k) if s not in (word[-1], word[0])])))
+    return word
+
+
 def angle_gap(a, b):
     d = np.abs(np.asarray(a) - np.asarray(b)) % (2 * math.pi)
     return float(np.max(np.minimum(d, 2 * math.pi - d)))
@@ -580,11 +595,9 @@ class TestClosedOrbits:
         assert math.isnan(seg.logJ)
         assert not seg.closed
 
-    @given(st.lists(st.integers(0, 2), min_size=2, max_size=5))
+    @given(cyclic_words(3, max_size=5))
     @settings(max_examples=40, deadline=None)
     def test_random_words_converge_and_expand(self, word):
-        assume(all(word[i] != word[i + 1] for i in range(len(word) - 1)))
-        assume(word[0] != word[-1])
         try:
             seg = orbit_for_word(TRI, tuple(word), closed=True)
         except ShadowedPath:
@@ -904,13 +917,3 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             BoundaryCoord(0, 0.0, 1.0)
 
-
-class TestSerialization:
-    def test_orbit_csv_row(self):
-        seg = orbit_for_word(TRI, (0, 1, 2), closed=True)
-        row = orbit_to_csv_row(seg)
-        cells = row.split(",")
-        assert cells[0] == "012"
-        assert len(cells) == 1 + 3 + 3 + 2
-        assert float(cells[-1]) == pytest.approx(seg.t_total)
-        assert float(cells[-2]) == pytest.approx(seg.logJ)

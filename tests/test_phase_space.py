@@ -7,7 +7,6 @@ shears, and resampling for dilations.  Torus-side identities lean on
 the exact tight-frame property of the half-integer coherent grid.
 """
 
-import json
 import math
 from functools import lru_cache
 
@@ -40,11 +39,8 @@ from openmaps.phase_space import (
     ground_state,
     hs_trace_experiment,
     husimi,
-    husimi_from_csv,
     husimi_mass,
-    husimi_to_csv,
     metaplectic,
-    propagation_to_json,
     sample_line,
     to_grid,
     torus_coherent,
@@ -652,21 +648,3 @@ class TestTraceExperiment:
         with pytest.raises(DimensionCap):
             hs_trace_experiment(SPEC32, [3**9], p, ep)
 
-
-class TestSerialization:
-    def test_husimi_csv_round_trip(self, tmp_path):
-        field = husimi(torus_coherent(16, (0.25, 0.75)), 16)
-        path = tmp_path / "field.csv"
-        husimi_to_csv(field, path)
-        back = husimi_from_csv(path)
-        assert np.array_equal(back, field)
-
-    def test_propagation_json(self):
-        p = EscapeParams(h=1.0 / (2 * math.pi * 27), delta=0.4, t=1.0)
-        w = damped_propagation_experiment(SPEC32, 27, (0.1, 0.1), p, 2)
-        payload = propagation_to_json(SPEC32, 27, (0.1, 0.1), p, w)
-        data = json.loads(payload)
-        assert data["N"] == 27
-        assert data["n"] == [0, 1, 2]
-        assert data["w"][0] == 1.0
-        assert payload == propagation_to_json(SPEC32, 27, (0.1, 0.1), p, w)

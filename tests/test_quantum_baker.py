@@ -23,8 +23,6 @@ from openmaps.quantum_baker import (
     build,
     dense,
     parity_blocks,
-    state_from_csv,
-    state_to_csv,
 )
 
 SPEC32 = BakerSpec(3, (0, 2))
@@ -319,18 +317,8 @@ class TestDenseCap:
         with pytest.raises(DimensionCap):
             parity_blocks(op)
 
-    def test_cache_reused(self):
-        op = build(SPEC32, 9)
-        first = dense(op)
-        assert dense(op) is first
 
-
-class TestSerialization:
-    def test_state_csv_round_trip(self):
-        psi = rand_state(27, 9)
-        back = state_from_csv(state_to_csv(psi))
-        assert np.array_equal(back.amps, psi.amps)
-
+class TestQuantumState:
     def test_h_is_derived(self):
         psi = rand_state(27, 0)
         assert psi.h * TWO_PI_N(27) == pytest.approx(1.0, abs=0)

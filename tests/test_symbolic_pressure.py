@@ -19,7 +19,6 @@ from openmaps.baker_classical import BakerSpec, cylinder_table
 from openmaps.errors import EmptyTable, InsufficientDepths, NoSignChange, NotOpen
 from openmaps.symbolic_pressure import (
     CylinderTable,
-    PressureEstimate,
     Subshift,
     _max_cycle_mean,
     bowen_dimension,
@@ -30,8 +29,6 @@ from openmaps.symbolic_pressure import (
     no_repeat_shift,
     pressure,
     sigma_of_gamma,
-    table_from_csv,
-    table_to_csv,
 )
 
 LOG2 = 0.6931471805599453
@@ -364,24 +361,3 @@ def test_cycle_mean_sandwich_on_rotation_invariant_tables(table):
     for w, (lj, _t) in sym.entries.items():
         assert lam_min - 1e-9 <= lj / sym.n <= lam_max + 1e-9
 
-
-# -- serialization ----------------------------------------------------------
-
-def test_table_csv_round_trip(tmp_path):
-    table = cylinder_table(BakerSpec(3, (0, 2)), 3)
-    path = tmp_path / "table.csv"
-    table_to_csv(table, path)
-    back = table_from_csv(table.subshift, path)
-    assert back.n == table.n
-    assert set(back.entries) == set(table.entries)
-    for w in table.entries:
-        assert back.entries[w] == table.entries[w]
-
-
-def test_estimate_json_round_trip():
-    est = pressure(baker_tables(3, (0, 2), [2, 3, 4]), -1.0, 0.5)
-    back = PressureEstimate.from_json(est.to_json())
-    assert back.value == est.value
-    assert back.uncertainty == est.uncertainty
-    assert back.per_depth == est.per_depth
-    assert back.coeff_J == est.coeff_J and back.coeff_t == est.coeff_t
