@@ -121,6 +121,14 @@ class TestPlotSvg:
         with pytest.raises(EmptyData):
             plot_svg(np.zeros((0, 0)), kind="field")
 
+    def test_non_2d_field_rejected(self):
+        with pytest.raises(ValueError):
+            plot_svg(np.array([0.0, 1.0, 2.0]), kind="field")
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            plot_svg([(0.0, 1.0), (1.0, 2.0)], kind="histogram")
+
     def test_byte_determinism(self):
         data = [(math.pi, math.e), (1.0, 2.0), (4.0, -1.0)]
         assert (plot_svg(list(data), kind="series")

@@ -6,6 +6,7 @@ with plain matrix algebra and no FFT.  The FFT-structured apply path
 must reproduce it to 1e-12.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -316,6 +317,19 @@ class TestDenseCap:
         op = build(SPEC32, 3**9, theta=theta)
         with pytest.raises(DimensionCap):
             parity_blocks(op)
+
+    def test_operator_is_frozen(self):
+        op = build(SPEC32, 9)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.N = 27
+
+    def test_dense_returns_a_fresh_matrix(self):
+        # nothing is cached, so editing one result cannot leak into the next
+        op = build(SPEC32, 9)
+        first = dense(op)
+        expected = first.copy()
+        first[:] = 0.0
+        assert np.array_equal(dense(op), expected)
 
 
 class TestQuantumState:

@@ -46,6 +46,11 @@ def synthetic_record(N, n_big):
 
 
 class TestEigenvalues:
+    def test_record_requires_structural_zeros(self):
+        # a record never reports a certificate it did not compute
+        with pytest.raises(TypeError):
+            SpectrumRecord(N=1, eigenvalues=[0.5], backward_error=0.0)
+
     def test_diagonal_exact(self):
         rec = eigenvalues(np.diag([1.0, 0.5, 0.25]))
         assert np.allclose(np.sort(rec.eigenvalues.real), [0.25, 0.5, 1.0], atol=1e-14)
