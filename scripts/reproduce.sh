@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
 # Run every experiment config into out/<command>/ with all output
-# formats.  Total runtime is about 18 s on a 2-core machine, about 1 s
-# of it start-up per command; the two weyl fits take about 4 s each.
+# formats, from the source tree: no install needed.  On a 2-core
+# machine the chain takes 17-19 s: about 1 s of start-up per command,
+# 3.5-4 s for each weyl fit and 2 s for trace-check.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 out="${1:-out}"
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 run() {
     local name="$1" config="$2" dir="$3"
     echo "== $name ($config)"
-    openmaps "$name" --config "scripts/configs/$config" \
+    python3 -m openmaps "$name" --config "scripts/configs/$config" \
         --out "$out/$dir" --format all
 }
 

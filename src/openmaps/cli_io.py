@@ -319,10 +319,9 @@ def cmd_spectrum(cfg):
         "structural_zeros": record.structural_zeros,
         "eigenvalues": [[z.real, z.imag] for z in vals],
     })
-    # the CSV's scalar hypot and the SVG's vectorized np.abs can differ
-    # in the last bit
-    rows = [(z.real, z.imag, abs(z)) for z in vals]
-    series = list(enumerate(np.abs(record.eigenvalues).tolist()))
+    moduli = [abs(z) for z in vals]
+    rows = [(z.real, z.imag, m) for z, m in zip(vals, moduli)]
+    series = list(enumerate(moduli))
     return payload, _files(("re", "im", "modulus"), rows, series)
 
 
@@ -498,7 +497,3 @@ def main(argv=None):
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

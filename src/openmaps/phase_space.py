@@ -29,15 +29,16 @@ import numpy as np
 from numpy.polynomial.hermite import hermval
 from scipy.special import ive
 
-from .errors import BadDimension, DegenerateFrame, DimensionMismatch, NotSymplectic
-from .quantum_baker import QuantumState, apply, build, dense
-from .quantum_baker import _fourier_apply, _fourier_inverse_apply
+from .errors import DegenerateFrame, DimensionCap, DimensionMismatch, NotSymplectic
+from .quantum_baker import DENSE_CAP, QuantumState, apply, build
+from .quantum_baker import _fourier_apply, _fourier_inverse_apply, _map_rows
 
 TWO_PI = 2.0 * math.pi
 DET_TOL = 1e-12
 GRID_THETA = 0.5  # half-integer twist on both torus directions
 PERIODIZE_TAIL = 1e-14
 CHEB_TAIL = 1e-17  # the Chebyshev series of e^{-tG} stops at I_k/I_0 below this
+QUADRATURE_MAX_N = 729  # the trace experiment's quadrature runs up to this N
 
 
 def _as_frame(mat):
@@ -382,10 +383,6 @@ def escape_grid(spec, K, params, depth=None):
     return u[:, None] - u[None, :]
 
 
-def _expm_scaled(evals, evecs, t):
-    return (evecs * np.exp(-t * evals)[None, :]) @ evecs.conj().T
-
-
 def _damping_symbols(spec, N, params, depth):
     """(d, λ) with G = diag(d) + F⁻¹ diag(λ) F, F the θ=½ Fourier kernel.
 
@@ -409,25 +406,18 @@ def _damping_apply(d, lam, v):
     return d * v + _fourier_inverse_apply(lam * twisted, GRID_THETA)
 
 
-def damping_operator(spec, N, params, depth=None):
-    """Anti-Wick quantization of the escape weight and its exponential.
+def _damping_matrix(spec, N, params, depth=None):
+    """Anti-Wick quantization G of the escape weight, as a dense matrix.
 
     G = Σ_grid g(ρ) w |φ_ρ⟩⟨φ_ρ| over the N×N coherent grid with weight
     w = N/K² (K = N).  The weight g(x, ξ) = u(x) − u(ξ) is separable, so
     G = diag(d) + F⁻¹ diag(λ) F, a diagonal plus a θ=½-twisted
-    circulant (see `_damping_symbols`).  This assembles G densely and
-    exponentiates it by eigh, for callers that need whole matrices.
-    Returns (G, expm(-t·G), expm(+t·G)).
+    circulant (see `_damping_symbols`).
     """
-    if N <= 0:
-        raise BadDimension(f"N={N} must be positive")
     d, lam = _damping_symbols(spec, N, params, depth)
     # applied along the rows of the identity, the map gives Gᵀ
     G = _damping_apply(d, lam, np.eye(N)).T
-    G = 0.5 * (G + G.conj().T)
-    evals, evecs = np.linalg.eigh(G)
-    return (G, _expm_scaled(evals, evecs, params.t),
-            _expm_scaled(evals, evecs, -params.t))
+    return 0.5 * (G + G.conj().T)
 
 
 @dataclass(frozen=True)
@@ -497,29 +487,37 @@ def damped_propagation_experiment(spec, N, rho0, params, n_max, depth=None):
     return np.array(w)
 
 
-def hs_trace_experiment(spec, N_list, params, exp_params, depth=None,
-                        both_paths_max_N=729):
+def hs_trace_experiment(spec, N_list, params, exp_params, depth=None):
     """Hilbert-Schmidt norm² of the damped n-step propagator across sizes.
 
-    For each N the conjugated step A = e^{-tG} M e^{tG} is raised to
-    n = n(h) and tr(Aⁿ* Aⁿ) is computed directly; below the size cap the
-    same trace is recomputed by coherent-grid quadrature.  params.h is
-    rebound to 1/(2πN) for each size.  Returns the per-size records and
-    a least-squares exponent of log trace against log(1/h).
+    The step A = e^{-tG} M e^{tG} has Aⁿ = e^{-tG} Mⁿ e^{tG}, so one eigh
+    G = V Λ V* gives ‖Aⁿ‖_F = ‖core‖_F, core = (V* Mⁿ V) ⊙ e^{t(λ_j − λ_i)},
+    with Mⁿ V pushed through the map N/a columns at a time.  Up to
+    N = QUADRATURE_MAX_N the trace of Aⁿ* Aⁿ is recomputed by
+    coherent-grid quadrature.  params.h is rebound to 1/(2πN) per size;
+    N above DENSE_CAP raises DimensionCap.  Returns the per-size records
+    and a least-squares exponent of log trace against log(1/h).
     """
     entries = []
     for N in N_list:
         N = int(N)
+        op = build(spec, N)
+        if N > DENSE_CAP:
+            raise DimensionCap(f"N={N} exceeds dense cap {DENSE_CAP}")
         h = 1.0 / (TWO_PI * N)
-        p = replace(params, h=h)
-        mat = dense(build(spec, N))
-        _, damp, undamp = damping_operator(spec, N, p, depth)
-        step = damp @ mat @ undamp
         n = exp_params.n_steps(h)
-        power = np.linalg.matrix_power(step, n)
-        direct = float(np.linalg.norm(power, "fro") ** 2)
+        evals, evecs = np.linalg.eigh(
+            _damping_matrix(spec, N, replace(params, h=h), depth))
+        rows = evecs.T.copy()  # row j is column j of V
+        for chunk in np.split(rows, spec.a):
+            for _ in range(n):
+                chunk[:] = _map_rows(op, chunk)
+        core = (evecs.conj().T @ rows.T) * np.exp(
+            params.t * (evals[None, :] - evals[:, None]))
+        direct = float(np.linalg.norm(core, "fro") ** 2)
         quad = None
-        if N <= both_paths_max_N:
+        if N <= QUADRATURE_MAX_N:
+            power = evecs @ core @ evecs.conj().T
             quad = float(coherent_grid_trace(power.conj().T @ power).real)
         entries.append({"N": N, "h": h, "n": n, "trace_direct": direct,
                         "trace_quadrature": quad})

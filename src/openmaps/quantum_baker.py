@@ -95,7 +95,11 @@ def _fourier_matrix(M, theta):
 
 
 def _walsh_apply(v, a, theta, inverse=False):
-    """Tensor-factorized kernel G_a^{⊗k} applied axis by axis (last axis)."""
+    """Walsh transform W = R·G_a^{⊗k} on the last axis, R the digit reversal.
+
+    R (Nonnenmacher–Zworski) commutes with G_a^{⊗k}, so W is symmetric
+    and unitary and W⁻¹ w = conj(W conj(w)).
+    """
     if inverse:
         return np.conj(_walsh_apply(np.conj(v), a, theta))
     k = round(math.log(v.shape[-1]) / math.log(a))
@@ -104,11 +108,12 @@ def _walsh_apply(v, a, theta, inverse=False):
     tensor = v.reshape(v.shape[:-1] + (a,) * k)
     for axis in range(batch, batch + k):
         tensor = np.moveaxis(np.tensordot(Ga, tensor, axes=(1, axis)), 0, axis)
-    return tensor.reshape(v.shape)
+    digits = tuple(range(batch + k - 1, batch - 1, -1))
+    return tensor.transpose(tuple(range(batch)) + digits).reshape(v.shape)
 
 
-def _map_rows(op, v, adjoint):
-    """The open map (or its adjoint) applied along the last axis of v."""
+def _map_rows(op, v):
+    """The open map applied along the last axis of v."""
     a = op.spec.a
     na = op.N // a
     walsh = op.variant == "WALSH"
@@ -120,45 +125,36 @@ def _map_rows(op, v, adjoint):
             return _fourier_inverse_apply(seg, op.theta)
         return _fourier_apply(seg, op.theta)
 
-    if not adjoint:
-        mid = np.zeros(v.shape, dtype=np.complex128)
-        for j in op.spec.alphabet:
-            mid[..., j * na : (j + 1) * na] = block(
-                v[..., j * na : (j + 1) * na], inverse=False
-            )
-        return block(mid, inverse=True)
-    # M* = blockdiag* · G_N: forward full transform, inverse blocks
-    mid = block(v, inverse=False)
-    out = np.zeros(v.shape, dtype=np.complex128)
+    mid = np.zeros(v.shape, dtype=np.complex128)
     for j in op.spec.alphabet:
-        out[..., j * na : (j + 1) * na] = block(
-            mid[..., j * na : (j + 1) * na], inverse=True
+        mid[..., j * na : (j + 1) * na] = block(
+            v[..., j * na : (j + 1) * na], inverse=False
         )
-    return out
+    return block(mid, inverse=True)
 
 
-def apply(op, state, adjoint=False):
-    """Apply the open map (or its adjoint) to a state, O(N log N)."""
+def apply(op, state):
+    """Apply the open map to a state, O(N log N)."""
     if state.N != op.N:
         raise DimensionMismatch(f"operator N={op.N}, state N={state.N}")
-    return QuantumState(op.N, _map_rows(op, state.amps, adjoint))
+    return QuantumState(op.N, _map_rows(op, state.amps))
 
 
-def dense(op, cap=DENSE_CAP, adjoint=False):
+def dense(op, cap=DENSE_CAP):
     """Materialize the matrix one strip of basis vectors at a time.
 
     Each strip's N/a basis vectors go through the map as one batch.
-    Columns of excluded strips are exactly zero for the map itself, so
-    only the allowed strips are computed; the adjoint needs all of them.
+    Columns of excluded strips are exactly zero, so only the allowed
+    strips are computed.
     """
     if op.N > cap:
         raise DimensionCap(f"N={op.N} exceeds dense cap {cap}")
     na = op.N // op.spec.a
     cols = np.zeros((op.N, op.N), dtype=np.complex128)
-    for j in range(op.spec.a) if adjoint else op.spec.alphabet:
+    for j in op.spec.alphabet:
         basis = np.zeros((na, op.N), dtype=np.complex128)
         basis[:, j * na : (j + 1) * na] = np.eye(na)
-        cols[:, j * na : (j + 1) * na] = _map_rows(op, basis, adjoint).T
+        cols[:, j * na : (j + 1) * na] = _map_rows(op, basis).T
     return cols
 
 
@@ -216,7 +212,7 @@ def parity_blocks(op, cap=DENSE_CAP):
         rows = np.arange(idx.size)
         basis[rows, mirror] = v
         basis[rows, idx] = w  # after v: the middle index is its own mirror
-        images = _map_rows(op, basis, adjoint=False)
+        images = _map_rows(op, basis)
         blocks.append(fold(images, own))
         coupling = math.hypot(coupling, np.linalg.norm(fold(images, other)))
     return blocks, coupling

@@ -8,6 +8,7 @@ the exact tight-frame property of the half-integer coherent grid.
 """
 
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from openmaps import phase_space
 from openmaps.baker_classical import BakerSpec, TorusPoint, forward
 from openmaps.errors import (
     BadDimension,
@@ -24,6 +26,7 @@ from openmaps.errors import (
     NotSymplectic,
 )
 from openmaps.phase_space import (
+    _damping_matrix,
     _gauss_window,
     _signed_roll,
     _torus_amps,
@@ -31,7 +34,6 @@ from openmaps.phase_space import (
     ExperimentParams,
     coherent_grid_trace,
     damped_propagation_experiment,
-    damping_operator,
     default_depth,
     default_vartheta,
     escape_g,
@@ -48,7 +50,7 @@ from openmaps.phase_space import (
     trapped_distance,
     WavePacket,
 )
-from openmaps.quantum_baker import QuantumState, apply, build
+from openmaps.quantum_baker import QuantumState, apply, build, dense
 
 SPEC32 = BakerSpec(3, (0, 2))
 CLOSED2 = BakerSpec(2, (0, 1))
@@ -130,6 +132,22 @@ def _oracle_propagation(spec, N, rho0, params, n_max, depth=None):
         psi = damp @ apply(op, QuantumState(N, psi)).amps
         w.append(float(np.vdot(psi, psi).real))
     return np.array(w)
+
+
+def _expm_pair_oracle(G, t):
+    """e^{-tG} and e^{+tG}, formed densely from one eigh of the Hermitian G."""
+    evals, evecs = np.linalg.eigh(G)
+    return tuple((evecs * np.exp(sign * t * evals)) @ evecs.conj().T
+                 for sign in (-1.0, 1.0))
+
+
+def _trace_oracle_entry(spec, N, params, n, depth=None):
+    """(trace_direct, trace_quadrature) from the dense step and matrix_power."""
+    p = replace(params, h=1.0 / (2 * math.pi * N))
+    damp, undamp = _expm_pair_oracle(_damping_matrix(spec, N, p, depth), p.t)
+    power = np.linalg.matrix_power(damp @ dense(build(spec, N)) @ undamp, n)
+    return (float(np.linalg.norm(power, "fro") ** 2),
+            float(coherent_grid_trace(power.conj().T @ power).real))
 
 
 def random_frame(rng):
@@ -509,26 +527,24 @@ class TestEscapeFunction:
 
 
 class TestDamping:
-    def make(self, N=81, t=1.0):
-        p = EscapeParams(h=1.0 / (2 * math.pi * N), delta=0.4, t=t)
-        G, E, _ = damping_operator(SPEC32, N, p)
-        return p, G, E
-
     def test_hermitian(self):
-        _, G, _ = self.make()
+        N = 81
+        p = EscapeParams(h=1.0 / (2 * math.pi * N), delta=0.4)
+        G = _damping_matrix(SPEC32, N, p)
         assert np.linalg.norm(G - G.conj().T) <= 1e-12 * np.linalg.norm(G)
 
     def test_exponential_norm_bound(self):
+        # ‖e^{-tG}‖₂ = e^{-t·min eig G} ≤ e^{t·max g} for every t ≥ 0
         N = 81
-        p = EscapeParams(h=1.0 / (2 * math.pi * N), delta=0.4, t=1.5)
-        _, E, _ = damping_operator(SPEC32, N, p)
+        p = EscapeParams(h=1.0 / (2 * math.pi * N), delta=0.4)
+        G = _damping_matrix(SPEC32, N, p)
         gmax = float(np.max(escape_grid(SPEC32, N, p)))
-        assert np.linalg.norm(E, 2) <= math.exp(p.t * gmax) * (1 + 1e-9)
+        assert np.linalg.eigvalsh(G).min() >= -gmax
 
     def test_quadratic_form_tracks_symbol(self):
         N = 729
         p = EscapeParams(h=1.0 / (2 * math.pi * N), delta=0.4, t=1.0)
-        G, _, _ = damping_operator(SPEC32, N, p)
+        G = _damping_matrix(SPEC32, N, p)
         for rho in [(0.5, 0.05), (0.52, 0.15), (0.18, 0.5)]:
             phi = torus_coherent(N, rho, normalize=True).amps
             qf = float(np.vdot(phi, G @ phi).real)
@@ -538,7 +554,7 @@ class TestDamping:
     def test_inverse_factor(self):
         N = 27
         p = EscapeParams(h=1.0 / (2 * math.pi * N), delta=0.4, t=0.8)
-        G, E, Einv = damping_operator(SPEC32, N, p)
+        E, Einv = _expm_pair_oracle(_damping_matrix(SPEC32, N, p), p.t)
         assert np.allclose(E @ Einv, np.eye(N), atol=1e-10)
 
     def test_propagation_starts_at_one_and_decays(self):
@@ -554,15 +570,10 @@ class TestDamping:
         w = damped_propagation_experiment(CLOSED2, N, (0.3, 0.6), p, 3)
         assert np.max(np.abs(w - 1.0)) < 1e-10
 
-    def test_nonpositive_dimension_rejected(self):
-        p = EscapeParams(h=0.01, delta=0.4)
-        with pytest.raises(BadDimension):
-            damping_operator(SPEC32, 0, p)
-
     @pytest.mark.parametrize("N", [27, 81, 243, 729])
     def test_closed_form_matches_assembled_oracle(self, N):
         p = EscapeParams(h=1.0 / (2 * math.pi * N), delta=0.4, t=1.0)
-        G, _, _ = damping_operator(SPEC32, N, p)
+        G = _damping_matrix(SPEC32, N, p)
         oracle = _assembled_G_oracle(SPEC32, N, p)
         assert np.linalg.norm(G - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
@@ -631,17 +642,39 @@ class TestTraceExperiment:
             assert rel <= 1e-4 * entry["trace_direct"]
         assert math.isfinite(out["exponent"])
 
-    def test_size_cap_skips_quadrature(self):
+    @pytest.mark.parametrize("spec", [SPEC32, BakerSpec(3, (0, 1))],
+                             ids=["3-02", "3-01"])
+    @pytest.mark.parametrize("t, delta, depth, n", [
+        (1.0, 0.4, None, 0),
+        (1.5, 0.3, 3, 3),
+    ], ids=["n0", "n3"])
+    def test_conjugation_matches_dense_oracle(self, spec, t, delta, depth, n):
+        p = EscapeParams(h=1.0, delta=delta, t=t)
+        ep = ExperimentParams(vartheta=0.1, lambda_max=math.log(3),
+                              n_override=n)
+        out = hs_trace_experiment(spec, [27, 81, 243, 729], p, ep, depth)
+        for entry in out["entries"]:
+            direct, quad = _trace_oracle_entry(spec, entry["N"], p, n, depth)
+            assert entry["trace_direct"] == pytest.approx(direct, rel=1e-12)
+            assert entry["trace_quadrature"] == pytest.approx(quad, rel=1e-12)
+
+    def test_size_cap_skips_quadrature(self, monkeypatch):
+        monkeypatch.setattr(phase_space, "QUADRATURE_MAX_N", 27)
         p = EscapeParams(h=1.0, delta=0.4, t=0.5)
         ep = ExperimentParams(vartheta=0.1, lambda_max=math.log(3),
                               n_override=1)
-        out = hs_trace_experiment(SPEC32, [27, 81], p, ep,
-                                  both_paths_max_N=27)
+        out = hs_trace_experiment(SPEC32, [27, 81], p, ep)
         assert out["entries"][0]["trace_quadrature"] is not None
         assert out["entries"][1]["trace_quadrature"] is None
 
+    def test_nonpositive_dimension_rejected(self):
+        p = EscapeParams(h=1.0, delta=0.4)
+        ep = ExperimentParams(vartheta=0.1, lambda_max=math.log(3))
+        with pytest.raises(BadDimension):
+            hs_trace_experiment(SPEC32, [0], p, ep)
+
     def test_dense_cap_enforced(self):
-        # the cap check in dense() fires before any N×N array exists
+        # the cap check fires before any N×N array exists
         p = EscapeParams(h=1.0, delta=0.4, t=1.0)
         ep = ExperimentParams(vartheta=0.1, lambda_max=math.log(3),
                               n_override=1)

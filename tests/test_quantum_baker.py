@@ -46,13 +46,13 @@ def dense_from_kernels(spec, N, theta):
     return np.linalg.inv(kernel_matrix(N, theta)) @ blocks
 
 
-def dense_by_columns(op, adjoint=False):
+def dense_by_columns(op):
     """Oracle assembly: one apply call per basis vector."""
     cols = np.zeros((op.N, op.N), dtype=np.complex128)
     for k in range(op.N):
         basis = np.zeros(op.N, dtype=np.complex128)
         basis[k] = 1.0
-        cols[:, k] = apply(op, QuantumState(op.N, basis), adjoint=adjoint).amps
+        cols[:, k] = apply(op, QuantumState(op.N, basis)).amps
     return cols
 
 
@@ -145,12 +145,6 @@ class TestApply:
         amps[9:18] = rand_state(9, 7).amps  # middle strip, not in alphabet
         assert apply(op, QuantumState(27, amps)).norm() <= 1e-12
 
-    def test_adjoint_consistency(self):
-        op = build(SPEC32, 27)
-        M = dense(op)
-        Mstar = dense(op, adjoint=True)
-        assert np.max(np.abs(Mstar - M.conj().T)) < 1e-12
-
     def test_norm_nonincreasing(self):
         op = build(SPEC32, 81)
         for seed in range(5):
@@ -203,16 +197,9 @@ class TestDenseStrips:
         op = build(SPEC32, 243, theta=theta)
         assert np.array_equal(dense(op), dense_by_columns(op))
 
-    @pytest.mark.parametrize("theta", [0.0, 0.5])
-    def test_fft_adjoint(self, theta):
-        op = build(SPEC32, 243, theta=theta)
-        gap = np.abs(dense(op, adjoint=True) - dense_by_columns(op, adjoint=True))
-        assert gap.max() <= 1e-14
-
-    @pytest.mark.parametrize("adjoint", [False, True])
-    def test_walsh(self, adjoint):
+    def test_walsh(self):
         op = build(SPEC32, 243, variant="WALSH")
-        gap = np.abs(dense(op, adjoint=adjoint) - dense_by_columns(op, adjoint))
+        gap = np.abs(dense(op) - dense_by_columns(op))
         assert gap.max() <= 1e-14
 
     def test_excluded_strip_columns_exactly_zero(self):

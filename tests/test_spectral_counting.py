@@ -4,11 +4,13 @@ Oracles: diagonal matrices with hand-picked spectra; the SVD rank of
 the open baker matrix (rank deficiency forces N·(1-m/a) null
 eigenvalues); the full-matrix `scipy.linalg.eig` spectrum at N <= 729,
 which the deflated Schur path must match, and which in turn is the
-oracle of the parity-split path; synthetic records with
+oracle of the parity-split path; the exact necklace spectrum of the
+Walsh baker (Nonnenmacher–Zworski); synthetic records with
 exactly geometric counts, where the log-log slope is log 2/log 3 by
 construction.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -209,6 +211,47 @@ class TestParityOracle:
         assert rec.backward_error >= coupling / math.hypot(norm, coupling)
         with pytest.raises(NoConvergence):
             block_eigenvalues(81, blocks, 10 * RESIDUAL_REL * norm)
+
+
+def walsh_necklace_spectrum(spec, k, theta=0.5):
+    """Nonzero spectrum of the Walsh baker at N = a^k, from necklaces.
+
+    With μ the nonzero eigenvalues of G_a* π_A (G_a the a-point kernel,
+    π_A the projection on the alphabet), each necklace of length k over
+    the μ, of primitive period p, gives the p-th roots of the product
+    of its first p letters.
+    """
+    idx = np.arange(spec.a) + theta
+    kernel = np.exp(-2j * np.pi * np.outer(idx, idx) / spec.a) / math.sqrt(spec.a)
+    proj = np.diag([float(j in spec.alphabet) for j in range(spec.a)])
+    mu = np.linalg.eigvals(kernel.conj().T @ proj)
+    mu = mu[np.abs(mu) > 1e-12]
+    out = []
+    for word in itertools.product(range(mu.size), repeat=k):
+        if word != min(word[i:] + word[:i] for i in range(k)):
+            continue  # not the least rotation of its necklace
+        p = next(p for p in range(1, k + 1) if word[:p] * (k // p) == word)
+        root = np.prod(mu[list(word[:p])]) ** (1.0 / p)
+        out += [root * np.exp(2j * np.pi * q / p) for q in range(p)]
+    return np.array(out)
+
+
+class TestWalshNecklaceOracle:
+    """The Walsh baker's spectrum against its exact necklace form."""
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_large_eigenvalues_match(self, k):
+        rec = eigenvalues(dense(build(SPEC32, 3 ** k, variant="WALSH")))
+        want = walsh_necklace_spectrum(SPEC32, k)
+        assert want.size == 2 ** k
+        got = rec.eigenvalues[np.abs(rec.eigenvalues) >= 0.3]
+        want = want[np.abs(want) >= 0.3]
+        assert got.size == want.size
+        moduli = np.sort(np.abs(got)) - np.sort(np.abs(want))
+        assert np.max(np.abs(moduli)) <= 1e-12
+        gap = np.abs(got[:, None] - want[None, :])
+        rows, cols = linear_sum_assignment(gap)
+        assert gap[rows, cols].max() <= 1e-12
 
 
 class TestCountAnnulus:
