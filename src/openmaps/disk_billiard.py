@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     GrazingHit,
@@ -38,6 +39,7 @@ GRAZING_BAND = 1e-12
 RAY_EPS = 1e-9          # minimum admissible flight length in the step solver
 NEWTON_TOL = 1e-12      # sup-norm gradient target, below the 1e-10 contract
 NEWTON_MAX_ITER = 120
+RAY_CHUNK = 2 ** 17     # Monte-Carlo rays per chunk: its 1-D arrays stay in cache
 
 
 @dataclass(frozen=True)
@@ -75,22 +77,19 @@ class DiskConfig:
         return math.hypot(xi - xj, yi - yj)
 
     def _hull_clearance(self, i, j, l):
-        # conv(D_j u D_l) = union over t of disks at (1-t)c_j + t c_l with
-        # radius (1-t)R_j + t R_l; clearance is min over t of the distance
-        # from c_i to that disk, minus R_i (convex in t)
-        ci = np.array(self.centers[i])
-        cj = np.array(self.centers[j])
-        cl = np.array(self.centers[l])
-        rj, rl = self.radii[j], self.radii[l]
-
-        def f(t):
-            c = (1 - t) * cj + t * cl
-            r = (1 - t) * rj + t * rl
-            return float(np.linalg.norm(ci - c)) - r
-
-        res = minimize_scalar(f, bounds=(0.0, 1.0), method="bounded",
-                              options={"xatol": 1e-12})
-        return f(res.x) - self.radii[i]
+        # conv(D_j u D_l) = union over t in [0, 1] of disks at c_j + t d with
+        # radius R_j + t dr (d = c_l - c_j, dr = R_l - R_j); the clearance is
+        # min over t of f(t) = |p - t d| - R_j - t dr, p = c_i - c_j, minus R_i.
+        # f is convex and, with q the projection parameter of p on d and h
+        # its distance from the line, f' = 0 at q + dr h / (|d| sqrt(|d|^2 - dr^2))
+        (xi, yi), (xj, yj), (xl, yl) = self.centers[i], self.centers[j], self.centers[l]
+        px, py, dx, dy = xi - xj, yi - yj, xl - xj, yl - yj
+        dr = self.radii[l] - self.radii[j]
+        dd = dx * dx + dy * dy
+        h = abs(px * dy - py * dx) / math.sqrt(dd)
+        t = (px * dx + py * dy) / dd + dr * h / math.sqrt(dd * (dd - dr * dr))
+        t = min(max(t, 0.0), 1.0)
+        return math.hypot(px - t * dx, py - t * dy) - self.radii[j] - t * dr - self.radii[i]
 
     @property
     def k(self):
@@ -401,14 +400,28 @@ def _cyclic_words(k, n):
     return [w for w in shift.words(n) if w[-1] != w[0]]
 
 
-def _least_rotation(word):
-    """(lexicographically least rotation, shift i with word[i:] + word[:i] == it)."""
-    return min((word[i:] + word[:i], i) for i in range(len(word)))
+def _necklace_classes(k, n):
+    """The `_cyclic_words` of length n as an (m, n) array, the necklaces (one
+    lexicographically least rotation per cyclic class, in order of first
+    appearance), and per word the index of its necklace and the first shift
+    i with word[i:] + word[:i] equal to it.
+
+    Equal-length words order lexicographically as their base-k codes do,
+    so the codes of every rotation of every word are one integer array.
+    """
+    words = np.array(_cyclic_words(k, n), dtype=np.int64).reshape(-1, n)
+    rot = (np.arange(n)[:, None] + np.arange(n)) % n    # rot[i]: shift by i
+    codes = words[:, rot] @ k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    shift = codes.argmin(axis=1)
+    _, first, cls = np.unique(codes.min(axis=1), return_index=True, return_inverse=True)
+    reps, rank = np.sort(first), np.argsort(np.argsort(first))
+    necklaces = np.take_along_axis(words[reps], rot[shift[reps]], axis=1)
+    return words, list(map(tuple, necklaces.tolist())), rank[cls], shift
 
 
 def _necklaces(k, n):
     """One representative (lexicographically least rotation) per cyclic class."""
-    return list(dict.fromkeys(_least_rotation(w)[0] for w in _cyclic_words(k, n)))
+    return _necklace_classes(k, n)[1]
 
 
 def _cycle_orbits(config, n):
@@ -422,13 +435,12 @@ def _cycle_orbits(config, n):
     """
     if n < 2:
         raise ValueError("depth n >= 2")
-    necklaces = _necklaces(config.k, n)
-    solved = dict(zip(necklaces, _solve_orbits(config, necklaces, closed=True)))
+    words, necklaces, cls, shift = _necklace_classes(config.k, n)
+    solved = _solve_orbits(config, necklaces, closed=True)
     orbits = {}
     dropped = 0
-    for w in _cyclic_words(config.k, n):
-        canon, i = _least_rotation(w)
-        seg = solved[canon]
+    for w, c, i in zip(map(tuple, words.tolist()), cls.tolist(), shift.tolist()):
+        seg = solved[c]
         if isinstance(seg, ShadowedPath):
             dropped += 1
             continue
@@ -448,6 +460,69 @@ def cylinder_table(config, n):
     return CylinderTable(no_repeat_shift(config.k), n, entries)
 
 
+def _pool_size():
+    """Threads for the Monte-Carlo chunks: the CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _walk_rays(config, r_out, max_bounces, disk, phi, eta):
+    """Bounce one chunk of start rays until each escapes or the cap is hit.
+
+    Returns the escape times per bounce, the flight times of the rays
+    still alive, and the flights taken per bounce from the third on;
+    each array lists its rays in start order.  A ray never hits the
+    disk it sits on, so that disk is masked out of its next hit.
+    """
+    radii = np.array(config.radii)
+    centers = np.array(config.centers)
+    (cx, cy), (ox, oy) = centers.T, centers.mean(axis=0)
+    cos, sin = np.cos(phi), np.sin(phi)
+    r = radii[disk]
+    x, y = cx[disk] + r * cos, cy[disk] + r * sin
+    root = np.sqrt(1 - eta ** 2)
+    dx, dy = root * cos - eta * sin, eta * cos + root * sin
+
+    # live rays only, compacted after every bounce (order kept)
+    time_live = np.zeros(disk.size)
+    escaped = []
+    late_flights = []
+    for bounce in range(max_bounces):
+        if time_live.size == 0:
+            break
+        t_best = np.full(time_live.size, np.inf)
+        k_best = np.full(time_live.size, -1)
+        for k in range(config.k):
+            rx, ry = x - cx[k], y - cy[k]
+            b = dx * rx + dy * ry
+            disc = b * b - (rx * rx + ry * ry - radii[k] ** 2)
+            t = -b - np.sqrt(np.maximum(disc, 0.0))
+            hit = (disc > 0) & (t > RAY_EPS) & (t < t_best) & (disk != k)
+            np.copyto(t_best, t, where=hit)
+            k_best[hit] = k
+        gone = k_best < 0
+        if gone.any():
+            rx, ry, ex, ey = x[gone] - ox, y[gone] - oy, dx[gone], dy[gone]
+            b_out = ex * rx + ey * ry
+            c_out = rx * rx + ry * ry - r_out ** 2
+            escaped.append(time_live[gone] + (-b_out + np.sqrt(b_out * b_out - c_out)))
+            stay = ~gone
+            t_best, k_best = t_best[stay], k_best[stay]
+            x, y, dx, dy, time_live = x[stay], y[stay], dx[stay], dy[stay], time_live[stay]
+        # flights past the first bounces sample the trapped dynamics
+        if bounce >= 2:
+            late_flights.append(t_best)
+        x, y = x + t_best * dx, y + t_best * dy
+        time_live = time_live + t_best
+        disk = k_best
+        r = radii[disk]
+        nx, ny = (x - cx[disk]) / r, (y - cy[disk]) / r
+        two_dot = 2 * (dx * nx + dy * ny)
+        dx, dy = dx - two_dot * nx, dy - two_dot * ny
+    return escaped, time_live, late_flights
+
+
 def escape_rate_mc(config, samples, max_bounces=100, rng_seed=0):
     """Monte-Carlo escape rate per unit flight time, with regression stderr.
 
@@ -455,6 +530,10 @@ def escape_rate_mc(config, samples, max_bounces=100, rng_seed=0):
     escapes when it misses every disk, and its escape time includes the
     final flight out to a circle circumscribing the obstacle cluster, so
     the survivor curve measures time spent inside the interaction region.
+    Rays are independent: they are walked in chunks of `RAY_CHUNK` on a
+    thread pool with one thread per CPU available to the process, and the
+    chunks are merged in order, so the result does not depend on the
+    thread count.
     Log-survivor fraction is fitted over the window where the fraction
     lies in [1e-3, 1e-1].  Escape proceeds in near-synchronized bounce
     generations, so the log-survivor curve rides a wave with the period
@@ -473,45 +552,18 @@ def escape_rate_mc(config, samples, max_bounces=100, rng_seed=0):
     disk = rng.choice(config.k, size=samples, p=radii / radii.sum())
     phi = rng.uniform(0.0, 2 * math.pi, samples)
     eta = rng.uniform(-1.0, 1.0, samples)
-    nu = np.column_stack([np.cos(phi), np.sin(phi)])
-    tau = np.column_stack([-nu[:, 1], nu[:, 0]])
-    pos = centers[disk] + radii[disk, None] * nu
-    dirs = eta[:, None] * tau + np.sqrt(1 - eta ** 2)[:, None] * nu
 
-    # live rays only, compacted after every bounce (order kept)
-    time_live = np.zeros(samples)
-    escaped = []
-    late_flights = []
-    for bounce in range(max_bounces):
-        if time_live.size == 0:
-            break
-        t_best = np.full(time_live.size, np.inf)
-        k_best = np.full(time_live.size, -1)
-        for k in range(config.k):
-            rel = pos - centers[k]
-            b = np.einsum("ij,ij->i", dirs, rel)
-            c0 = np.einsum("ij,ij->i", rel, rel) - radii[k] ** 2
-            disc = b * b - c0
-            ok = disc > 0
-            t = np.where(ok, -b - np.sqrt(np.where(ok, disc, 0.0)), np.inf)
-            hit = ok & (t > RAY_EPS) & (t < t_best)
-            t_best[hit] = t[hit]
-            k_best[hit] = k
-        gone = k_best < 0
-        rel = pos[gone] - centroid
-        b_out = np.einsum("ij,ij->i", dirs[gone], rel)
-        c_out = np.einsum("ij,ij->i", rel, rel) - r_out ** 2
-        escaped.append(time_live[gone] + (-b_out + np.sqrt(b_out * b_out - c_out)))
-        stay = ~gone
-        t_best, k_best = t_best[stay], k_best[stay]
-        # flights past the first bounces sample the trapped dynamics
-        if bounce >= 2:
-            late_flights.append(t_best)
-        d = dirs[stay]
-        pos = pos[stay] + t_best[:, None] * d
-        time_live = time_live[stay] + t_best
-        nuq = (pos - centers[k_best]) / radii[k_best, None]
-        dirs = d - 2 * np.einsum("ij,ij->i", d, nuq)[:, None] * nuq
+    def walk(lo):
+        hi = lo + RAY_CHUNK
+        return _walk_rays(config, r_out, max_bounces, disk[lo:hi], phi[lo:hi], eta[lo:hi])
+
+    with ThreadPoolExecutor(_pool_size()) as pool:
+        chunks = list(pool.map(walk, range(0, samples, RAY_CHUNK)))
+    escaped = [t for esc, _, _ in chunks for t in esc]
+    time_live = np.concatenate([live for _, live, _ in chunks])
+    # bounce by bounce, chunk by chunk: the one-array walk's order
+    late_flights = [f for i in range(max_bounces) for _, _, late in chunks
+                    for f in late[i:i + 1]]
 
     censored_min = time_live.min() if time_live.size else np.inf
     order = np.sort(np.concatenate(escaped or [np.empty(0)]))
@@ -572,6 +624,14 @@ def periodic_points(config, periods):
     return np.concatenate(pts) if pts else np.empty((0, 2))
 
 
+def _occupied_cells(pts, delta):
+    """Number of delta-boxes holding at least one of the (m, 2) points."""
+    ij = (pts // delta).astype(np.int64)
+    ij -= ij.min(axis=0)
+    # one int64 code per point: np.unique(axis=0) would sort void rows
+    return np.unique(ij[:, 0] * (ij[:, 1].max() + 1) + ij[:, 1]).size
+
+
 def trapped_box_dimension(config, max_period=12, n_scales=11):
     """Box-counting estimate of the one-sided trapped-set dimension.
 
@@ -591,11 +651,11 @@ def trapped_box_dimension(config, max_period=12, n_scales=11):
     sizes = []
     for j in range(n_scales):
         delta = spread / 2.0 / 2 ** j
-        cells = {(int(p[0] // delta), int(p[1] // delta)) for p in pts}
+        cells = _occupied_cells(pts, delta)
         # keep only scales that the finite point cloud still resolves
-        if len(cells) > len(pts) / 10:
+        if cells > len(pts) / 10:
             break
-        counts.append(len(cells))
+        counts.append(cells)
         sizes.append(delta)
     if len(counts) < 3:
         raise ValueError("not enough usable scales for a slope")

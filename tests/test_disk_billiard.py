@@ -8,8 +8,10 @@ are kept here as oracles for the vectorised analytic Hessian and for
 the one-solve-per-necklace cylinder tables.  The per-word damped Newton
 with its per-word start angles, shadow check and monodromy loop, the
 per-necklace periodic-point loop and the gather/scatter Monte-Carlo
-loop are kept as oracles for the batched solver and the compacted
-escape loop.
+loop are kept as oracles for the batched solver and the chunked,
+threaded escape loop.  The per-word least-rotation search and the
+set-of-cells box count are kept as oracles for their array forms, and
+a dense grid search for the closed-form hull clearance.
 
 Frozen analytic constants (two disks of radius 1, centers 6 apart):
     bounce orbit flight time     t = 8 per period (two flights of 4)
@@ -22,8 +24,13 @@ Equilateral three-disk system, centers 6 apart, radius 1:
 """
 
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,7 +47,9 @@ from openmaps.disk_billiard import (
     _flight_pairs,
     _initial_angles,
     _log_expansions,
+    _necklace_classes,
     _necklaces,
+    _occupied_cells,
     _total_length_grad,
     billiard_step,
     cylinder_table,
@@ -287,6 +296,19 @@ def periodic_points_oracle(config, periods):
                 tau = np.array([-nu[1], nu[0]])
                 pts.append(((seg.angles[k] % (2 * math.pi)) * r, float(out @ tau)))
     return np.array(pts)
+
+
+def least_rotation_oracle(word):
+    """(lexicographically least rotation, shift i with word[i:] + word[:i] == it)."""
+    return min((word[i:] + word[:i], i) for i in range(len(word)))
+
+
+def necklaces_oracle(k, n):
+    return list(dict.fromkeys(least_rotation_oracle(w)[0] for w in _cyclic_words(k, n)))
+
+
+def occupied_cells_oracle(pts, delta):
+    return len({(int(p[0] // delta), int(p[1] // delta)) for p in pts})
 
 
 def escape_rate_mc_oracle(config, samples, max_bounces=100, rng_seed=0):
@@ -667,6 +689,14 @@ class TestCylinderTables:
         regen = {w[i:] + w[:i] for w in neck for i in range(4)}
         assert regen == words
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_necklaces_match_least_rotation_search(self, k):
+        for n in range(2, 11):
+            assert _necklaces(k, n) == necklaces_oracle(k, n)
+            words, necklaces, cls, shift = _necklace_classes(k, n)
+            for w, c, i in zip(map(tuple, words.tolist()), cls, shift):
+                assert (necklaces[c], i) == least_rotation_oracle(w)
+
     def test_table_words_match_depth(self):
         table = cylinder_table(TRI, 4)
         assert all(len(w) == 4 for w in table.entries)
@@ -864,11 +894,31 @@ class TestEscapeRate:
         # rays still alive after 6 bounces count as survivors in the fit
         (TRI, 10**5, 6),
     ], ids=["tri", "doubled", "two_disk", "tri_censored"])
-    def test_compacted_loop_matches_gather_scatter(self, config, samples,
-                                                    max_bounces, seed):
-        # same draws, same per-ray arithmetic, same fit: exactly equal
-        got = escape_rate_mc(config, samples, max_bounces, rng_seed=seed)
-        assert got == escape_rate_mc_oracle(config, samples, max_bounces, rng_seed=seed)
+    def test_compacted_loop_matches_gather_scatter(self, monkeypatch, config,
+                                                    samples, max_bounces, seed):
+        # same draws, same per-ray arithmetic, same fit: exactly equal, with
+        # chunks small enough that the pool walks at least 25 of them, on
+        # the default pool, on one thread and on more threads than CPUs
+        chunks = []
+        real = disk_billiard._walk_rays
+
+        def counting(config, r_out, max_bounces, disk, *rest):
+            chunks.append(disk.size)
+            return real(config, r_out, max_bounces, disk, *rest)
+
+        monkeypatch.setattr(disk_billiard, "RAY_CHUNK", 2**12)
+        monkeypatch.setattr(disk_billiard, "_walk_rays", counting)
+        ref = escape_rate_mc_oracle(config, samples, max_bounces, rng_seed=seed)
+        assert escape_rate_mc(config, samples, max_bounces, rng_seed=seed) == ref
+        assert len(chunks) >= 25 and sum(chunks) == samples
+        switch = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            for workers in (1, 8):
+                monkeypatch.setattr(disk_billiard, "_pool_size", lambda: workers)
+                assert escape_rate_mc(config, samples, max_bounces, rng_seed=seed) == ref
+        finally:
+            sys.setswitchinterval(switch)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_compacted_loop_fails_like_gather_scatter(self, seed):
@@ -895,6 +945,17 @@ class TestTrappedSetGeometry:
         box = trapped_box_dimension(TRI)
         assert abs(box - d_h) < 0.05
 
+    def test_box_counts_match_cell_sets(self):
+        pts = periodic_points(TRI, range(2, 13))
+        spread = max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1]))
+        for j in range(11):
+            delta = spread / 2.0 / 2 ** j
+            assert _occupied_cells(pts, delta) == occupied_cells_oracle(pts, delta)
+        rng = np.random.default_rng(3)
+        cloud = rng.normal(0.0, 5.0, (2000, 2))
+        for delta in (0.01, 0.3, 1.0, 7.0, 100.0):
+            assert _occupied_cells(cloud, delta) == occupied_cells_oracle(cloud, delta)
+
     def test_box_dimension_needs_points(self):
         with pytest.raises(ValueError):
             trapped_box_dimension(TWO_DISK)
@@ -912,6 +973,36 @@ class TestConfigValidation:
                 centers=((0.0, 0.0), (5.0, 0.2), (10.0, 0.0)),
                 radii=(1.0, 1.0, 1.0),
             )
+
+    def test_hull_clearance_is_grid_minimum(self):
+        # the closed-form minimiser against a dense grid over the hull
+        # parameter, on random triples of pairwise disjoint disks
+        rng = np.random.default_rng(11)
+        t = np.linspace(0.0, 1.0, 10**5 + 1)
+        checked = 0
+        while checked < 200:
+            centers = rng.uniform(-10.0, 10.0, (3, 2))
+            radii = rng.uniform(0.1, 3.0, 3)
+            gaps = [np.linalg.norm(centers[a] - centers[b]) - radii[a] - radii[b]
+                    for a, b in ((0, 1), (0, 2), (1, 2))]
+            if min(gaps) <= 0:
+                continue
+            ci, cj, cl = centers
+            c = cj + t[:, None] * (cl - cj)
+            r = radii[1] + t * (radii[2] - radii[1])
+            grid = np.min(np.linalg.norm(ci - c, axis=1) - r) - radii[0]
+            config = SimpleNamespace(centers=tuple(map(tuple, centers)),
+                                     radii=tuple(radii))
+            exact = DiskConfig._hull_clearance(config, 0, 1, 2)
+            assert -1e-12 <= grid - exact <= 1e-8
+            checked += 1
+
+    def test_import_leaves_scipy_optimize_out(self):
+        src = Path(disk_billiard.__file__).resolve().parents[1]
+        code = ("import sys; import openmaps; "
+                "sys.exit('scipy.optimize' in sys.modules)")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": str(src)})
 
     def test_boundary_coord_range(self):
         with pytest.raises(ValueError):
