@@ -9,8 +9,10 @@ its files, each file with a function that renders it, called only when
 the file is written.  Timestamps and invocation details go to a
 separate metadata.json so payload bytes depend only on the config.
 
-Exit codes: 0 on success, 2 on config parse failure, 1 on any module
-error (the error class name is printed verbatim on stderr).
+Exit codes: 0 on success, 2 on config parse failure (a section or key
+the command never reads is one, and stops it before any file is
+written), 1 on any module error (the error class name is printed
+verbatim on stderr).
 """
 
 from __future__ import annotations
@@ -58,9 +60,24 @@ SVG_W, SVG_H, SVG_MARGIN = 640, 480, 40
 
 # ---------------------------------------------------------------- config
 
+class Config(dict):
+    """Parsed config, {section: {key: text}}, logging what `_get` looks up."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = set()
+
+    def unread(self):
+        """The sections never looked up, then the unread keys of the others."""
+        seen = {section for section, _ in self.read}
+        names = [f"[{s}]" for s in self if s not in seen]
+        return names + [f"[{s}] {k}" for s in self if s in seen
+                        for k in self[s] if (s, k) not in self.read]
+
+
 def parse_config(text):
     """INI-like parser: [section] headers over key=value lines."""
-    sections = {}
+    sections = Config()
     current = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -82,13 +99,15 @@ def parse_config(text):
         key = key.strip()
         if not key:
             raise ConfigParse(f"line {lineno}: empty key")
+        if key in current:
+            raise ConfigParse(f"line {lineno}: [{name}] {key} given twice")
         current[key] = val.strip()
     return sections
 
 
 def load_config(path):
     if path is None:
-        return {}
+        return Config()
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -100,6 +119,7 @@ _REQUIRED = object()
 
 
 def _get(cfg, section, key, cast, default=_REQUIRED):
+    cfg.read.add((section, key))
     sec = cfg.get(section, {})
     if key not in sec:
         if default is _REQUIRED:
@@ -332,11 +352,13 @@ def cmd_weyl_fit(cfg):
     records = [block_eigenvalues(n, *parity_blocks(build(spec, n)))
                for n in sizes]
     fit = weyl_exponent(records, nu)
-    depths = _get(cfg, "weyl", "depths", _ints, (4, 5, 6))
-    d_h = _get(cfg, "weyl", "d_h", float,
-               bowen_dimension(_tables(spec, depths)))
-    sigma_nu = _get(cfg, "weyl", "sigma_nu", float,
-                    annulus_gap_exponent(nu, d_h, math.log(spec.a)))
+    d_h = _get(cfg, "weyl", "d_h", float, None)
+    if d_h is None:
+        depths = _get(cfg, "weyl", "depths", _ints, (4, 5, 6))
+        d_h = bowen_dimension(_tables(spec, depths))
+    sigma_nu = _get(cfg, "weyl", "sigma_nu", float, None)
+    if sigma_nu is None:
+        sigma_nu = annulus_gap_exponent(nu, d_h, math.log(spec.a))
     report = bound_report(fit, d_h, sigma_nu)
     points = [[int(n), int(c)] for n, c in fit.points]
     payload = _json({"fit": {"nu": fit.nu, "points": points,
@@ -488,6 +510,8 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         payload, files = COMMANDS[args.command](cfg)
+        if unread := cfg.unread():
+            raise ConfigParse(f"not read by {args.command}: {', '.join(unread)}")
         _write_outputs(args, args.command, payload, files)
         print(payload)
     except ConfigParse as exc:

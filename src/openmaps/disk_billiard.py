@@ -1,17 +1,18 @@
-"""Planar n-disk billiard: boundary map, trapped orbits, escape rate.
+"""Planar n-disk billiard: trapped periodic orbits, escape rate.
 
 Phase space is the union of co-ball bundles of the disk boundaries:
 arclength y along a disk and tangential momentum eta in (-1, 1).  The
-outgoing ray leaves at angle asin(eta) from the outward normal; the map
-sends a boundary point to the reflected point on the first disk hit.
+outgoing ray leaves at angle asin(eta) from the outward normal; the
+bounce map sends a boundary point to the reflected point on the first
+disk hit, and `escape_rate_mc` iterates it on arrays of rays.
 
-Trapped periodic orbits are found for symbolic words (disk sequences
-with no immediate repeats), all words of one length in one batch, by
-minimizing the total flight length over the bounce angles -- the
-no-eclipse condition makes that critical point unique -- and their
-linear stability comes from the standard curvature transfer matrices
-(free flight [[1,tau],[0,1]], dispersing reflection
-[[1,0],[2*kappa/cos(phi),1]]).
+Trapped periodic orbits are found for cyclic symbolic words (disk
+sequences with no repeats, the wrap from last to first included), all
+words of one length in one batch, by minimizing the total flight length
+over the bounce angles -- the no-eclipse condition makes that critical
+point unique -- and their linear stability comes from the standard
+curvature transfer matrices (free flight [[1,tau],[0,1]], dispersing
+reflection [[1,0],[2*kappa/cos(phi),1]]).
 """
 
 from __future__ import annotations
@@ -24,19 +25,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    GrazingHit,
-    NoConvergence,
-    NotHyperbolic,
-    ShadowedPath,
-    TooFewSurvivors,
-)
+from .errors import NoConvergence, NotHyperbolic, ShadowedPath, TooFewSurvivors
 from .symbolic_pressure import CylinderTable, no_repeat_shift
 
 log = logging.getLogger(__name__)
 
-GRAZING_BAND = 1e-12
-RAY_EPS = 1e-9          # minimum admissible flight length in the step solver
+RAY_EPS = 1e-9          # minimum admissible flight length in the ray walk
 NEWTON_TOL = 1e-12      # sup-norm gradient target, below the 1e-10 contract
 NEWTON_MAX_ITER = 120
 RAY_CHUNK = 2 ** 17     # Monte-Carlo rays per chunk: its 1-D arrays stay in cache
@@ -97,86 +91,32 @@ class DiskConfig:
 
 
 @dataclass(frozen=True)
-class BoundaryCoord:
-    disk: int
-    y: float
-    eta: float
-
-    def __post_init__(self):
-        if not -1.0 < self.eta < 1.0:
-            raise ValueError(f"|eta| must be < 1, got {self.eta}")
-
-
-@dataclass(frozen=True)
 class OrbitSegment:
     word: tuple
     angles: tuple        # boundary angle (radians) per bounce
-    lengths: tuple       # flight lengths; cyclic (len n) when closed
-    logJ: float          # nan for open segments
+    lengths: tuple       # cyclic flight lengths: flight k runs from bounce k to k+1 mod n
+    logJ: float          # log of the largest monodromy eigenvalue modulus
     t_total: float
     residual: float
-    converged: bool
-    closed: bool
 
     def __post_init__(self):
         if any(l <= 0 for l in self.lengths):
             raise ValueError("flight lengths must be positive")
-        if any(a == b for a, b in zip(self.word, self.word[1:])):
-            raise ValueError("immediate repeats are inadmissible")
-        if self.converged and self.residual > 1e-10:
-            raise ValueError("converged segments must have residual <= 1e-10")
+        _check_word(self.word)
+        if self.residual > 1e-10:
+            raise ValueError("orbit segments must have residual <= 1e-10")
 
 
-def _coord_to_ray(config, c):
-    """Boundary coordinate -> (foot point, outgoing unit direction)."""
-    r = config.radii[c.disk]
-    phi = c.y / r
-    nu = np.array([math.cos(phi), math.sin(phi)])
-    tau = np.array([-nu[1], nu[0]])
-    p = np.array(config.centers[c.disk]) + r * nu
-    d = c.eta * tau + math.sqrt(1.0 - c.eta ** 2) * nu
-    return p, d
-
-
-def billiard_step(config, c):
-    """Map a boundary coordinate to the next reflection, or None on escape."""
-    p, d = _coord_to_ray(config, c)
-    t_best, k_best = math.inf, -1
-    for k in range(config.k):
-        rel = p - np.array(config.centers[k])
-        b = float(d @ rel)
-        c0 = float(rel @ rel) - config.radii[k] ** 2
-        disc = b * b - c0
-        if disc <= 0:
-            continue
-        t = -b - math.sqrt(disc)
-        if RAY_EPS < t < t_best:
-            t_best, k_best = t, k
-    if k_best < 0:
-        return None
-    q = p + t_best * d
-    r = config.radii[k_best]
-    nu = (q - np.array(config.centers[k_best])) / r
-    tau = np.array([-nu[1], nu[0]])
-    eta = float(d @ tau)            # reflection preserves the tangential part
-    if abs(eta) >= 1.0 - GRAZING_BAND:
-        raise GrazingHit(f"|eta| = {abs(eta):.17g} at disk {k_best}")
-    phi = math.atan2(nu[1], nu[0]) % (2 * math.pi)
-    return BoundaryCoord(k_best, r * phi, eta)
-
-
-def _check_word(word, closed):
+def _check_word(word):
     if len(word) < 2:
         raise ValueError("word length >= 2")
-    if any(a == b for a, b in zip(word, word[1:])):
-        raise ValueError(f"immediate repeat in word {word}")
-    if closed and word[0] == word[-1]:
-        raise ValueError(f"closed word {word} repeats cyclically")
+    if any(a == b for a, b in zip(word, word[1:] + word[:1])):
+        raise ValueError(f"word {word} repeats a symbol, cyclically")
 
 
-def _flight_pairs(n, closed):
-    """Bounce indices (k0, k1) of each flight; the last one wraps when closed."""
-    k0 = np.arange(n if closed else n - 1)
+def _flight_pairs(n):
+    """Bounce indices (k0, k1) of each flight; the last one wraps."""
+    k0 = np.arange(n)
     return k0, (k0 + 1) % n
 
 
@@ -194,23 +134,22 @@ def _bounces(config, words, phis):
     return rho, tan, np.array(config.centers)[words] + rho
 
 
-def _total_length_grad(config, words, phis, closed):
+def _total_length_grad(config, words, phis):
     """(lengths, gradient, Hessian) of the polygonal flight length in the angles.
 
-    Batched over equal-length words: (B, flights), (B, n) and (B, n, n).
-    Flight j runs from bounce k0 = j to k1 = j + 1 (mod n when closed).
+    Batched over equal-length words: (B, n), (B, n) and (B, n, n).
+    Flight j runs from bounce k0 = j to k1 = j + 1 (mod n).
     With t_k = dp_k/dphi_k the tangent and rho_k = p_k - c_k the radius
     vector (dt_k/dphi_k = -rho_k), each flight of length l and direction
     u adds -u.t0 and +u.t1 to the gradient and
         d2l/dphi0^2     = (|t0|^2 - (u.t0)^2)/l + u.rho0
         d2l/dphi1^2     = (|t1|^2 - (u.t1)^2)/l - u.rho1
         d2l/dphi0 dphi1 = -(t0.t1 - (u.t0)(u.t1))/l
-    to the Hessian, which is therefore cyclic tridiagonal (tridiagonal
-    for open words).
+    to the Hessian, which is therefore cyclic tridiagonal.
     """
     batch, n = words.shape
     rho, tan, pts = _bounces(config, words, phis)
-    k0, k1 = _flight_pairs(n, closed)
+    k0, k1 = _flight_pairs(n)
     seg = pts[:, k1] - pts[:, k0]
     ell = np.hypot(seg[..., 0], seg[..., 1])
     u = seg / ell[..., None]
@@ -229,34 +168,31 @@ def _total_length_grad(config, words, phis, closed):
     return ell, grad, hess
 
 
-def _initial_angles(config, words, closed):
+def _initial_angles(config, words):
     """Newton start angles (B, n): each bounce faces its neighbours' centers
     (along the sum of unit chords, or across it if they cancel).  That
     depends only on the (previous, own, next) disks, so it is computed once
-    per distinct triple; open words lack a neighbour (-1) past each end."""
+    per distinct triple."""
     prev, nxt = np.roll(words, 1, axis=1), np.roll(words, -1, axis=1)
-    if not closed:
-        prev[:, 0] = nxt[:, -1] = -1
     triples, where = np.unique(np.stack([prev, words, nxt], axis=-1).reshape(-1, 3),
                                axis=0, return_inverse=True)
     centers = np.array(config.centers)
     angles = []
     for before, disk, after in triples:
-        neighbors = [j for j in (before, after) if j >= 0]
         u = np.zeros(2)
-        for other in neighbors:
+        for other in (before, after):
             v = centers[other] - centers[disk]
             u = u + v / np.linalg.norm(v)
         if np.linalg.norm(u) < 1e-9:
-            v = centers[neighbors[0]] - centers[disk]
+            v = centers[before] - centers[disk]
             u = np.array([-v[1], v[0]])
         angles.append(math.atan2(u[1], u[0]))
     return np.array(angles)[where.reshape(words.shape)]
 
 
-def _shadowed(config, words, pts, closed):
+def _shadowed(config, words, pts):
     """Per word, a message naming its first flight through a third disk, or None."""
-    k0, k1 = _flight_pairs(words.shape[1], closed)
+    k0, k1 = _flight_pairs(words.shape[1])
     start = pts[:, k0, None]
     seg = pts[:, k1, None] - start
     rel = np.array(config.centers) - start              # (B, flights, disks, 2)
@@ -288,8 +224,8 @@ def _solve(a, b):
         return np.concatenate([_solve(a[i:i + 1], b[i:i + 1]) for i in range(len(a))])
 
 
-def _solve_orbits(config, words, closed=True):
-    """Length-minimizing bounce sequences of a batch of equal-length words.
+def _solve_orbits(config, words):
+    """Length-minimizing closed bounce sequences of a batch of equal-length words.
 
     Damped Newton on the total-length gradient, initialized at the
     inter-center chord angles, with the analytic cyclic tridiagonal
@@ -305,10 +241,10 @@ def _solve_orbits(config, words, closed=True):
     if not words:
         return []
     for w in words:
-        _check_word(w, closed)
+        _check_word(w)
     idx = np.array(words)
-    phis = _initial_angles(config, idx, closed)
-    _, grad, hess = _total_length_grad(config, idx, phis, closed)
+    phis = _initial_angles(config, idx)
+    _, grad, hess = _total_length_grad(config, idx, phis)
     res = np.max(np.abs(grad), axis=1)
     mu = np.full(len(words), 1e-8)
     steps = np.zeros(len(words), dtype=int)
@@ -317,7 +253,7 @@ def _solve_orbits(config, words, closed=True):
         ok = ~np.isnan(delta[:, 0])
         mu[act[~ok]] = np.maximum(mu[act[~ok]] * 10, 1e-8)
         act, trial = act[ok], phis[act[ok]] + delta[ok]
-        _, gt, ht = _total_length_grad(config, idx[act], trial, closed)
+        _, gt, ht = _total_length_grad(config, idx[act], trial)
         rt = np.max(np.abs(gt), axis=1)
         take = (rt < res[act]) | (mu[act] > 1e6)
         acc = act[take]
@@ -329,24 +265,22 @@ def _solve_orbits(config, words, closed=True):
         if r > NEWTON_TOL:
             raise NoConvergence(f"word {w}: gradient sup-norm {r:.3g}")
     phis = np.mod(phis, 2 * math.pi)
-    lengths, _, _ = _total_length_grad(config, idx, phis, closed)
-    shadow = _shadowed(config, idx, _bounces(config, idx, phis)[2], closed)
+    lengths, _, _ = _total_length_grad(config, idx, phis)
+    shadow = _shadowed(config, idx, _bounces(config, idx, phis)[2])
     clear = [i for i, s in enumerate(shadow) if s is None]
-    logj = iter(_log_expansions(config, idx[clear], phis[clear], lengths[clear])
-                if closed and clear else [])
+    logj = iter(_log_expansions(config, idx[clear], phis[clear], lengths[clear]))
     return [ShadowedPath(s) if s else OrbitSegment(
-                w, tuple(phis[i].tolist()), tuple(lengths[i].tolist()),
-                logJ=next(logj) if closed else math.nan, t_total=float(lengths[i].sum()),
-                residual=float(res[i]), converged=True, closed=closed)
+                w, tuple(phis[i].tolist()), tuple(lengths[i].tolist()), logJ=next(logj),
+                t_total=float(lengths[i].sum()), residual=float(res[i]))
             for i, (w, s) in enumerate(zip(words, shadow))]
 
 
-def orbit_for_word(config, word, closed=True):
-    """Length-minimizing bounce sequence realizing a symbolic word.
+def orbit_for_word(config, word):
+    """Length-minimizing closed bounce sequence realizing a cyclic word.
 
     The one-word case of `_solve_orbits`; a shadowed orbit raises `ShadowedPath`.
     """
-    (segment,) = _solve_orbits(config, [word], closed)
+    (segment,) = _solve_orbits(config, [word])
     if isinstance(segment, ShadowedPath):
         raise segment
     return segment
@@ -382,16 +316,6 @@ def _log_expansions(config, words, phis, lengths):
         if abs(tr) <= 2.0:
             raise NotHyperbolic(f"monodromy trace {tr:.6g} for word {tuple(word)}")
     return [math.log(m) for m in np.abs(np.linalg.eigvals(mono)).max(axis=1)]
-
-
-def stability(config, segment):
-    """log of the largest monodromy eigenvalue modulus of a closed orbit."""
-    if not segment.converged:
-        raise ValueError("segment must be converged")
-    if not segment.closed or len(segment.lengths) != len(segment.word):
-        raise ValueError("stability needs a closed segment with cyclic lengths")
-    return _log_expansions(config, np.array([segment.word]), np.array([segment.angles]),
-                           np.array([segment.lengths]))[0]
 
 
 def _cyclic_words(k, n):
@@ -436,7 +360,7 @@ def _cycle_orbits(config, n):
     if n < 2:
         raise ValueError("depth n >= 2")
     words, necklaces, cls, shift = _necklace_classes(config.k, n)
-    solved = _solve_orbits(config, necklaces, closed=True)
+    solved = _solve_orbits(config, necklaces)
     orbits = {}
     dropped = 0
     for w, c, i in zip(map(tuple, words.tolist()), cls.tolist(), shift.tolist()):

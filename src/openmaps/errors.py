@@ -35,10 +35,6 @@ class NoCycle(LabError):
 
 # disk_billiard
 
-class GrazingHit(LabError):
-    """Billiard image is within 1e-12 of tangency."""
-
-
 class NoConvergence(LabError):
     """Iterative solve did not reach tolerance."""
 

@@ -180,13 +180,9 @@ def _torus_amps(wp, N):
     return amps / math.sqrt(N)
 
 
-def to_grid(wp, target):
-    """Sample on a line grid (x_min, x_max, n_pts) or on the N-point torus."""
-    if isinstance(target, (int, np.integer)):
-        return QuantumState(int(target), _torus_amps(wp, int(target)))
-    x_min, x_max, n_pts = target
-    xs = np.linspace(float(x_min), float(x_max), int(n_pts))
-    return sample_line(wp, xs)
+def to_grid(wp, N):
+    """Sample on the N-point torus."""
+    return QuantumState(int(N), _torus_amps(wp, int(N)))
 
 
 def torus_coherent(N, rho, normalize=False):
@@ -252,32 +248,22 @@ def husimi_mass(field):
     return float(field.sum()) / (K * K)
 
 
-def coherent_grid_trace(matrix, K=None):
-    """Trace by coherent-state quadrature over the K² grid, weight N/K².
+def coherent_grid_trace(matrix):
+    """Trace by coherent-state quadrature over the N² grid, weight 1/N.
 
-    At the native grid K = N the lattice-translate phases of the torus
+    On the native grid the lattice-translate phases of the torus
     coherent states cancel exactly and each ξ0 row of rank-one projectors
     sums to N·diag(g_i²), g_i the window at x0 = i/N.  Each g_i is a
     signed roll of g₀, so Σ_i g_i² = ‖g₀‖² on every entry and the whole
     quadrature is ‖g₀‖²·tr(M): an identity of the sum, not an
-    approximation.  Other grids fall back to assembling every coherent
-    state explicitly.
+    approximation.
     """
     matrix = np.asarray(matrix, dtype=np.complex128)
     N = matrix.shape[0]
     if matrix.shape != (N, N):
         raise ValueError("square matrix expected")
-    K = N if K is None else int(K)
-    if K == N:
-        g0 = _gauss_window(N)
-        return complex(np.dot(g0, g0) * np.trace(matrix))
-    h = 1.0 / (TWO_PI * N)
-    total = 0.0 + 0.0j
-    for i1 in range(K):
-        for i2 in range(K):
-            phi = _torus_amps(translate(ground_state(h), (i1 / K, i2 / K)), N)
-            total += np.vdot(phi, matrix @ phi)
-    return complex(total * N / (K * K))
+    g0 = _gauss_window(N)
+    return complex(np.dot(g0, g0) * np.trace(matrix))
 
 
 @dataclass(frozen=True)
@@ -339,23 +325,14 @@ def _cover_distance(spec, vals, depth):
     return best
 
 
-def trapped_distance(spec, rho, depth, side="both"):
-    """Distance (sup metric) to the cylinder cover of a trapped set.
+def trapped_distance(spec, rho, depth):
+    """Distance (sup metric) to the cylinder cover of the trapped set.
 
-    "forward" measures the x coordinate against the forward-trapped set,
-    "backward" measures ξ against the backward-trapped set, and "both"
-    takes the max of the two, i.e. distance to the cover of their
-    intersection.
+    x is measured against the forward-trapped cover and ξ against the
+    backward-trapped one; the max of the two is the distance to the
+    cover of their intersection.
     """
-    x, xi = float(rho[0]), float(rho[1])
-    if side == "forward":
-        return float(_cover_distance(spec, x, depth)[0])
-    if side == "backward":
-        return float(_cover_distance(spec, xi, depth)[0])
-    if side == "both":
-        return float(max(_cover_distance(spec, x, depth)[0],
-                         _cover_distance(spec, xi, depth)[0]))
-    raise ValueError("side must be forward, backward or both")
+    return float(_cover_distance(spec, [rho[0], rho[1]], depth).max())
 
 
 def escape_g(spec, rho, params, depth=None):
@@ -375,12 +352,6 @@ def _escape_u(spec, vals, params, depth):
     eps = params.epsilon
     floor = params.m_const * eps + eps
     return np.log(floor + _cover_distance(spec, vals, depth) ** 2)
-
-
-def escape_grid(spec, K, params, depth=None):
-    """Escape weight on the (i/K, j/K) grid; separable, so O(K) work."""
-    u = _escape_u(spec, np.arange(K) / K, params, depth)
-    return u[:, None] - u[None, :]
 
 
 def _damping_symbols(spec, N, params, depth):

@@ -14,14 +14,10 @@ from hypothesis import strategies as st
 from openmaps.baker_classical import (
     BakerSpec,
     TorusPoint,
-    box_dimension_estimate,
     cylinder_table,
     forward,
     inverse,
-    survival_measure,
-    trapped_cover,
 )
-from openmaps.errors import InsufficientDepths
 from openmaps.symbolic_pressure import finite_pressure
 
 SPEC32 = BakerSpec(3, (0, 2))
@@ -140,84 +136,6 @@ def test_area_preservation_affine_image():
     hi = forward(spec, TorusPoint(x0 + wx, xi0 + wxi))
     area = (hi.x - lo.x) * (hi.xi - lo.xi)
     assert area == pytest.approx(wx * wxi, abs=1e-12)
-
-
-# -- covers -----------------------------------------------------------------
-
-def test_trapped_cover_counts_and_sides():
-    boxes = trapped_cover(SPEC32, 1, 1)
-    assert len(boxes) == 4
-    assert all(b[2] == pytest.approx(1 / 3) and b[3] == pytest.approx(1 / 3) for b in boxes)
-    xs = sorted({b[0] for b in boxes})
-    assert xs == pytest.approx([0.0, 2 / 3])
-
-    boxes2 = trapped_cover(SPEC32, 2, 2)
-    assert len(boxes2) == 16
-    assert all(b[2] == pytest.approx(1 / 9) for b in boxes2)
-
-
-def test_trapped_cover_full_alphabet_covers_torus():
-    spec = BakerSpec(2, (0, 1))
-    boxes = trapped_cover(spec, 2, 2)
-    assert len(boxes) == 16
-    assert sum(b[2] * b[3] for b in boxes) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_cover_nesting():
-    child = trapped_cover(SPEC32, 3, 3)
-    parent_nums_x = {round(b[0] * 3 ** 2) for b in trapped_cover(SPEC32, 2, 2)}
-    for x0, xi0, _sx, _sxi in child:
-        num_x = round(x0 * 3 ** 3)
-        num_xi = round(xi0 * 3 ** 3)
-        assert num_x // 3 in parent_nums_x
-        assert num_xi // 3 in parent_nums_x
-
-
-# -- dimension --------------------------------------------------------------
-
-def test_box_dimension_baker_32():
-    est = box_dimension_estimate(SPEC32, [2, 3, 4, 5, 6])
-    assert est == pytest.approx(math.log(2) / math.log(3), abs=1e-12)
-
-
-def test_box_dimension_baker_53():
-    est = box_dimension_estimate(BakerSpec(5, (0, 2, 4)), [2, 3, 4])
-    assert est == pytest.approx(math.log(3) / math.log(5), abs=1e-12)
-
-
-def test_box_dimension_full_shift():
-    est = box_dimension_estimate(BakerSpec(3, (0, 1, 2)), [2, 4])
-    assert est == pytest.approx(1.0, abs=1e-12)
-
-
-def test_box_dimension_needs_two_depths():
-    with pytest.raises(InsufficientDepths):
-        box_dimension_estimate(SPEC32, [3])
-
-
-# -- survival ---------------------------------------------------------------
-
-def test_survival_exact_values():
-    exact, _ = survival_measure(SPEC32, 4, 10, rng_seed=0)
-    assert exact == pytest.approx((2 / 3) ** 4, abs=1e-15)
-
-
-def test_survival_closed_map_total():
-    exact, mc = survival_measure(BakerSpec(2, (0, 1)), 5, 2000, rng_seed=1)
-    assert exact == 1.0
-    assert mc == 1.0
-
-
-def test_survival_mc_large_sample():
-    exact, mc = survival_measure(SPEC32, 8, 10 ** 6, rng_seed=7)
-    assert exact == pytest.approx(256 / 6561, abs=1e-15)
-    assert abs(mc - exact) <= 0.002
-
-
-def test_survival_reproducible():
-    _, mc1 = survival_measure(SPEC32, 5, 10 ** 4, rng_seed=42)
-    _, mc2 = survival_measure(SPEC32, 5, 10 ** 4, rng_seed=42)
-    assert mc1 == mc2
 
 
 # -- cylinder tables --------------------------------------------------------

@@ -18,7 +18,7 @@ from openmaps.phase_space import (
     torus_coherent,
 )
 from openmaps.quantum_baker import apply, build, parity_blocks
-from openmaps.spectral_counting import block_eigenvalues, weyl_exponent
+from openmaps.spectral_counting import annulus_gap_exponent, block_eigenvalues, weyl_exponent
 from openmaps.symbolic_pressure import pressure
 
 GAMMA_CL = 0.3690702464285426
@@ -60,6 +60,44 @@ class TestConfigParsing:
     def test_semicolon_comments_and_spacing(self):
         cfg = parse_config("; note\n[ map ]\n key = 1,2 , 3 \n")
         assert cfg == {"map": {"key": "1,2 , 3"}}
+
+    def test_duplicate_key_rejected(self):
+        with pytest.raises(ConfigParse, match=r"line 5: \[map\] a given twice"):
+            parse_config("[map]\na = 3\n[quantum]\n[map]\na = 5\n")
+
+
+class TestUnreadConfig:
+    """A section or key the command never reads stops it before any output."""
+
+    @pytest.mark.parametrize("command, config, named", [
+        # a typo for depths: the default depths would run silently
+        ("pressure", "[pressure]\ndepth = 2,3\nc_jacobian = -0.63\nc_return = 0.0\n",
+         "[pressure] depth"),
+        ("spectrum", "[quantum]\nN = 27\nn = 81\n", "[quantum] n"),
+        ("dimension", "[quantum]\nN = 27\n", "[quantum]"),
+        ("spectrum", "[quantum]\nN = 27\nN = 81\n", "[quantum] N given twice"),
+        # depths only feed the Bowen root, which a given d_h replaces
+        ("weyl-fit", "[weyl]\nN_list = 9,27,81\nnu = 0.1\nd_h = 0.63\ndepths = 4\n",
+         "[weyl] depths"),
+    ], ids=["unread_key", "unread_case_key", "unread_section", "duplicate_key",
+            "depths_beside_d_h"])
+    def test_exits_two_without_writing(self, capsys, tmp_path, command, config, named):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(config)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, [command, "--config", str(cfgfile),
+                                      "--out", str(out_dir), "--format", "all"])
+        assert code == 2
+        assert err.startswith("ConfigParse") and named in err
+        assert out == ""
+        assert not out_dir.exists()
+
+    def test_names_every_unread_entry(self, capsys, tmp_path):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text("[quantum]\nN = 27\n[map]\na = 3\nalpha = 0\n[escape]\n")
+        code, _, err = run(capsys, ["dimension", "--config", str(cfgfile)])
+        assert code == 2
+        assert "not read by dimension: [quantum], [escape], [map] alpha" in err
 
 
 def field_svg_by_cells(field):
@@ -326,7 +364,7 @@ class TestBilliardCommand:
         for row, (word, logj, t) in zip(rows, json.loads(out)["orbits"]):
             cells = row.split(",")
             assert cells[0] == "".join(map(str, word))
-            seg = orbit_for_word(config, tuple(word), closed=True)
+            seg = orbit_for_word(config, tuple(word))
             gap = np.abs(np.array([float(c) for c in cells[1:5]])
                          - np.array(seg.angles)) % (2 * math.pi)
             assert np.max(np.minimum(gap, 2 * math.pi - gap)) <= 1e-13
@@ -507,6 +545,25 @@ class TestTraceCheckCommand:
             "slope": fit.slope, "stderr": fit.stderr}
         rows = (tmp_path / "weyl-fit.csv").read_text().splitlines()
         assert rows == ["N,count"] + [f"{n},{c}" for n, c in fit.points]
+
+
+    @pytest.mark.parametrize("sigma_nu", [None, 0.1])
+    def test_weyl_fit_given_d_h_skips_the_bowen_root(self, capsys, tmp_path,
+                                                      monkeypatch, sigma_nu):
+        def no_bowen(tables):
+            raise AssertionError("the Bowen root is not needed")
+
+        monkeypatch.setattr(cli_io, "bowen_dimension", no_bowen)
+        cfgfile = tmp_path / "c.ini"
+        body = "[weyl]\nN_list = 9,27,81\nnu = 0.1\nd_h = 0.63\n"
+        if sigma_nu is not None:
+            body += f"sigma_nu = {sigma_nu}\n"
+        cfgfile.write_text(body)
+        code, out, _ = run(capsys, ["weyl-fit", "--config", str(cfgfile)])
+        assert code == 0
+        if sigma_nu is None:
+            sigma_nu = annulus_gap_exponent(0.1, 0.63, math.log(3))
+        assert json.loads(out)["report"]["exponent"] == 0.63 - sigma_nu
 
 
 # (command, config) for a quick run of every command

@@ -1,11 +1,15 @@
 """Tests for the open disk billiard.
 
-Geometric oracles come first: a finite-difference Jacobian of the bounce
-map cross-checks the analytic monodromy, and the two-disk system has a
-closed-form stability exponent.  The per-bounce flight-length loop, its
-finite-differenced Hessian and the per-word Newton solve built on them
-are kept here as oracles for the vectorised analytic Hessian and for
-the one-solve-per-necklace cylinder tables.  The per-word damped Newton
+Geometric oracles come first.  The scalar bounce map (`billiard_step`
+on a `BoundaryCoord`) lives here, not in the package: the production
+bounce map is the vectorized ray walk of `escape_rate_mc`, and this one
+only serves the finite-difference Jacobian that cross-checks the
+analytic monodromy.  The two-disk system has a closed-form stability
+exponent, and the per-bounce monodromy product checks every orbit's
+logJ.  The per-bounce flight-length loop, its finite-differenced
+Hessian and the per-word Newton solve built on them are kept here as
+oracles for the vectorised analytic Hessian and for the
+one-solve-per-necklace cylinder tables.  The per-word damped Newton
 with its per-word start angles, shadow check and monodromy loop, the
 per-necklace periodic-point loop and the gather/scatter Monte-Carlo
 loop are kept as oracles for the batched solver and the chunked,
@@ -28,7 +32,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -39,7 +43,6 @@ from hypothesis import strategies as st
 
 from openmaps import disk_billiard
 from openmaps.disk_billiard import (
-    BoundaryCoord,
     DiskConfig,
     OrbitSegment,
     _cycle_orbits,
@@ -51,16 +54,14 @@ from openmaps.disk_billiard import (
     _necklaces,
     _occupied_cells,
     _total_length_grad,
-    billiard_step,
     cylinder_table,
     escape_rate_mc,
     orbit_for_word,
     periodic_points,
-    stability,
     trapped_box_dimension,
 )
 from openmaps.errors import (
-    GrazingHit,
+    LabError,
     NoConvergence,
     NotHyperbolic,
     ShadowedPath,
@@ -81,6 +82,61 @@ UNEQUAL = DiskConfig(centers=((0.0, 0.0), (7.0, 0.5), (3.0, 6.0)),
                      radii=(1.0, 1.5, 0.7))
 DOUBLED = DiskConfig(centers=tuple((2 * x, 2 * y) for x, y in TRI.centers),
                      radii=(2.0, 2.0, 2.0))
+
+GRAZING_BAND = 1e-12
+
+
+class GrazingHit(LabError):
+    """Billiard image is within 1e-12 of tangency."""
+
+
+@dataclass(frozen=True)
+class BoundaryCoord:
+    disk: int
+    y: float
+    eta: float
+
+    def __post_init__(self):
+        if not -1.0 < self.eta < 1.0:
+            raise ValueError(f"|eta| must be < 1, got {self.eta}")
+
+
+def coord_to_ray(config, c):
+    """Boundary coordinate -> (foot point, outgoing unit direction)."""
+    r = config.radii[c.disk]
+    phi = c.y / r
+    nu = np.array([math.cos(phi), math.sin(phi)])
+    tau = np.array([-nu[1], nu[0]])
+    p = np.array(config.centers[c.disk]) + r * nu
+    d = c.eta * tau + math.sqrt(1.0 - c.eta ** 2) * nu
+    return p, d
+
+
+def billiard_step(config, c):
+    """Map a boundary coordinate to the next reflection, or None on escape."""
+    p, d = coord_to_ray(config, c)
+    t_best, k_best = math.inf, -1
+    for k in range(config.k):
+        rel = p - np.array(config.centers[k])
+        b = float(d @ rel)
+        c0 = float(rel @ rel) - config.radii[k] ** 2
+        disc = b * b - c0
+        if disc <= 0:
+            continue
+        t = -b - math.sqrt(disc)
+        if disk_billiard.RAY_EPS < t < t_best:
+            t_best, k_best = t, k
+    if k_best < 0:
+        return None
+    q = p + t_best * d
+    r = config.radii[k_best]
+    nu = (q - np.array(config.centers[k_best])) / r
+    tau = np.array([-nu[1], nu[0]])
+    eta = float(d @ tau)            # reflection preserves the tangential part
+    if abs(eta) >= 1.0 - GRAZING_BAND:
+        raise GrazingHit(f"|eta| = {abs(eta):.17g} at disk {k_best}")
+    phi = math.atan2(nu[1], nu[0]) % (2 * math.pi)
+    return BoundaryCoord(k_best, r * phi, eta)
 
 
 def bounce_jacobian(config, coord, n_steps, h=1e-7):
@@ -115,20 +171,19 @@ def point(config, disk, phi):
     return np.array([cx + r * math.cos(phi), cy + r * math.sin(phi)])
 
 
-def one_word(config, word, phis, closed):
+def one_word(config, word, phis):
     """`_total_length_grad` on a batch of one word."""
-    ell, grad, hess = _total_length_grad(config, np.array([word]),
-                                         np.array([phis]), closed)
+    ell, grad, hess = _total_length_grad(config, np.array([word]), np.array([phis]))
     return ell[0], grad[0], hess[0]
 
 
-def loop_length_grad(config, word, phis, closed):
+def loop_length_grad(config, word, phis):
     """(lengths, gradient) of the flight length, one flight at a time."""
     n = len(word)
     pts = [point(config, word[k], phis[k]) for k in range(n)]
     grad = np.zeros(n)
     lengths = []
-    for k0, k1 in zip(*_flight_pairs(n, closed)):
+    for k0, k1 in zip(*_flight_pairs(n)):
         seg = pts[k1] - pts[k0]
         ell = float(np.linalg.norm(seg))
         u = seg / ell
@@ -140,7 +195,7 @@ def loop_length_grad(config, word, phis, closed):
     return np.array(lengths), grad
 
 
-def fd_hessian(config, word, phis, closed, step=1e-6):
+def fd_hessian(config, word, phis, step=1e-6):
     """Central differences of `loop_length_grad`, symmetrized."""
     n = len(word)
     hess = np.zeros((n, n))
@@ -149,8 +204,8 @@ def fd_hessian(config, word, phis, closed, step=1e-6):
         up[k] += step
         dn = phis.copy()
         dn[k] -= step
-        _, gu = loop_length_grad(config, word, up, closed)
-        _, gd = loop_length_grad(config, word, dn, closed)
+        _, gu = loop_length_grad(config, word, up)
+        _, gd = loop_length_grad(config, word, dn)
         hess[:, k] = (gu - gd) / (2 * step)
     return 0.5 * (hess + hess.T)
 
@@ -158,40 +213,36 @@ def fd_hessian(config, word, phis, closed, step=1e-6):
 def newton_fd_oracle(config, word):
     """(logJ, t) of a closed word by damped Newton on the FD Hessian."""
     n = len(word)
-    phis = initial_angles_oracle(config, word, True)
-    _, grad = loop_length_grad(config, word, phis, True)
+    phis = initial_angles_oracle(config, word)
+    _, grad = loop_length_grad(config, word, phis)
     mu = 1e-8
     for _ in range(120):
         if np.max(np.abs(grad)) <= 1e-12:
             break
-        hess = fd_hessian(config, word, phis, True)
+        hess = fd_hessian(config, word, phis)
         while True:
             trial = phis + np.linalg.solve(hess + mu * np.eye(n), -grad)
-            _, gt = loop_length_grad(config, word, trial, True)
+            _, gt = loop_length_grad(config, word, trial)
             if np.max(np.abs(gt)) < np.max(np.abs(grad)) or mu > 1e6:
                 phis, grad = trial, gt
                 mu = max(mu / 10, 1e-12)
                 break
             mu *= 10
     assert np.max(np.abs(grad)) <= 1e-12
-    lengths, _ = loop_length_grad(config, word, np.mod(phis, 2 * math.pi), True)
+    lengths, _ = loop_length_grad(config, word, np.mod(phis, 2 * math.pi))
     seg = OrbitSegment(word, tuple(np.mod(phis, 2 * math.pi)), tuple(lengths),
-                       math.nan, float(lengths.sum()), 0.0, True, True)
+                       math.nan, float(lengths.sum()), 0.0)
     return stability_oracle(config, seg), seg.t_total
 
 
-def initial_angles_oracle(config, word, closed):
+def initial_angles_oracle(config, word):
     """Per-word Newton start: each bounce faces its neighbours' centers."""
     n = len(word)
     phis = np.zeros(n)
     for k in range(n):
         c = np.array(config.centers[word[k]])
         u = np.zeros(2)
-        neighbors = []
-        if k > 0 or closed:
-            neighbors.append(word[(k - 1) % n])
-        if k < n - 1 or closed:
-            neighbors.append(word[(k + 1) % n])
+        neighbors = [word[(k - 1) % n], word[(k + 1) % n]]
         for other in neighbors:
             v = np.array(config.centers[other]) - c
             u = u + v / np.linalg.norm(v)
@@ -202,9 +253,9 @@ def initial_angles_oracle(config, word, closed):
     return phis
 
 
-def shadow_check_oracle(config, word, pts, closed):
+def shadow_check_oracle(config, word, pts):
     """Raise ShadowedPath if a flight crosses a third disk, flight by flight."""
-    for k0, k1 in zip(*_flight_pairs(len(word), closed)):
+    for k0, k1 in zip(*_flight_pairs(len(word))):
         a, b = pts[k0], pts[k1]
         seg = b - a
         seg_len2 = float(seg @ seg)
@@ -242,11 +293,11 @@ def stability_oracle(config, segment):
     return float(math.log(max(abs(e) for e in np.linalg.eigvals(mono))))
 
 
-def orbit_oracle(config, word, closed=True):
+def orbit_oracle(config, word):
     """Per-word damped Newton on the analytic Hessian, one word at a time."""
     n = len(word)
-    phis = initial_angles_oracle(config, word, closed)
-    _, grad, hess = one_word(config, word, phis, closed)
+    phis = initial_angles_oracle(config, word)
+    _, grad, hess = one_word(config, word, phis)
     mu = 1e-8
     for _ in range(120):
         if np.max(np.abs(grad)) <= 1e-12:
@@ -258,7 +309,7 @@ def orbit_oracle(config, word, closed=True):
                 mu = max(mu * 10, 1e-8)
                 continue
             trial = phis + delta
-            _, gt, ht = one_word(config, word, trial, closed)
+            _, gt, ht = one_word(config, word, trial)
             if np.max(np.abs(gt)) < np.max(np.abs(grad)) or mu > 1e6:
                 phis, grad, hess = trial, gt, ht
                 mu = max(mu / 10, 1e-12)
@@ -267,15 +318,12 @@ def orbit_oracle(config, word, closed=True):
     residual = float(np.max(np.abs(grad)))
     assert residual <= 1e-12
     phis = np.mod(phis, 2 * math.pi)
-    shadow_check_oracle(config, word, [point(config, word[k], phis[k]) for k in range(n)],
-                        closed)
-    lengths, _, _ = one_word(config, word, phis, closed)
+    shadow_check_oracle(config, word, [point(config, word[k], phis[k]) for k in range(n)])
+    lengths, _, _ = one_word(config, word, phis)
     seg = OrbitSegment(word, tuple(float(p) for p in phis),
                        tuple(float(l) for l in lengths), math.nan,
-                       float(lengths.sum()), residual, True, closed)
-    if closed:
-        seg = replace(seg, logJ=stability_oracle(config, seg))
-    return seg
+                       float(lengths.sum()), residual)
+    return replace(seg, logJ=stability_oracle(config, seg))
 
 
 def periodic_points_oracle(config, periods):
@@ -284,7 +332,7 @@ def periodic_points_oracle(config, periods):
     for n in periods:
         for w in _necklaces(config.k, n):
             try:
-                seg = orbit_oracle(config, w, closed=True)
+                seg = orbit_oracle(config, w)
             except ShadowedPath:
                 continue
             for k in range(n):
@@ -430,8 +478,8 @@ class DampingSpy:
         def off_diagonal(h):
             return (h - np.diag(np.diag(h))).tobytes()
 
-        def grad(config, idx, phis, closed):
-            ell, g, h = real_grad(config, idx, phis, closed)
+        def grad(config, idx, phis):
+            ell, g, h = real_grad(config, idx, phis)
             for w, gi, hi in zip(map(tuple, idx.tolist()), g, h):
                 rows[off_diagonal(hi)] = (w, hi.copy())
                 if w == stuck:
@@ -457,13 +505,13 @@ class DampingSpy:
         return [mu for w, mu in self.log if w == word]
 
 
-def random_word(rng, n, closed):
-    """Uniform admissible three-disk word (cyclically admissible if closed)."""
+def random_word(rng, n):
+    """Uniform cyclically admissible three-disk word."""
     while True:
         word = [int(rng.integers(3))]
         for _ in range(n - 1):
             word.append(int((word[-1] + rng.integers(1, 3)) % 3))
-        if not closed or word[0] != word[-1]:
+        if word[0] != word[-1]:
             return tuple(word)
 
 
@@ -553,21 +601,20 @@ class TestBounceMap:
 
 class TestClosedOrbits:
     def test_two_disk_orbit_exact(self):
-        seg = orbit_for_word(TWO_DISK, (0, 1), closed=True)
-        assert seg.converged
+        seg = orbit_for_word(TWO_DISK, (0, 1))
         assert seg.t_total == pytest.approx(8.0, abs=1e-10)
         assert seg.logJ == pytest.approx(LOGJ_TWO_DISK, abs=1e-10)
         assert seg.residual < 1e-10
 
     def test_triangle_orbit_flights(self):
-        seg = orbit_for_word(TRI, (0, 1, 2), closed=True)
+        seg = orbit_for_word(TRI, (0, 1, 2))
         for ell in seg.lengths:
             assert ell == pytest.approx(FLIGHT_TRIANGLE, abs=1e-9)
         assert seg.logJ == pytest.approx(LOGJ_TRIANGLE, abs=1e-9)
 
     def test_monodromy_against_fd_jacobian_two_disk(self):
         # oracle: differentiate the actual return map at the fixed point
-        seg = orbit_for_word(TWO_DISK, (0, 1), closed=True)
+        seg = orbit_for_word(TWO_DISK, (0, 1))
         coord = BoundaryCoord(0, seg.angles[0] % (2 * math.pi), 0.0)
         J = bounce_jacobian(TWO_DISK, coord, 2)
         eigs = np.linalg.eigvals(J)
@@ -577,7 +624,7 @@ class TestClosedOrbits:
         )
 
     def test_monodromy_against_fd_jacobian_triangle(self):
-        seg = orbit_for_word(TRI, (0, 1, 2), closed=True)
+        seg = orbit_for_word(TRI, (0, 1, 2))
         y0 = seg.angles[0] % (2 * math.pi)
         # eta of the periodic orbit at the first bounce
         p0 = np.array(TRI.centers[0]) + np.array(
@@ -600,74 +647,77 @@ class TestClosedOrbits:
         )
 
     def test_word_rotation_symmetry(self):
-        a = orbit_for_word(TRI, (0, 1, 2, 1), closed=True)
-        b = orbit_for_word(TRI, (1, 2, 1, 0), closed=True)
+        a = orbit_for_word(TRI, (0, 1, 2, 1))
+        b = orbit_for_word(TRI, (1, 2, 1, 0))
         assert a.logJ == pytest.approx(b.logJ, abs=1e-9)
         assert a.t_total == pytest.approx(b.t_total, abs=1e-9)
 
     def test_disk_relabel_symmetry(self):
         # the equilateral table is invariant under rotating disk labels
-        a = orbit_for_word(TRI, (0, 1, 0, 2), closed=True)
-        b = orbit_for_word(TRI, (1, 2, 1, 0), closed=True)
+        a = orbit_for_word(TRI, (0, 1, 0, 2))
+        b = orbit_for_word(TRI, (1, 2, 1, 0))
         assert a.logJ == pytest.approx(b.logJ, abs=1e-9)
         assert a.t_total == pytest.approx(b.t_total, abs=1e-9)
-
-    def test_open_orbit_has_no_stability(self):
-        seg = orbit_for_word(TRI, (0, 1, 2), closed=False)
-        assert math.isnan(seg.logJ)
-        assert not seg.closed
 
     @given(cyclic_words(3, max_size=5))
     @settings(max_examples=40, deadline=None)
     def test_random_words_converge_and_expand(self, word):
         try:
-            seg = orbit_for_word(TRI, tuple(word), closed=True)
+            seg = orbit_for_word(TRI, tuple(word))
         except ShadowedPath:
             assume(False)
-        assert seg.converged
         assert seg.residual < 1e-9
         assert seg.logJ > 0.0
         # every flight crosses the gap between disk hulls at least once
         assert seg.t_total > 4.0 * (len(word) - 1)
 
+    @pytest.mark.parametrize("word", [(0,), (0, 0, 1), (0, 1, 0)],
+                             ids=["short", "repeat", "cyclic_repeat"])
+    def test_inadmissible_words_rejected(self, word):
+        with pytest.raises(ValueError):
+            orbit_for_word(TRI, word)
+
+    def test_segment_residual_contract(self):
+        seg = orbit_for_word(TRI, (0, 1, 2))
+        assert replace(seg, residual=1e-10).residual == 1e-10
+        with pytest.raises(ValueError, match="residual"):
+            replace(seg, residual=1e-9)
+
 
 class TestFlightLengthDerivatives:
-    @pytest.mark.parametrize("closed", [True, False])
     @pytest.mark.parametrize("n", range(2, 13))
-    def test_gradient_matches_loop(self, n, closed):
-        rng = np.random.default_rng(100 * n + closed)
-        word = random_word(rng, n, closed)
-        phis = initial_angles_oracle(TRI, word, closed) + rng.uniform(-0.2, 0.2, n)
-        lengths, grad, _ = one_word(TRI, word, phis, closed)
-        ref_lengths, ref_grad = loop_length_grad(TRI, word, phis, closed)
+    def test_gradient_matches_loop(self, n):
+        rng = np.random.default_rng(100 * n + 1)
+        word = random_word(rng, n)
+        phis = initial_angles_oracle(TRI, word) + rng.uniform(-0.2, 0.2, n)
+        lengths, grad, _ = one_word(TRI, word, phis)
+        ref_lengths, ref_grad = loop_length_grad(TRI, word, phis)
         assert np.max(np.abs(lengths - ref_lengths)) <= 1e-13 * ref_lengths.max()
         assert np.max(np.abs(grad - ref_grad)) <= 1e-13 * np.max(np.abs(ref_grad))
 
-    @pytest.mark.parametrize("closed", [True, False])
     @pytest.mark.parametrize("n", range(2, 13))
-    def test_analytic_hessian_matches_finite_differences(self, n, closed):
-        rng = np.random.default_rng(200 * n + closed)
-        word = random_word(rng, n, closed)
-        phis = initial_angles_oracle(TRI, word, closed) + rng.uniform(-0.2, 0.2, n)
-        _, _, hess = one_word(TRI, word, phis, closed)
-        ref = fd_hessian(TRI, word, phis, closed)
+    def test_analytic_hessian_matches_finite_differences(self, n):
+        rng = np.random.default_rng(200 * n + 1)
+        word = random_word(rng, n)
+        phis = initial_angles_oracle(TRI, word) + rng.uniform(-0.2, 0.2, n)
+        _, _, hess = one_word(TRI, word, phis)
+        ref = fd_hessian(TRI, word, phis)
         assert np.max(np.abs(hess - ref)) <= 1e-6 * np.max(np.abs(ref))
-        # (cyclic) tridiagonal: bounces couple only through shared flights
+        # cyclic tridiagonal: bounces couple only through shared flights
         k = np.arange(n)
         gap = np.abs(k[:, None] - k[None, :])
-        band = (gap <= 1) | (closed & (gap == n - 1))
+        band = (gap <= 1) | (gap == n - 1)
         assert np.all(hess[~band] == 0.0)
         assert np.array_equal(hess, hess.T)
 
     def test_unequal_radii_hessian(self):
         config = UNEQUAL
         rng = np.random.default_rng(7)
-        for closed in (True, False):
-            word = random_word(rng, 7, closed)
-            phis = initial_angles_oracle(config, word, closed) + rng.uniform(-0.2, 0.2, 7)
-            _, _, hess = one_word(config, word, phis, closed)
-            ref = fd_hessian(config, word, phis, closed)
-            assert np.max(np.abs(hess - ref)) <= 1e-6 * np.max(np.abs(ref))
+        word = random_word(rng, 7)
+        phis = initial_angles_oracle(config, word) + rng.uniform(-0.2, 0.2, 7)
+        _, _, hess = one_word(config, word, phis)
+        ref = fd_hessian(config, word, phis)
+        assert np.max(np.abs(hess - ref)) <= 1e-6 * np.max(np.abs(ref))
 
 
 class TestCylinderTables:
@@ -726,9 +776,9 @@ class TestCylinderTables:
         batches = []
         real = disk_billiard._solve_orbits
 
-        def counting(config, words, closed=True):
+        def counting(config, words):
             batches.append(list(words))
-            return real(config, words, closed)
+            return real(config, words)
 
         monkeypatch.setattr(disk_billiard, "_solve_orbits", counting)
         for n in range(4, 9):
@@ -743,7 +793,7 @@ class TestCylinderTables:
     @pytest.mark.parametrize("n", [4, 6])
     def test_rotated_orbits_match_direct_solves(self, n):
         for w, seg in _cycle_orbits(TRI, n).items():
-            direct = orbit_for_word(TRI, w, closed=True)
+            direct = orbit_for_word(TRI, w)
             assert seg.word == w
             assert angle_gap(seg.angles, direct.angles) <= 1e-13
             assert np.allclose(seg.lengths, direct.lengths, rtol=1e-13, atol=0)
@@ -752,9 +802,9 @@ class TestCylinderTables:
     def test_shadowed_words_are_dropped_per_word(self, monkeypatch, caplog):
         real = disk_billiard._solve_orbits
 
-        def shadow_repeats(config, words, closed=True):
+        def shadow_repeats(config, words):
             return [ShadowedPath("test") if w == (0, 1, 0, 1) else seg
-                    for w, seg in zip(words, real(config, words, closed))]
+                    for w, seg in zip(words, real(config, words))]
 
         monkeypatch.setattr(disk_billiard, "_solve_orbits", shadow_repeats)
         with caplog.at_level("WARNING", logger="openmaps.disk_billiard"):
@@ -771,16 +821,14 @@ class TestCylinderTables:
 
 class TestBatchedSolver:
     @pytest.mark.parametrize("n", range(2, 9))
-    @pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
     @pytest.mark.parametrize("config", [TRI, UNEQUAL], ids=["tri", "unequal"])
-    def test_batch_matches_per_word_newton(self, config, closed, n):
-        words = (_necklaces(3, n) if closed
-                 else disk_billiard.no_repeat_shift(3).words(n))
-        batch = disk_billiard._solve_orbits(config, words, closed)
+    def test_batch_matches_per_word_newton(self, config, n):
+        words = _necklaces(3, n)
+        batch = disk_billiard._solve_orbits(config, words)
         assert len(batch) == len(words)
         for w, seg in zip(words, batch):
             try:
-                ref = orbit_oracle(config, w, closed)
+                ref = orbit_oracle(config, w)
             except ShadowedPath:
                 assert isinstance(seg, ShadowedPath) and str(w) in str(seg)
                 continue
@@ -788,19 +836,13 @@ class TestBatchedSolver:
             assert angle_gap(seg.angles, ref.angles) <= 1e-13
             assert np.allclose(seg.lengths, ref.lengths, rtol=1e-13, atol=0)
             assert seg.t_total == pytest.approx(ref.t_total, rel=1e-13)
-            if closed:
-                assert seg.logJ == pytest.approx(ref.logJ, rel=1e-13)
-                assert stability(config, seg) == seg.logJ
-            else:
-                assert math.isnan(seg.logJ)
+            assert seg.logJ == pytest.approx(ref.logJ, rel=1e-13)
 
-    @pytest.mark.parametrize("closed", [True, False])
-    def test_start_angles_match_per_word(self, closed):
-        words = (_cyclic_words(3, 6) if closed
-                 else disk_billiard.no_repeat_shift(3).words(6))
-        got = _initial_angles(UNEQUAL, np.array(words), closed)
+    def test_start_angles_match_per_word(self):
+        words = _cyclic_words(3, 6)
+        got = _initial_angles(UNEQUAL, np.array(words))
         for w, row in zip(words, got):
-            assert np.array_equal(row, initial_angles_oracle(UNEQUAL, w, closed))
+            assert np.array_equal(row, initial_angles_oracle(UNEQUAL, w))
 
     def test_singular_solve_raises_mu_only_for_that_word(self, monkeypatch):
         words = _necklaces(3, 6)
@@ -838,6 +880,14 @@ class TestBatchedSolver:
         assert mus[16:] == pytest.approx([1e6, 1e7] * (disk_billiard.NEWTON_MAX_ITER - 1),
                                          rel=1e-6)
 
+    def test_all_shadowed_batch(self, monkeypatch):
+        monkeypatch.setattr(disk_billiard, "_shadowed",
+                            lambda config, words, pts: ["shadowed"] * len(words))
+        batch = disk_billiard._solve_orbits(TRI, _necklaces(3, 4))
+        assert [str(seg) for seg in batch] == ["shadowed"] * len(_necklaces(3, 4))
+        assert all(isinstance(seg, ShadowedPath) for seg in batch)
+        assert cylinder_table(TRI, 4).entries == {}
+
     def test_not_hyperbolic_names_the_word(self):
         words = np.array([(0, 1), (1, 0)])
         phis = np.array([(0.0, math.pi), (math.pi, 0.0)])
@@ -853,7 +903,7 @@ class TestEscapeRate:
     def test_two_disk_rate_matches_orbit_expansion(self):
         # the trapped set is one orbit; its expansion rate per unit time
         # is the escape rate
-        seg = orbit_for_word(TWO_DISK, (0, 1), closed=True)
+        seg = orbit_for_word(TWO_DISK, (0, 1))
         expect = seg.logJ / seg.t_total
         rate, err = escape_rate_mc(TWO_DISK, 10**6, rng_seed=3)
         assert rate == pytest.approx(expect, rel=0.05)

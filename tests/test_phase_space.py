@@ -4,7 +4,12 @@ The metaplectic evaluation rules are checked against independent
 numerical realizations of each symplectic generator: the Fourier
 transform by direct quadrature for J, a chirp multiplier for lower
 shears, and resampling for dilations.  Torus-side identities lean on
-the exact tight-frame property of the half-integer coherent grid.
+the exact tight-frame property of the half-integer coherent grid.  The
+escape weight on the full (i/K, j/K) grid (`escape_grid`) lives here,
+not in the package: it is the reference grid of the assembled anti-Wick
+oracle and of the pointwise and norm-bound checks.  So does the
+coherent-state quadrature on a K² grid other than the native one
+(`grid_trace_oracle`), which assembles every coherent state.
 """
 
 import math
@@ -27,6 +32,7 @@ from openmaps.errors import (
 )
 from openmaps.phase_space import (
     _damping_matrix,
+    _escape_u,
     _gauss_window,
     _signed_roll,
     _torus_amps,
@@ -37,7 +43,6 @@ from openmaps.phase_space import (
     default_depth,
     default_vartheta,
     escape_g,
-    escape_grid,
     ground_state,
     hs_trace_experiment,
     husimi,
@@ -105,6 +110,24 @@ def _trace_oracle(matrix):
     """K = N coherent-grid trace as the diagonal weighted by Σ_i g_i²."""
     weight = np.sum(_oracle_windows(matrix.shape[0]) ** 2, axis=0)
     return complex(np.sum(np.diagonal(matrix) * weight))
+
+
+def grid_trace_oracle(matrix, K):
+    """Coherent-state quadrature of tr(M) over the K² grid, weight N/K²."""
+    N = matrix.shape[0]
+    h = 1.0 / (2 * math.pi * N)
+    total = 0.0 + 0.0j
+    for i1 in range(K):
+        for i2 in range(K):
+            phi = _torus_amps(translate(ground_state(h), (i1 / K, i2 / K)), N)
+            total += np.vdot(phi, matrix @ phi)
+    return complex(total * N / (K * K))
+
+
+def escape_grid(spec, K, params, depth=None):
+    """Escape weight on the (i/K, j/K) grid; separable, so O(K) work."""
+    u = _escape_u(spec, np.arange(K) / K, params, depth)
+    return u[:, None] - u[None, :]
 
 
 def _assembled_G_oracle(spec, N, params, depth=None):
@@ -304,9 +327,9 @@ class TestLineEvaluation:
         vals = sample_line(composed, xis)
         assert phase_fit_residual(vals, oracle, xis) < 1e-8
 
-    def test_to_grid_line_target(self):
+    def test_ground_state_peak_on_line(self):
         wp = ground_state(H_REF)
-        vals = to_grid(wp, (-1.0, 1.0, 201))
+        vals = sample_line(wp, np.linspace(-1.0, 1.0, 201))
         assert vals.shape == (201,)
         assert abs(vals[100]) == pytest.approx((math.pi * H_REF) ** -0.25,
                                                rel=1e-12)
@@ -424,7 +447,8 @@ class TestCoherentTrace:
         mat = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
         tr = np.trace(mat)
         assert abs(coherent_grid_trace(mat) - tr) < 1e-6 * abs(tr)
-        assert abs(coherent_grid_trace(mat, K=2 * N) - tr) < 1e-6 * abs(tr)
+        assert abs(grid_trace_oracle(mat, 2 * N) - tr) < 1e-6 * abs(tr)
+        assert abs(grid_trace_oracle(mat, N) - coherent_grid_trace(mat)) <= 1e-12 * abs(tr)
 
 
 class TestShiftedWindow:
