@@ -82,6 +82,9 @@ UNEQUAL = DiskConfig(centers=((0.0, 0.0), (7.0, 0.5), (3.0, 6.0)),
                      radii=(1.0, 1.5, 0.7))
 DOUBLED = DiskConfig(centers=tuple((2 * x, 2 * y) for x, y in TRI.centers),
                      radii=(2.0, 2.0, 2.0))
+# four symbols: diagonal flights pass between two disks without crossing them
+SQUARE = DiskConfig(centers=((0.0, 0.0), (6.0, 0.0), (6.0, 6.0), (0.0, 6.0)),
+                    radii=(1.0, 1.0, 1.0, 1.0))
 
 GRAZING_BAND = 1e-12
 
@@ -686,22 +689,24 @@ class TestClosedOrbits:
 
 class TestFlightLengthDerivatives:
     @pytest.mark.parametrize("n", range(2, 13))
-    def test_gradient_matches_loop(self, n):
+    @pytest.mark.parametrize("config", [TRI, UNEQUAL], ids=["tri", "unequal"])
+    def test_gradient_matches_loop(self, config, n):
         rng = np.random.default_rng(100 * n + 1)
         word = random_word(rng, n)
-        phis = initial_angles_oracle(TRI, word) + rng.uniform(-0.2, 0.2, n)
-        lengths, grad, _ = one_word(TRI, word, phis)
-        ref_lengths, ref_grad = loop_length_grad(TRI, word, phis)
+        phis = initial_angles_oracle(config, word) + rng.uniform(-0.2, 0.2, n)
+        lengths, grad, _ = one_word(config, word, phis)
+        ref_lengths, ref_grad = loop_length_grad(config, word, phis)
         assert np.max(np.abs(lengths - ref_lengths)) <= 1e-13 * ref_lengths.max()
         assert np.max(np.abs(grad - ref_grad)) <= 1e-13 * np.max(np.abs(ref_grad))
 
     @pytest.mark.parametrize("n", range(2, 13))
-    def test_analytic_hessian_matches_finite_differences(self, n):
+    @pytest.mark.parametrize("config", [TRI, UNEQUAL], ids=["tri", "unequal"])
+    def test_analytic_hessian_matches_finite_differences(self, config, n):
         rng = np.random.default_rng(200 * n + 1)
         word = random_word(rng, n)
-        phis = initial_angles_oracle(TRI, word) + rng.uniform(-0.2, 0.2, n)
-        _, _, hess = one_word(TRI, word, phis)
-        ref = fd_hessian(TRI, word, phis)
+        phis = initial_angles_oracle(config, word) + rng.uniform(-0.2, 0.2, n)
+        _, _, hess = one_word(config, word, phis)
+        ref = fd_hessian(config, word, phis)
         assert np.max(np.abs(hess - ref)) <= 1e-6 * np.max(np.abs(ref))
         # cyclic tridiagonal: bounces couple only through shared flights
         k = np.arange(n)
@@ -709,15 +714,6 @@ class TestFlightLengthDerivatives:
         band = (gap <= 1) | (gap == n - 1)
         assert np.all(hess[~band] == 0.0)
         assert np.array_equal(hess, hess.T)
-
-    def test_unequal_radii_hessian(self):
-        config = UNEQUAL
-        rng = np.random.default_rng(7)
-        word = random_word(rng, 7)
-        phis = initial_angles_oracle(config, word) + rng.uniform(-0.2, 0.2, 7)
-        _, _, hess = one_word(config, word, phis)
-        ref = fd_hessian(config, word, phis)
-        assert np.max(np.abs(hess - ref)) <= 1e-6 * np.max(np.abs(ref))
 
 
 class TestCylinderTables:
@@ -753,11 +749,13 @@ class TestCylinderTables:
         assert len(table.entries) == 2**4 + 2
 
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_necklace_fill_matches_per_word_newton(self, n):
-        table = cylinder_table(TRI, n)
-        assert list(table.entries) == _cyclic_words(3, n)
+    @pytest.mark.parametrize("config", [TRI, UNEQUAL, SQUARE],
+                             ids=["tri", "unequal", "square"])
+    def test_necklace_fill_matches_per_word_newton(self, config, n):
+        table = cylinder_table(config, n)
+        assert list(table.entries) == _cyclic_words(config.k, n)
         for w, (logj, t) in table.entries.items():
-            ref_logj, ref_t = newton_fd_oracle(TRI, w)
+            ref_logj, ref_t = newton_fd_oracle(config, w)
             assert abs(logj - ref_logj) <= 1e-13 * ref_logj
             assert abs(t - ref_t) <= 1e-13 * ref_t
 
@@ -821,9 +819,10 @@ class TestCylinderTables:
 
 class TestBatchedSolver:
     @pytest.mark.parametrize("n", range(2, 9))
-    @pytest.mark.parametrize("config", [TRI, UNEQUAL], ids=["tri", "unequal"])
+    @pytest.mark.parametrize("config", [TRI, UNEQUAL, SQUARE],
+                             ids=["tri", "unequal", "square"])
     def test_batch_matches_per_word_newton(self, config, n):
-        words = _necklaces(3, n)
+        words = _necklaces(config.k, n)
         batch = disk_billiard._solve_orbits(config, words)
         assert len(batch) == len(words)
         for w, seg in zip(words, batch):
@@ -838,11 +837,13 @@ class TestBatchedSolver:
             assert seg.t_total == pytest.approx(ref.t_total, rel=1e-13)
             assert seg.logJ == pytest.approx(ref.logJ, rel=1e-13)
 
-    def test_start_angles_match_per_word(self):
-        words = _cyclic_words(3, 6)
-        got = _initial_angles(UNEQUAL, np.array(words))
+    @pytest.mark.parametrize("config", [TRI, UNEQUAL, SQUARE],
+                             ids=["tri", "unequal", "square"])
+    def test_start_angles_match_per_word(self, config):
+        words = _cyclic_words(config.k, 6)
+        got = _initial_angles(config, np.array(words))
         for w, row in zip(words, got):
-            assert np.array_equal(row, initial_angles_oracle(UNEQUAL, w))
+            assert np.array_equal(row, initial_angles_oracle(config, w))
 
     def test_singular_solve_raises_mu_only_for_that_word(self, monkeypatch):
         words = _necklaces(3, 6)
