@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Run every experiment config into out/<command>/ with all output
 # formats, from the source tree: no install needed.  On a 2-core
-# machine the chain takes about 17 s: 0.8-1.1 s of start-up per command
-# (interpreter and imports), 3.5-4 s for each weyl fit and 2 s for
-# trace-check.
+# machine the chain takes about 17-19 s: 0.7-1.0 s of start-up per
+# command (interpreter and imports), 3-4 s for each weyl fit and
+# 1.4-1.5 s for trace-check.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -403,7 +403,7 @@ def cmd_husimi_frames(cfg):
     frames = _get(cfg, "husimi", "frames", int, 3)
     K = _get(cfg, "husimi", "K", int, N)
     op = build(spec, N)
-    state = torus_coherent(N, rho0, normalize=True)
+    state = torus_coherent(N, rho0)
     masses = []
     fields = []
     for _ in range(frames):

@@ -8,10 +8,11 @@ is sampled on a grid.  The torus side discretizes packets by periodizing
 line values with a half-integer twist, which makes the N-point coherent
 family an exactly tight frame (the frame operator is a scalar), and that
 exactness is what the trace quadrature and the Husimi mass bookkeeping
-lean on.  On that grid the anti-Wick quantization of the separable
-escape weight u(x) − u(ξ) is a diagonal plus a θ=½-twisted circulant,
-both read off the grid window in O(N log N); damped propagation applies
-its exponential matrix-free by a Chebyshev series.
+lean on.  On that grid the anti-Wick quantization G of the separable
+escape weight u(x) − u(ξ) is a diagonal plus a θ=½ skew-circulant, both
+read off the grid window in O(N log N), so dense G is one O(N²) Toeplitz
+fill.  Damped propagation applies e^{-tG} matrix-free by a Chebyshev
+series; the trace experiment diagonalizes G by parity sector.
 
 Conventions: the ground profile is (πh)^{-1/4} e^{-x²/2h}; excited
 levels use physicists' Hermite polynomials scaled by 2^{-n/2}, so the
@@ -27,11 +28,13 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermval
+import scipy.linalg
 from scipy.special import ive
 
 from .errors import DegenerateFrame, DimensionCap, DimensionMismatch, NotSymplectic
 from .quantum_baker import DENSE_CAP, QuantumState, apply, build
-from .quantum_baker import _fourier_apply, _fourier_inverse_apply, _map_rows
+from .quantum_baker import _fold, _fourier_apply, _fourier_inverse_apply
+from .quantum_baker import _map_rows, _sectors, _unfold
 
 TWO_PI = 2.0 * math.pi
 DET_TOL = 1e-12
@@ -185,13 +188,10 @@ def to_grid(wp, N):
     return QuantumState(int(N), _torus_amps(wp, int(N)))
 
 
-def torus_coherent(N, rho, normalize=False):
-    """Ground coherent state centered at rho on the N-point torus."""
-    h = 1.0 / (TWO_PI * N)
-    state = to_grid(translate(ground_state(h), rho), N)
-    if normalize:
-        return QuantumState(N, state.amps / np.linalg.norm(state.amps))
-    return state
+def torus_coherent(N, rho):
+    """Unit-norm ground coherent state centered at rho on the N-point torus."""
+    amps = to_grid(translate(ground_state(1.0 / (TWO_PI * N)), rho), N).amps
+    return QuantumState(N, amps / np.linalg.norm(amps))
 
 
 def _ground_line(N, x0):
@@ -371,24 +371,21 @@ def _damping_symbols(spec, N, params, depth):
     return smooth(g0 * g0), -smooth(np.abs(_fourier_apply(g0, GRID_THETA)) ** 2)
 
 
-def _damping_apply(d, lam, v):
-    """G v along the last axis, from the symbols of `_damping_symbols`."""
-    twisted = _fourier_apply(v, GRID_THETA)
-    return d * v + _fourier_inverse_apply(lam * twisted, GRID_THETA)
-
-
 def _damping_matrix(spec, N, params, depth=None):
     """Anti-Wick quantization G of the escape weight, as a dense matrix.
 
     G = Σ_grid g(ρ) w |φ_ρ⟩⟨φ_ρ| over the N×N coherent grid with weight
     w = N/K² (K = N).  The weight g(x, ξ) = u(x) − u(ξ) is separable, so
-    G = diag(d) + F⁻¹ diag(λ) F, a diagonal plus a θ=½-twisted
-    circulant (see `_damping_symbols`).
+    G = diag(d) + F⁻¹ diag(λ) F (see `_damping_symbols`), whose second
+    term is a θ=½ skew-circulant, C_jk = c(j−k) with c(n) = e^{iπn/N}·
+    ifft(λ)[n mod N], and c(−n) = conj c(n) as λ is real: one inverse FFT
+    and an O(N²) Toeplitz fill, exactly Hermitian.
     """
     d, lam = _damping_symbols(spec, N, params, depth)
-    # applied along the rows of the identity, the map gives Gᵀ
-    G = _damping_apply(d, lam, np.eye(N)).T
-    return 0.5 * (G + G.conj().T)
+    c = np.exp(1j * np.pi * np.arange(N) / N) * np.fft.ifft(lam)
+    G = scipy.linalg.toeplitz(c, c.conj())
+    G[np.diag_indices(N)] += d
+    return G
 
 
 @dataclass(frozen=True)
@@ -444,13 +441,15 @@ def damped_propagation_experiment(spec, N, rho0, params, n_max, depth=None):
     bessel = [ive(0, z)]
     while (nxt := ive(len(bessel), z)) >= CHEB_TAIL * bessel[0]:
         bessel.append(nxt)
-    psi = torus_coherent(N, rho0, normalize=True).amps
+    psi = torus_coherent(N, rho0).amps
     w = [1.0]
     for _ in range(int(n_max)):
         v = apply(op, QuantumState(N, psi)).amps
         acc, prev, cur = bessel[0] * v, np.zeros_like(v), v
         for k in range(1, len(bessel)):
-            y_cur = (c * cur - _damping_apply(d, lam, cur)) / r
+            twisted = _fourier_apply(cur, GRID_THETA)
+            g_cur = d * cur + _fourier_inverse_apply(lam * twisted, GRID_THETA)
+            y_cur = (c * cur - g_cur) / r
             prev, cur = cur, (1.0 if k == 1 else 2.0) * y_cur - prev
             acc += 2.0 * bessel[k] * cur
         psi = math.exp(-params.t * lo) * acc
@@ -462,12 +461,21 @@ def hs_trace_experiment(spec, N_list, params, exp_params, depth=None):
     """Hilbert-Schmidt norm² of the damped n-step propagator across sizes.
 
     The step A = e^{-tG} M e^{tG} has Aⁿ = e^{-tG} Mⁿ e^{tG}, so one eigh
-    G = V Λ V* gives ‖Aⁿ‖_F = ‖core‖_F, core = (V* Mⁿ V) ⊙ e^{t(λ_j − λ_i)},
-    with Mⁿ V pushed through the map N/a columns at a time.  Up to
+    G = V Λ V* gives ‖Aⁿ‖_F = ‖core‖_F, core = (V* Mⁿ V) ⊙ e^{t(λ_j − λ_i)}.
+    V is built per sector of `quantum_baker._sectors`: where the map
+    commutes with the parity x ↦ 1 − x, G does too and is real, and
+    V = [S_b V_b] comes from two real eigh of size about N/2 on the even
+    and odd bases S_b; otherwise S is the identity.  Each S_b V_b goes
+    through the map about N/a columns at a time and gives one block of
+    the core.  `split_G` is what the split drops from G (its imaginary
+    part and cross-sector blocks) over ‖G‖_F; `split_core` bounds the
+    dropped cross-sector core blocks over ‖core‖_F by the norm of the
+    cross-sector images of Mⁿ S_b V_b times e^{t(λ_max − λ_min)}.  Up to
     N = QUADRATURE_MAX_N the trace of Aⁿ* Aⁿ is recomputed by
-    coherent-grid quadrature.  params.h is rebound to 1/(2πN) per size;
-    N above DENSE_CAP raises DimensionCap.  Returns the per-size records
-    and a least-squares exponent of log trace against log(1/h).
+    coherent-grid quadrature, summed over the sectors.  params.h is
+    rebound to 1/(2πN) per size; N above DENSE_CAP raises DimensionCap.
+    Returns the per-size records and a least-squares exponent of log
+    trace against log(1/h).
     """
     entries = []
     for N in N_list:
@@ -477,21 +485,36 @@ def hs_trace_experiment(spec, N_list, params, exp_params, depth=None):
             raise DimensionCap(f"N={N} exceeds dense cap {DENSE_CAP}")
         h = 1.0 / (TWO_PI * N)
         n = exp_params.n_steps(h)
-        evals, evecs = np.linalg.eigh(
-            _damping_matrix(spec, N, replace(params, h=h), depth))
-        rows = evecs.T.copy()  # row j is column j of V
-        for chunk in np.split(rows, spec.a):
-            for _ in range(n):
-                chunk[:] = _map_rows(op, chunk)
-        core = (evecs.conj().T @ rows.T) * np.exp(
-            params.t * (evals[None, :] - evals[:, None]))
-        direct = float(np.linalg.norm(core, "fro") ** 2)
-        quad = None
-        if N <= QUADRATURE_MAX_N:
-            power = evecs @ core @ evecs.conj().T
-            quad = float(coherent_grid_trace(power.conj().T @ power).real)
-        entries.append({"N": N, "h": h, "n": n, "trace_direct": direct,
-                        "trace_quadrature": quad})
+        G = _damping_matrix(spec, N, replace(params, h=h), depth)
+        sectors, G_norm, dropped = _sectors(op, np.arange(N)), np.linalg.norm(G), []
+        if len(sectors) > 1:  # the parity split: G is real up to round-off
+            dropped, G = [np.linalg.norm(G.imag)], G.real
+        direct, quad, leak, lam = 0.0, 0.0, [], []
+        for own in sectors:
+            others = [s for s in sectors if s is not own]
+            rows = _fold(G, own)  # S_bᵀ Gᵀ; folded again, the block S_bᵀ G S_b
+            dropped += [np.linalg.norm(_fold(rows, s)) for s in others]
+            evals, vecs = np.linalg.eigh(_fold(rows, own))
+            lam.append(evals)
+            rows = _unfold(vecs.T, own, N)  # row q: column q of S_b V_b
+            for chunk in np.array_split(rows, spec.a):
+                for _ in range(n):
+                    chunk[:] = _map_rows(op, chunk)
+            leak += [np.linalg.norm(_fold(rows, s)) for s in others]
+            core = (vecs.conj().T @ _fold(rows, own)) * np.exp(
+                params.t * (evals[None, :] - evals[:, None]))
+            direct += float(np.linalg.norm(core, "fro") ** 2)
+            if N <= QUADRATURE_MAX_N:
+                basis = _unfold(vecs.T, own, N).T
+                power = basis @ core @ basis.conj().T
+                quad += float(coherent_grid_trace(power.conj().T @ power).real)
+        weight = math.exp(params.t * np.ptp(np.concatenate(lam)))
+        entries.append({
+            "N": N, "h": h, "n": n, "trace_direct": direct,
+            "trace_quadrature": quad if N <= QUADRATURE_MAX_N else None,
+            "sectors": len(sectors),
+            "split_G": float(np.linalg.norm(dropped) / G_norm),
+            "split_core": weight * float(np.linalg.norm(leak)) / math.sqrt(direct)})
     xs = np.array([math.log(1.0 / e["h"]) for e in entries])
     ys = np.array([math.log(e["trace_direct"]) for e in entries])
     if len(entries) >= 2:

@@ -6,14 +6,18 @@ alphabet are projected away, so the matrix is subunitary of rank N·m/a.
 States live in the position basis and the semiclassical parameter is
 h = 1/(2πN).  The kernels carry a half-integer offset by default, which
 keeps the parity symmetry of the map; offset 0 reproduces the plain DFT
-convention.  Applications are FFT-structured, O(N log N); the WALSH
-variant replaces the Fourier kernel by its base-a tensor factorization.
+convention.  Applications are FFT-structured, O(N log N): the offset
+kernel's twiddles are cached per (M, θ) as read-only arrays, and a batch
+of rows is transformed in place, each allowed strip straight into one
+buffer.  The WALSH variant replaces the Fourier kernel by its base-a
+tensor factorization.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,18 +79,30 @@ def build(spec, N, variant="FFT", theta=0.5):
     return OpenMapOperator(spec=spec, N=N, variant=variant, theta=theta)
 
 
-def _fourier_apply(v, theta):
-    """Offset Fourier kernel G_M, kernel M^{-1/2} e^{-2πi(k+θ)(l+θ)/M}."""
-    M = v.shape[-1]
-    idx = np.arange(M)
-    tw = np.exp(-2j * np.pi * theta * idx / M)
-    out = np.fft.fft(tw * v) / math.sqrt(M)
-    return np.exp(-2j * np.pi * theta**2 / M) * tw * out
+@lru_cache(maxsize=64)
+def _twiddles(M, theta):
+    """Read-only (tw, post) of G_M: tw_k = e^{-2πiθk/M}, post = e^{-2πiθ²/M}·tw."""
+    tw = np.exp(-2j * np.pi * theta * np.arange(M) / M)
+    post = np.exp(-2j * np.pi * theta**2 / M) * tw
+    tw.flags.writeable = post.flags.writeable = False
+    return tw, post
 
 
-def _fourier_inverse_apply(v, theta):
-    # G is unitary and symmetric, so G^{-1} w = conj(G conj(w))
-    return np.conj(_fourier_apply(np.conj(v), theta))
+def _fourier_apply(v, theta, out=None):
+    """Offset Fourier kernel G_M, kernel M^{-1/2} e^{-2πi(k+θ)(l+θ)/M}, on
+    the last axis; in place in `out` (v itself or a view) when given."""
+    tw, post = _twiddles(v.shape[-1], theta)
+    f = np.multiply(tw, v, out=out)
+    np.fft.fft(f, out=f)
+    f /= math.sqrt(v.shape[-1])
+    # post·f, not f·post: complex multiply is not commutative bit for bit
+    return np.multiply(post, f, out=f)
+
+
+def _fourier_inverse_apply(v, theta, out=None):
+    # G is unitary and symmetric, so G^{-1} w = conj(G conj(w)); v complex
+    f = np.conjugate(v, out=out)
+    return np.conjugate(_fourier_apply(f, theta, out=f), out=f)
 
 
 def _fourier_matrix(M, theta):
@@ -113,24 +129,20 @@ def _walsh_apply(v, a, theta, inverse=False):
 
 
 def _map_rows(op, v):
-    """The open map applied along the last axis of v."""
-    a = op.spec.a
+    """The open map along the last axis of v: each allowed strip's transform
+    goes into its segment of one buffer, inverse-transformed in place."""
+    a, theta = op.spec.a, op.theta
     na = op.N // a
-    walsh = op.variant == "WALSH"
-
-    def block(seg, inverse):
-        if walsh:
-            return _walsh_apply(seg, a, op.theta, inverse=inverse)
-        if inverse:
-            return _fourier_inverse_apply(seg, op.theta)
-        return _fourier_apply(seg, op.theta)
-
     mid = np.zeros(v.shape, dtype=np.complex128)
     for j in op.spec.alphabet:
-        mid[..., j * na : (j + 1) * na] = block(
-            v[..., j * na : (j + 1) * na], inverse=False
-        )
-    return block(mid, inverse=True)
+        seg = slice(j * na, (j + 1) * na)
+        if op.variant == "WALSH":
+            mid[..., seg] = _walsh_apply(v[..., seg], a, theta)
+        else:
+            _fourier_apply(v[..., seg], theta, out=mid[..., seg])
+    if op.variant == "WALSH":
+        return _walsh_apply(mid, a, theta, inverse=True)
+    return _fourier_inverse_apply(mid, theta, out=mid)
 
 
 def apply(op, state):
@@ -158,62 +170,66 @@ def dense(op, cap=DENSE_CAP):
     return cols
 
 
-def _parity_sector(keep, N, sign):
-    """Indices i, mirrors N-1-i and their weights in one parity sector.
+def _sectors(op, keep):
+    """Bases the map splits over on the indices `keep`, each as (indices i,
+    mirrors N-1-i, weights w, v): vector q is w_q e_{i_q} + v_q e_{N-1-i_q}.
 
-    Basis vector q is w_q e_{i_q} + v_q e_{N-1-i_q}: weights 1/√2 and
-    ±1/√2 for a mirror pair, and 1 and 0 for the middle index of odd N,
-    which belongs to the even sector alone.
+    Where the map commutes with the parity e_j ↦ e_{N-1-j} (θ = ½, alphabet
+    closed under j ↦ a-1-j), the even and odd sectors: weights 1/√2 and
+    ±1/√2 for a mirror pair, 1 and 0 for the middle index of odd N, which
+    is even.  Otherwise `keep` itself is the one sector.
     """
-    half = keep[2 * keep < N - 1]
-    mid = keep[2 * keep == N - 1] if sign > 0 else keep[:0]
+    a, alphabet, N = op.spec.a, op.spec.alphabet, op.N
+    if op.theta != 0.5 or set(alphabet) != {a - 1 - j for j in alphabet}:
+        return [(keep, keep, np.ones(keep.size), np.zeros(keep.size))]
+    half, mid = keep[2 * keep < N - 1], keep[2 * keep == N - 1]
     r = np.full(half.size, math.sqrt(0.5))
-    return (np.concatenate([half, mid]), np.concatenate([N - 1 - half, mid]),
-            np.concatenate([r, np.ones(mid.size)]),
-            np.concatenate([sign * r, np.zeros(mid.size)]))
+    return [(np.concatenate([half, mid]), np.concatenate([N - 1 - half, mid]),
+             np.concatenate([r, np.ones(mid.size)]),
+             np.concatenate([r, np.zeros(mid.size)])),
+            (half, N - 1 - half, r, -r)]
+
+
+def _fold(rows, sector):
+    """Sᵀ rowsᵀ for the sector basis S: rows over N indices onto its vectors."""
+    idx, mirror, w, v = sector
+    return (rows[:, idx] * w + rows[:, mirror] * v).T
+
+
+def _unfold(coeffs, sector, N):
+    """coeffs Sᵀ as complex rows over N indices: row q is S coeffs[q]ᵀ."""
+    idx, mirror, w, v = sector
+    rows = np.zeros((coeffs.shape[0], N), dtype=np.complex128)
+    rows[:, mirror] = coeffs * v
+    rows[:, idx] = coeffs * w  # after v: the middle index is its own mirror
+    return rows
 
 
 def parity_blocks(op, cap=DENSE_CAP):
     """Kept diagonal blocks of the map in its parity basis, and their coupling.
 
-    At theta = 1/2 with an alphabet closed under j -> a-1-j, the map
-    commutes with the parity e_j -> e_{N-1-j} (x -> 1 - x), so in the
-    basis (e_j ± e_{N-1-j})/√2 it splits into an even and an odd block.
-    Only the pairs of allowed strips are kept; the others span excluded
-    columns, which are structural zeros.  Each sector's basis goes
-    through the map as one batch, and the images are folded onto the
-    kept rows of both sectors: its own gives the block, the other the
-    coupling, zero by symmetry up to round-off and returned as its
-    Frobenius norm.  Without the symmetry the one block is the
-    compression of `dense(op)` to the allowed-strip indices, with
-    coupling 0.  Either way N above `cap` raises DimensionCap, as
-    `dense` does.
+    Only the allowed-strip indices are kept; the others span excluded
+    columns, which are structural zeros.  Where the map commutes with the
+    parity (see `_sectors`), each sector's basis goes through the map as
+    one batch and the images are folded onto both sectors: its own gives
+    the block, the other the coupling, zero by symmetry up to round-off
+    and returned as its Frobenius norm.  Otherwise the one block is the
+    compression of `dense(op)` to the kept indices, with coupling 0.
+    Either way N above `cap` raises DimensionCap, as `dense` does.
 
     Returns (blocks, coupling); N minus the total block size is the
     number of structural zeros.
     """
     if op.N > cap:
         raise DimensionCap(f"N={op.N} exceeds dense cap {cap}")
-    a, alphabet = op.spec.a, op.spec.alphabet
-    na = op.N // a
-    keep = np.concatenate([np.arange(j * na, (j + 1) * na) for j in alphabet])
-    if op.theta != 0.5 or set(alphabet) != {a - 1 - j for j in alphabet}:
+    na = op.N // op.spec.a
+    keep = np.concatenate([np.arange(j * na, (j + 1) * na) for j in op.spec.alphabet])
+    sectors = _sectors(op, keep)
+    if len(sectors) == 1:
         return [dense(op, cap)[np.ix_(keep, keep)]], 0.0
-    sectors = [_parity_sector(keep, op.N, sign) for sign in (1, -1)]
-
-    def fold(images, sector):
-        idx, mirror, w, v = sector
-        return (images[:, idx] * w + images[:, mirror] * v).T
-
     blocks, coupling = [], 0.0
     for own, other in zip(sectors, sectors[::-1]):
-        idx, mirror, w, v = own
-        basis = np.zeros((idx.size, op.N), dtype=np.complex128)
-        rows = np.arange(idx.size)
-        basis[rows, mirror] = v
-        basis[rows, idx] = w  # after v: the middle index is its own mirror
-        images = _map_rows(op, basis)
-        blocks.append(fold(images, own))
-        coupling = math.hypot(coupling, np.linalg.norm(fold(images, other)))
+        images = _map_rows(op, _unfold(np.eye(own[0].size), own, op.N))
+        blocks.append(_fold(images, own))
+        coupling = math.hypot(coupling, np.linalg.norm(_fold(images, other)))
     return blocks, coupling
-

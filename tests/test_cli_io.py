@@ -484,7 +484,7 @@ class TestHusimiFramesCommand:
         code, _, _ = run(capsys, ["husimi-frames", "--config", str(cfgfile),
                                   "--out", str(tmp_path), "--format", "csv"])
         assert code == 0
-        state = torus_coherent(27, (0.25, 0.1), normalize=True)
+        state = torus_coherent(27, (0.25, 0.1))
         for i in range(2):
             lines = (tmp_path / f"husimi_{i:03d}.csv").read_text().splitlines()
             assert lines[0] == "x_index,xi_index,value"

@@ -58,6 +58,8 @@ from openmaps.phase_space import (
 from openmaps.quantum_baker import QuantumState, apply, build, dense
 
 SPEC32 = BakerSpec(3, (0, 2))
+SPEC43 = BakerSpec(4, (0, 3))
+SPEC31 = BakerSpec(3, (1,))
 CLOSED2 = BakerSpec(2, (0, 1))
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 H_REF = 0.05
@@ -149,7 +151,7 @@ def _oracle_propagation(spec, N, rho0, params, n_max, depth=None):
     evals, evecs = np.linalg.eigh(_assembled_G_oracle(spec, N, params, depth))
     damp = (evecs * np.exp(-params.t * evals)) @ evecs.conj().T
     op = build(spec, N)
-    psi = torus_coherent(N, rho0, normalize=True).amps
+    psi = torus_coherent(N, rho0).amps
     w = [1.0]
     for _ in range(n_max):
         psi = damp @ apply(op, QuantumState(N, psi)).amps
@@ -335,17 +337,22 @@ class TestLineEvaluation:
                                                rel=1e-12)
 
 
+def grid_coherent(N, rho):
+    """The coherent state as sampled on the grid, before normalization."""
+    return to_grid(translate(ground_state(1 / (2 * math.pi * N)), rho), N)
+
+
 class TestTorusDiscretization:
     def test_torus_norm_near_one(self):
-        state = torus_coherent(64, (0.5, 0.5))
+        state = grid_coherent(64, (0.5, 0.5))
         assert abs(state.norm() - 1.0) < 1e-10
 
     def test_h_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             to_grid(ground_state(H_REF), 64)
 
-    def test_normalized_flag(self):
-        state = torus_coherent(64, (0.3, 0.7), normalize=True)
+    def test_unit_norm(self):
+        state = torus_coherent(64, (0.3, 0.7))
         assert state.norm() == pytest.approx(1.0, abs=1e-14)
 
     def test_husimi_peaks_at_center(self):
@@ -391,7 +398,7 @@ class TestHusimi:
         state = QuantumState(N, amps)
         field = husimi(state, K)
         for i1, i2 in [(0, 0), (3, 17), (31, 8), (20, 20)]:
-            phi = torus_coherent(N, (i1 / K, i2 / K))
+            phi = grid_coherent(N, (i1 / K, i2 / K))
             expect = N * abs(np.vdot(state.amps, phi.amps)) ** 2
             assert field[i1, i2] == pytest.approx(expect, rel=1e-10,
                                                   abs=1e-12)
@@ -415,7 +422,7 @@ class TestHusimi:
         rho = TorusPoint(0.1, 0.3)
         image = forward(SPEC32, rho)
         op = build(SPEC32, N)
-        state = apply(op, torus_coherent(N, (rho.x, rho.xi), normalize=True))
+        state = apply(op, torus_coherent(N, (rho.x, rho.xi)))
         field = husimi(state, N)
         radius = 10.0 * math.sqrt(1.0 / (2 * math.pi * N))
         grid = np.arange(N) / N
@@ -570,7 +577,7 @@ class TestDamping:
         p = EscapeParams(h=1.0 / (2 * math.pi * N), delta=0.4, t=1.0)
         G = _damping_matrix(SPEC32, N, p)
         for rho in [(0.5, 0.05), (0.52, 0.15), (0.18, 0.5)]:
-            phi = torus_coherent(N, rho, normalize=True).amps
+            phi = torus_coherent(N, rho).amps
             qf = float(np.vdot(phi, G @ phi).real)
             target = escape_g(SPEC32, rho, p)
             assert qf == pytest.approx(target, rel=0.10)
@@ -594,11 +601,16 @@ class TestDamping:
         w = damped_propagation_experiment(CLOSED2, N, (0.3, 0.6), p, 3)
         assert np.max(np.abs(w - 1.0)) < 1e-10
 
-    @pytest.mark.parametrize("N", [27, 81, 243, 729])
-    def test_closed_form_matches_assembled_oracle(self, N):
+    @pytest.mark.parametrize("spec, N", [
+        pytest.param(spec, N, id=f"{label}{N}")
+        for spec, label, sizes in ((SPEC32, "", (27, 81, 243, 729)),
+                                   (SPEC43, "4-03-", (16, 64, 256)),
+                                   (SPEC31, "3-1-", (27, 81)))
+        for N in sizes])
+    def test_closed_form_matches_assembled_oracle(self, spec, N):
         p = EscapeParams(h=1.0 / (2 * math.pi * N), delta=0.4, t=1.0)
-        G = _damping_matrix(SPEC32, N, p)
-        oracle = _assembled_G_oracle(SPEC32, N, p)
+        G = _damping_matrix(spec, N, p)
+        oracle = _assembled_G_oracle(spec, N, p)
         assert np.linalg.norm(G - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
     @pytest.mark.parametrize("N, rho0, delta, t, depth", [
@@ -666,21 +678,31 @@ class TestTraceExperiment:
             assert rel <= 1e-4 * entry["trace_direct"]
         assert math.isfinite(out["exponent"])
 
-    @pytest.mark.parametrize("spec", [SPEC32, BakerSpec(3, (0, 1))],
-                             ids=["3-02", "3-01"])
+    @pytest.mark.parametrize("spec, sizes, sectors", [
+        (SPEC32, [27, 81, 243, 729], 2),
+        (BakerSpec(3, (0, 1)), [27, 81, 243, 729], 1),
+        (SPEC43, [16, 64, 256], 2),  # even N: no middle index
+        (SPEC31, [27, 81, 243], 2),
+    ], ids=["3-02", "3-01", "4-03", "3-1"])
     @pytest.mark.parametrize("t, delta, depth, n", [
         (1.0, 0.4, None, 0),
         (1.5, 0.3, 3, 3),
     ], ids=["n0", "n3"])
-    def test_conjugation_matches_dense_oracle(self, spec, t, delta, depth, n):
+    def test_conjugation_matches_dense_oracle(self, spec, sizes, sectors, t,
+                                              delta, depth, n):
+        # parity-symmetric alphabets split into the even and odd sectors,
+        # the others keep one complex sector
         p = EscapeParams(h=1.0, delta=delta, t=t)
         ep = ExperimentParams(vartheta=0.1, lambda_max=math.log(3),
                               n_override=n)
-        out = hs_trace_experiment(spec, [27, 81, 243, 729], p, ep, depth)
+        out = hs_trace_experiment(spec, sizes, p, ep, depth)
         for entry in out["entries"]:
             direct, quad = _trace_oracle_entry(spec, entry["N"], p, n, depth)
             assert entry["trace_direct"] == pytest.approx(direct, rel=1e-12)
             assert entry["trace_quadrature"] == pytest.approx(quad, rel=1e-12)
+            assert entry["sectors"] == sectors
+            for key in ("split_G", "split_core"):
+                assert 0.0 <= entry[key] <= 1e-10
 
     def test_size_cap_skips_quadrature(self, monkeypatch):
         monkeypatch.setattr(phase_space, "QUADRATURE_MAX_N", 27)

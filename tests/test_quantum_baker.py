@@ -62,6 +62,41 @@ def rand_state(N, seed):
     return QuantumState(N, v / np.linalg.norm(v))
 
 
+# The kernel as it was before its twiddles were cached and its batches
+# transformed in place: the in-place kernel must match it bit for bit.
+
+def fourier_apply_oracle(v, theta):
+    M = v.shape[-1]
+    idx = np.arange(M)
+    tw = np.exp(-2j * np.pi * theta * idx / M)
+    out = np.fft.fft(tw * v) / math.sqrt(M)
+    return np.exp(-2j * np.pi * theta**2 / M) * tw * out
+
+
+def fourier_inverse_apply_oracle(v, theta):
+    return np.conj(fourier_apply_oracle(np.conj(v), theta))
+
+
+def map_rows_oracle(op, v):
+    a = op.spec.a
+    na = op.N // a
+    walsh = op.variant == "WALSH"
+
+    def block(seg, inverse):
+        if walsh:
+            return quantum_baker._walsh_apply(seg, a, op.theta, inverse=inverse)
+        if inverse:
+            return fourier_inverse_apply_oracle(seg, op.theta)
+        return fourier_apply_oracle(seg, op.theta)
+
+    mid = np.zeros(v.shape, dtype=np.complex128)
+    for j in op.spec.alphabet:
+        mid[..., j * na : (j + 1) * na] = block(
+            v[..., j * na : (j + 1) * na], inverse=False
+        )
+    return block(mid, inverse=True)
+
+
 class TestKernel:
     @pytest.mark.parametrize("theta", [0.0, 0.5])
     def test_kernel_unitary(self, theta):
@@ -78,6 +113,72 @@ class TestKernel:
         assert np.max(
             np.abs(_fourier_inverse_apply(v, theta) - np.linalg.inv(G) @ v)
         ) < 1e-12
+
+
+KERNEL_CASES = [
+    pytest.param(M, theta, shape, id=f"{M}-{theta}-{'x'.join(map(str, shape))}")
+    for M in (3, 27, 729, 2187) for theta in (0.0, 0.5)
+    for shape in ((M,), (5, M))
+]
+
+
+def rand_batch(shape, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestInPlaceKernel:
+    """Cached twiddles and in-place batches against the allocating kernel."""
+
+    @pytest.mark.parametrize("M, theta, shape", KERNEL_CASES)
+    @pytest.mark.parametrize("forward", [True, False], ids=["fwd", "inv"])
+    def test_bit_identical(self, M, theta, shape, forward):
+        new, old = ((quantum_baker._fourier_apply, fourier_apply_oracle)
+                    if forward else (quantum_baker._fourier_inverse_apply,
+                                     fourier_inverse_apply_oracle))
+        v = rand_batch(shape, M)
+        expect = old(v, theta)
+        kept = v.copy()
+        assert np.array_equal(new(v, theta), expect)
+        assert np.array_equal(v, kept)  # out=None leaves the input alone
+        # out a strided column slice of a larger array
+        wide = np.zeros(shape[:-1] + (3 * M,), dtype=np.complex128)
+        view = wide[..., M : 2 * M]
+        assert new(v, theta, out=view) is view
+        assert np.array_equal(view, expect)
+        assert not np.any(wide[..., :M]) and not np.any(wide[..., 2 * M :])
+        # out aliasing the input
+        new(v, theta, out=v)
+        assert np.array_equal(v, expect)
+
+    def test_real_input(self):
+        g = np.random.Generator(np.random.Philox(9)).normal(size=81)
+        for theta in (0.0, 0.5):
+            assert np.array_equal(quantum_baker._fourier_apply(g, theta),
+                                  fourier_apply_oracle(g, theta))
+
+    def test_cached_twiddles_are_read_only(self):
+        for arr in quantum_baker._twiddles(27, 0.5):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("spec, N, variant, theta", [
+        (SPEC32, 243, "FFT", 0.5), (SPEC32, 243, "FFT", 0.0),
+        (BakerSpec(3, (0, 1)), 81, "FFT", 0.5),
+        (BakerSpec(4, (0, 3)), 64, "FFT", 0.5),
+        (SPEC32, 243, "WALSH", 0.5), (SPEC32, 81, "WALSH", 0.0),
+    ], ids=["3-02-fft", "3-02-theta0", "3-01", "4-03", "3-02-walsh",
+            "walsh-theta0"])
+    def test_dense_and_blocks_match_oracle_kernel(self, spec, N, variant,
+                                                  theta, monkeypatch):
+        op = build(spec, N, variant=variant, theta=theta)
+        mat, (blocks, coupling) = dense(op), parity_blocks(op)
+        monkeypatch.setattr(quantum_baker, "_map_rows", map_rows_oracle)
+        ref_blocks, ref_coupling = parity_blocks(op)
+        assert np.array_equal(mat, dense(op))
+        assert len(blocks) == len(ref_blocks)
+        assert all(map(np.array_equal, blocks, ref_blocks))
+        assert coupling == ref_coupling
 
 
 class TestBuild:
