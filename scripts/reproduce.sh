@@ -1,22 +1,30 @@
 #!/usr/bin/env bash
 # Run every experiment config into out/<command>/ with all output
-# formats, from the source tree: no install needed.  On a 2-core
-# machine the chain takes about 17-19 s: 0.7-1.0 s of start-up per
-# command (interpreter and imports), 3-4 s for each weyl fit and
-# 1.4-1.5 s for trace-check.
+# formats, from the source tree: no install needed.  Prints each
+# command's wall time and the chain's total.  On a 2-core x86-64 VM
+# the chain took 14.8-15.6 s (three runs): 0.75-1.05 s for each command
+# that does little more than start up (interpreter and imports),
+# 3.3-3.7 s for each weyl fit, 1.2-1.5 s for trace-check and 1.4-1.6 s
+# for husimi-frames.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 out="${1:-out}"
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
+since() {
+    awk -v a="$1" -v b="$EPOCHREALTIME" 'BEGIN { printf "%.2f s", b - a }'
+}
+
 run() {
-    local name="$1" config="$2" dir="$3"
+    local name="$1" config="$2" dir="$3" start="$EPOCHREALTIME"
     echo "== $name ($config)"
     python3 -m openmaps "$name" --config "scripts/configs/$config" \
         --out "$out/$dir" --format all
+    echo "   $name ($config): $(since "$start")"
 }
 
+chain="$EPOCHREALTIME"
 run pressure        pressure.ini       pressure
 run dimension       dimension.ini      dimension
 run sigma-curve     sigma.ini          sigma
@@ -28,4 +36,5 @@ run propagate       propagate.ini      propagate
 run husimi-frames   husimi.ini         husimi
 run trace-check     trace.ini          trace
 
+echo "chain: $(since "$chain")"
 echo "all outputs under $out/"

@@ -174,12 +174,27 @@ def _fmt(v):
     return f"{v:.2f}"
 
 
-def plot_svg(data, kind):
+def _field_cells(shape):
+    """The strings every field SVG of this shape shares: the `<rect`
+    prefix of each cell (x from i, y from j, row-major) and the 256 grey
+    fills, by level."""
+    n1, n2 = shape
+    cw = (SVG_W - 2 * SVG_MARGIN) / n1
+    ch = (SVG_H - 2 * SVG_MARGIN) / n2
+    size = f'width="{_fmt(cw)}" height="{_fmt(ch)}"'
+    xs = [_fmt(SVG_MARGIN + i * cw) for i in range(n1)]
+    ys = [_fmt(SVG_H - SVG_MARGIN - (j + 1) * ch) for j in range(n2)]
+    rects = [f'<rect x="{x}" y="{y}" {size} ' for x in xs for y in ys]
+    return rects, [f'fill="rgb({l},{l},{l})"/>' for l in range(256)]
+
+
+def plot_svg(data, kind, cells=None):
     """Render a series (list of (x, y)) or a 2D field to an SVG string.
 
     Series become a single polyline over light axes; fields become one
     grayscale rect per cell, darker for larger values.  Output bytes
-    depend only on the data.
+    depend only on the data.  A caller rendering many fields of one
+    shape passes their shared `_field_cells` as `cells`.
     """
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_W}" '
             f'height="{SVG_H}" viewBox="0 0 {SVG_W} {SVG_H}">')
@@ -217,20 +232,10 @@ def plot_svg(data, kind):
             raise ValueError("field must be finite")
         vmin = float(field.min())
         span = float(field.max()) - vmin or 1.0
-        n1, n2 = field.shape
-        cw = (SVG_W - 2 * SVG_MARGIN) / n1
-        ch = (SVG_H - 2 * SVG_MARGIN) / n2
-        # x depends only on i, y only on j; np.round and round() both
-        # round half to even
+        rects, fills = cells or _field_cells(field.shape)
+        # np.round and round() both round half to even
         levels = np.round(255 * (1.0 - (field - vmin) / span)).astype(int)
-        xs = [_fmt(SVG_MARGIN + i * cw) for i in range(n1)]
-        ys = [_fmt(SVG_H - SVG_MARGIN - (j + 1) * ch) for j in range(n2)]
-        size = f'width="{_fmt(cw)}" height="{_fmt(ch)}"'
-        for x, row in zip(xs, levels.tolist()):
-            parts.extend(
-                f'<rect x="{x}" y="{y}" {size} '
-                f'fill="rgb({level},{level},{level})"/>'
-                for y, level in zip(ys, row))
+        parts.extend(map(str.__add__, rects, map(fills.__getitem__, levels.ravel().tolist())))
     else:
         raise ValueError(f"unknown plot kind {kind!r}")
     parts.append("</svg>")
@@ -254,12 +259,12 @@ def _csv(header, rows):
     return line.format(*header) + "".join(starmap(line.format, rows))
 
 
-def _husimi_csv(field):
-    """One x_index,xi_index,value row per cell of a Husimi field."""
-    i, j = np.indices(field.shape)
-    return _csv(("x_index", "xi_index", "value"),
-                zip(i.ravel().tolist(), j.ravel().tolist(),
-                    field.ravel().tolist()))
+def _husimi_csv(field, prefixes):
+    """One x_index,xi_index,value row per cell of a Husimi field, as `_csv`
+    writes it; `prefixes` holds each cell's line break and "i,j," prefix,
+    row-major, shared by the fields of one shape."""
+    values = map(repr, field.ravel().tolist())
+    return "x_index,xi_index,value" + "".join(map(str.__add__, prefixes, values)) + "\n"
 
 
 def _files(header, rows, series=None):
@@ -413,16 +418,27 @@ def cmd_husimi_frames(cfg):
         state = apply(op, state)
     payload = _json({"N": N, "K": K, "frames": frames,
                      "masses": [float(m) for m in masses]})
+    # every frame is K x K, so its CSV row prefixes and SVG cell strings
+    # are built once, when the first file that needs them is written
+    prefixes = cache(lambda: [f"\n{i},{j}," for i in range(K) for j in range(K)])
+    cells = cache(partial(_field_cells, (K, K)))
+
+    def csv(field):
+        return _husimi_csv(field, prefixes())
+
+    def svg(field):
+        return plot_svg(field, kind="field", cells=cells())
+
     files = []
     for i, field in enumerate(fields):
-        svg = partial(plot_svg, field, kind="field")
+        render = partial(svg, field)
         if i == frames - 1:
             # the last frame's SVG is also the command's own: cached, so
             # it is rendered once
-            svg = cache(svg)
-            files.append((None, "svg", svg))
-        files += [(f"husimi_{i:03d}", "csv", partial(_husimi_csv, field)),
-                  (f"husimi_{i:03d}", "svg", svg)]
+            render = cache(render)
+            files.append((None, "svg", render))
+        files += [(f"husimi_{i:03d}", "csv", partial(csv, field)),
+                  (f"husimi_{i:03d}", "svg", render)]
     return payload, files
 
 

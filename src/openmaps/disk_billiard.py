@@ -4,15 +4,19 @@ Phase space is the union of co-ball bundles of the disk boundaries:
 arclength y along a disk and tangential momentum eta in (-1, 1).  The
 outgoing ray leaves at angle asin(eta) from the outward normal; the
 bounce map sends a boundary point to the reflected point on the first
-disk hit, and `escape_rate_mc` iterates it on arrays of rays.
+disk hit, and `escape_rate_mc` iterates it on arrays of rays, each
+chunk of rays drawn by its own worker at its offset in the seed's
+Philox streams.
 
 Trapped periodic orbits are found for cyclic symbolic words (disk
-sequences with no repeats, the wrap from last to first included), all
-words of one length in one batch, by minimizing the total flight length
-over the bounce angles -- the no-eclipse condition makes that critical
-point unique -- and their linear stability comes from the standard
-curvature transfer matrices (free flight [[1,tau],[0,1]], dispersing
-reflection [[1,0],[2*kappa/cos(phi),1]]).
+sequences with no repeats, the wrap from last to first included), held
+as one integer array per length, all words of one length in one batch,
+by minimizing the total flight length over the bounce angles -- the
+no-eclipse condition makes that critical point unique -- and their
+linear stability comes from the standard curvature transfer matrices
+(free flight [[1,tau],[0,1]], dispersing reflection
+[[1,0],[2*kappa/cos(phi),1]]).  A solved batch is an `OrbitBatch` of
+arrays; only `orbit_for_word` and `_cycle_orbits` build `OrbitSegment`s.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,18 +105,53 @@ class OrbitSegment:
     residual: float
 
     def __post_init__(self):
-        if any(l <= 0 for l in self.lengths):
-            raise ValueError("flight lengths must be positive")
-        _check_word(self.word)
-        if self.residual > 1e-10:
-            raise ValueError("orbit segments must have residual <= 1e-10")
+        _check_orbits(np.array([self.word]), np.array([self.lengths]),
+                      np.array([self.residual]))
 
 
-def _check_word(word):
-    if len(word) < 2:
+class OrbitBatch(NamedTuple):
+    """Closed orbits of a batch of equal-length words, one row per word.
+
+    A row whose `shadow` message is set crosses a third disk: it is the
+    message of its unraised `ShadowedPath`, and its logJ is NaN.
+    """
+
+    words: np.ndarray       # (B, n) disk indices
+    angles: np.ndarray      # (B, n) boundary angles in [0, 2 pi)
+    lengths: np.ndarray     # (B, n) cyclic flight lengths
+    residual: np.ndarray    # (B,) gradient sup-norm
+    logJ: np.ndarray        # (B,)
+    shadow: list            # (B,) message or None
+
+    @property
+    def clear(self):
+        return np.array([s is None for s in self.shadow], dtype=bool)
+
+    @property
+    def t_total(self):
+        # row by row: a 1-D sum adds in numpy's pairwise order, which an
+        # axis=1 sum does not keep from n = 8 on
+        return np.fromiter(map(np.sum, self.lengths), float, len(self.lengths))
+
+
+def _check_words(words):
+    """Raise ValueError unless every row of the (B, n) array is a cyclic word."""
+    if words.shape[1] < 2:
         raise ValueError("word length >= 2")
-    if any(a == b for a, b in zip(word, word[1:] + word[:1])):
+    repeats = (words == np.roll(words, -1, axis=1)).any(axis=1)
+    if repeats.any():
+        word = tuple(words[repeats.argmax()].tolist())
         raise ValueError(f"word {word} repeats a symbol, cyclically")
+
+
+def _check_orbits(words, lengths, residual):
+    """The `OrbitSegment` contract on arrays: positive flight lengths,
+    cyclic words and residual <= 1e-10, row by row."""
+    if not (lengths > 0).all():
+        raise ValueError("flight lengths must be positive")
+    _check_words(words)
+    if not (residual <= 1e-10).all():
+        raise ValueError("orbit segments must have residual <= 1e-10")
 
 
 def _flight_pairs(n):
@@ -172,13 +212,14 @@ def _initial_angles(config, words):
     """Newton start angles (B, n): each bounce faces its neighbours' centers
     (along the sum of unit chords, or across it if they cancel).  That
     depends only on the (previous, own, next) disks, so it is computed once
-    per distinct triple."""
+    per distinct triple, keyed by the triple's base-k code."""
+    k = config.k
     prev, nxt = np.roll(words, 1, axis=1), np.roll(words, -1, axis=1)
-    triples, where = np.unique(np.stack([prev, words, nxt], axis=-1).reshape(-1, 3),
-                               axis=0, return_inverse=True)
+    codes, where = np.unique((prev * k + words) * k + nxt, return_inverse=True)
     centers = np.array(config.centers)
     angles = []
-    for before, disk, after in triples:
+    for code in codes.tolist():
+        before, disk, after = code // (k * k), code // k % k, code % k
         u = np.zeros(2)
         for other in (before, after):
             v = centers[other] - centers[disk]
@@ -225,7 +266,7 @@ def _solve(a, b):
 
 
 def _solve_orbits(config, words):
-    """Length-minimizing closed bounce sequences of a batch of equal-length words.
+    """Length-minimizing closed bounce sequences of a (B, n) array of words.
 
     Damped Newton on the total-length gradient, initialized at the
     inter-center chord angles, with the analytic cyclic tridiagonal
@@ -233,27 +274,23 @@ def _solve_orbits(config, words):
     stacked solve per sweep, each word with its own damping mu: a step
     that lowers its gradient sup-norm (or any step once mu > 1e6) is
     taken and mu falls tenfold; otherwise, or if its damped Hessian is
-    singular, mu rises tenfold.  Returns an `OrbitSegment` per word, in
-    order, or the (unraised) `ShadowedPath` of a word whose orbit
-    crosses a third disk; raises `NoConvergence` naming the word.
+    singular, mu rises tenfold.  Returns the `OrbitBatch` of the words,
+    in order, with the (unraised) `ShadowedPath` message of each word
+    whose orbit crosses a third disk; raises `NoConvergence` naming the
+    word, and holds the other rows to the `OrbitSegment` contract.
     """
-    words = [tuple(w) for w in words]
-    if not words:
-        return []
-    for w in words:
-        _check_word(w)
-    idx = np.array(words)
-    phis = _initial_angles(config, idx)
-    _, grad, hess = _total_length_grad(config, idx, phis)
+    _check_words(words)
+    phis = _initial_angles(config, words)
+    _, grad, hess = _total_length_grad(config, words, phis)
     res = np.max(np.abs(grad), axis=1)
     mu = np.full(len(words), 1e-8)
     steps = np.zeros(len(words), dtype=int)
     while (act := np.flatnonzero((res > NEWTON_TOL) & (steps < NEWTON_MAX_ITER))).size:
-        delta = _solve(hess[act] + mu[act, None, None] * np.eye(idx.shape[1]), -grad[act])
+        delta = _solve(hess[act] + mu[act, None, None] * np.eye(words.shape[1]), -grad[act])
         ok = ~np.isnan(delta[:, 0])
         mu[act[~ok]] = np.maximum(mu[act[~ok]] * 10, 1e-8)
         act, trial = act[ok], phis[act[ok]] + delta[ok]
-        _, gt, ht = _total_length_grad(config, idx[act], trial)
+        _, gt, ht = _total_length_grad(config, words[act], trial)
         rt = np.max(np.abs(gt), axis=1)
         take = (rt < res[act]) | (mu[act] > 1e6)
         acc = act[take]
@@ -261,18 +298,26 @@ def _solve_orbits(config, words):
         mu[acc] = np.maximum(mu[acc] / 10, 1e-12)
         steps[acc] += 1
         mu[act[~take]] *= 10
-    for w, r in zip(words, res):
-        if r > NEWTON_TOL:
-            raise NoConvergence(f"word {w}: gradient sup-norm {r:.3g}")
+    stuck = res > NEWTON_TOL
+    if stuck.any():
+        i = stuck.argmax()
+        word = tuple(words[i].tolist())
+        raise NoConvergence(f"word {word}: gradient sup-norm {res[i]:.3g}")
     phis = np.mod(phis, 2 * math.pi)
-    lengths, _, _ = _total_length_grad(config, idx, phis)
-    shadow = _shadowed(config, idx, _bounces(config, idx, phis)[2])
-    clear = [i for i, s in enumerate(shadow) if s is None]
-    logj = iter(_log_expansions(config, idx[clear], phis[clear], lengths[clear]))
-    return [ShadowedPath(s) if s else OrbitSegment(
-                w, tuple(phis[i].tolist()), tuple(lengths[i].tolist()), logJ=next(logj),
-                t_total=float(lengths[i].sum()), residual=float(res[i]))
-            for i, (w, s) in enumerate(zip(words, shadow))]
+    lengths, _, _ = _total_length_grad(config, words, phis)
+    shadow = _shadowed(config, words, _bounces(config, words, phis)[2])
+    batch = OrbitBatch(words, phis, lengths, res, np.full(len(words), np.nan), shadow)
+    clear = batch.clear
+    _check_orbits(words[clear], lengths[clear], res[clear])
+    batch.logJ[clear] = _log_expansions(config, words[clear], phis[clear], lengths[clear])
+    return batch
+
+
+def _segments(words, angles, lengths, logj, t_total, residual):
+    """One `OrbitSegment` per row of the aligned arrays."""
+    return [OrbitSegment(tuple(w), tuple(a), tuple(l), lj, t, r)
+            for w, a, l, lj, t, r in zip(words.tolist(), angles.tolist(), lengths.tolist(),
+                                         logj.tolist(), t_total.tolist(), residual.tolist())]
 
 
 def orbit_for_word(config, word):
@@ -280,9 +325,10 @@ def orbit_for_word(config, word):
 
     The one-word case of `_solve_orbits`; a shadowed orbit raises `ShadowedPath`.
     """
-    (segment,) = _solve_orbits(config, [word])
-    if isinstance(segment, ShadowedPath):
-        raise segment
+    b = _solve_orbits(config, np.array([word]))
+    if b.shadow[0]:
+        raise ShadowedPath(b.shadow[0])
+    (segment,) = _segments(b.words, b.angles, b.lengths, b.logJ, b.t_total, b.residual)
     return segment
 
 
@@ -312,35 +358,57 @@ def _log_expansions(config, words, phis, lengths):
     for k in range(n):
         mono = refl[:, (k + 1) % n] @ flight[:, k] @ mono
     trace = mono[:, 0, 0] + mono[:, 1, 1]
-    for word, tr in zip(words.tolist(), trace):
-        if abs(tr) <= 2.0:
-            raise NotHyperbolic(f"monodromy trace {tr:.6g} for word {tuple(word)}")
-    return [math.log(m) for m in np.abs(np.linalg.eigvals(mono)).max(axis=1)]
+    flat = np.abs(trace) <= 2.0
+    if flat.any():
+        i = flat.argmax()
+        word = tuple(words[i].tolist())
+        raise NotHyperbolic(f"monodromy trace {trace[i]:.6g} for word {word}")
+    return np.fromiter(map(math.log, np.abs(np.linalg.eigvals(mono)).max(axis=1)),
+                       float, batch)
 
 
 def _cyclic_words(k, n):
-    """Directed words of length n admissible as cycles (no repeats, incl. wrap)."""
-    shift = no_repeat_shift(k)
-    return [w for w in shift.words(n) if w[-1] != w[0]]
+    """Directed words of length n admissible as cycles (no repeats, incl.
+    wrap), as one (m, n) int64 array in lexicographic order.
+
+    After the first symbol each one is one of the k - 1 others: digit e
+    in base k - 1 stands for e + (e >= previous symbol).  That map keeps
+    the order, so counting through (first symbol, n - 1 digits) lists
+    the words lexicographically.
+    """
+    if n < 1:
+        raise ValueError("n >= 1")
+    count = (k - 1) ** (n - 1)
+    index = np.arange(k * count, dtype=np.int64)
+    words = np.empty((k * count, n), dtype=np.int64)
+    words[:, 0] = index // count
+    for i in range(1, n):
+        digit = index // (k - 1) ** (n - 1 - i) % (k - 1)
+        words[:, i] = digit + (digit >= words[:, i - 1])
+    return words[words[:, -1] != words[:, 0]]
 
 
 def _necklace_classes(k, n):
     """The `_cyclic_words` of length n as an (m, n) array, the necklaces (one
     lexicographically least rotation per cyclic class, in order of first
-    appearance), and per word the index of its necklace and the first shift
-    i with word[i:] + word[:i] equal to it.
+    appearance) as an array, and per word the index of its necklace and
+    the first shift i with word[i:] + word[:i] equal to it.
 
     Equal-length words order lexicographically as their base-k codes do,
-    so the codes of every rotation of every word are one integer array.
+    and the shift by i maps a code c to (c mod k^(n-i)) k^i + c div k^(n-i),
+    so the codes of every rotation of every word take n array operations.
     """
-    words = np.array(_cyclic_words(k, n), dtype=np.int64).reshape(-1, n)
-    rot = (np.arange(n)[:, None] + np.arange(n)) % n    # rot[i]: shift by i
-    codes = words[:, rot] @ k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    words = _cyclic_words(k, n)
+    code = words @ k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = np.empty_like(words)
+    for i in range(n):
+        codes[:, i] = code % k ** (n - i) * k ** i + code // k ** (n - i)
     shift = codes.argmin(axis=1)
     _, first, cls = np.unique(codes.min(axis=1), return_index=True, return_inverse=True)
     reps, rank = np.sort(first), np.argsort(np.argsort(first))
+    rot = (np.arange(n)[:, None] + np.arange(n)) % n    # rot[i]: shift by i
     necklaces = np.take_along_axis(words[reps], rot[shift[reps]], axis=1)
-    return words, list(map(tuple, necklaces.tolist())), rank[cls], shift
+    return words, necklaces, rank[cls], shift
 
 
 def _necklaces(k, n):
@@ -348,40 +416,43 @@ def _necklaces(k, n):
     return _necklace_classes(k, n)[1]
 
 
-def _cycle_orbits(config, n):
-    """Closed orbits of all `_cyclic_words` of length n, in that order.
+def _cycles(config, n):
+    """The `_cyclic_words` of length n that are not shadowed, the solved
+    `OrbitBatch` of their necklaces, and per word its necklace row and
+    shift (see `_necklace_classes`).
 
     Every rotation of a word traces the same orbit, so the necklaces
-    (`_necklaces` representatives: prime cycles or repeats of one) are
-    solved as one batch, and each serves its whole class: the other
-    rotations get its angles and flight lengths rotated.  Shadowed words
-    are dropped and counted.
+    (prime cycles or repeats of one) are solved as one batch, and each
+    serves its whole class.  Shadowed words are dropped and counted.
     """
     if n < 2:
         raise ValueError("depth n >= 2")
     words, necklaces, cls, shift = _necklace_classes(config.k, n)
-    solved = _solve_orbits(config, necklaces)
-    orbits = {}
-    dropped = 0
-    for w, c, i in zip(map(tuple, words.tolist()), cls.tolist(), shift.tolist()):
-        seg = solved[c]
-        if isinstance(seg, ShadowedPath):
-            dropped += 1
-            continue
-        back = n - i
-        orbits[w] = replace(seg, word=w,
-                            angles=seg.angles[back:] + seg.angles[:back],
-                            lengths=seg.lengths[back:] + seg.lengths[:back])
-    if dropped:
-        log.warning("depth %d cycles: dropped %d shadowed words", n, dropped)
-    return orbits
+    batch = _solve_orbits(config, necklaces)
+    keep = batch.clear[cls]
+    if not keep.all():
+        log.warning("depth %d cycles: dropped %d shadowed words", n, np.count_nonzero(~keep))
+    return words[keep], batch, cls[keep], shift[keep]
+
+
+def _cycle_orbits(config, n):
+    """Closed orbits of all `_cyclic_words` of length n, in that order, as
+    `OrbitSegment`s: each word gets its necklace's angles and flight
+    lengths rotated.  Shadowed words are dropped and counted."""
+    words, b, cls, shift = _cycles(config, n)
+    back = (np.arange(n) - shift[:, None]) % n
+    segments = _segments(words, np.take_along_axis(b.angles[cls], back, axis=1),
+                         np.take_along_axis(b.lengths[cls], back, axis=1),
+                         b.logJ[cls], b.t_total[cls], b.residual[cls])
+    return {seg.word: seg for seg in segments}
 
 
 def cylinder_table(config, n):
     """Closed-orbit weight table at depth n; shadowed words are dropped."""
-    entries = {w: (seg.logJ, seg.t_total)
-               for w, seg in _cycle_orbits(config, n).items()}
-    return CylinderTable(no_repeat_shift(config.k), n, entries)
+    words, b, cls, _ = _cycles(config, n)
+    weights = zip(b.logJ[cls].tolist(), b.t_total[cls].tolist())
+    return CylinderTable(no_repeat_shift(config.k), n,
+                         dict(zip(map(tuple, words.tolist()), weights)))
 
 
 def _pool_size():
@@ -389,6 +460,18 @@ def _pool_size():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _draws(seed, start):
+    """A generator on the Philox stream of `seed` whose next double is the
+    stream's double number `start`.  Philox makes four per counter step,
+    and `advance` moves the counter, so it advances start // 4 steps and
+    discards start % 4 doubles."""
+    bits = np.random.Philox(seed)
+    bits.advance(start // 4)
+    rng = np.random.Generator(bits)
+    rng.random(start % 4)
+    return rng
 
 
 def _walk_rays(config, r_out, max_bounces, disk, phi, eta):
@@ -457,7 +540,11 @@ def escape_rate_mc(config, samples, max_bounces=100, rng_seed=0):
     Rays are independent: they are walked in chunks of `RAY_CHUNK` on a
     thread pool with one thread per CPU available to the process, and the
     chunks are merged in order, so the result does not depend on the
-    thread count.
+    thread count.  The start disks, angles and eta are three consecutive
+    runs of `samples` doubles in the seed's Philox stream; each chunk
+    draws its own part of the three runs at its offsets (`_draws`), so
+    no whole-sample array is staged and the draws equal the one-array
+    draws bit for bit.
     Log-survivor fraction is fitted over the window where the fraction
     lies in [1e-3, 1e-1].  Escape proceeds in near-synchronized bounce
     generations, so the log-survivor curve rides a wave with the period
@@ -467,19 +554,20 @@ def escape_rate_mc(config, samples, max_bounces=100, rng_seed=0):
     """
     if samples < 10 ** 4:
         raise ValueError("samples >= 1e4")
-    rng = np.random.Generator(np.random.Philox(rng_seed))
+    seed = np.random.SeedSequence(rng_seed)
     radii = np.array(config.radii)
     centers = np.array(config.centers)
     centroid = centers.mean(axis=0)
     # scale-covariant exit radius: rescaling the whole table rescales it
     r_out = 2.0 * float(np.max(np.linalg.norm(centers - centroid, axis=1) + radii))
-    disk = rng.choice(config.k, size=samples, p=radii / radii.sum())
-    phi = rng.uniform(0.0, 2 * math.pi, samples)
-    eta = rng.uniform(-1.0, 1.0, samples)
+    weights = radii / radii.sum()
 
     def walk(lo):
-        hi = lo + RAY_CHUNK
-        return _walk_rays(config, r_out, max_bounces, disk[lo:hi], phi[lo:hi], eta[lo:hi])
+        size = min(RAY_CHUNK, samples - lo)
+        disk = _draws(seed, lo).choice(config.k, size=size, p=weights)
+        phi = _draws(seed, samples + lo).uniform(0.0, 2 * math.pi, size)
+        eta = _draws(seed, 2 * samples + lo).uniform(-1.0, 1.0, size)
+        return _walk_rays(config, r_out, max_bounces, disk, phi, eta)
 
     with ThreadPoolExecutor(_pool_size()) as pool:
         chunks = list(pool.map(walk, range(0, samples, RAY_CHUNK)))
@@ -536,12 +624,12 @@ def periodic_points(config, periods):
     """
     pts = []
     for n in periods:
-        segs = [s for s in _solve_orbits(config, _necklaces(config.k, n))
-                if isinstance(s, OrbitSegment)]
-        if not segs:
+        necklaces = _necklaces(config.k, n)
+        if not len(necklaces):
             continue
-        words = np.array([s.word for s in segs])
-        phis = np.array([s.angles for s in segs])
+        b = _solve_orbits(config, necklaces)
+        clear = b.clear
+        words, phis = b.words[clear], b.angles[clear]
         y = np.mod(phis, 2 * math.pi) * np.array(config.radii)[words]
         eta = _outgoing(config, words, phis)[1]
         pts.append(np.column_stack([y.ravel(), eta.ravel()]))

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import EmptyTable, InsufficientDepths, NoCycle, NoSignChange, NotOpen
 
@@ -92,7 +91,8 @@ class CylinderTable:
 
     Floors encode hyperbolicity (logJ >= n*lambda_floor) and the
     positive-return-time assumption (t >= n*t_min); construction fails
-    loudly when a weight dips below its floor.
+    loudly, naming the first word in table order that breaks a check.
+    The weights are kept as read-only arrays in that order.
     """
 
     subshift: Subshift
@@ -100,29 +100,39 @@ class CylinderTable:
     entries: dict
     lambda_floor: float = 1e-6
     t_min: float = 1e-6
+    _weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("depth n >= 1")
         if self.lambda_floor <= 0 or self.t_min <= 0:
             raise ValueError("floors must be positive")
-        for word, (logj, t) in self.entries.items():
-            if len(word) != self.n:
-                raise ValueError(f"word {word} has length != {self.n}")
-            if not self.subshift.admissible(word):
-                raise ValueError(f"word {word} not admissible")
-            if not (math.isfinite(logj) and math.isfinite(t)):
-                raise ValueError(f"non-finite weights for word {word}")
-            if logj < self.n * self.lambda_floor:
-                raise ValueError(f"logJ({word}) below hyperbolicity floor")
-            if t < self.n * self.t_min:
-                raise ValueError(f"t({word}) below return-time floor")
+        words = list(self.entries)
+        size = len(words)
+        wrong = np.fromiter((len(w) != self.n for w in words), bool, size)
+        codes = np.array([(0,) * self.n if bad else w for w, bad in zip(words, wrong)],
+                         dtype=np.int64).reshape(size, self.n)
+        inside = ((codes >= 0) & (codes < self.subshift.m)).all(axis=1)
+        clipped = np.clip(codes, 0, self.subshift.m - 1)
+        allowed = self.subshift.transition[clipped[:, :-1], clipped[:, 1:]].all(axis=1)
+        logj, t = np.array(list(self.entries.values()), dtype=float).reshape(size, 2).T.copy()
+        fails = np.stack([wrong, ~(inside & allowed),
+                          ~(np.isfinite(logj) & np.isfinite(t)),
+                          logj < self.n * self.lambda_floor, t < self.n * self.t_min])
+        if fails.any():
+            i = fails.any(axis=0).argmax()
+            word = words[i]
+            raise ValueError((f"word {word} has length != {self.n}",
+                              f"word {word} not admissible",
+                              f"non-finite weights for word {word}",
+                              f"logJ({word}) below hyperbolicity floor",
+                              f"t({word}) below return-time floor")[fails[:, i].argmax()])
+        logj.flags.writeable = t.flags.writeable = False
+        object.__setattr__(self, "_weights", (logj, t))
 
     def weight_arrays(self):
-        """(logJ, t) as aligned arrays over the table's word order."""
-        logj = np.array([v[0] for v in self.entries.values()], dtype=float)
-        t = np.array([v[1] for v in self.entries.values()], dtype=float)
-        return logj, t
+        """(logJ, t) as aligned read-only arrays over the table's word order."""
+        return self._weights
 
 
 @dataclass(frozen=True)
@@ -141,6 +151,25 @@ class PressureEstimate:
             raise ValueError("uncertainty must be >= 0")
 
 
+def _logsumexp(a):
+    """log(sum(exp(a))) of a 1-D float array, by the steps of
+    `scipy.special.logsumexp` (1.17), with its results bit for bit: the
+    maximum terms are taken out of the shifted sum, which then enters
+    through log1p, and a non-finite result is replaced by the direct
+    log(sum(exp(a)))."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = a.max()
+        at_top = a == top
+        count = np.count_nonzero(at_top)
+        rest = np.exp(np.where(at_top, -np.inf, a) - top).sum()
+        if rest != 0:
+            rest = rest / count
+        out = np.log1p(rest) + np.log(count) + top
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return float(out)
+
+
 def finite_pressure(table, coeff_J, coeff_t):
     """Depth-n cover pressure (1/n) log sum_w exp(cJ*logJ + ct*t)."""
     if not (math.isfinite(coeff_J) and math.isfinite(coeff_t)):
@@ -148,7 +177,7 @@ def finite_pressure(table, coeff_J, coeff_t):
     if not table.entries:
         raise EmptyTable(f"no admissible words at depth {table.n}")
     logj, t = table.weight_arrays()
-    return float(logsumexp(coeff_J * logj + coeff_t * t)) / table.n
+    return _logsumexp(coeff_J * logj + coeff_t * t) / table.n
 
 
 def pressure(tables, coeff_J, coeff_t):

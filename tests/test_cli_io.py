@@ -457,9 +457,9 @@ class TestHusimiFramesCommand:
         rendered = []
         real = cli_io.plot_svg
 
-        def counting(data, kind=None):
+        def counting(data, kind=None, **kwargs):
             rendered.append(kind)
-            return real(data, kind=kind)
+            return real(data, kind=kind, **kwargs)
 
         monkeypatch.setattr(cli_io, "plot_svg", counting)
         cfgfile = tmp_path / "c.ini"
@@ -494,6 +494,39 @@ class TestHusimiFramesCommand:
                 back[int(x), int(xi)] = float(value)
             assert np.array_equal(back, husimi(state, 30))
             state = apply(build(SPEC32, 27), state)
+
+    def test_frame_files_match_per_cell_writers(self, capsys, tmp_path,
+                                                 monkeypatch):
+        # the shared row prefixes and cell strings are built once per
+        # command, and every frame's files equal the generic CSV writer
+        # and the per-cell SVG oracle byte for byte
+        fields, built = [], []
+        real_husimi, real_cells = cli_io.husimi, cli_io._field_cells
+
+        def keeping(state, K):
+            fields.append(real_husimi(state, K))
+            return fields[-1]
+
+        def counting(shape):
+            built.append(shape)
+            return real_cells(shape)
+
+        monkeypatch.setattr(cli_io, "husimi", keeping)
+        monkeypatch.setattr(cli_io, "_field_cells", counting)
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text("[quantum]\nN = 27\n[husimi]\nframes = 3\nK = 12\n")
+        code, _, _ = run(capsys, ["husimi-frames", "--config", str(cfgfile),
+                                  "--out", str(tmp_path), "--format", "all"])
+        assert code == 0
+        assert built == [(12, 12)] and len(fields) == 3
+        for i, field in enumerate(fields):
+            x, xi = np.indices(field.shape)
+            csv = cli_io._csv(("x_index", "xi_index", "value"),
+                              zip(x.ravel().tolist(), xi.ravel().tolist(),
+                                  field.ravel().tolist()))
+            assert (tmp_path / f"husimi_{i:03d}.csv").read_text() == csv
+            svg = (tmp_path / f"husimi_{i:03d}.svg").read_text()
+            assert svg == field_svg_by_cells(field)
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "svg", "all"])
     def test_metadata_lists_every_file(self, capsys, tmp_path, fmt):
@@ -588,9 +621,9 @@ class TestSvgRendering:
         kinds = []
         real = cli_io.plot_svg
 
-        def counting(data, kind=None):
+        def counting(data, kind=None, **kwargs):
             kinds.append(kind)
-            return real(data, kind=kind)
+            return real(data, kind=kind, **kwargs)
 
         monkeypatch.setattr(cli_io, "plot_svg", counting)
         return kinds

@@ -12,8 +12,9 @@ oracles for the vectorised analytic Hessian and for the
 one-solve-per-necklace cylinder tables.  The per-word damped Newton
 with its per-word start angles, shadow check and monodromy loop, the
 per-necklace periodic-point loop and the gather/scatter Monte-Carlo
-loop are kept as oracles for the batched solver and the chunked,
-threaded escape loop.  The per-word least-rotation search and the
+loop with its whole-sample draws are kept as oracles for the batched
+solver and the chunked, threaded escape loop with its per-chunk draws.
+The tuple word builder, the per-word least-rotation search and the
 set-of-cells box count are kept as oracles for their array forms, and
 a dense grid search for the closed-form hull clearance.
 
@@ -333,7 +334,7 @@ def periodic_points_oracle(config, periods):
     """(y, eta) of every bounce, necklace by necklace, bounce by bounce."""
     pts = []
     for n in periods:
-        for w in _necklaces(config.k, n):
+        for w in map(tuple, _necklaces(config.k, n).tolist()):
             try:
                 seg = orbit_oracle(config, w)
             except ShadowedPath:
@@ -349,13 +350,23 @@ def periodic_points_oracle(config, periods):
     return np.array(pts)
 
 
+def cyclic_words_oracle(k, n):
+    """Cyclic words of length n as tuples: the `Subshift.words` recursion
+    on the no-repeat shift, then the wrap filter (the builder the integer
+    array of `_cyclic_words` replaced)."""
+    words = [(s,) for s in range(k)]
+    for _ in range(n - 1):
+        words = [w + (s,) for w in words for s in range(k) if s != w[-1]]
+    return [w for w in words if w[-1] != w[0]]
+
+
 def least_rotation_oracle(word):
     """(lexicographically least rotation, shift i with word[i:] + word[:i] == it)."""
     return min((word[i:] + word[:i], i) for i in range(len(word)))
 
 
 def necklaces_oracle(k, n):
-    return list(dict.fromkeys(least_rotation_oracle(w)[0] for w in _cyclic_words(k, n)))
+    return list(dict.fromkeys(least_rotation_oracle(w)[0] for w in cyclic_words_oracle(k, n)))
 
 
 def occupied_cells_oracle(pts, delta):
@@ -726,22 +737,33 @@ class TestCylinderTables:
 
     def test_cyclic_word_counts(self):
         # words admissible cyclically: tr(A^n) = 2^n + 2(-1)^n
-        for n in range(2, 9):
+        for n in range(2, 17):
             assert len(_cyclic_words(3, n)) == 2**n + 2 * (-1) ** n
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_cyclic_words_match_tuple_builder(self, k):
+        for n in range(2, 13):
+            ref = cyclic_words_oracle(k, n)
+            words = _cyclic_words(k, n)
+            assert words.dtype == np.int64 and words.shape == (len(ref), n)
+            # in slices: the tuples already hold most of the memory
+            for lo in range(0, len(ref), 2**15):
+                chunk = np.array(ref[lo:lo + 2**15], dtype=np.int64)
+                assert np.array_equal(words[lo:lo + 2**15], chunk)
+
     def test_necklace_representatives_cover_all_words(self):
-        words = set(_cyclic_words(3, 4))
-        neck = _necklaces(3, 4)
+        words = set(map(tuple, _cyclic_words(3, 4).tolist()))
+        neck = map(tuple, _necklaces(3, 4).tolist())
         regen = {w[i:] + w[:i] for w in neck for i in range(4)}
         assert regen == words
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_necklaces_match_least_rotation_search(self, k):
         for n in range(2, 11):
-            assert _necklaces(k, n) == necklaces_oracle(k, n)
+            assert list(map(tuple, _necklaces(k, n).tolist())) == necklaces_oracle(k, n)
             words, necklaces, cls, shift = _necklace_classes(k, n)
             for w, c, i in zip(map(tuple, words.tolist()), cls, shift):
-                assert (necklaces[c], i) == least_rotation_oracle(w)
+                assert (tuple(necklaces[c].tolist()), i) == least_rotation_oracle(w)
 
     def test_table_words_match_depth(self):
         table = cylinder_table(TRI, 4)
@@ -753,7 +775,7 @@ class TestCylinderTables:
                              ids=["tri", "unequal", "square"])
     def test_necklace_fill_matches_per_word_newton(self, config, n):
         table = cylinder_table(config, n)
-        assert list(table.entries) == _cyclic_words(config.k, n)
+        assert list(table.entries) == cyclic_words_oracle(config.k, n)
         for w, (logj, t) in table.entries.items():
             ref_logj, ref_t = newton_fd_oracle(config, w)
             assert abs(logj - ref_logj) <= 1e-13 * ref_logj
@@ -775,18 +797,18 @@ class TestCylinderTables:
         real = disk_billiard._solve_orbits
 
         def counting(config, words):
-            batches.append(list(words))
+            batches.append(words.tolist())
             return real(config, words)
 
         monkeypatch.setattr(disk_billiard, "_solve_orbits", counting)
         for n in range(4, 9):
             batches.clear()
             table = cylinder_table(TRI, n)
-            assert batches == [_necklaces(3, n)]
+            assert batches == [_necklaces(3, n).tolist()]
             assert len(table.entries) == len(_cyclic_words(3, n))
         batches.clear()
         periodic_points(TRI, range(2, 9))
-        assert batches == [_necklaces(3, n) for n in range(2, 9)]
+        assert batches == [_necklaces(3, n).tolist() for n in range(2, 9)]
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_rotated_orbits_match_direct_solves(self, n):
@@ -801,8 +823,9 @@ class TestCylinderTables:
         real = disk_billiard._solve_orbits
 
         def shadow_repeats(config, words):
-            return [ShadowedPath("test") if w == (0, 1, 0, 1) else seg
-                    for w, seg in zip(words, real(config, words))]
+            batch = real(config, words)
+            return batch._replace(shadow=["test" if w == [0, 1, 0, 1] else s
+                                          for w, s in zip(words.tolist(), batch.shadow)])
 
         monkeypatch.setattr(disk_billiard, "_solve_orbits", shadow_repeats)
         with caplog.at_level("WARNING", logger="openmaps.disk_billiard"):
@@ -824,30 +847,36 @@ class TestBatchedSolver:
     def test_batch_matches_per_word_newton(self, config, n):
         words = _necklaces(config.k, n)
         batch = disk_billiard._solve_orbits(config, words)
-        assert len(batch) == len(words)
-        for w, seg in zip(words, batch):
+        assert all(len(column) == len(words) for column in batch)
+        assert np.array_equal(batch.words, words)
+        t_total = batch.t_total
+        for i, w in enumerate(map(tuple, words.tolist())):
             try:
                 ref = orbit_oracle(config, w)
-            except ShadowedPath:
-                assert isinstance(seg, ShadowedPath) and str(w) in str(seg)
+            except ShadowedPath as shadowed:
+                assert batch.shadow[i] == str(shadowed)
+                assert math.isnan(batch.logJ[i])
                 continue
-            assert seg.word == w
-            assert angle_gap(seg.angles, ref.angles) <= 1e-13
-            assert np.allclose(seg.lengths, ref.lengths, rtol=1e-13, atol=0)
-            assert seg.t_total == pytest.approx(ref.t_total, rel=1e-13)
-            assert seg.logJ == pytest.approx(ref.logJ, rel=1e-13)
+            assert batch.shadow[i] is None
+            assert angle_gap(batch.angles[i], ref.angles) <= 1e-13
+            assert np.allclose(batch.lengths[i], ref.lengths, rtol=1e-13, atol=0)
+            assert t_total[i] == pytest.approx(ref.t_total, rel=1e-13)
+            # t is the 1-D sum of the row, in numpy's pairwise order
+            assert t_total[i] == batch.lengths[i].sum()
+            assert batch.logJ[i] == pytest.approx(ref.logJ, rel=1e-13)
+            assert batch.residual[i] <= 1e-12
 
     @pytest.mark.parametrize("config", [TRI, UNEQUAL, SQUARE],
                              ids=["tri", "unequal", "square"])
     def test_start_angles_match_per_word(self, config):
         words = _cyclic_words(config.k, 6)
-        got = _initial_angles(config, np.array(words))
-        for w, row in zip(words, got):
+        got = _initial_angles(config, words)
+        for w, row in zip(words.tolist(), got):
             assert np.array_equal(row, initial_angles_oracle(config, w))
 
     def test_singular_solve_raises_mu_only_for_that_word(self, monkeypatch):
         words = _necklaces(3, 6)
-        target = words[3]
+        target = tuple(words[3].tolist())
         with pytest.MonkeyPatch.context() as mp:
             ref_spy = DampingSpy(mp)
             ref = disk_billiard._solve_orbits(UNEQUAL, words)
@@ -858,19 +887,19 @@ class TestBatchedSolver:
         assert [w for w, _ in spy.failed] == [target] * 3
         assert [mu for _, mu in spy.failed] == pytest.approx([1e-8, 1e-7, 1e-6], rel=1e-6)
         assert spy.mus(target)[0] == pytest.approx(1e-5, rel=1e-6)
-        for w, seg, r in zip(words, got, ref):
+        for i, w in enumerate(map(tuple, words.tolist())):
             if w == target:
-                assert angle_gap(seg.angles, r.angles) <= 1e-13
+                assert angle_gap(got.angles[i], ref.angles[i]) <= 1e-13
             else:
                 assert spy.mus(w) == ref_spy.mus(w)
-                assert seg.angles == r.angles
+                assert np.array_equal(got.angles[i], ref.angles[i])
         # each word's damping falls tenfold per step, as in the per-word loop
         assert ref_spy.mus(target) == pytest.approx(
             [10.0 ** -(8 + k) for k in range(len(ref_spy.mus(target)))], rel=1e-6)
 
     def test_rejected_steps_and_no_convergence(self, monkeypatch):
         words = _necklaces(3, 5)
-        target = words[2]
+        target = tuple(words[2].tolist())
         spy = DampingSpy(monkeypatch, stuck=target)
         with pytest.raises(NoConvergence, match=re.escape(f"word {target}:")):
             disk_billiard._solve_orbits(UNEQUAL, words)
@@ -885,9 +914,45 @@ class TestBatchedSolver:
         monkeypatch.setattr(disk_billiard, "_shadowed",
                             lambda config, words, pts: ["shadowed"] * len(words))
         batch = disk_billiard._solve_orbits(TRI, _necklaces(3, 4))
-        assert [str(seg) for seg in batch] == ["shadowed"] * len(_necklaces(3, 4))
-        assert all(isinstance(seg, ShadowedPath) for seg in batch)
+        assert batch.shadow == ["shadowed"] * len(_necklaces(3, 4))
+        assert not batch.clear.any() and np.isnan(batch.logJ).all()
+        with pytest.raises(ShadowedPath, match="shadowed"):
+            orbit_for_word(TRI, (0, 1, 2))
         assert cylinder_table(TRI, 4).entries == {}
+        assert len(periodic_points(TRI, [4])) == 0
+
+    @pytest.mark.parametrize("words, message", [
+        ([(0, 1, 2), (0, 1, 1)], "word (0, 1, 1) repeats a symbol, cyclically"),
+        ([(0, 1, 2, 1), (1, 2, 0, 1)], "word (1, 2, 0, 1) repeats a symbol, cyclically"),
+        ([(0,), (1,)], "word length >= 2"),
+    ], ids=["repeat", "cyclic_repeat", "short"])
+    def test_batch_rejects_inadmissible_words(self, words, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            disk_billiard._solve_orbits(TRI, np.array(words))
+
+    def test_batch_enforces_residual_contract(self, monkeypatch):
+        # stop Newton at once: the start angles leave residuals above 1e-10
+        monkeypatch.setattr(disk_billiard, "NEWTON_TOL", 1.0)
+        with pytest.raises(ValueError, match=re.escape("residual <= 1e-10")):
+            disk_billiard._solve_orbits(UNEQUAL, _necklaces(3, 5))
+
+    @pytest.mark.parametrize("length", [0.0, -1.0])
+    def test_batch_enforces_positive_lengths(self, monkeypatch, length):
+        real = disk_billiard._total_length_grad
+
+        def one_flat_flight(config, words, phis):
+            ell, grad, hess = real(config, words, phis)
+            ell[-1, 0] = length
+            return ell, grad, hess
+
+        monkeypatch.setattr(disk_billiard, "_total_length_grad", one_flat_flight)
+        with pytest.raises(ValueError, match="flight lengths must be positive"):
+            disk_billiard._solve_orbits(UNEQUAL, _necklaces(3, 5))
+
+    def test_empty_period_has_no_points(self):
+        # no cyclic word of odd length alternates between two disks
+        assert len(_necklaces(2, 5)) == 0
+        assert periodic_points(TWO_DISK, [1, 3, 5]).shape == (0, 2)
 
     def test_not_hyperbolic_names_the_word(self):
         words = np.array([(0, 1), (1, 0)])
@@ -971,6 +1036,22 @@ class TestEscapeRate:
         finally:
             sys.setswitchinterval(switch)
 
+    @pytest.mark.parametrize("samples", [10**5 + 1, 10**5 + 2, 10**5 + 3])
+    def test_chunk_draws_at_every_philox_offset(self, monkeypatch, samples):
+        # chunk starts step by 3 (mod 4), and the angle and eta runs start
+        # at samples and 2 samples: every offset into Philox's four-double
+        # block, in each of the three runs
+        monkeypatch.setattr(disk_billiard, "RAY_CHUNK", 2**12 + 3)
+        ref = escape_rate_mc_oracle(TRI, samples, rng_seed=1)
+        assert escape_rate_mc(TRI, samples, rng_seed=1) == ref
+
+    def test_draws_continue_the_whole_stream(self):
+        seed = np.random.SeedSequence(4)
+        whole = np.random.Generator(np.random.Philox(4)).random(3 * 10**4 + 3)
+        for start in [*range(9), 4097, 10**4 + 1, 2 * 10**4 + 2, 3 * 10**4 - 5]:
+            got = disk_billiard._draws(seed, start).random(8)
+            assert np.array_equal(got, whole[start:start + 8])
+
     @pytest.mark.parametrize("seed", range(5))
     def test_compacted_loop_fails_like_gather_scatter(self, seed):
         with pytest.raises(TooFewSurvivors) as ref:
@@ -1008,7 +1089,7 @@ class TestTrappedSetGeometry:
             assert _occupied_cells(cloud, delta) == occupied_cells_oracle(cloud, delta)
 
     def test_box_dimension_needs_points(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="too few periodic points"):
             trapped_box_dimension(TWO_DISK)
 
 

@@ -9,17 +9,21 @@ Frozen constants used as oracles (analytic, base-a baker arithmetic):
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
+from openmaps import disk_billiard
 from openmaps.baker_classical import BakerSpec, cylinder_table
 from openmaps.errors import EmptyTable, InsufficientDepths, NoSignChange, NotOpen
 from openmaps.symbolic_pressure import (
     CylinderTable,
     Subshift,
+    _logsumexp,
     _max_cycle_mean,
     bowen_dimension,
     classical_decay_rate,
@@ -113,6 +117,69 @@ def test_logsumexp_guards_large_weights():
     p = finite_pressure(table, 2.0, 0.0)
     assert math.isfinite(p)
     assert p == pytest.approx(1000.0 + LOG2, abs=1e-9)
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def test_logsumexp_matches_scipy_on_three_disk_tables():
+    tri = disk_billiard.DiskConfig(
+        centers=((0.0, 0.0), (6.0, 0.0), (3.0, 3.0 * math.sqrt(3.0))),
+        radii=(1.0, 1.0, 1.0))
+    for n in range(4, 9):
+        logj, t = disk_billiard.cylinder_table(tri, n).weight_arrays()
+        for c_j in np.linspace(-2.0, 1.0, 13):
+            for c_t in np.linspace(-1.0, 1.0, 9):
+                a = c_j * logj + c_t * t
+                assert same_bits(_logsumexp(a), logsumexp(a)), (n, c_j, c_t)
+
+
+def test_logsumexp_matches_scipy_on_ties_and_edges():
+    rng = np.random.default_rng(17)
+    cases = [np.array([x]) for x in (0.0, -3.5, 710.0, -np.inf, np.inf)]
+    for _ in range(2000):
+        a = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), int(rng.integers(1, 300)))
+        # repeated maxima, and repeats of other values
+        a[rng.integers(0, a.size, int(rng.integers(0, 4)))] = a.max()
+        a[rng.integers(0, a.size, int(rng.integers(0, 4)))] = a[0]
+        cases.append(a)
+        b = a.copy()
+        b[rng.integers(0, b.size, int(rng.integers(1, b.size + 1)))] = -np.inf
+        cases.append(b)
+    cases += [np.full(5, -np.inf), np.array([np.inf, 1.0]), np.array([800.0, 800.0, -1.0])]
+    for a in cases:
+        assert same_bits(_logsumexp(a), logsumexp(a)), a
+
+
+def test_weight_arrays_are_stored_read_only():
+    table = constant_table(2, 3, 1.0, 2.0)
+    logj, t = table.weight_arrays()
+    assert table.weight_arrays()[0] is logj
+    assert logj.tolist() == [v[0] for v in table.entries.values()]
+    assert t.tolist() == [v[1] for v in table.entries.values()]
+    with pytest.raises(ValueError):
+        logj[0] = 0.0
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({(0, 1, 2): (3.0, 3.0)}, "word (0, 1, 2) has length != 2"),
+    ({(0, 0): (3.0, 3.0)}, "word (0, 0) not admissible"),
+    ({(0, 3): (3.0, 3.0)}, "word (0, 3) not admissible"),
+    ({(0, -1): (3.0, 3.0)}, "word (0, -1) not admissible"),
+    ({(0, 1): (math.nan, 3.0)}, "non-finite weights for word (0, 1)"),
+    ({(0, 1): (3.0, math.inf)}, "non-finite weights for word (0, 1)"),
+    ({(0, 1): (1e-7, 3.0)}, "logJ((0, 1)) below hyperbolicity floor"),
+    ({(0, 1): (3.0, 1e-7)}, "t((0, 1)) below return-time floor"),
+    # the first bad word in table order is named, by its first failed check
+    ({(1, 1): (math.nan, 3.0), (0, 1, 2): (3.0, 3.0)}, "word (1, 1) not admissible"),
+    ({(1, 0): (3.0, 0.0), (2, 2): (math.nan, 3.0)}, "t((1, 0)) below return-time floor"),
+], ids=["length", "repeat", "symbol_high", "symbol_low", "nan", "inf",
+        "logj_floor", "t_floor", "first_word", "first_word_again"])
+def test_table_checks_name_the_first_bad_word(bad, message):
+    entries = {(2, 0): (3.0, 3.0), **bad}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CylinderTable(no_repeat_shift(3), 2, entries)
 
 
 # -- pressure extrapolation -------------------------------------------------
