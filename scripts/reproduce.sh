@@ -2,9 +2,9 @@
 # Run every experiment config into out/<command>/ with all output
 # formats, from the source tree: no install needed.  Prints each
 # command's wall time and the chain's total.  On a 2-core x86-64 VM
-# the chain took 14.8-15.6 s (three runs): 0.75-1.05 s for each command
+# the chain took 12.6-14.1 s (six runs): 0.65-1.1 s for each command
 # that does little more than start up (interpreter and imports),
-# 3.3-3.7 s for each weyl fit, 1.2-1.5 s for trace-check and 1.4-1.6 s
+# 2.3-2.8 s for each weyl fit, 1.3-1.7 s for trace-check and 1.6-1.8 s
 # for husimi-frames.
 set -euo pipefail
 

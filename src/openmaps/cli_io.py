@@ -4,10 +4,11 @@ Commands read an INI-like config (one-level [section] headers over
 key=value pairs), run one experiment, print a deterministic JSON payload
 on stdout, and optionally write payload files under --out in the formats
 requested.  This module is the only one that knows a file format: each
-command is a function of its config alone and returns its payload and
-its files, each file with a function that renders it, called only when
-the file is written.  Timestamps and invocation details go to a
-separate metadata.json so payload bytes depend only on the config.
+command is a function of its config alone and returns its payload, its
+files, each file with a function that renders it, called only when the
+file is written, and the certificates of its run.  Timestamps,
+invocation details and certificates go to a separate metadata.json so
+payload bytes depend only on the config.
 
 Exit codes: 0 on success, 2 on config parse failure (a section or key
 the command never reads is one, and stops it before any file is
@@ -267,6 +268,13 @@ def _husimi_csv(field, prefixes):
     return "x_index,xi_index,value" + "".join(map(str.__add__, prefixes, values)) + "\n"
 
 
+def _eigensolves(records):
+    """The metadata of eigensolves, one entry per N: the certificate,
+    structural zeros, block sizes, workers and BLAS threads of each."""
+    return {"eigensolves": [{k: v for k, v in vars(r).items() if k != "eigenvalues"}
+                            for r in records]}
+
+
 def _files(header, rows, series=None):
     """The command's own CSV of `rows`, and its SVG of `series` if any."""
     files = [(None, "csv", partial(_csv, header, rows))]
@@ -287,7 +295,7 @@ def cmd_pressure(cfg):
     payload = _json({"coeff_J": est.coeff_J, "coeff_t": est.coeff_t,
                      "per_depth": [list(r) for r in rows],
                      "value": est.value, "uncertainty": est.uncertainty})
-    return payload, _files(("depth", "p_n"), rows, rows)
+    return payload, _files(("depth", "p_n"), rows, rows), {}
 
 
 def cmd_dimension(cfg):
@@ -296,7 +304,7 @@ def cmd_dimension(cfg):
     value = bowen_dimension(_tables(spec, depths))
     payload = _json({"a": spec.a, "alphabet": list(spec.alphabet),
                      "depths": list(depths), "dimension": value})
-    return payload, _files(("dimension",), [(float(value),)])
+    return payload, _files(("dimension",), [(float(value),)]), {}
 
 
 def cmd_sigma_curve(cfg):
@@ -311,7 +319,7 @@ def cmd_sigma_curve(cfg):
     rows = [(float(g), float(sigma_of_gamma(tables, g, lam))) for g in gammas]
     payload = _json({"gamma_cl": gamma_cl, "lambda_max": lam,
                      "points": [[g, s] for g, s in rows]})
-    return payload, _files(("gamma", "sigma"), rows, rows)
+    return payload, _files(("gamma", "sigma"), rows, rows), {}
 
 
 def cmd_billiard_orbits(cfg):
@@ -326,7 +334,7 @@ def cmd_billiard_orbits(cfg):
     payload = _json({"depth": depth,
                      "orbits": [[w, s.logJ, s.t_total] for w, s in table]})
     series = [(s.t_total, s.logJ) for _, s in table]
-    return payload, _files(header, rows, series)
+    return payload, _files(header, rows, series), {}
 
 
 def cmd_spectrum(cfg):
@@ -347,7 +355,7 @@ def cmd_spectrum(cfg):
     moduli = [abs(z) for z in vals]
     rows = [(z.real, z.imag, m) for z, m in zip(vals, moduli)]
     series = list(enumerate(moduli))
-    return payload, _files(("re", "im", "modulus"), rows, series)
+    return payload, _files(("re", "im", "modulus"), rows, series), _eigensolves([record])
 
 
 def cmd_weyl_fit(cfg):
@@ -370,7 +378,7 @@ def cmd_weyl_fit(cfg):
                              "slope": fit.slope, "stderr": fit.stderr},
                      "report": report})
     series = [(math.log(n), math.log(c)) for n, c in points if c > 0]
-    return payload, _files(("N", "count"), points, series)
+    return payload, _files(("N", "count"), points, series), _eigensolves(records)
 
 
 def _escape_params(cfg, N):
@@ -398,7 +406,7 @@ def cmd_propagate(cfg):
         "n": list(range(len(w))), "w": w,
     })
     rows = list(enumerate(w))
-    return payload, _files(("n", "w"), rows, rows)
+    return payload, _files(("n", "w"), rows, rows), {}
 
 
 def cmd_husimi_frames(cfg):
@@ -439,7 +447,7 @@ def cmd_husimi_frames(cfg):
             files.append((None, "svg", render))
         files += [(f"husimi_{i:03d}", "csv", partial(csv, field)),
                   (f"husimi_{i:03d}", "svg", render)]
-    return payload, files
+    return payload, files, {}
 
 
 def cmd_trace_check(cfg):
@@ -462,7 +470,7 @@ def cmd_trace_check(cfg):
     series = [(math.log(1.0 / e["h"]), math.log(e["trace_direct"]))
               for e in entries]
     return _json(out), _files(
-        ("N", "h", "n", "trace_direct", "trace_quadrature"), rows, series)
+        ("N", "h", "n", "trace_direct", "trace_quadrature"), rows, series), {}
 
 
 COMMANDS = {
@@ -478,12 +486,13 @@ COMMANDS = {
 }
 
 
-def _write_outputs(args, name, payload, files):
+def _write_outputs(args, name, payload, files, certificates):
     """Write the JSON payload and every file in a format asked for.
 
     `files` holds (stem, format, render) triples: stem None names the
     file after the command, and render() makes its text, called only
-    when the file is written.  metadata.json lists what was written.
+    when the file is written.  metadata.json lists what was written,
+    and the command's `certificates`.
     """
     if not args.out:
         return
@@ -502,6 +511,7 @@ def _write_outputs(args, name, payload, files):
         "config": args.config,
         "written": written,
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        **certificates,
     }
     (out / "metadata.json").write_text(_json(meta) + "\n")
 
@@ -525,10 +535,10 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        payload, files = COMMANDS[args.command](cfg)
+        payload, files, certificates = COMMANDS[args.command](cfg)
         if unread := cfg.unread():
             raise ConfigParse(f"not read by {args.command}: {', '.join(unread)}")
-        _write_outputs(args, args.command, payload, files)
+        _write_outputs(args, args.command, payload, files, certificates)
         print(payload)
     except ConfigParse as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

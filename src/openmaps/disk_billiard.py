@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -32,6 +31,7 @@ import numpy as np
 
 from .errors import NoConvergence, NotHyperbolic, ShadowedPath, TooFewSurvivors
 from .symbolic_pressure import CylinderTable, no_repeat_shift
+from .threads import pool_size
 
 log = logging.getLogger(__name__)
 
@@ -455,13 +455,6 @@ def cylinder_table(config, n):
                          dict(zip(map(tuple, words.tolist()), weights)))
 
 
-def _pool_size():
-    """Threads for the Monte-Carlo chunks: the CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _draws(seed, start):
     """A generator on the Philox stream of `seed` whose next double is the
     stream's double number `start`.  Philox makes four per counter step,
@@ -569,7 +562,7 @@ def escape_rate_mc(config, samples, max_bounces=100, rng_seed=0):
         eta = _draws(seed, 2 * samples + lo).uniform(-1.0, 1.0, size)
         return _walk_rays(config, r_out, max_bounces, disk, phi, eta)
 
-    with ThreadPoolExecutor(_pool_size()) as pool:
+    with ThreadPoolExecutor(pool_size()) as pool:
         chunks = list(pool.map(walk, range(0, samples, RAY_CHUNK)))
     escaped = [t for esc, _, _ in chunks for t in esc]
     time_live = np.concatenate([live for _, live, _ in chunks])

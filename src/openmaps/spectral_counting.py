@@ -13,22 +13,28 @@ compression to the kept indices.  A reflection-symmetric open map
 (theta = 1/2, alphabet closed under j -> a-1-j) commutes with the
 parity x -> 1 - x, and `quantum_baker.parity_blocks` gives its even and
 odd blocks, each of half the size, straight from the map; two half-size
-Schur forms cost about a quarter of one full one.  No eigenvectors are
-formed.  The certificate is the Frobenius backward error of the whole
-compression: the Schur residuals of the blocks together with the norm
-of the coupling between them, which the split drops and which is zero
-by symmetry only up to round-off.
+Schur forms cost about a quarter of one full one, and they are solved
+at the same time (`block_eigenvalues`), by LAPACK zgees called through
+ctypes, which releases the GIL.  No eigenvectors are formed.  The
+certificate is the Frobenius backward error of the whole compression:
+the Schur residuals of the blocks together with the norm of the
+coupling between them, which the split drops and which is zero by
+symmetry only up to round-off.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateCounts, NoConvergence
+from .threads import blas_threads, pool_size
 
 # counting dead band: moduli within this of nu count as above
 TIE_BAND = 1e-10
@@ -42,13 +48,18 @@ class SpectrumRecord:
 
     ``backward_error`` is the relative Schur backward error of the
     eigensolve and ``structural_zeros`` the number of eigenvalues fixed
-    at exactly zero by identically zero columns.
+    at exactly zero by identically zero columns.  ``blocks`` holds the
+    sizes of the blocks solved, ``workers`` the threads that solved them
+    and ``blas_threads`` the thread count of each OpenBLAS meanwhile.
     """
 
     N: int
     eigenvalues: np.ndarray
     backward_error: float
     structural_zeros: int
+    blocks: tuple
+    workers: int
+    blas_threads: dict
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=np.complex128)
@@ -83,6 +94,55 @@ def eigenvalues(matrix):
     return block_eigenvalues(n, [matrix[np.ix_(keep, keep)]])
 
 
+@cache
+def _zgees():
+    """LAPACK zgees at the pointer scipy's `cython_lapack` exports."""
+    from scipy.linalg import cython_lapack
+
+    capsule, api = cython_lapack.__pyx_capi__["zgees"], ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    ptr, num, char = ctypes.c_void_p, ctypes.POINTER(ctypes.c_int), ctypes.c_char_p
+    return ctypes.CFUNCTYPE(None, char, char, ptr, num, ptr, num, num, ptr, ptr, num,
+                            ptr, num, ptr, ptr, num)(get(capsule, name(capsule)))
+
+
+def _schur(A):
+    """Complex Schur form A = Z T Z*, as ``scipy.linalg.schur(A,
+    output="complex")`` computes it: zgees on a Fortran-ordered copy,
+    with the workspace its query asks for."""
+    if not np.isfinite(A).all():
+        raise ValueError("array must not contain infs or NaNs")
+    n = A.shape[0]
+    T = np.array(A, dtype=np.complex128, order="F")
+    Z = np.empty_like(T)
+    w, rwork, bwork = np.empty(n, np.complex128), np.empty(n), np.empty(n, np.intc)
+    ld, sdim, info = ctypes.c_int(max(n, 1)), ctypes.c_int(), ctypes.c_int()
+
+    def zgees(work, lwork):
+        _zgees()(b"V", b"N", None, ld, T.ctypes.data, ld, sdim, w.ctypes.data,
+                 Z.ctypes.data, ld, work.ctypes.data, ctypes.c_int(lwork),
+                 rwork.ctypes.data, bwork.ctypes.data, info)
+
+    query = np.empty(1, np.complex128)
+    zgees(query, -1)
+    work = np.empty(int(query[0].real), np.complex128)
+    zgees(work, work.size)
+    if info.value:
+        raise NoConvergence(f"zgees failed with info={info.value}")
+    return T, Z
+
+
+def _solve(A):
+    """eig(A) from its Schur form, and the Frobenius norms of the Schur
+    residual A Z - Z T and of A."""
+    T, Z = _schur(A)
+    resid = A @ Z
+    resid -= scipy.linalg.blas.ztrmm(1.0, T, Z, side=1, overwrite_b=True)
+    return np.diag(T), np.linalg.norm(resid), np.linalg.norm(A)
+
+
 def block_eigenvalues(N, blocks, coupling=0.0):
     """Spectrum of an N x N matrix from the kept diagonal blocks A_b.
 
@@ -95,27 +155,35 @@ def block_eigenvalues(N, blocks, coupling=0.0):
     sqrt(sum ||A_b Z_b - Z_b T_b||^2 + coupling^2)
     / sqrt(sum ||A_b||^2 + coupling^2), so dropping the coupling is
     certified, not assumed; it must be finite and at most RESIDUAL_REL.
+    Two or more blocks are solved on min(#blocks, `pool_size()`)
+    threads with every OpenBLAS on one thread (zgees gains nothing from
+    BLAS threads at n = 729), or on one thread if no OpenBLAS can be
+    set; one block is solved in the calling thread, BLAS left alone.
     """
-    vals, resid_norms, block_norms = [], [], []
-    for A in blocks:
-        T, Z = scipy.linalg.schur(A, output="complex")
-        resid = A @ Z
-        resid -= scipy.linalg.blas.ztrmm(1.0, T, Z, side=1, overwrite_b=True)
-        resid_norms.append(np.linalg.norm(resid))
-        block_norms.append(np.linalg.norm(A))
-        vals.append(np.diag(T))
-    norm_a = math.hypot(*block_norms, coupling)
-    backward_error = math.hypot(*resid_norms, coupling) / (norm_a or 1.0)
+    serial = len(blocks) <= 1
+    with blas_threads(None if serial else 1) as threads:
+        if serial:
+            workers, solved = 1, list(map(_solve, blocks))
+        else:
+            workers = min(len(blocks), pool_size()) if threads else 1
+            with ThreadPoolExecutor(workers) as pool:
+                solved = list(pool.map(_solve, blocks))
+    vals = [v for v, _, _ in solved]
+    norm_a = math.hypot(*(a for _, _, a in solved), coupling)
+    backward_error = math.hypot(*(r for _, r, _ in solved), coupling) / (norm_a or 1.0)
     if not backward_error <= RESIDUAL_REL:
         raise NoConvergence(
             f"Schur backward error {backward_error:.3e} above {RESIDUAL_REL:.0e}"
         )
-    kept = sum(len(v) for v in vals)
+    sizes = tuple(len(v) for v in vals)
+    kept = sum(sizes)
     vals = np.concatenate(vals + [np.zeros(N - kept)])
     order = np.argsort(-np.abs(vals), kind="stable")
     return SpectrumRecord(N=N, eigenvalues=vals[order],
                           backward_error=backward_error,
-                          structural_zeros=N - kept)
+                          structural_zeros=N - kept,
+                          blocks=sizes,
+                          workers=workers, blas_threads=threads)
 
 
 def count_annulus(record, nu):

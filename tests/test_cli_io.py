@@ -20,6 +20,7 @@ from openmaps.phase_space import (
 from openmaps.quantum_baker import apply, build, parity_blocks
 from openmaps.spectral_counting import annulus_gap_exponent, block_eigenvalues, weyl_exponent
 from openmaps.symbolic_pressure import pressure
+from openmaps.threads import openblas, pool_size
 
 GAMMA_CL = 0.3690702464285426
 D_H = 0.6309297535714574
@@ -266,6 +267,22 @@ class TestSpectrumCommand:
         code, out, _ = run(capsys, ["spectrum", "--config", str(cfgfile)])
         assert code == 0
         assert json.loads(out)["blocks"] == [81, 81]
+
+    def test_metadata_records_the_eigensolve(self, capsys, tmp_path):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text("[quantum]\nN = 243\n")
+        code, out, _ = run(capsys, ["spectrum", "--config", str(cfgfile),
+                                    "--out", str(tmp_path)])
+        assert code == 0
+        data = json.loads(out)
+        assert (tmp_path / "spectrum.json").read_text() == out
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert "threads" not in meta
+        assert meta["eigensolves"] == [{
+            "N": 243, "backward_error": data["backward_error"],
+            "structural_zeros": 81, "blocks": [81, 81],
+            "workers": min(2, pool_size()) if openblas() else 1,
+            "blas_threads": {name: 1 for name in openblas()}}]
 
     def test_theta_zero_solves_one_block(self, capsys, tmp_path):
         # the offset-free kernel breaks the parity: one compression
@@ -578,6 +595,22 @@ class TestTraceCheckCommand:
             "slope": fit.slope, "stderr": fit.stderr}
         rows = (tmp_path / "weyl-fit.csv").read_text().splitlines()
         assert rows == ["N,count"] + [f"{n},{c}" for n, c in fit.points]
+
+    def test_weyl_fit_metadata_records_each_eigensolve(self, capsys, tmp_path):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text("[weyl]\nN_list = 9,27,81\nnu = 0.1\n")
+        code, _, _ = run(capsys, ["weyl-fit", "--config", str(cfgfile),
+                                  "--out", str(tmp_path)])
+        assert code == 0
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        records = [block_eigenvalues(n, *parity_blocks(build(SPEC32, n)))
+                   for n in (9, 27, 81)]
+        assert meta["eigensolves"] == [
+            {"N": r.N, "backward_error": r.backward_error,
+             "structural_zeros": r.structural_zeros, "blocks": list(r.blocks),
+             "workers": r.workers, "blas_threads": r.blas_threads}
+            for r in records]
+        assert [e["blocks"] for e in meta["eigensolves"]] == [[3, 3], [9, 9], [27, 27]]
 
 
     @pytest.mark.parametrize("sigma_nu", [None, 0.1])

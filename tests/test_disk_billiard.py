@@ -1031,7 +1031,7 @@ class TestEscapeRate:
         try:
             sys.setswitchinterval(1e-5)
             for workers in (1, 8):
-                monkeypatch.setattr(disk_billiard, "_pool_size", lambda: workers)
+                monkeypatch.setattr(disk_billiard, "pool_size", lambda: workers)
                 assert escape_rate_mc(config, samples, max_bounces, rng_seed=seed) == ref
         finally:
             sys.setswitchinterval(switch)

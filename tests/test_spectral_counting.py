@@ -4,7 +4,9 @@ Oracles: diagonal matrices with hand-picked spectra; the SVD rank of
 the open baker matrix (rank deficiency forces N·(1-m/a) null
 eigenvalues); the full-matrix `scipy.linalg.eig` spectrum at N <= 729,
 which the deflated Schur path must match, and which in turn is the
-oracle of the parity-split path; the exact necklace spectrum of the
+oracle of the parity-split path; `scipy.linalg.schur`, which the ctypes
+zgees kernel must equal bit for bit, and the blocks solved one after
+the other with it, which the concurrent solve must match; the exact necklace spectrum of the
 Walsh baker (Nonnenmacher–Zworski); synthetic records with
 exactly geometric counts, where the log-log slope is log 2/log 3 by
 construction.
@@ -12,12 +14,16 @@ construction.
 
 import itertools
 import math
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
+from openmaps import spectral_counting, threads
 from openmaps.baker_classical import BakerSpec
 from openmaps.errors import DegenerateCounts, NoConvergence
 from openmaps.quantum_baker import build, dense, parity_blocks
@@ -44,7 +50,8 @@ def synthetic_record(N, n_big):
         np.full(N - n_big, 0.1 + 0j),
     ])
     return SpectrumRecord(N=N, eigenvalues=vals, backward_error=0.0,
-                          structural_zeros=0)
+                          structural_zeros=0, blocks=(N,), workers=1,
+                          blas_threads={})
 
 
 class TestEigenvalues:
@@ -108,13 +115,13 @@ class TestEigenvalues:
         assert rec.backward_error == 0.0
 
     def test_perturbed_schur_vectors_rejected(self, monkeypatch):
-        schur = scipy.linalg.schur
+        schur = spectral_counting._schur
 
-        def perturbed(a, output):
-            T, Z = schur(a, output=output)
+        def perturbed(a):
+            T, Z = schur(a)
             return T, Z + 1e-6 * np.roll(Z, 1, axis=0)
 
-        monkeypatch.setattr(scipy.linalg, "schur", perturbed)
+        monkeypatch.setattr(spectral_counting, "_schur", perturbed)
         with pytest.raises(NoConvergence):
             eigenvalues(dense(build(SPEC32, 27)))
 
@@ -211,6 +218,165 @@ class TestParityOracle:
         assert rec.backward_error >= coupling / math.hypot(norm, coupling)
         with pytest.raises(NoConvergence):
             block_eigenvalues(81, blocks, 10 * RESIDUAL_REL * norm)
+
+
+def scipy_block_spectrum(N, blocks, coupling=0.0):
+    """Eigenvalues and certificate of the blocks solved one after the
+    other by `scipy.linalg.schur`, in the calling thread."""
+    vals, resid_norms, block_norms = [], [], []
+    for A in blocks:
+        T, Z = scipy.linalg.schur(A, output="complex")
+        resid = A @ Z
+        resid -= scipy.linalg.blas.ztrmm(1.0, T, Z, side=1, overwrite_b=True)
+        resid_norms.append(np.linalg.norm(resid))
+        block_norms.append(np.linalg.norm(A))
+        vals.append(np.diag(T))
+    kept = sum(len(v) for v in vals)
+    vals = np.concatenate(vals + [np.zeros(N - kept)])
+    backward_error = (math.hypot(*resid_norms, coupling)
+                      / (math.hypot(*block_norms, coupling) or 1.0))
+    return vals[np.argsort(-np.abs(vals), kind="stable")], backward_error
+
+
+def blas_counts():
+    return {name: get() for name, (get, _) in threads.openblas().items()}
+
+
+class TestConcurrentSchur:
+    """The ctypes zgees kernel and the thread pool against scipy."""
+
+    @pytest.mark.parametrize("count", [None, 1])
+    @pytest.mark.parametrize("n", [1, 2, 27, 243])
+    def test_kernel_is_scipy_schur(self, n, count):
+        rng = np.random.default_rng(n)
+        random = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        # the open baker map at N = 3n has two parity blocks of size n
+        blocks = [random, *parity_blocks(build(SPEC32, 3 * n))[0]]
+        with threads.blas_threads(count):
+            for A in blocks:
+                T, Z = spectral_counting._schur(A)
+                T_ref, Z_ref = scipy.linalg.schur(A, output="complex")
+                assert np.array_equal(T, T_ref)
+                assert np.array_equal(Z, Z_ref)
+
+    def test_non_finite_block_rejected(self):
+        A = np.eye(3, dtype=complex)
+        A[1, 2] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            spectral_counting._schur(A)
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        zgees = spectral_counting._zgees()
+
+        def failing(*args):
+            zgees(*args)
+            args[-1].value = 3
+
+        monkeypatch.setattr(spectral_counting, "_zgees", lambda: failing)
+        with pytest.raises(NoConvergence, match="info=3"):
+            eigenvalues(dense(build(SPEC32, 27)))
+
+    def test_kernel_bound_lazily(self):
+        code = ("import openmaps; from openmaps import spectral_counting, threads; "
+                "print(spectral_counting._zgees.cache_info().currsize, "
+                "threads.openblas.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.split() == ["0", "0"]
+
+    @pytest.mark.parametrize("N", [81, 2187])
+    def test_records_equal_on_any_pool(self, monkeypatch, N):
+        blocks, coupling = parity_blocks(build(SPEC32, N))
+        records = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(spectral_counting, "pool_size", lambda: workers)
+            records[workers] = block_eigenvalues(N, blocks, coupling)
+            assert records[workers].workers == (workers if threads.openblas() else 1)
+        assert np.array_equal(records[1].eigenvalues, records[2].eigenvalues)
+        assert records[1].backward_error == records[2].backward_error
+        assert records[1].blocks == records[2].blocks == (N // 3, N // 3)
+
+    def test_blas_threads_one_while_blocks_run(self):
+        before = blas_counts()
+        rec = block_eigenvalues(243, *parity_blocks(build(SPEC32, 243)))
+        assert rec.blas_threads == {name: 1 for name in before}
+        assert blas_counts() == before
+
+    def test_blas_threads_restored_after_a_raise(self):
+        before = blas_counts()
+        blocks, _ = parity_blocks(build(SPEC32, 243))
+        blocks[1] = blocks[1].copy()
+        blocks[1][0, 0] = np.inf
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            block_eigenvalues(243, blocks)
+        assert blas_counts() == before
+
+    def test_one_block_leaves_blas_threads_alone(self, monkeypatch):
+        before = blas_counts()
+
+        def no_set(count):
+            assert count is None
+            return threads.blas_threads(count)
+
+        monkeypatch.setattr(spectral_counting, "blas_threads", no_set)
+        rec = eigenvalues(dense(build(SPEC32, 81)))
+        assert rec.workers == 1 and rec.blas_threads == before
+        assert blas_counts() == before
+
+    def test_concurrent_callers(self):
+        # more callers than CPUs, one- and two-block solves mixed, with a
+        # short switch interval: every record equals its lone solve and
+        # no caller leaves a thread count set
+        before = blas_counts()
+        ops = [build(SPEC32, 81), build(SPEC32, 81, theta=0.0)]
+        want = [block_eigenvalues(81, *parity_blocks(op)) for op in ops]
+        switch = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            with ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(lambda i: block_eigenvalues(
+                    81, *parity_blocks(ops[i % 2])), range(32)))
+        finally:
+            sys.setswitchinterval(switch)
+        for i, rec in enumerate(got):
+            assert np.array_equal(rec.eigenvalues, want[i % 2].eigenvalues)
+            assert rec.blas_threads == want[i % 2].blas_threads
+        assert blas_counts() == before
+
+    @pytest.mark.parametrize("spec, theta", [
+        (BakerSpec(3, (0, 1)), 0.5),
+        (SPEC32, 0.0),
+    ], ids=["3-01", "theta-0"])
+    def test_one_block_record_is_scipy_result(self, spec, theta):
+        blocks, _ = parity_blocks(build(spec, 243, theta=theta))
+        assert len(blocks) == 1
+        rec = block_eigenvalues(243, blocks)
+        vals, backward_error = scipy_block_spectrum(243, blocks)
+        assert np.array_equal(rec.eigenvalues, vals)
+        assert rec.backward_error == backward_error
+
+    def test_dense_record_is_scipy_result(self):
+        M = dense(build(SPEC32, 81))
+        keep = np.flatnonzero(np.any(M != 0, axis=0))
+        rec = eigenvalues(M)
+        vals, backward_error = scipy_block_spectrum(81, [M[np.ix_(keep, keep)]])
+        assert np.array_equal(rec.eigenvalues, vals)
+        assert rec.backward_error == backward_error
+
+    @pytest.mark.parametrize("N", [81, 243, 729, 2187])
+    def test_two_blocks_match_scipy_path(self, N):
+        blocks, coupling = parity_blocks(build(SPEC32, N))
+        rec = block_eigenvalues(N, blocks, coupling)
+        vals, backward_error = scipy_block_spectrum(N, blocks, coupling)
+        for nu in (0.25, 0.5, 0.9):
+            assert count_annulus(rec, nu) == int(np.sum(np.abs(vals) >= nu - 1e-10))
+        got = rec.eigenvalues[np.abs(rec.eigenvalues) >= 0.2]
+        want = vals[np.abs(vals) >= 0.2]
+        assert got.size == want.size
+        gap = np.abs(got[:, None] - want[None, :])
+        rows, cols = linear_sum_assignment(gap)
+        assert gap[rows, cols].max() <= 1e-12
+        assert rec.backward_error <= 1e-12 and backward_error <= 1e-12
 
 
 def walsh_necklace_spectrum(spec, k, theta=0.5):
