@@ -343,12 +343,11 @@ def cmd_spectrum(cfg):
     variant = _get(cfg, "quantum", "variant", str, "FFT")
     theta = _get(cfg, "quantum", "theta", float, 0.5)
     op = build(spec, N, variant=variant, theta=theta)
-    blocks, coupling = parity_blocks(op)
-    record = block_eigenvalues(N, blocks, coupling)
+    record = block_eigenvalues(N, *parity_blocks(op))
     vals = record.eigenvalues.tolist()
     payload = _json({
         "N": N, "backward_error": record.backward_error,
-        "blocks": [len(b) for b in blocks],
+        "blocks": list(record.blocks),
         "structural_zeros": record.structural_zeros,
         "eigenvalues": [[z.real, z.imag] for z in vals],
     })

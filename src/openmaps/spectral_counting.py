@@ -112,10 +112,12 @@ def _schur(A):
     """Complex Schur form A = Z T Z*, as ``scipy.linalg.schur(A,
     output="complex")`` computes it: zgees on a Fortran-ordered copy,
     with the workspace its query asks for."""
-    if not np.isfinite(A).all():
-        raise ValueError("array must not contain infs or NaNs")
-    n = A.shape[0]
     T = np.array(A, dtype=np.complex128, order="F")
+    if T.ndim != 2 or T.shape[0] != T.shape[1]:
+        raise ValueError("expected square matrix")
+    if not np.isfinite(T).all():
+        raise ValueError("array must not contain infs or NaNs")
+    n = T.shape[0]
     Z = np.empty_like(T)
     w, rwork, bwork = np.empty(n, np.complex128), np.empty(n), np.empty(n, np.intc)
     ld, sdim, info = ctypes.c_int(max(n, 1)), ctypes.c_int(), ctypes.c_int()
@@ -125,7 +127,7 @@ def _schur(A):
                  Z.ctypes.data, ld, work.ctypes.data, ctypes.c_int(lwork),
                  rwork.ctypes.data, bwork.ctypes.data, info)
 
-    query = np.empty(1, np.complex128)
+    query = np.zeros(1, np.complex128)
     zgees(query, -1)
     work = np.empty(int(query[0].real), np.complex128)
     zgees(work, work.size)

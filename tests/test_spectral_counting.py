@@ -6,10 +6,10 @@ eigenvalues); the full-matrix `scipy.linalg.eig` spectrum at N <= 729,
 which the deflated Schur path must match, and which in turn is the
 oracle of the parity-split path; `scipy.linalg.schur`, which the ctypes
 zgees kernel must equal bit for bit, and the blocks solved one after
-the other with it, which the concurrent solve must match; the exact necklace spectrum of the
-Walsh baker (Nonnenmacher–Zworski); synthetic records with
-exactly geometric counts, where the log-log slope is log 2/log 3 by
-construction.
+the other with it, which the concurrent solve must match; the exact
+necklace spectrum of the Walsh baker (Nonnenmacher–Zworski); synthetic
+records with exactly geometric counts, where the log-log slope is
+log 2/log 3 by construction.
 """
 
 import itertools
@@ -264,6 +264,12 @@ class TestConcurrentSchur:
         A[1, 2] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
             spectral_counting._schur(A)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (3,), (2, 2, 2)])
+    def test_non_square_block_rejected(self, shape):
+        # zgees would read and write n x n entries of a smaller buffer
+        with pytest.raises(ValueError, match="expected square matrix"):
+            spectral_counting._schur(np.ones(shape))
 
     def test_lapack_failure_raises(self, monkeypatch):
         zgees = spectral_counting._zgees()
