@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from datetime import datetime, timezone
 from functools import cache, partial
 from itertools import starmap
@@ -42,11 +43,11 @@ from .phase_space import (
     husimi_mass,
     torus_coherent,
 )
-from .quantum_baker import apply, build, parity_blocks
+from .quantum_baker import apply, build
 from .spectral_counting import (
     annulus_gap_exponent,
-    block_eigenvalues,
     bound_report,
+    spectra,
     weyl_exponent,
 )
 from .symbolic_pressure import (
@@ -342,8 +343,7 @@ def cmd_spectrum(cfg):
     N = _get(cfg, "quantum", "N", int)
     variant = _get(cfg, "quantum", "variant", str, "FFT")
     theta = _get(cfg, "quantum", "theta", float, 0.5)
-    op = build(spec, N, variant=variant, theta=theta)
-    record = block_eigenvalues(N, *parity_blocks(op))
+    record, = spectra([build(spec, N, variant=variant, theta=theta)])
     vals = record.eigenvalues.tolist()
     payload = _json({
         "N": N, "backward_error": record.backward_error,
@@ -361,8 +361,7 @@ def cmd_weyl_fit(cfg):
     spec = _baker_spec(cfg)
     sizes = _get(cfg, "weyl", "N_list", _ints, (27, 81, 243))
     nu = _get(cfg, "weyl", "nu", float)
-    records = [block_eigenvalues(n, *parity_blocks(build(spec, n)))
-               for n in sizes]
+    records = spectra([build(spec, n) for n in sizes])
     fit = weyl_exponent(records, nu)
     d_h = _get(cfg, "weyl", "d_h", float, None)
     if d_h is None:
@@ -485,16 +484,19 @@ COMMANDS = {
 }
 
 
-def _write_outputs(args, name, payload, files, certificates):
+def _write_outputs(args, name, payload, files, certificates, compute_s):
     """Write the JSON payload and every file in a format asked for.
 
     `files` holds (stem, format, render) triples: stem None names the
     file after the command, and render() makes its text, called only
     when the file is written.  metadata.json lists what was written,
-    and the command's `certificates`.
+    the command's `certificates`, and as `stage_s` the seconds the
+    command took (`compute_s`) and those its files took to render and
+    write.
     """
     if not args.out:
         return
+    start = time.perf_counter()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     wants = ({"json", "csv", "svg"} if args.format == "all"
@@ -510,6 +512,7 @@ def _write_outputs(args, name, payload, files, certificates):
         "config": args.config,
         "written": written,
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        "stage_s": {"compute": compute_s, "write": time.perf_counter() - start},
         **certificates,
     }
     (out / "metadata.json").write_text(_json(meta) + "\n")
@@ -534,10 +537,12 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        start = time.perf_counter()
         payload, files, certificates = COMMANDS[args.command](cfg)
+        compute_s = time.perf_counter() - start
         if unread := cfg.unread():
             raise ConfigParse(f"not read by {args.command}: {', '.join(unread)}")
-        _write_outputs(args, args.command, payload, files, certificates)
+        _write_outputs(args, args.command, payload, files, certificates, compute_s)
         print(payload)
     except ConfigParse as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -28,8 +28,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermval
-import scipy.linalg
-from scipy.special import ive
 
 from .errors import DegenerateFrame, DimensionCap, DimensionMismatch, NotSymplectic
 from .quantum_baker import DENSE_CAP, QuantumState, apply, build
@@ -381,9 +379,10 @@ def _damping_matrix(spec, N, params, depth=None):
     ifft(λ)[n mod N], and c(−n) = conj c(n) as λ is real: one inverse FFT
     and an O(N²) Toeplitz fill, exactly Hermitian.
     """
+    from scipy.linalg import toeplitz
     d, lam = _damping_symbols(spec, N, params, depth)
     c = np.exp(1j * np.pi * np.arange(N) / N) * np.fft.ifft(lam)
-    G = scipy.linalg.toeplitz(c, c.conj())
+    G = toeplitz(c, c.conj())
     G[np.diag_indices(N)] += d
     return G
 
@@ -432,6 +431,7 @@ def damped_propagation_experiment(spec, N, rho0, params, n_max, depth=None):
     center and radius and z = t·r.  The series stops once I_k/I_0 <
     CHEB_TAIL, so equal inputs give bit-identical w.
     """
+    from scipy.special import ive
     op = build(spec, N)
     d, lam = _damping_symbols(spec, N, params, depth)
     lo, hi = d.min() + lam.min(), d.max() + lam.max()

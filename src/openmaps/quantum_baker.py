@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -205,31 +205,45 @@ def _unfold(coeffs, sector, N):
     return rows
 
 
-def parity_blocks(op, cap=DENSE_CAP):
-    """Kept diagonal blocks of the map in its parity basis, and their coupling.
-
-    Only the allowed-strip indices are kept; the others span excluded
-    columns, which are structural zeros.  Where the map commutes with the
-    parity (see `_sectors`), each sector's basis goes through the map as
-    one batch and the images are folded onto both sectors: its own gives
-    the block, the other the coupling, zero by symmetry up to round-off
-    and returned as its Frobenius norm.  Otherwise the one block is the
-    compression of `dense(op)` to the kept indices, with coupling 0.
-    Either way N above `cap` raises DimensionCap, as `dense` does.
-
-    Returns (blocks, coupling); N minus the total block size is the
-    number of structural zeros.
-    """
+def _parity_split(op, cap=DENSE_CAP):
+    """The kept (allowed-strip) indices, and the (own, other) pairs of the
+    parity sectors, none without the symmetry; N > `cap` is DimensionCap."""
     if op.N > cap:
         raise DimensionCap(f"N={op.N} exceeds dense cap {cap}")
     na = op.N // op.spec.a
     keep = np.concatenate([np.arange(j * na, (j + 1) * na) for j in op.spec.alphabet])
     sectors = _sectors(op, keep)
-    if len(sectors) == 1:
+    return keep, list(zip(sectors, sectors[::-1])) if len(sectors) > 1 else []
+
+
+def _sector_block(op, own, other):
+    """The block of sector `own` and the norm of its coupling part: the
+    images of own's basis, one batch through the map, folded onto both."""
+    images = _map_rows(op, _unfold(np.eye(own[0].size), own, op.N))
+    return _fold(images, own), np.linalg.norm(_fold(images, other))
+
+
+def _coupling(parts):
+    return reduce(math.hypot, parts, 0.0)  # in sector order, bit for bit
+
+
+def parity_blocks(op, cap=DENSE_CAP):
+    """Kept diagonal blocks of the map in its parity basis, and their coupling.
+
+    Only the allowed-strip indices are kept; the others span excluded
+    columns, which are structural zeros.  Where the map commutes with the
+    parity (see `_sectors`), each sector gives its block by
+    `_sector_block`, one after the other, and the coupling, zero by
+    symmetry up to round-off, is returned as its Frobenius norm; this is
+    the per-N oracle of `spectral_counting.spectra`.  Otherwise the one
+    block is the compression of `dense(op)` to the kept indices, with
+    coupling 0.  Either way N above `cap` raises DimensionCap.
+
+    Returns (blocks, coupling); N minus the total block size is the
+    number of structural zeros.
+    """
+    keep, pairs = _parity_split(op, cap)
+    if not pairs:
         return [dense(op, cap)[np.ix_(keep, keep)]], 0.0
-    blocks, coupling = [], 0.0
-    for own, other in zip(sectors, sectors[::-1]):
-        images = _map_rows(op, _unfold(np.eye(own[0].size), own, op.N))
-        blocks.append(_fold(images, own))
-        coupling = math.hypot(coupling, np.linalg.norm(_fold(images, other)))
-    return blocks, coupling
+    blocks, parts = zip(*(_sector_block(op, *pair) for pair in pairs))
+    return list(blocks), _coupling(parts)

@@ -11,15 +11,15 @@ are exactly zero, and takes the rest from complex Schur forms of the
 kept diagonal blocks.  For a general matrix there is one block, the
 compression to the kept indices.  A reflection-symmetric open map
 (theta = 1/2, alphabet closed under j -> a-1-j) commutes with the
-parity x -> 1 - x, and `quantum_baker.parity_blocks` gives its even and
-odd blocks, each of half the size, straight from the map; two half-size
-Schur forms cost about a quarter of one full one, and they are solved
-at the same time (`block_eigenvalues`), by LAPACK zgees called through
-ctypes, which releases the GIL.  No eigenvectors are formed.  The
-certificate is the Frobenius backward error of the whole compression:
-the Schur residuals of the blocks together with the norm of the
-coupling between them, which the split drops and which is zero by
-symmetry only up to round-off.
+parity x -> 1 - x, and its even and odd blocks, each of half the size,
+cost about a quarter of one full one.  `spectra` solves a list of maps
+on one thread pool, largest N first, one task per parity sector: it
+builds the block straight from the map and takes its Schur form by
+LAPACK zgees called through ctypes, which releases the GIL.  No
+eigenvectors are formed.  The certificate is the Frobenius backward
+error of the whole compression: the Schur residuals of the blocks with
+the norm of the coupling between them, which the split drops and which
+is zero by symmetry only up to round-off.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ import ctypes
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateCounts, NoConvergence
+from .quantum_baker import _coupling, _parity_split, _sector_block, parity_blocks
 from .threads import blas_threads, pool_size
 
 # counting dead band: moduli within this of nu count as above
@@ -139,37 +139,36 @@ def _schur(A):
 def _solve(A):
     """eig(A) from its Schur form, and the Frobenius norms of the Schur
     residual A Z - Z T and of A."""
+    from scipy.linalg.blas import ztrmm
     T, Z = _schur(A)
     resid = A @ Z
-    resid -= scipy.linalg.blas.ztrmm(1.0, T, Z, side=1, overwrite_b=True)
+    resid -= ztrmm(1.0, T, Z, side=1, overwrite_b=True)
     return np.diag(T), np.linalg.norm(resid), np.linalg.norm(A)
 
 
-def block_eigenvalues(N, blocks, coupling=0.0):
-    """Spectrum of an N x N matrix from the kept diagonal blocks A_b.
+def _solve_sector(op, own, other):
+    """`_solve` of the block of a sector, and its coupling part."""
+    block, part = _sector_block(op, own, other)
+    return _solve(block), part
 
-    In some orthonormal basis the matrix is [[A, 0], [C', 0]], where A
-    has the diagonal blocks A_b and off-diagonal blocks of Frobenius
-    norm ``coupling``; the spectrum is taken as that of the A_b plus
-    N - sum |A_b| exact zeros.  Each eig(A_b) is the diagonal of the
-    complex Schur form A_b = Z_b T_b Z_b*.  The certificate is the
-    backward error of the whole of A,
-    sqrt(sum ||A_b Z_b - Z_b T_b||^2 + coupling^2)
-    / sqrt(sum ||A_b||^2 + coupling^2), so dropping the coupling is
-    certified, not assumed; it must be finite and at most RESIDUAL_REL.
-    Two or more blocks are solved on min(#blocks, `pool_size()`)
-    threads with every OpenBLAS on one thread (zgees gains nothing from
-    BLAS threads at n = 729), or on one thread if no OpenBLAS can be
-    set; one block is solved in the calling thread, BLAS left alone.
-    """
-    serial = len(blocks) <= 1
+
+def _pooled(tasks):
+    """(results of the calls `tasks`, workers, {OpenBLAS: threads}): two
+    or more on min(#tasks, `pool_size()`) threads, every OpenBLAS on one
+    (zgees gains nothing from more at n = 729), else in this thread, BLAS
+    left alone.  Binding zgees first lists scipy's OpenBLAS in `openblas`."""
+    _zgees()
+    serial = len(tasks) <= 1
     with blas_threads(None if serial else 1) as threads:
-        if serial:
-            workers, solved = 1, list(map(_solve, blocks))
-        else:
-            workers = min(len(blocks), pool_size()) if threads else 1
-            with ThreadPoolExecutor(workers) as pool:
-                solved = list(pool.map(_solve, blocks))
+        workers = 1 if serial or not threads else min(len(tasks), pool_size())
+        if workers == 1:
+            return [task() for task in tasks], workers, threads
+        with ThreadPoolExecutor(workers) as pool:
+            return list(pool.map(lambda task: task(), tasks)), workers, threads
+
+
+def _record(N, solved, coupling, workers, threads):
+    """The record of `block_eigenvalues` from the `_solve` of each block."""
     vals = [v for v, _, _ in solved]
     norm_a = math.hypot(*(a for _, _, a in solved), coupling)
     backward_error = math.hypot(*(r for _, r, _ in solved), coupling) / (norm_a or 1.0)
@@ -186,6 +185,45 @@ def block_eigenvalues(N, blocks, coupling=0.0):
                           structural_zeros=N - kept,
                           blocks=sizes,
                           workers=workers, blas_threads=threads)
+
+
+def block_eigenvalues(N, blocks, coupling=0.0):
+    """Spectrum of an N x N matrix from the kept diagonal blocks A_b.
+
+    In some orthonormal basis the matrix is [[A, 0], [C', 0]], where A
+    has the diagonal blocks A_b and off-diagonal blocks of Frobenius
+    norm ``coupling``; the spectrum is taken as that of the A_b plus
+    N - sum |A_b| exact zeros.  Each eig(A_b) is the diagonal of the
+    complex Schur form A_b = Z_b T_b Z_b*.  The certificate is the
+    backward error of the whole of A,
+    sqrt(sum ||A_b Z_b - Z_b T_b||^2 + coupling^2)
+    / sqrt(sum ||A_b||^2 + coupling^2), so dropping the coupling is
+    certified, not assumed; it must be finite and at most RESIDUAL_REL.
+    Two or more blocks are solved on a thread pool, one block in the
+    calling thread (see `_pooled`).
+    """
+    solved, workers, threads = _pooled([partial(_solve, A) for A in blocks])
+    return _record(N, solved, coupling, workers, threads)
+
+
+def spectra(ops):
+    """Per operator, the record of ``block_eigenvalues(op.N,
+    *parity_blocks(op))`` bit for bit, from one pool (`_pooled`, whose
+    `workers` every record gets) whose tasks, one per parity sector,
+    largest N first, build and solve a block.  An operator without the
+    parity symmetry is solved after, by `block_eigenvalues`.  N above
+    DENSE_CAP raises DimensionCap before any task runs."""
+    splits = [_parity_split(op)[1] for op in ops]
+    tasks = sorted(((i, pair) for i, pairs in enumerate(splits) for pair in pairs),
+                   key=lambda task: -ops[task[0]].N)
+    solved, workers, threads = _pooled(
+        [partial(_solve_sector, ops[i], *pair) for i, pair in tasks])
+    done = [[] for _ in ops]
+    for (i, _), result in zip(tasks, solved):
+        done[i].append(result)
+    return [_record(op.N, [s for s, _ in parts], _coupling(p for _, p in parts),
+                    workers, threads) if parts else block_eigenvalues(op.N, *parity_blocks(op))
+            for op, parts in zip(ops, done)]
 
 
 def count_annulus(record, nu):

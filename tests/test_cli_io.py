@@ -195,6 +195,16 @@ class TestDimensionCommand:
         assert "timestamp" in meta
         assert "threads" not in meta
 
+    def test_metadata_records_stage_times(self, capsys, tmp_path):
+        _, alone, _ = run(capsys, ["dimension"])
+        code, out, _ = run(capsys, ["dimension", "--out", str(tmp_path),
+                                    "--format", "all"])
+        assert code == 0 and out == alone
+        assert (tmp_path / "dimension.json").read_text() == out
+        stage_s = json.loads((tmp_path / "metadata.json").read_text())["stage_s"]
+        assert set(stage_s) == {"compute", "write"}
+        assert all(type(v) is float and v >= 0.0 for v in stage_s.values())
+
 
 class TestSigmaCurveCommand:
     def test_midpoint_row_is_exactly_zero(self, capsys, tmp_path):
@@ -608,7 +618,8 @@ class TestTraceCheckCommand:
         assert meta["eigensolves"] == [
             {"N": r.N, "backward_error": r.backward_error,
              "structural_zeros": r.structural_zeros, "blocks": list(r.blocks),
-             "workers": r.workers, "blas_threads": r.blas_threads}
+             "workers": min(6, pool_size()) if openblas() else 1,
+             "blas_threads": r.blas_threads}
             for r in records]
         assert [e["blocks"] for e in meta["eigensolves"]] == [[3, 3], [9, 9], [27, 27]]
 

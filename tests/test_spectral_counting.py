@@ -12,10 +12,13 @@ records with exactly geometric counts, where the log-log slope is
 log 2/log 3 by construction.
 """
 
+import functools
+import inspect
 import itertools
 import math
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -23,9 +26,9 @@ import pytest
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from openmaps import spectral_counting, threads
+from openmaps import quantum_baker, spectral_counting, threads
 from openmaps.baker_classical import BakerSpec
-from openmaps.errors import DegenerateCounts, NoConvergence
+from openmaps.errors import DegenerateCounts, DimensionCap, NoConvergence
 from openmaps.quantum_baker import build, dense, parity_blocks
 from openmaps.spectral_counting import (
     RESIDUAL_REL,
@@ -37,6 +40,7 @@ from openmaps.spectral_counting import (
     eigenvalues,
     weyl_exponent,
 )
+from openmaps.threads import pool_size
 
 SPEC32 = BakerSpec(3, (0, 2))
 D_H = 0.6309297535714574
@@ -383,6 +387,154 @@ class TestConcurrentSchur:
         rows, cols = linear_sum_assignment(gap)
         assert gap[rows, cols].max() <= 1e-12
         assert rec.backward_error <= 1e-12 and backward_error <= 1e-12
+
+
+def assert_same_record(got, want):
+    """Every field of two records equal, bit for bit, but `workers`."""
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert got.backward_error == want.backward_error
+    assert (got.N, got.structural_zeros, got.blocks, got.blas_threads) == (
+        want.N, want.structural_zeros, want.blocks, want.blas_threads)
+
+
+class TestSpectra:
+    """All of a list's parity sectors on one pool against the per-N oracle."""
+
+    @pytest.mark.parametrize("spec", [SPEC32, BakerSpec(3, (1,))], ids=["3-02", "3-1"])
+    def test_records_are_the_per_n_oracle(self, spec):
+        # (3, {1}) at odd N keeps the middle index: sectors of unequal size
+        ops = [build(spec, 3 ** k) for k in range(2, 8)]
+        for got, op in zip(spectral_counting.spectra(ops), ops):
+            want = block_eigenvalues(op.N, *parity_blocks(op))
+            assert_same_record(got, want)
+            assert len(got.blocks) == 2
+            assert got.workers == (min(12, pool_size()) if threads.openblas() else 1)
+
+    def test_records_equal_on_any_pool(self, monkeypatch):
+        # six tasks on one, two and (more than the CPUs) six threads, the
+        # last with a short switch interval
+        ops = [build(SPEC32, n) for n in (81, 243, 729)]
+        records = {}
+        switch = sys.getswitchinterval()
+        try:
+            for workers in (1, 2, 8):
+                monkeypatch.setattr(spectral_counting, "pool_size", lambda: workers)
+                if workers == 8:
+                    sys.setswitchinterval(1e-5)
+                records[workers] = spectral_counting.spectra(ops)
+                assert {r.workers for r in records[workers]} == {
+                    min(workers, 6) if threads.openblas() else 1}
+        finally:
+            sys.setswitchinterval(switch)
+        for one, two, many in zip(records[1], records[2], records[8]):
+            assert_same_record(one, two)
+            assert_same_record(one, many)
+
+    @pytest.mark.parametrize("spec, theta", [
+        (BakerSpec(3, (0, 1)), 0.5),
+        (SPEC32, 0.0),
+    ], ids=["3-01", "theta-0"])
+    def test_one_block_op_leaves_blas_threads_alone(self, monkeypatch, spec, theta):
+        before = blas_counts()
+        op = build(spec, 243, theta=theta)
+        want = block_eigenvalues(243, *parity_blocks(op))
+
+        def no_set(count):
+            assert count is None
+            return threads.blas_threads(count)
+
+        monkeypatch.setattr(spectral_counting, "blas_threads", no_set)
+        rec, = spectral_counting.spectra([op])
+        assert_same_record(rec, want)
+        assert rec.workers == 1 and rec.blas_threads == before
+        assert blas_counts() == before
+
+    def test_mixed_list_keeps_its_order(self):
+        ops = [build(SPEC32, 81, theta=0.0), build(SPEC32, 243), build(SPEC32, 27),
+               build(BakerSpec(3, (0, 1)), 81)]
+        got = spectral_counting.spectra(ops)
+        assert [r.N for r in got] == [81, 243, 27, 81]
+        for rec, op in zip(got, ops):
+            assert_same_record(rec, block_eigenvalues(op.N, *parity_blocks(op)))
+
+    def test_dimension_cap_before_any_task(self, monkeypatch):
+        def no_task(*args):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(spectral_counting, "_solve", no_task)
+        monkeypatch.setattr(spectral_counting, "_sector_block", no_task)
+        ops = [build(SPEC32, 81), build(SPEC32, 81, theta=0.0), build(SPEC32, 3 ** 9)]
+        with pytest.raises(DimensionCap):
+            spectral_counting.spectra(ops)
+
+    def test_blas_threads_restored_after_a_task_raises(self, monkeypatch):
+        before = blas_counts()
+        sector_block = spectral_counting._sector_block
+
+        def poisoned(op, own, other):
+            block, part = sector_block(op, own, other)
+            if op.N == 243:
+                block[0, 0] = np.inf
+            return block, part
+
+        monkeypatch.setattr(spectral_counting, "_sector_block", poisoned)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            spectral_counting.spectra([build(SPEC32, n) for n in (81, 243, 729)])
+        assert blas_counts() == before
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        before = blas_counts()
+        zgees = spectral_counting._zgees()
+
+        def failing(*args):
+            zgees(*args)
+            args[-1].value = 3
+
+        monkeypatch.setattr(spectral_counting, "_zgees", lambda: failing)
+        with pytest.raises(NoConvergence, match="info=3"):
+            spectral_counting.spectra([build(SPEC32, 27), build(SPEC32, 81)])
+        assert blas_counts() == before
+
+    def test_workers_enter_no_public_function(self, monkeypatch):
+        # a tracer that wraps the public functions keeps one span stack,
+        # so the tasks may call private functions only
+        entered = []
+
+        def watch(fn):
+            @functools.wraps(fn)
+            def watched(*args, **kwargs):
+                entered.append((fn.__name__, threading.current_thread()))
+                return fn(*args, **kwargs)
+            return watched
+
+        wrapped = {}
+        for module in (quantum_baker, spectral_counting):
+            for name, value in list(vars(module).items()):
+                if (not name.startswith("_") and inspect.isfunction(value)
+                        and value.__module__.startswith("openmaps.")):
+                    wrapped.setdefault(value, watch(value))
+                    monkeypatch.setattr(module, name, wrapped[value])
+        ops = [build(SPEC32, n) for n in (27, 81, 243)] + [build(SPEC32, 81, theta=0.0)]
+        spectral_counting.spectra(ops)
+        assert {"parity_blocks", "block_eigenvalues"} <= {name for name, _ in entered}
+        assert {thread for _, thread in entered} == {threading.main_thread()}
+
+    def test_scipy_loaded_lazily_and_before_the_blas_listing(self):
+        code = ("import sys; import openmaps; "
+                "print(int('scipy.linalg' in sys.modules), int('scipy.special' in sys.modules)); "
+                "from openmaps import spectral_counting, threads; "
+                "from openmaps.baker_classical import BakerSpec; "
+                "from openmaps.quantum_baker import build; "
+                "spectral_counting.spectra([build(BakerSpec(3, (0, 2)), 27)]); "
+                "print(*sorted(threads.openblas()))")
+        first = ("import scipy.linalg; from openmaps import threads; "
+                 "print(*sorted(threads.openblas()))")
+        lazy, eager = (subprocess.run([sys.executable, "-c", c], capture_output=True,
+                                      text=True, timeout=120, check=True).stdout
+                       for c in (code, first))
+        loaded, libs = lazy.splitlines()
+        assert loaded == "0 0"
+        assert libs == eager.strip()
 
 
 def walsh_necklace_spectrum(spec, k, theta=0.5):
