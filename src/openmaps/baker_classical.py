@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .symbolic_pressure import CylinderTable, full_shift
+import numpy as np
+
+from .symbolic_pressure import CylinderTable
 
 DIGIT_GUARD = 1e-14     # strip boundaries snapped upward within this band
 
@@ -87,13 +89,12 @@ def inverse(spec, p):
 
 
 def cylinder_table(spec, n):
-    """Depth-n table over the full m-shift: logJ = t = n*log(a) per word."""
+    """Depth-n full m-shift table, words lexicographic: logJ = t = n*log(a) each."""
     if n < 1:
         raise ValueError("n >= 1")
     if spec.m < 2:
         raise ValueError("need at least 2 alphabet symbols for a subshift")
-    shift = full_shift(spec.m)
-    weight = n * math.log(spec.a)
-    entries = {w: (weight, weight) for w in shift.words(n)}
-    return CylinderTable(shift, n, entries)
+    words = np.indices((spec.m,) * n).reshape(n, -1).T
+    weight = np.full(len(words), n * math.log(spec.a))
+    return CylinderTable(n, words, weight, weight)
 

@@ -326,16 +326,16 @@ def cmd_sigma_curve(cfg):
 def cmd_billiard_orbits(cfg):
     config = _disk_config(cfg)
     depth = _get(cfg, "orbits", "depth", int, 3)
-    orbits = _cycle_orbits(config, depth)
+    words, angles, lengths, logj, t, residual, dropped = _cycle_orbits(config, depth)
+    words, logj, t = words.tolist(), logj.tolist(), t.tolist()
     header = ("word", *(f"angle_{i}" for i in range(depth)),
               *(f"length_{i}" for i in range(depth)), "logJ", "t")
-    table = sorted(orbits.items())
-    rows = [("".join(map(str, s.word)), *s.angles, *s.lengths, s.logJ,
-             s.t_total) for _, s in table]
-    payload = _json({"depth": depth,
-                     "orbits": [[w, s.logJ, s.t_total] for w, s in table]})
-    series = [(s.t_total, s.logJ) for _, s in table]
-    return payload, _files(header, rows, series), {}
+    rows = [("".join(map(str, w)), *a, *l, lj, tt) for w, a, l, lj, tt
+            in zip(words, angles.tolist(), lengths.tolist(), logj, t)]
+    payload = _json({"depth": depth, "orbits": [list(r) for r in zip(words, logj, t)]})
+    certificates = {"orbits": {"newton_residual_max": max(residual.tolist(), default=None),
+                               "shadowed_words_dropped": dropped}}
+    return payload, _files(header, rows, list(zip(t, logj))), certificates
 
 
 def cmd_spectrum(cfg):

@@ -15,8 +15,8 @@ by minimizing the total flight length over the bounce angles -- the
 no-eclipse condition makes that critical point unique -- and their
 linear stability comes from the standard curvature transfer matrices
 (free flight [[1,tau],[0,1]], dispersing reflection
-[[1,0],[2*kappa/cos(phi),1]]).  A solved batch is an `OrbitBatch` of
-arrays; only `orbit_for_word` and `_cycle_orbits` build `OrbitSegment`s.
+[[1,0],[2*kappa/cos(phi),1]]).  Solved batches (`OrbitBatch`), cylinder
+tables and orbit rows are all arrays.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoConvergence, NotHyperbolic, ShadowedPath, TooFewSurvivors
-from .symbolic_pressure import CylinderTable, no_repeat_shift
+from .errors import NoConvergence, NotHyperbolic, TooFewSurvivors
+from .symbolic_pressure import CylinderTable
 from .threads import pool_size
 
 log = logging.getLogger(__name__)
@@ -95,20 +95,6 @@ class DiskConfig:
         return len(self.centers)
 
 
-@dataclass(frozen=True)
-class OrbitSegment:
-    word: tuple
-    angles: tuple        # boundary angle (radians) per bounce
-    lengths: tuple       # cyclic flight lengths: flight k runs from bounce k to k+1 mod n
-    logJ: float          # log of the largest monodromy eigenvalue modulus
-    t_total: float
-    residual: float
-
-    def __post_init__(self):
-        _check_orbits(np.array([self.word]), np.array([self.lengths]),
-                      np.array([self.residual]))
-
-
 class OrbitBatch(NamedTuple):
     """Closed orbits of a batch of equal-length words, one row per word.
 
@@ -118,9 +104,9 @@ class OrbitBatch(NamedTuple):
 
     words: np.ndarray       # (B, n) disk indices
     angles: np.ndarray      # (B, n) boundary angles in [0, 2 pi)
-    lengths: np.ndarray     # (B, n) cyclic flight lengths
+    lengths: np.ndarray     # (B, n) flight k runs from bounce k to k+1 mod n
     residual: np.ndarray    # (B,) gradient sup-norm
-    logJ: np.ndarray        # (B,)
+    logJ: np.ndarray        # (B,) log of the largest monodromy eigenvalue modulus
     shadow: list            # (B,) message or None
 
     @property
@@ -142,16 +128,6 @@ def _check_words(words):
     if repeats.any():
         word = tuple(words[repeats.argmax()].tolist())
         raise ValueError(f"word {word} repeats a symbol, cyclically")
-
-
-def _check_orbits(words, lengths, residual):
-    """The `OrbitSegment` contract on arrays: positive flight lengths,
-    cyclic words and residual <= 1e-10, row by row."""
-    if not (lengths > 0).all():
-        raise ValueError("flight lengths must be positive")
-    _check_words(words)
-    if not (residual <= 1e-10).all():
-        raise ValueError("orbit segments must have residual <= 1e-10")
 
 
 def _flight_pairs(n):
@@ -277,7 +253,8 @@ def _solve_orbits(config, words):
     singular, mu rises tenfold.  Returns the `OrbitBatch` of the words,
     in order, with the (unraised) `ShadowedPath` message of each word
     whose orbit crosses a third disk; raises `NoConvergence` naming the
-    word, and holds the other rows to the `OrbitSegment` contract.
+    word, and ValueError unless the other rows have positive flight
+    lengths and residual <= 1e-10.
     """
     _check_words(words)
     phis = _initial_angles(config, words)
@@ -308,28 +285,12 @@ def _solve_orbits(config, words):
     shadow = _shadowed(config, words, _bounces(config, words, phis)[2])
     batch = OrbitBatch(words, phis, lengths, res, np.full(len(words), np.nan), shadow)
     clear = batch.clear
-    _check_orbits(words[clear], lengths[clear], res[clear])
+    if not (lengths[clear] > 0).all():
+        raise ValueError("flight lengths must be positive")
+    if not (res[clear] <= 1e-10).all():
+        raise ValueError("orbit segments must have residual <= 1e-10")
     batch.logJ[clear] = _log_expansions(config, words[clear], phis[clear], lengths[clear])
     return batch
-
-
-def _segments(words, angles, lengths, logj, t_total, residual):
-    """One `OrbitSegment` per row of the aligned arrays."""
-    return [OrbitSegment(tuple(w), tuple(a), tuple(l), lj, t, r)
-            for w, a, l, lj, t, r in zip(words.tolist(), angles.tolist(), lengths.tolist(),
-                                         logj.tolist(), t_total.tolist(), residual.tolist())]
-
-
-def orbit_for_word(config, word):
-    """Length-minimizing closed bounce sequence realizing a cyclic word.
-
-    The one-word case of `_solve_orbits`; a shadowed orbit raises `ShadowedPath`.
-    """
-    b = _solve_orbits(config, np.array([word]))
-    if b.shadow[0]:
-        raise ShadowedPath(b.shadow[0])
-    (segment,) = _segments(b.words, b.angles, b.lengths, b.logJ, b.t_total, b.residual)
-    return segment
 
 
 def _outgoing(config, words, phis):
@@ -416,43 +377,35 @@ def _necklaces(k, n):
     return _necklace_classes(k, n)[1]
 
 
-def _cycles(config, n):
-    """The `_cyclic_words` of length n that are not shadowed, the solved
-    `OrbitBatch` of their necklaces, and per word its necklace row and
-    shift (see `_necklace_classes`).
+def _cycle_orbits(config, n):
+    """Closed orbits of the `_cyclic_words` of length n, in order, as
+    aligned arrays: words, angles, flight lengths, logJ, t and residual;
+    then the number of shadowed words, which are dropped.
 
     Every rotation of a word traces the same orbit, so the necklaces
     (prime cycles or repeats of one) are solved as one batch, and each
-    serves its whole class.  Shadowed words are dropped and counted.
+    word takes its necklace's row, angles and lengths rotated.  t is the
+    necklace's `t_total`: a sum of the rotated lengths can move its last bit.
     """
     if n < 2:
         raise ValueError("depth n >= 2")
     words, necklaces, cls, shift = _necklace_classes(config.k, n)
-    batch = _solve_orbits(config, necklaces)
-    keep = batch.clear[cls]
-    if not keep.all():
-        log.warning("depth %d cycles: dropped %d shadowed words", n, np.count_nonzero(~keep))
-    return words[keep], batch, cls[keep], shift[keep]
-
-
-def _cycle_orbits(config, n):
-    """Closed orbits of all `_cyclic_words` of length n, in that order, as
-    `OrbitSegment`s: each word gets its necklace's angles and flight
-    lengths rotated.  Shadowed words are dropped and counted."""
-    words, b, cls, shift = _cycles(config, n)
+    b = _solve_orbits(config, necklaces)
+    keep = b.clear[cls]
+    dropped = int(np.count_nonzero(~keep))
+    if dropped:
+        log.warning("depth %d cycles: dropped %d shadowed words", n, dropped)
+    words, cls, shift = words[keep], cls[keep], shift[keep]
     back = (np.arange(n) - shift[:, None]) % n
-    segments = _segments(words, np.take_along_axis(b.angles[cls], back, axis=1),
-                         np.take_along_axis(b.lengths[cls], back, axis=1),
-                         b.logJ[cls], b.t_total[cls], b.residual[cls])
-    return {seg.word: seg for seg in segments}
+    return (words, np.take_along_axis(b.angles[cls], back, axis=1),
+            np.take_along_axis(b.lengths[cls], back, axis=1),
+            b.logJ[cls], b.t_total[cls], b.residual[cls], dropped)
 
 
 def cylinder_table(config, n):
-    """Closed-orbit weight table at depth n; shadowed words are dropped."""
-    words, b, cls, _ = _cycles(config, n)
-    weights = zip(b.logJ[cls].tolist(), b.t_total[cls].tolist())
-    return CylinderTable(no_repeat_shift(config.k), n,
-                         dict(zip(map(tuple, words.tolist()), weights)))
+    """Depth-n closed-orbit weights of the unshadowed `_cyclic_words`, in order."""
+    words, _, _, logj, t, _, _ = _cycle_orbits(config, n)
+    return CylinderTable(n, words, logj, t)
 
 
 def _draws(seed, start):

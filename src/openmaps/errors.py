@@ -29,10 +29,6 @@ class NotOpen(LabError):
     """Pressure of the escape weight is nonnegative: the system does not leak."""
 
 
-class NoCycle(LabError):
-    """Word graph is acyclic, so cycle means are undefined."""
-
-
 # disk_billiard
 
 class NoConvergence(LabError):

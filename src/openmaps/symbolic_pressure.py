@@ -1,4 +1,4 @@
-"""Thermodynamic formalism on subshifts of finite type.
+"""Thermodynamic formalism on cylinder tables.
 
 Weights live on finite words: per admissible word w of length n the
 table stores logJ(w) (Birkhoff sum of the log unstable Jacobian) and
@@ -19,120 +19,52 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyTable, InsufficientDepths, NoCycle, NoSignChange, NotOpen
+from .errors import EmptyTable, InsufficientDepths, NoSignChange, NotOpen
 
 ROOT_TOL = 1e-8          # bisection tolerance for all pressure roots
-Word = tuple
 
 
-def full_shift(m):
-    """Subshift on m symbols with every transition allowed."""
-    return Subshift(m, np.ones((m, m), dtype=bool))
-
-
-def no_repeat_shift(m):
-    """Subshift on m symbols forbidding immediate repeats (disk coding)."""
-    return Subshift(m, ~np.eye(m, dtype=bool))
-
-
-@dataclass(frozen=True)
-class Subshift:
-    """Symbol set {0..m-1} with an allowed-transition matrix."""
-
-    m: int
-    transition: np.ndarray
-
-    def __post_init__(self):
-        trans = np.asarray(self.transition, dtype=bool)
-        object.__setattr__(self, "transition", trans)
-        if self.m < 2 or trans.shape != (self.m, self.m):
-            raise ValueError("transition must be m x m with m >= 2")
-        if not (trans.any(axis=1).all() and trans.any(axis=0).all()):
-            raise ValueError("every symbol needs an outgoing and an incoming transition")
-        if not self._primitive_on_recurrent():
-            raise ValueError("adjacency is not primitive on its recurrent part")
-
-    def _primitive_on_recurrent(self):
-        # recurrent symbols: those lying on some cycle (reachability closure)
-        reach = self.transition.copy()
-        for _ in range(self.m):
-            reach = reach | (reach @ self.transition)
-        recurrent = np.diag(reach)
-        if not recurrent.any():
-            return False
-        sub = self.transition[np.ix_(recurrent, recurrent)]
-        r = sub.shape[0]
-        power = sub.copy()
-        for _ in range((r - 1) ** 2 + 1):
-            if power.all():
-                return True
-            power = (power @ sub) > 0
-        return bool(power.all())
-
-    def admissible(self, word):
-        """True when every consecutive pair of symbols is an allowed transition."""
-        if any(s < 0 or s >= self.m for s in word):
-            return False
-        return all(self.transition[word[i], word[i + 1]] for i in range(len(word) - 1))
-
-    def words(self, n):
-        """All admissible words of length n, lexicographic."""
-        if n < 1:
-            raise ValueError("n >= 1")
-        out = [(s,) for s in range(self.m)]
-        for _ in range(n - 1):
-            out = [w + (s,) for w in out for s in range(self.m) if self.transition[w[-1], s]]
-        return out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CylinderTable:
-    """Per-word (logJ, t) weights at a fixed depth n.
+    """Per-word (logJ, t) weights at a fixed depth n, as aligned arrays.
 
-    Floors encode hyperbolicity (logJ >= n*lambda_floor) and the
-    positive-return-time assumption (t >= n*t_min); construction fails
-    loudly, naming the first word in table order that breaks a check.
-    The weights are kept as read-only arrays in that order.
+    `words` is an (m, n) integer array of admissible words (its builder
+    makes them so), one per entry of `logJ` and `t`.  Floors encode
+    hyperbolicity (logJ >= n*lambda_floor) and positive return times
+    (t >= n*t_min); construction fails loudly, naming the first word in
+    table order that breaks a check.  The arrays are stored read-only.
     """
 
-    subshift: Subshift
     n: int
-    entries: dict
+    words: np.ndarray
+    logJ: np.ndarray
+    t: np.ndarray
     lambda_floor: float = 1e-6
     t_min: float = 1e-6
-    _weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("depth n >= 1")
         if self.lambda_floor <= 0 or self.t_min <= 0:
             raise ValueError("floors must be positive")
-        words = list(self.entries)
-        size = len(words)
-        wrong = np.fromiter((len(w) != self.n for w in words), bool, size)
-        codes = np.array([(0,) * self.n if bad else w for w, bad in zip(words, wrong)],
-                         dtype=np.int64).reshape(size, self.n)
-        inside = ((codes >= 0) & (codes < self.subshift.m)).all(axis=1)
-        clipped = np.clip(codes, 0, self.subshift.m - 1)
-        allowed = self.subshift.transition[clipped[:, :-1], clipped[:, 1:]].all(axis=1)
-        logj, t = np.array(list(self.entries.values()), dtype=float).reshape(size, 2).T.copy()
-        fails = np.stack([wrong, ~(inside & allowed),
-                          ~(np.isfinite(logj) & np.isfinite(t)),
+        words = np.array(self.words, dtype=np.int64)
+        logj, t = np.array(self.logJ, dtype=float), np.array(self.t, dtype=float)
+        # explicit: a reshape could re-fold words of the wrong width
+        if not (words.ndim == 2 and words.shape[1] == self.n
+                and logj.shape == t.shape == (len(words),)):
+            raise ValueError(f"need (m, {self.n}) words and m (logJ, t) pairs, got shapes "
+                             f"{words.shape}, {logj.shape}, {t.shape}")
+        fails = np.stack([~(np.isfinite(logj) & np.isfinite(t)),
                           logj < self.n * self.lambda_floor, t < self.n * self.t_min])
         if fails.any():
             i = fails.any(axis=0).argmax()
-            word = words[i]
-            raise ValueError((f"word {word} has length != {self.n}",
-                              f"word {word} not admissible",
-                              f"non-finite weights for word {word}",
+            word = tuple(words[i].tolist())
+            raise ValueError((f"non-finite weights for word {word}",
                               f"logJ({word}) below hyperbolicity floor",
                               f"t({word}) below return-time floor")[fails[:, i].argmax()])
-        logj.flags.writeable = t.flags.writeable = False
-        object.__setattr__(self, "_weights", (logj, t))
-
-    def weight_arrays(self):
-        """(logJ, t) as aligned read-only arrays over the table's word order."""
-        return self._weights
+        for name, value in (("words", words), ("logJ", logj), ("t", t)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -174,10 +106,9 @@ def finite_pressure(table, coeff_J, coeff_t):
     """Depth-n cover pressure (1/n) log sum_w exp(cJ*logJ + ct*t)."""
     if not (math.isfinite(coeff_J) and math.isfinite(coeff_t)):
         raise ValueError("coefficients must be finite")
-    if not table.entries:
+    if not len(table.words):
         raise EmptyTable(f"no admissible words at depth {table.n}")
-    logj, t = table.weight_arrays()
-    return _logsumexp(coeff_J * logj + coeff_t * t) / table.n
+    return _logsumexp(coeff_J * table.logJ + coeff_t * table.t) / table.n
 
 
 def pressure(tables, coeff_J, coeff_t):
@@ -264,54 +195,3 @@ def sigma_of_gamma(tables, gamma, lambda_max):
         raise ValueError("lambda_max must be > 0")
     p = pressure(tables, -1.0, 2.0 * gamma).value
     return max(0.0, -p / (6.0 * lambda_max))
-
-
-def _max_cycle_mean(n_nodes, edges):
-    """Karp's maximum mean cycle over (u, v, weight) edges; -inf if acyclic."""
-    neg = -math.inf
-    dp = np.full((n_nodes + 1, n_nodes), neg)
-    dp[0, :] = 0.0          # walks may start anywhere
-    for k in range(1, n_nodes + 1):
-        row = np.full(n_nodes, neg)
-        for u, v, w in edges:
-            cand = dp[k - 1, u] + w
-            if cand > row[v]:
-                row[v] = cand
-        dp[k] = row
-    best = neg
-    for v in range(n_nodes):
-        if dp[n_nodes, v] == neg:
-            continue
-        worst = math.inf
-        for k in range(n_nodes):
-            if dp[k, v] == neg:
-                continue
-            worst = min(worst, (dp[n_nodes, v] - dp[k, v]) / (n_nodes - k))
-        best = max(best, worst)
-    return best
-
-
-def lyapunov_bounds(table):
-    """(lambda_min, lambda_max): extreme per-step cycle means of logJ/n.
-
-    Cycles live on the de Bruijn graph of the table's depth: nodes are
-    (n-1)-prefixes, one edge per word, weight logJ(word)/n.
-    """
-    if table.n < 2:
-        raise ValueError("need table depth >= 2")
-    if not table.entries:
-        raise EmptyTable("empty table")
-    nodes = sorted({w[:-1] for w in table.entries} | {w[1:] for w in table.entries})
-    index = {node: i for i, node in enumerate(nodes)}
-    edges = [
-        (index[w[:-1]], index[w[1:]], logj / table.n)
-        for w, (logj, _t) in table.entries.items()
-    ]
-    lam_max = _max_cycle_mean(len(nodes), edges)
-    if lam_max == -math.inf:
-        raise NoCycle("word graph has no cycle")
-    neg_edges = [(u, v, -w) for u, v, w in edges]
-    lam_min = -_max_cycle_mean(len(nodes), neg_edges)
-    assert 0.0 < lam_min <= lam_max + 1e-12
-    return float(lam_min), float(lam_max)
-

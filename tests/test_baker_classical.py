@@ -4,6 +4,7 @@ Exactness checks run on Fractions (the map is rational-affine); float
 paths are tested against the same values at machine tolerance.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -142,17 +143,33 @@ def test_area_preservation_affine_image():
 
 def test_cylinder_table_baker_32():
     table = cylinder_table(SPEC32, 2)
-    assert len(table.entries) == 4
-    for logj, t in table.entries.values():
+    assert table.words.shape == (4, 2)
+    for logj, t in zip(table.logJ, table.t):
         assert logj == pytest.approx(2 * math.log(3), abs=1e-15)
         assert t == pytest.approx(2 * math.log(3), abs=1e-15)
 
 
 def test_cylinder_table_a4():
     table = cylinder_table(BakerSpec(4, (1, 3)), 1)
-    assert len(table.entries) == 2
-    for logj, _t in table.entries.values():
+    assert table.words.shape == (2, 1)
+    for logj in table.logJ:
         assert logj == pytest.approx(math.log(4), abs=1e-15)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_cylinder_table_words_are_the_digit_product(m):
+    # every digit string, lexicographic: the full shift's words in order
+    spec = BakerSpec(m + 1, tuple(range(m)))
+    for n in range(1, 6):
+        words = cylinder_table(spec, n).words
+        assert words.tolist() == [list(w) for w in itertools.product(range(m), repeat=n)]
+
+
+def test_cylinder_table_needs_two_symbols():
+    with pytest.raises(ValueError, match="at least 2 alphabet symbols"):
+        cylinder_table(BakerSpec(3, (1,)), 2)
+    with pytest.raises(ValueError):
+        cylinder_table(SPEC32, 0)
 
 
 def test_cylinder_table_pressure_consistency():

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from openmaps import cli_io, quantum_baker
+from openmaps import cli_io, disk_billiard, quantum_baker
 from openmaps.baker_classical import BakerSpec, cylinder_table
 from openmaps.cli_io import SVG_H, SVG_MARGIN, SVG_W, main, parse_config, plot_svg
-from openmaps.disk_billiard import DiskConfig, _cycle_orbits, orbit_for_word
+from openmaps.disk_billiard import DiskConfig, _cycle_orbits, _solve_orbits
 from openmaps.errors import ConfigParse, EmptyData
 from openmaps.phase_space import (
     EscapeParams,
@@ -391,14 +391,14 @@ class TestBilliardCommand:
         for row, (word, logj, t) in zip(rows, json.loads(out)["orbits"]):
             cells = row.split(",")
             assert cells[0] == "".join(map(str, word))
-            seg = orbit_for_word(config, tuple(word))
+            seg = _solve_orbits(config, np.array([word]))
             gap = np.abs(np.array([float(c) for c in cells[1:5]])
-                         - np.array(seg.angles)) % (2 * math.pi)
+                         - seg.angles[0]) % (2 * math.pi)
             assert np.max(np.minimum(gap, 2 * math.pi - gap)) <= 1e-13
-            assert np.allclose([float(c) for c in cells[5:9]], seg.lengths,
+            assert np.allclose([float(c) for c in cells[5:9]], seg.lengths[0],
                                rtol=1e-13, atol=0)
-            assert logj == pytest.approx(seg.logJ, rel=1e-13)
-            assert t == pytest.approx(seg.t_total, rel=1e-13)
+            assert logj == pytest.approx(seg.logJ[0], rel=1e-13)
+            assert t == pytest.approx(seg.t_total[0], rel=1e-13)
 
     def test_rows_are_repr_of_segments(self, capsys, tmp_path):
         code, _, _ = run(capsys, ["billiard-orbits", "--out", str(tmp_path),
@@ -407,11 +407,42 @@ class TestBilliardCommand:
         rows = (tmp_path / "billiard-orbits.csv").read_text().splitlines()
         assert rows[0] == ("word,angle_0,angle_1,angle_2,"
                            "length_0,length_1,length_2,logJ,t")
-        orbits = _cycle_orbits(TRI, 3)
+        words, angles, lengths, logj, t, _, _ = _cycle_orbits(TRI, 3)
         assert rows[1:] == [
-            ",".join(["".join(map(str, s.word)), *map(repr, s.angles),
-                      *map(repr, s.lengths), repr(s.logJ), repr(s.t_total)])
-            for _, s in sorted(orbits.items())]
+            ",".join(["".join(map(str, w)), *map(repr, a), *map(repr, l), repr(lj), repr(tt)])
+            for w, a, l, lj, tt in zip(words.tolist(), angles.tolist(), lengths.tolist(),
+                                       logj.tolist(), t.tolist())]
+        # the t column is the cylinder table's t, bit for bit
+        column = np.array([float(r.split(",")[-1]) for r in rows[1:]])
+        assert column.tobytes() == disk_billiard.cylinder_table(TRI, 3).t.tobytes()
+
+    def test_metadata_records_the_orbit_certificate(self, capsys, tmp_path, monkeypatch):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text("[orbits]\ndepth = 4\n")
+
+        def orbits(out_dir):
+            code, out, _ = run(capsys, ["billiard-orbits", "--config", str(cfgfile),
+                                        "--out", str(out_dir)])
+            assert code == 0
+            meta = json.loads((out_dir / "metadata.json").read_text())["orbits"]
+            return json.loads(out)["orbits"], meta
+
+        rows, meta = orbits(tmp_path / "clear")
+        assert meta["shadowed_words_dropped"] == 0
+        assert 0 <= meta["newton_residual_max"] <= 1e-12
+        real = disk_billiard._solve_orbits
+
+        def shadow_repeats(config, words):
+            batch = real(config, words)
+            return batch._replace(shadow=["test" if w == [0, 1, 0, 1] else s
+                                          for w, s in zip(words.tolist(), batch.shadow)])
+
+        monkeypatch.setattr(disk_billiard, "_solve_orbits", shadow_repeats)
+        kept, meta = orbits(tmp_path / "shadowed")
+        assert meta["shadowed_words_dropped"] == 2
+        assert kept == [r for r in rows if r[0] not in ([0, 1, 0, 1], [1, 0, 1, 0])]
+        assert meta["newton_residual_max"] == max(
+            disk_billiard._cycle_orbits(TRI, 4)[5].tolist())
 
     def test_depth_one_rejected(self, capsys, tmp_path):
         cfgfile = tmp_path / "c.ini"

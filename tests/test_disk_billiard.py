@@ -16,7 +16,9 @@ loop with its whole-sample draws are kept as oracles for the batched
 solver and the chunked, threaded escape loop with its per-chunk draws.
 The tuple word builder, the per-word least-rotation search and the
 set-of-cells box count are kept as oracles for their array forms, and
-a dense grid search for the closed-form hull clearance.
+a dense grid search for the closed-form hull clearance.  The one-word
+solve `orbit_for_word` and its `OrbitSegment` record are test helpers
+over the batched solver.
 
 Frozen analytic constants (two disks of radius 1, centers 6 apart):
     bounce orbit flight time     t = 8 per period (two flights of 4)
@@ -45,7 +47,6 @@ from hypothesis import strategies as st
 from openmaps import disk_billiard
 from openmaps.disk_billiard import (
     DiskConfig,
-    OrbitSegment,
     _cycle_orbits,
     _cyclic_words,
     _flight_pairs,
@@ -57,18 +58,18 @@ from openmaps.disk_billiard import (
     _total_length_grad,
     cylinder_table,
     escape_rate_mc,
-    orbit_for_word,
     periodic_points,
     trapped_box_dimension,
 )
 from openmaps.errors import (
+    EmptyTable,
     LabError,
     NoConvergence,
     NotHyperbolic,
     ShadowedPath,
     TooFewSurvivors,
 )
-from openmaps.symbolic_pressure import bowen_dimension, classical_decay_rate
+from openmaps.symbolic_pressure import bowen_dimension, classical_decay_rate, finite_pressure
 
 LOGJ_TWO_DISK = 4.584863339122355
 FLIGHT_TRIANGLE = 4.267949192431123
@@ -167,6 +168,30 @@ def bounce_jacobian(config, coord, n_steps, h=1e-7):
         dy_out = (plus.y - minus.y + arc / 2) % arc - arc / 2
         J[:, col] = np.array([dy_out, plus.eta - minus.eta]) / (2 * h)
     return J
+
+
+@dataclass(frozen=True)
+class OrbitSegment:
+    """One closed orbit: its word, and per bounce its boundary angle and
+    the flight to the next bounce (cyclically), with its logJ, total
+    flight time and Newton residual."""
+
+    word: tuple
+    angles: tuple
+    lengths: tuple
+    logJ: float
+    t_total: float
+    residual: float
+
+
+def orbit_for_word(config, word):
+    """The closed orbit of one cyclic word: the one-word case of
+    `_solve_orbits`, a shadowed orbit raising `ShadowedPath`."""
+    b = disk_billiard._solve_orbits(config, np.array([word]))
+    if b.shadow[0]:
+        raise ShadowedPath(b.shadow[0])
+    return OrbitSegment(tuple(word), tuple(b.angles[0].tolist()), tuple(b.lengths[0].tolist()),
+                        float(b.logJ[0]), float(b.t_total[0]), float(b.residual[0]))
 
 
 def point(config, disk, phi):
@@ -351,9 +376,9 @@ def periodic_points_oracle(config, periods):
 
 
 def cyclic_words_oracle(k, n):
-    """Cyclic words of length n as tuples: the `Subshift.words` recursion
-    on the no-repeat shift, then the wrap filter (the builder the integer
-    array of `_cyclic_words` replaced)."""
+    """Cyclic words of length n as tuples, lexicographic: words without an
+    immediate repeat, grown symbol by symbol, then the wrap filter (the
+    builder the integer array of `_cyclic_words` replaced)."""
     words = [(s,) for s in range(k)]
     for _ in range(n - 1):
         words = [w + (s,) for w in words for s in range(k) if s != w[-1]]
@@ -691,12 +716,6 @@ class TestClosedOrbits:
         with pytest.raises(ValueError):
             orbit_for_word(TRI, word)
 
-    def test_segment_residual_contract(self):
-        seg = orbit_for_word(TRI, (0, 1, 2))
-        assert replace(seg, residual=1e-10).residual == 1e-10
-        with pytest.raises(ValueError, match="residual"):
-            replace(seg, residual=1e-9)
-
 
 class TestFlightLengthDerivatives:
     @pytest.mark.parametrize("n", range(2, 13))
@@ -730,8 +749,8 @@ class TestFlightLengthDerivatives:
 class TestCylinderTables:
     def test_depth_two_table(self):
         table = cylinder_table(TRI, 2)
-        assert len(table.entries) == 6  # 3 unordered pairs, 2 rotations
-        for w, (logj, t) in table.entries.items():
+        assert len(table.words) == 6  # 3 unordered pairs, 2 rotations
+        for logj, t in zip(table.logJ, table.t):
             assert logj == pytest.approx(LOGJ_TWO_DISK, abs=1e-9)
             assert t == pytest.approx(8.0, abs=1e-9)
 
@@ -767,30 +786,30 @@ class TestCylinderTables:
 
     def test_table_words_match_depth(self):
         table = cylinder_table(TRI, 4)
-        assert all(len(w) == 4 for w in table.entries)
-        assert len(table.entries) == 2**4 + 2
+        assert table.words.shape == (2**4 + 2, 4)
 
     @pytest.mark.parametrize("n", range(2, 7))
     @pytest.mark.parametrize("config", [TRI, UNEQUAL, SQUARE],
                              ids=["tri", "unequal", "square"])
     def test_necklace_fill_matches_per_word_newton(self, config, n):
         table = cylinder_table(config, n)
-        assert list(table.entries) == cyclic_words_oracle(config.k, n)
-        for w, (logj, t) in table.entries.items():
+        assert list(map(tuple, table.words.tolist())) == cyclic_words_oracle(config.k, n)
+        for w, logj, t in zip(map(tuple, table.words.tolist()), table.logJ, table.t):
             ref_logj, ref_t = newton_fd_oracle(config, w)
             assert abs(logj - ref_logj) <= 1e-13 * ref_logj
             assert abs(t - ref_t) <= 1e-13 * ref_t
 
     def test_repeated_words_get_their_distinct_rotations(self):
         table = cylinder_table(TRI, 6)
-        twice = [w for w in table.entries if w[:3] == w[3:]]
-        thrice = [w for w in table.entries if w[:2] == w[2:4] == w[4:]]
+        weights = dict(zip(map(tuple, table.words.tolist()), zip(table.logJ, table.t)))
+        twice = [w for w in weights if w[:3] == w[3:]]
+        thrice = [w for w in weights if w[:2] == w[2:4] == w[4:]]
         # 012012-type: 2 necklaces x 3 rotations; 010101-type: 3 x 2
         assert len(twice) == 6 and len(thrice) == 6
         for w in twice + thrice:
             ref_logj, ref_t = newton_fd_oracle(TRI, w)
-            assert table.entries[w][0] == pytest.approx(ref_logj, rel=1e-13)
-            assert table.entries[w][1] == pytest.approx(ref_t, rel=1e-13)
+            assert weights[w][0] == pytest.approx(ref_logj, rel=1e-13)
+            assert weights[w][1] == pytest.approx(ref_t, rel=1e-13)
 
     def test_one_newton_solve_per_necklace(self, monkeypatch):
         batches = []
@@ -805,19 +824,26 @@ class TestCylinderTables:
             batches.clear()
             table = cylinder_table(TRI, n)
             assert batches == [_necklaces(3, n).tolist()]
-            assert len(table.entries) == len(_cyclic_words(3, n))
+            assert len(table.words) == len(_cyclic_words(3, n))
         batches.clear()
         periodic_points(TRI, range(2, 9))
         assert batches == [_necklaces(3, n).tolist() for n in range(2, 9)]
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_rotated_orbits_match_direct_solves(self, n):
-        for w, seg in _cycle_orbits(TRI, n).items():
+        words, angles, lengths, logj, t, residual, dropped = _cycle_orbits(TRI, n)
+        table = cylinder_table(TRI, n)
+        assert dropped == 0
+        assert np.array_equal(words, _cyclic_words(3, n))
+        # the table's weights, bit for bit
+        assert np.array_equal(logj, table.logJ) and np.array_equal(t, table.t)
+        for i, w in enumerate(map(tuple, words.tolist())):
             direct = orbit_for_word(TRI, w)
-            assert seg.word == w
-            assert angle_gap(seg.angles, direct.angles) <= 1e-13
-            assert np.allclose(seg.lengths, direct.lengths, rtol=1e-13, atol=0)
-            assert seg.logJ == pytest.approx(direct.logJ, rel=1e-13)
+            assert angle_gap(angles[i], direct.angles) <= 1e-13
+            assert np.allclose(lengths[i], direct.lengths, rtol=1e-13, atol=0)
+            assert logj[i] == pytest.approx(direct.logJ, rel=1e-13)
+            assert t[i] == pytest.approx(direct.t_total, rel=1e-13)
+            assert residual[i] <= 1e-12
 
     def test_shadowed_words_are_dropped_per_word(self, monkeypatch, caplog):
         real = disk_billiard._solve_orbits
@@ -830,14 +856,33 @@ class TestCylinderTables:
         monkeypatch.setattr(disk_billiard, "_solve_orbits", shadow_repeats)
         with caplog.at_level("WARNING", logger="openmaps.disk_billiard"):
             table = cylinder_table(TRI, 4)
-        assert (0, 1, 0, 1) not in table.entries
-        assert (1, 0, 1, 0) not in table.entries
-        assert len(table.entries) == len(_cyclic_words(3, 4)) - 2
+        words = table.words.tolist()
+        assert [0, 1, 0, 1] not in words and [1, 0, 1, 0] not in words
+        assert words == [w for w in _cyclic_words(3, 4).tolist()
+                         if w not in ([0, 1, 0, 1], [1, 0, 1, 0])]
         assert "dropped 2 shadowed words" in caplog.text
+        assert _cycle_orbits(TRI, 4)[-1] == 2
 
     def test_depth_one_rejected(self):
         with pytest.raises(ValueError):
             cylinder_table(TRI, 1)
+
+    def test_two_disk_decay_rate_is_the_bounce_orbit_rate(self):
+        # one cyclic class per even depth, the bounce orbit repeated, so
+        # the pressure root is its logJ per unit flight time
+        tables = [cylinder_table(TWO_DISK, n) for n in (4, 6, 8)]
+        for table in tables:
+            assert table.words.tolist() == [list(w) for w in
+                                            cyclic_words_oracle(2, table.n)]
+        assert classical_decay_rate(tables) == pytest.approx(LOGJ_TWO_DISK / 8,
+                                                             abs=1e-8)
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_two_disk_odd_depth_table_is_empty(self, n):
+        table = cylinder_table(TWO_DISK, n)
+        assert table.words.shape == (0, n) and table.logJ.shape == table.t.shape == (0,)
+        with pytest.raises(EmptyTable):
+            finite_pressure(table, -1.0, 0.0)
 
 
 class TestBatchedSolver:
@@ -918,7 +963,7 @@ class TestBatchedSolver:
         assert not batch.clear.any() and np.isnan(batch.logJ).all()
         with pytest.raises(ShadowedPath, match="shadowed"):
             orbit_for_word(TRI, (0, 1, 2))
-        assert cylinder_table(TRI, 4).entries == {}
+        assert cylinder_table(TRI, 4).words.shape == (0, 4)
         assert len(periodic_points(TRI, [4])) == 0
 
     @pytest.mark.parametrize("words, message", [

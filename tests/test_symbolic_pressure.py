@@ -8,6 +8,7 @@ Frozen constants used as oracles (analytic, base-a baker arithmetic):
     1 - log2/log3   = 0.3690702464285426   (decay rate, a=3 m=2)
 """
 
+import itertools
 import math
 import re
 
@@ -22,15 +23,10 @@ from openmaps.baker_classical import BakerSpec, cylinder_table
 from openmaps.errors import EmptyTable, InsufficientDepths, NoSignChange, NotOpen
 from openmaps.symbolic_pressure import (
     CylinderTable,
-    Subshift,
     _logsumexp,
-    _max_cycle_mean,
     bowen_dimension,
     classical_decay_rate,
     finite_pressure,
-    full_shift,
-    lyapunov_bounds,
-    no_repeat_shift,
     pressure,
     sigma_of_gamma,
 )
@@ -46,32 +42,15 @@ def baker_tables(a, alphabet, depths):
     return [cylinder_table(spec, n) for n in depths]
 
 
+def full_shift_words(m, n):
+    """All m^n words of length n as an (m^n, n) array, lexicographic."""
+    return np.array(list(itertools.product(range(m), repeat=n)))
+
+
 def constant_table(m, n, logj_per_step, t_per_step):
-    shift = full_shift(m)
-    entries = {w: (n * logj_per_step, n * t_per_step) for w in shift.words(n)}
-    return CylinderTable(shift, n, entries)
-
-
-# -- Subshift ---------------------------------------------------------------
-
-def test_subshift_rejects_dead_symbols():
-    trans = np.array([[True, True], [False, False]])
-    with pytest.raises(ValueError):
-        Subshift(2, trans)
-
-
-def test_subshift_rejects_imprimitive_cycle():
-    # pure 2-cycle: powers alternate, never all-positive
-    trans = np.array([[False, True], [True, False]])
-    with pytest.raises(ValueError):
-        Subshift(2, trans)
-
-
-def test_no_repeat_shift_words():
-    shift = no_repeat_shift(3)
-    assert len(shift.words(2)) == 6
-    assert len(shift.words(4)) == 3 * 2 ** 3
-    assert not shift.admissible((0, 0, 1))
+    words = full_shift_words(m, n)
+    return CylinderTable(n, words, np.full(len(words), n * logj_per_step),
+                         np.full(len(words), n * t_per_step))
 
 
 # -- finite_pressure --------------------------------------------------------
@@ -89,17 +68,18 @@ def test_baker_constant_weights_depth_independent():
 
 
 def test_no_repeat_3shift_zero_weights():
-    # 3 * 2^(n-1) admissible words, so p_n = log(3 * 2^(n-1)) / n
-    shift = no_repeat_shift(3)
+    # 3 * 2^(n-1) words without an immediate repeat, so p_n = log(3 * 2^(n-1)) / n
     for n in (2, 4, 6):
-        entries = {w: (n * 1.0, n * 1.0) for w in shift.words(n)}
-        table = CylinderTable(shift, n, entries)
+        words = full_shift_words(3, n)
+        words = words[(words[:, 1:] != words[:, :-1]).all(axis=1)]
+        ones = np.ones(len(words))
+        table = CylinderTable(n, words, n * ones, n * ones)
         expect = math.log(3 * 2 ** (n - 1)) / n
         assert finite_pressure(table, 0.0, 0.0) == pytest.approx(expect, abs=1e-12)
 
 
 def test_empty_table_raises():
-    table = CylinderTable(full_shift(2), 2, {})
+    table = CylinderTable(2, np.empty((0, 2), dtype=int), np.empty(0), np.empty(0))
     with pytest.raises(EmptyTable):
         finite_pressure(table, -1.0, 0.0)
 
@@ -128,7 +108,8 @@ def test_logsumexp_matches_scipy_on_three_disk_tables():
         centers=((0.0, 0.0), (6.0, 0.0), (3.0, 3.0 * math.sqrt(3.0))),
         radii=(1.0, 1.0, 1.0))
     for n in range(4, 9):
-        logj, t = disk_billiard.cylinder_table(tri, n).weight_arrays()
+        table = disk_billiard.cylinder_table(tri, n)
+        logj, t = table.logJ, table.t
         for c_j in np.linspace(-2.0, 1.0, 13):
             for c_t in np.linspace(-1.0, 1.0, 9):
                 a = c_j * logj + c_t * t
@@ -153,33 +134,41 @@ def test_logsumexp_matches_scipy_on_ties_and_edges():
 
 
 def test_weight_arrays_are_stored_read_only():
-    table = constant_table(2, 3, 1.0, 2.0)
-    logj, t = table.weight_arrays()
-    assert table.weight_arrays()[0] is logj
-    assert logj.tolist() == [v[0] for v in table.entries.values()]
-    assert t.tolist() == [v[1] for v in table.entries.values()]
-    with pytest.raises(ValueError):
-        logj[0] = 0.0
+    words = full_shift_words(2, 3)
+    logj, t = np.arange(1.0, 9.0), np.arange(2.0, 10.0)
+    table = CylinderTable(3, words, logj, t)
+    assert np.array_equal(table.words, words)
+    assert table.logJ.tolist() == logj.tolist() and table.t.tolist() == t.tolist()
+    for stored in (table.words, table.logJ, table.t):
+        with pytest.raises(ValueError):
+            stored[0] = 0
+    # the table keeps copies: the caller's arrays stay writeable and apart
+    logj[0] = 5.0
+    assert table.logJ[0] == 1.0
+    # tables compare by identity, so == on array fields never runs
+    assert table == table and table != CylinderTable(3, words, logj, t)
 
 
-@pytest.mark.parametrize("bad, message", [
-    ({(0, 1, 2): (3.0, 3.0)}, "word (0, 1, 2) has length != 2"),
-    ({(0, 0): (3.0, 3.0)}, "word (0, 0) not admissible"),
-    ({(0, 3): (3.0, 3.0)}, "word (0, 3) not admissible"),
-    ({(0, -1): (3.0, 3.0)}, "word (0, -1) not admissible"),
-    ({(0, 1): (math.nan, 3.0)}, "non-finite weights for word (0, 1)"),
-    ({(0, 1): (3.0, math.inf)}, "non-finite weights for word (0, 1)"),
-    ({(0, 1): (1e-7, 3.0)}, "logJ((0, 1)) below hyperbolicity floor"),
-    ({(0, 1): (3.0, 1e-7)}, "t((0, 1)) below return-time floor"),
+@pytest.mark.parametrize("words, logj, t, message", [
+    ([(2, 0), (0, 1)], [3.0, math.nan], [3.0, 3.0], "non-finite weights for word (0, 1)"),
+    ([(2, 0), (0, 1)], [3.0, 3.0], [3.0, math.inf], "non-finite weights for word (0, 1)"),
+    ([(2, 0), (0, 1)], [3.0, 1e-7], [3.0, 3.0], "logJ((0, 1)) below hyperbolicity floor"),
+    ([(2, 0), (0, 1)], [3.0, 3.0], [3.0, 1e-7], "t((0, 1)) below return-time floor"),
     # the first bad word in table order is named, by its first failed check
-    ({(1, 1): (math.nan, 3.0), (0, 1, 2): (3.0, 3.0)}, "word (1, 1) not admissible"),
-    ({(1, 0): (3.0, 0.0), (2, 2): (math.nan, 3.0)}, "t((1, 0)) below return-time floor"),
-], ids=["length", "repeat", "symbol_high", "symbol_low", "nan", "inf",
-        "logj_floor", "t_floor", "first_word", "first_word_again"])
-def test_table_checks_name_the_first_bad_word(bad, message):
-    entries = {(2, 0): (3.0, 3.0), **bad}
+    ([(2, 0), (1, 2), (0, 1)], [3.0, 1e-7, math.nan], [3.0, math.inf, 3.0],
+     "non-finite weights for word (1, 2)"),
+    ([(2, 0), (1, 0), (2, 1)], [3.0, 3.0, math.nan], [3.0, 0.0, 3.0],
+     "t((1, 0)) below return-time floor"),
+    # six symbols would re-fold into three words of width 2: the width is checked
+    ([(2, 0, 1), (0, 1, 2)], [3.0, 3.0], [3.0, 3.0],
+     "need (m, 2) words and m (logJ, t) pairs, got shapes (2, 3), (2,), (2,)"),
+    ([(2, 0), (0, 1)], [3.0], [3.0, 3.0],
+     "need (m, 2) words and m (logJ, t) pairs, got shapes (2, 2), (1,), (2,)"),
+], ids=["nan", "inf", "logj_floor", "t_floor", "first_word", "first_word_again",
+        "width", "weight_count"])
+def test_table_checks_name_the_first_bad_word(words, logj, t, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        CylinderTable(no_repeat_shift(3), 2, entries)
+        CylinderTable(2, np.array(words), np.array(logj), np.array(t))
 
 
 # -- pressure extrapolation -------------------------------------------------
@@ -200,11 +189,11 @@ def test_pressure_constant_weights_baker():
 def test_pressure_recovers_exact_c_over_n_law():
     # logJ(w) = n + c per word makes p_n = (log2 + 1) + c/n exactly at coeff_J=1
     c = 0.3
-    shift = full_shift(2)
     tables = []
     for n in (3, 4, 5, 6):
-        entries = {w: (n + c, n * 1.0) for w in shift.words(n)}
-        tables.append(CylinderTable(shift, n, entries))
+        words = full_shift_words(2, n)
+        tables.append(CylinderTable(n, words, np.full(len(words), n + c),
+                                    np.full(len(words), n * 1.0)))
     est = pressure(tables, 1.0, 0.0)
     assert est.value == pytest.approx(LOG2 + 1.0, abs=1e-12)
     assert est.uncertainty == pytest.approx(c / 6, abs=1e-12)
@@ -273,98 +262,13 @@ def test_sigma_rejects_bad_args():
         sigma_of_gamma(tables, 0.1, 0.0)
 
 
-# -- lyapunov bounds --------------------------------------------------------
-
-def brute_cycle_means(n_nodes, edges):
-    """All simple-cycle mean weights by exhaustive DFS (small graphs only)."""
-    adj = {}
-    for u, v, w in edges:
-        adj.setdefault(u, []).append((v, w))
-    means = []
-
-    def walk(path, total):
-        u = path[-1]
-        for v, w in adj.get(u, []):
-            if v == path[0]:
-                means.append((total + w) / len(path))
-            elif v > path[0] and v not in path and len(path) < n_nodes:
-                walk(path + [v], total + w)
-
-    for start in range(n_nodes):
-        walk([start], 0.0)
-    return means
-
-
-def test_max_cycle_mean_matches_brute_force_hand_graph():
-    edges = [(0, 0, 1.0), (0, 1, 3.0), (1, 0, 5.0)]
-    means = brute_cycle_means(2, edges)
-    assert _max_cycle_mean(2, edges) == pytest.approx(max(means), abs=1e-12)
-    assert -_max_cycle_mean(2, [(u, v, -w) for u, v, w in edges]) == pytest.approx(
-        min(means), abs=1e-12
-    )
-
-
-@st.composite
-def random_digraphs(draw):
-    n_nodes = draw(st.integers(min_value=2, max_value=4))
-    pairs = [(u, v) for u in range(n_nodes) for v in range(n_nodes)]
-    chosen = draw(
-        st.lists(st.sampled_from(pairs), min_size=1, max_size=8, unique=True)
-    )
-    weights = draw(
-        st.lists(
-            st.floats(min_value=-2, max_value=2, allow_nan=False),
-            min_size=len(chosen),
-            max_size=len(chosen),
-        )
-    )
-    return n_nodes, [(u, v, w) for (u, v), w in zip(chosen, weights)]
-
-
-@given(random_digraphs())
-@settings(max_examples=200, deadline=None)
-def test_max_cycle_mean_matches_brute_force_random(graph):
-    n_nodes, edges = graph
-    means = brute_cycle_means(n_nodes, edges)
-    got = _max_cycle_mean(n_nodes, edges)
-    if not means:
-        assert got == -math.inf
-    else:
-        assert got == pytest.approx(max(means), abs=1e-9)
-
-
-def test_lyapunov_bounds_baker_constant():
-    table = cylinder_table(BakerSpec(3, (0, 2)), 2)
-    lam_min, lam_max = lyapunov_bounds(table)
-    assert lam_min == pytest.approx(LOG3, abs=1e-12)
-    assert lam_max == pytest.approx(LOG3, abs=1e-12)
-
-
-def test_lyapunov_bounds_baker_a4():
-    table = cylinder_table(BakerSpec(4, (0, 3)), 2)
-    lam_min, lam_max = lyapunov_bounds(table)
-    assert lam_min == pytest.approx(math.log(4), abs=1e-12)
-    assert lam_max == pytest.approx(math.log(4), abs=1e-12)
-
-
-def test_lyapunov_bounds_hand_table():
-    # edge weights logJ/2: (0,0)->1, (0,1)->3, (1,0)->5; cycles: loop 1, pair 4
-    shift = full_shift(2)
-    entries = {(0, 0): (2.0, 1.0), (0, 1): (6.0, 1.0), (1, 0): (10.0, 1.0)}
-    table = CylinderTable(shift, 2, entries)
-    lam_min, lam_max = lyapunov_bounds(table)
-    assert lam_min == pytest.approx(1.0, abs=1e-12)
-    assert lam_max == pytest.approx(4.0, abs=1e-12)
-
-
 # -- properties -------------------------------------------------------------
 
 @st.composite
 def random_tables(draw):
     m = draw(st.integers(min_value=2, max_value=3))
     n = draw(st.integers(min_value=1, max_value=3))
-    shift = full_shift(m)
-    words = shift.words(n)
+    words = full_shift_words(m, n)
     logjs = draw(
         st.lists(
             st.floats(min_value=0.2, max_value=3.0),
@@ -379,8 +283,7 @@ def random_tables(draw):
             max_size=len(words),
         )
     )
-    entries = {w: (n * lj, n * t) for w, lj, t in zip(words, logjs, ts)}
-    return CylinderTable(shift, n, entries)
+    return CylinderTable(n, words, n * np.array(logjs), n * np.array(ts))
 
 
 @given(random_tables(), st.floats(min_value=-2, max_value=2), st.floats(min_value=0.1, max_value=1.0))
@@ -404,27 +307,3 @@ def test_constant_weight_pressure_depth_independent(m, c1, c2):
         finite_pressure(constant_table(m, n, c1, c2), -0.7, 0.3) for n in (1, 2, 4)
     ]
     assert max(ps) - min(ps) <= 1e-12
-
-
-@given(random_tables())
-@settings(max_examples=100, deadline=None)
-def test_cycle_mean_sandwich_on_rotation_invariant_tables(table):
-    if table.n < 2:
-        return
-    # symmetrize weights over rotation classes so each word IS a cycle mean
-    classes = {}
-    for w in table.entries:
-        rots = [w[i:] + w[:i] for i in range(table.n)]
-        key = min(rots)
-        classes.setdefault(key, []).extend([w])
-    entries = {}
-    for key, members in classes.items():
-        lj = sum(table.entries[w][0] for w in members) / len(members)
-        t = sum(table.entries[w][1] for w in members) / len(members)
-        for w in members:
-            entries[w] = (lj, t)
-    sym = CylinderTable(table.subshift, table.n, entries)
-    lam_min, lam_max = lyapunov_bounds(sym)
-    for w, (lj, _t) in sym.entries.items():
-        assert lam_min - 1e-9 <= lj / sym.n <= lam_max + 1e-9
-
