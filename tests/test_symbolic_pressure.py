@@ -164,11 +164,27 @@ def test_weight_arrays_are_stored_read_only():
      "need (m, 2) words and m (logJ, t) pairs, got shapes (2, 3), (2,), (2,)"),
     ([(2, 0), (0, 1)], [3.0], [3.0, 3.0],
      "need (m, 2) words and m (logJ, t) pairs, got shapes (2, 2), (1,), (2,)"),
+    ([(2, 0), (0, 1)], [3.0, 3.0], [3.0],
+     "need (m, 2) words and m (logJ, t) pairs, got shapes (2, 2), (2,), (1,)"),
+    # a flat run of symbols is not read as words of width n
+    ([2, 0, 0, 1], [3.0, 3.0], [3.0, 3.0],
+     "need (m, 2) words and m (logJ, t) pairs, got shapes (4,), (2,), (2,)"),
 ], ids=["nan", "inf", "logj_floor", "t_floor", "first_word", "first_word_again",
-        "width", "weight_count"])
+        "width", "weight_count", "time_count", "flat_words"])
 def test_table_checks_name_the_first_bad_word(words, logj, t, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         CylinderTable(2, np.array(words), np.array(logj), np.array(t))
+
+
+@pytest.mark.parametrize("n, floors, message", [
+    (0, {}, "depth n >= 1"),
+    (2, {"lambda_floor": 0.0}, "floors must be positive"),
+    (2, {"t_min": -1e-6}, "floors must be positive"),
+], ids=["depth", "lambda_floor", "t_min"])
+def test_table_rejects_bad_depth_and_floors(n, floors, message):
+    words = full_shift_words(2, max(n, 1))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CylinderTable(n, words, np.full(len(words), 3.0), np.full(len(words), 3.0), **floors)
 
 
 # -- pressure extrapolation -------------------------------------------------
