@@ -141,6 +141,11 @@ def _floats(text):
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
+def _point(text):
+    x, y = _floats(text)
+    return x, y
+
+
 def _pairs(text):
     out = []
     for chunk in text.split(";"):
@@ -312,11 +317,10 @@ def cmd_sigma_curve(cfg):
     spec = _baker_spec(cfg)
     depths = _get(cfg, "sigma", "depths", _ints, (4, 5, 6))
     n_points = _get(cfg, "sigma", "n_points", int, 9)
-    lam = _get(cfg, "sigma", "lambda_max", float, math.log(spec.a))
+    lam = math.log(spec.a)
     tables = _tables(spec, depths)
     gamma_cl = classical_decay_rate(tables)
-    top = _get(cfg, "sigma", "max_gamma", float, gamma_cl)
-    gammas = np.linspace(0.0, top, n_points)
+    gammas = np.linspace(0.0, gamma_cl, n_points)
     rows = [(float(g), float(sigma_of_gamma(tables, g, lam))) for g in gammas]
     payload = _json({"gamma_cl": gamma_cl, "lambda_max": lam,
                      "points": [[g, s] for g, s in rows]})
@@ -361,16 +365,12 @@ def cmd_weyl_fit(cfg):
     spec = _baker_spec(cfg)
     sizes = _get(cfg, "weyl", "N_list", _ints, (27, 81, 243))
     nu = _get(cfg, "weyl", "nu", float)
+    if not 0 < nu <= 1:
+        raise ConfigParse(f"bad value for [weyl] nu: {nu} not in (0, 1]")
     records = spectra([build(spec, n) for n in sizes])
     fit = weyl_exponent(records, nu)
-    d_h = _get(cfg, "weyl", "d_h", float, None)
-    if d_h is None:
-        depths = _get(cfg, "weyl", "depths", _ints, (4, 5, 6))
-        d_h = bowen_dimension(_tables(spec, depths))
-    sigma_nu = _get(cfg, "weyl", "sigma_nu", float, None)
-    if sigma_nu is None:
-        sigma_nu = annulus_gap_exponent(nu, d_h, math.log(spec.a))
-    report = bound_report(fit, d_h, sigma_nu)
+    d_h = bowen_dimension(_tables(spec, (4, 5, 6)))
+    report = bound_report(fit, d_h, annulus_gap_exponent(nu, d_h, math.log(spec.a)))
     points = [[int(n), int(c)] for n, c in fit.points]
     payload = _json({"fit": {"nu": fit.nu, "points": points,
                              "slope": fit.slope, "stderr": fit.stderr},
@@ -383,7 +383,6 @@ def _escape_params(cfg, N):
     return EscapeParams(
         h=1.0 / (2.0 * math.pi * N),
         delta=_get(cfg, "escape", "delta", float, 0.4),
-        m_const=_get(cfg, "escape", "m_const", float, 1.0),
         t=_get(cfg, "escape", "t", float, 1.0),
     )
 
@@ -391,15 +390,12 @@ def _escape_params(cfg, N):
 def cmd_propagate(cfg):
     spec = _baker_spec(cfg)
     N = _get(cfg, "quantum", "N", int)
-    rho0 = _get(cfg, "propagate", "rho0", _floats, (0.1, 0.1))
+    rho0 = _get(cfg, "propagate", "rho0", _point, (0.1, 0.1))
     n_max = _get(cfg, "propagate", "n_max", int, 10)
-    depth = _get(cfg, "escape", "depth", int, None)
     params = _escape_params(cfg, N)
-    w = damped_propagation_experiment(spec, N, rho0, params, n_max,
-                                      depth).tolist()
+    w = damped_propagation_experiment(spec, N, rho0, params, n_max).tolist()
     payload = _json({
-        "N": N, "a": spec.a, "alphabet": list(spec.alphabet),
-        "rho0": [float(rho0[0]), float(rho0[1])],
+        "N": N, "a": spec.a, "alphabet": list(spec.alphabet), "rho0": list(rho0),
         "t": params.t, "delta": params.delta,
         "n": list(range(len(w))), "w": w,
     })
@@ -410,7 +406,7 @@ def cmd_propagate(cfg):
 def cmd_husimi_frames(cfg):
     spec = _baker_spec(cfg)
     N = _get(cfg, "quantum", "N", int)
-    rho0 = _get(cfg, "husimi", "rho0", _floats, (0.1, 0.1))
+    rho0 = _get(cfg, "husimi", "rho0", _point, (0.1, 0.1))
     frames = _get(cfg, "husimi", "frames", int, 3)
     K = _get(cfg, "husimi", "K", int, N)
     op = build(spec, N)
@@ -452,15 +448,12 @@ def cmd_trace_check(cfg):
     spec = _baker_spec(cfg)
     sizes = _get(cfg, "trace", "N_list", _ints, (27, 81))
     params = _escape_params(cfg, max(sizes))
-    lam = _get(cfg, "trace", "lambda_max", float, math.log(spec.a))
+    lam = math.log(spec.a)
     slack = _get(cfg, "trace", "slack", float, 0.0)
     vartheta = _get(cfg, "trace", "vartheta", float,
                     default_vartheta(0.0, lam) * (1.0 + slack))
-    n_override = _get(cfg, "trace", "n", int, None)
-    depth = _get(cfg, "escape", "depth", int, None)
-    ep = ExperimentParams(vartheta=vartheta, lambda_max=lam, slack=slack,
-                          n_override=n_override)
-    out = hs_trace_experiment(spec, sizes, params, ep, depth)
+    ep = ExperimentParams(vartheta=vartheta, lambda_max=lam, slack=slack)
+    out = hs_trace_experiment(spec, sizes, params, ep)
     entries = out["entries"]
     rows = [(e["N"], e["h"], e["n"], e["trace_direct"],
              "" if e["trace_quadrature"] is None else e["trace_quadrature"])

@@ -270,7 +270,6 @@ class EscapeParams:
 
     h: float
     delta: float
-    m_const: float = 1.0
     t: float = 1.0
 
     def __post_init__(self):
@@ -278,8 +277,6 @@ class EscapeParams:
             raise ValueError("h > 0")
         if not (0.0 < self.delta < 0.5):
             raise ValueError("delta in (0, 1/2)")
-        if not (self.m_const > 0):
-            raise ValueError("m_const > 0")
         if not (self.t >= 0):
             raise ValueError("t >= 0")
 
@@ -345,11 +342,9 @@ def escape_g(spec, rho, params, depth=None):
 
 
 def _escape_u(spec, vals, params, depth):
-    """u = log(floor + dist²) at each value; the escape weight is u(x) − u(ξ)."""
+    """u = log(2ε + dist²) at each value; the escape weight is u(x) − u(ξ)."""
     depth = default_depth(spec, params) if depth is None else int(depth)
-    eps = params.epsilon
-    floor = params.m_const * eps + eps
-    return np.log(floor + _cover_distance(spec, vals, depth) ** 2)
+    return np.log(2.0 * params.epsilon + _cover_distance(spec, vals, depth) ** 2)
 
 
 def _damping_symbols(spec, N, params, depth):
@@ -473,13 +468,16 @@ def hs_trace_experiment(spec, N_list, params, exp_params, depth=None):
     cross-sector images of Mⁿ S_b V_b times e^{t(λ_max − λ_min)}.  Up to
     N = QUADRATURE_MAX_N the trace of Aⁿ* Aⁿ is recomputed by
     coherent-grid quadrature, summed over the sectors.  params.h is
-    rebound to 1/(2πN) per size; N above DENSE_CAP raises DimensionCap.
+    rebound to 1/(2πN) per size; before any eigh, N above DENSE_CAP
+    raises DimensionCap and an N given twice (a singular fit) ValueError.
     Returns the per-size records and a least-squares exponent of log
     trace against log(1/h).
     """
+    sizes = [int(N) for N in N_list]
+    if repeated := sorted({N for N in sizes if sizes.count(N) > 1}):
+        raise ValueError(f"N_list repeats N={', '.join(map(str, repeated))}")
     entries = []
-    for N in N_list:
-        N = int(N)
+    for N in sizes:
         op = build(spec, N)
         if N > DENSE_CAP:
             raise DimensionCap(f"N={N} exceeds dense cap {DENSE_CAP}")

@@ -205,45 +205,42 @@ def _unfold(coeffs, sector, N):
     return rows
 
 
-def _parity_split(op, cap=DENSE_CAP):
-    """The kept (allowed-strip) indices, and the (own, other) pairs of the
-    parity sectors, none without the symmetry; N > `cap` is DimensionCap."""
-    if op.N > cap:
-        raise DimensionCap(f"N={op.N} exceeds dense cap {cap}")
+def _parity_split(op):
+    """(own, others) for each sector of the map on its kept (allowed-strip)
+    indices: one sector with no others without the parity symmetry (see
+    `_sectors`).  N above DENSE_CAP is DimensionCap."""
+    if op.N > DENSE_CAP:
+        raise DimensionCap(f"N={op.N} exceeds dense cap {DENSE_CAP}")
     na = op.N // op.spec.a
     keep = np.concatenate([np.arange(j * na, (j + 1) * na) for j in op.spec.alphabet])
     sectors = _sectors(op, keep)
-    return keep, list(zip(sectors, sectors[::-1])) if len(sectors) > 1 else []
+    return [(own, [s for s in sectors if s is not own]) for own in sectors]
 
 
-def _sector_block(op, own, other):
-    """The block of sector `own` and the norm of its coupling part: the
-    images of own's basis, one batch through the map, folded onto both."""
+def _sector_block(op, own, others):
+    """The block of sector `own` and the norm of its coupling part (0.0
+    with no `others`): the images of own's basis, one batch through the
+    map, folded onto own and onto each of `others`."""
     images = _map_rows(op, _unfold(np.eye(own[0].size), own, op.N))
-    return _fold(images, own), np.linalg.norm(_fold(images, other))
+    return _fold(images, own), math.hypot(*(np.linalg.norm(_fold(images, s)) for s in others))
 
 
 def _coupling(parts):
     return reduce(math.hypot, parts, 0.0)  # in sector order, bit for bit
 
 
-def parity_blocks(op, cap=DENSE_CAP):
-    """Kept diagonal blocks of the map in its parity basis, and their coupling.
+def parity_blocks(op):
+    """Kept diagonal blocks of the map in its sector bases, and their coupling.
 
     Only the allowed-strip indices are kept; the others span excluded
-    columns, which are structural zeros.  Where the map commutes with the
-    parity (see `_sectors`), each sector gives its block by
-    `_sector_block`, one after the other, and the coupling, zero by
-    symmetry up to round-off, is returned as its Frobenius norm; this is
-    the per-N oracle of `spectral_counting.spectra`.  Otherwise the one
-    block is the compression of `dense(op)` to the kept indices, with
-    coupling 0.  Either way N above `cap` raises DimensionCap.
+    columns, which are structural zeros.  Each sector of `_sectors` gives
+    its block by `_sector_block`, one after the other, and the coupling,
+    zero by symmetry up to round-off and 0.0 for one sector, is returned
+    as its Frobenius norm; this is the per-N oracle of
+    `spectral_counting.spectra`.  N above DENSE_CAP raises DimensionCap.
 
     Returns (blocks, coupling); N minus the total block size is the
     number of structural zeros.
     """
-    keep, pairs = _parity_split(op, cap)
-    if not pairs:
-        return [dense(op, cap)[np.ix_(keep, keep)]], 0.0
-    blocks, parts = zip(*(_sector_block(op, *pair) for pair in pairs))
+    blocks, parts = zip(*(_sector_block(op, *split) for split in _parity_split(op)))
     return list(blocks), _coupling(parts)

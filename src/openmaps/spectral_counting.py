@@ -12,14 +12,14 @@ kept diagonal blocks.  For a general matrix there is one block, the
 compression to the kept indices.  A reflection-symmetric open map
 (theta = 1/2, alphabet closed under j -> a-1-j) commutes with the
 parity x -> 1 - x, and its even and odd blocks, each of half the size,
-cost about a quarter of one full one.  `spectra` solves a list of maps
-on one thread pool, largest N first, one task per parity sector: it
-builds the block straight from the map and takes its Schur form by
-LAPACK zgees called through ctypes, which releases the GIL.  No
-eigenvectors are formed.  The certificate is the Frobenius backward
-error of the whole compression: the Schur residuals of the blocks with
-the norm of the coupling between them, which the split drops and which
-is zero by symmetry only up to round-off.
+cost about a quarter of one full one; any other map is one sector.
+`spectra` solves a list of maps on one thread pool, largest N first,
+one task per sector: it builds the block straight from the map and
+takes its Schur form by LAPACK zgees called through ctypes, which
+releases the GIL.  No eigenvectors are formed.  The certificate is the
+Frobenius backward error of the whole compression: the Schur residuals
+of the blocks with the norm of the coupling between them, which the
+split drops and which is zero by symmetry only up to round-off.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from functools import cache, partial
 import numpy as np
 
 from .errors import DegenerateCounts, NoConvergence
-from .quantum_baker import _coupling, _parity_split, _sector_block, parity_blocks
+from .quantum_baker import _coupling, _parity_split, _sector_block
 from .threads import blas_threads, pool_size
 
 # counting dead band: moduli within this of nu count as above
@@ -146,9 +146,9 @@ def _solve(A):
     return np.diag(T), np.linalg.norm(resid), np.linalg.norm(A)
 
 
-def _solve_sector(op, own, other):
+def _solve_sector(op, own, others):
     """`_solve` of the block of a sector, and its coupling part."""
-    block, part = _sector_block(op, own, other)
+    block, part = _sector_block(op, own, others)
     return _solve(block), part
 
 
@@ -208,22 +208,19 @@ def block_eigenvalues(N, blocks, coupling=0.0):
 
 def spectra(ops):
     """Per operator, the record of ``block_eigenvalues(op.N,
-    *parity_blocks(op))`` bit for bit, from one pool (`_pooled`, whose
-    `workers` every record gets) whose tasks, one per parity sector,
-    largest N first, build and solve a block.  An operator without the
-    parity symmetry is solved after, by `block_eigenvalues`.  N above
-    DENSE_CAP raises DimensionCap before any task runs."""
-    splits = [_parity_split(op)[1] for op in ops]
-    tasks = sorted(((i, pair) for i, pairs in enumerate(splits) for pair in pairs),
+    *parity_blocks(op))`` bit for bit but `workers` and `blas_threads`,
+    which are those of the one pool (`_pooled`) whose tasks, one per
+    sector of each map, largest N first, build and solve a block.  N
+    above DENSE_CAP raises DimensionCap before any task runs."""
+    tasks = sorted(((i, split) for i, op in enumerate(ops) for split in _parity_split(op)),
                    key=lambda task: -ops[task[0]].N)
     solved, workers, threads = _pooled(
-        [partial(_solve_sector, ops[i], *pair) for i, pair in tasks])
+        [partial(_solve_sector, ops[i], *split) for i, split in tasks])
     done = [[] for _ in ops]
     for (i, _), result in zip(tasks, solved):
         done[i].append(result)
     return [_record(op.N, [s for s, _ in parts], _coupling(p for _, p in parts),
-                    workers, threads) if parts else block_eigenvalues(op.N, *parity_blocks(op))
-            for op, parts in zip(ops, done)]
+                    workers, threads) for op, parts in zip(ops, done)]
 
 
 def count_annulus(record, nu):
@@ -237,15 +234,15 @@ def weyl_exponent(records, nu):
     """Slope of log count vs log N over records at geometric dimensions.
 
     Zero counts cannot enter a log fit; they are dropped (and kept in the
-    points list for the record).  Fewer than three surviving points is an
-    error rather than a degenerate answer.
+    points list for the record).  Surviving points at fewer than three
+    distinct N are an error rather than a degenerate answer.
     """
     if len(records) < 3:
         raise DegenerateCounts("need >= 3 spectra")
     points = tuple((rec.N, count_annulus(rec, nu)) for rec in records)
     used = [(n, c) for n, c in points if c >= 1]
-    if len(used) < 3:
-        raise DegenerateCounts(f"fewer than 3 nonzero counts at nu={nu}")
+    if len({n for n, _ in used}) < 3:
+        raise DegenerateCounts(f"nonzero counts at fewer than 3 distinct N at nu={nu}")
     x = np.log([n for n, _ in used])
     y = np.log([c for _, c in used])
     design = np.column_stack([np.ones(x.size), x])

@@ -19,7 +19,7 @@ from openmaps.phase_space import (
 )
 from openmaps.quantum_baker import apply, build, parity_blocks
 from openmaps.spectral_counting import annulus_gap_exponent, block_eigenvalues, weyl_exponent
-from openmaps.symbolic_pressure import pressure
+from openmaps.symbolic_pressure import bowen_dimension, pressure
 from openmaps.threads import openblas, pool_size
 
 GAMMA_CL = 0.3690702464285426
@@ -77,11 +77,24 @@ class TestUnreadConfig:
         ("spectrum", "[quantum]\nN = 27\nn = 81\n", "[quantum] n"),
         ("dimension", "[quantum]\nN = 27\n", "[quantum]"),
         ("spectrum", "[quantum]\nN = 27\nN = 81\n", "[quantum] N given twice"),
-        # depths only feed the Bowen root, which a given d_h replaces
-        ("weyl-fit", "[weyl]\nN_list = 9,27,81\nnu = 0.1\nd_h = 0.63\ndepths = 4\n",
-         "[weyl] depths"),
+        # what the map fixes is derived, never set: d_H is the Bowen root
+        # over depths 4-6, sigma_nu its annulus gap exponent, lambda_max
+        # log a, the gamma grid ends at gamma_cl, n follows vartheta, the
+        # cover depth is default_depth and the escape floor 2 epsilon
+        *[("weyl-fit", f"[weyl]\nN_list = 9,27,81\nnu = 0.1\n{key} = {value}\n",
+           f"[weyl] {key}") for key, value in
+          [("d_h", "0.63"), ("depths", "4,5,6"), ("sigma_nu", "0.1")]],
+        ("sigma-curve", "[sigma]\nlambda_max = 1.0\n", "[sigma] lambda_max"),
+        ("sigma-curve", "[sigma]\nmax_gamma = 0.2\n", "[sigma] max_gamma"),
+        ("trace-check", "[trace]\nlambda_max = 1.0\n", "[trace] lambda_max"),
+        ("trace-check", "[trace]\nn = 1\n", "[trace] n"),
+        *[(command, f"{quantum}[escape]\n{key} = {value}\n", f"[escape] {key}")
+          for command, quantum in [("propagate", "[quantum]\nN = 27\n"), ("trace-check", "")]
+          for key, value in [("depth", "3"), ("m_const", "2.0")]],
     ], ids=["unread_key", "unread_case_key", "unread_section", "duplicate_key",
-            "depths_beside_d_h"])
+            "weyl_d_h", "weyl_depths", "weyl_sigma_nu", "sigma_lambda_max",
+            "sigma_max_gamma", "trace_lambda_max", "trace_n", "propagate_depth",
+            "propagate_m_const", "trace_depth", "trace_m_const"])
     def test_exits_two_without_writing(self, capsys, tmp_path, command, config, named):
         cfgfile = tmp_path / "c.ini"
         cfgfile.write_text(config)
@@ -99,6 +112,36 @@ class TestUnreadConfig:
         code, _, err = run(capsys, ["dimension", "--config", str(cfgfile)])
         assert code == 2
         assert "not read by dimension: [quantum], [escape], [map] alpha" in err
+
+
+class TestBadValues:
+    """A value the command cannot use exits 2 naming its key, before any
+    experiment runs and before any file is written."""
+
+    @pytest.mark.parametrize("command, config, named", [
+        *[(command, f"[quantum]\nN = 27\n[{section}]\nrho0 = {rho0}\n", f"[{section}] rho0")
+          for command, section in [("propagate", "propagate"), ("husimi-frames", "husimi")]
+          for rho0 in ("0.3", "0.3,0.1,0.5")],
+        *[("weyl-fit", f"[weyl]\nN_list = 9,27,81\nnu = {nu}\n", "[weyl] nu")
+          for nu in ("1.5", "0")],
+    ], ids=["propagate_rho0_one", "propagate_rho0_three", "husimi_rho0_one",
+            "husimi_rho0_three", "nu_above_one", "nu_zero"])
+    def test_exits_two_before_any_experiment(self, capsys, tmp_path, monkeypatch,
+                                             command, config, named):
+        def no_run(*args, **kwargs):
+            raise AssertionError("an experiment ran")
+
+        for name in ("spectra", "damped_propagation_experiment", "torus_coherent"):
+            monkeypatch.setattr(cli_io, name, no_run)
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(config)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, [command, "--config", str(cfgfile),
+                                      "--out", str(out_dir), "--format", "all"])
+        assert code == 2
+        assert err.startswith("ConfigParse") and f"bad value for {named}" in err
+        assert out == ""
+        assert not out_dir.exists()
 
 
 def field_svg_by_cells(field):
@@ -655,23 +698,14 @@ class TestTraceCheckCommand:
         assert [e["blocks"] for e in meta["eigensolves"]] == [[3, 3], [9, 9], [27, 27]]
 
 
-    @pytest.mark.parametrize("sigma_nu", [None, 0.1])
-    def test_weyl_fit_given_d_h_skips_the_bowen_root(self, capsys, tmp_path,
-                                                      monkeypatch, sigma_nu):
-        def no_bowen(tables):
-            raise AssertionError("the Bowen root is not needed")
-
-        monkeypatch.setattr(cli_io, "bowen_dimension", no_bowen)
+    def test_weyl_fit_exponent_is_the_bowen_root_less_the_gap(self, capsys, tmp_path):
         cfgfile = tmp_path / "c.ini"
-        body = "[weyl]\nN_list = 9,27,81\nnu = 0.1\nd_h = 0.63\n"
-        if sigma_nu is not None:
-            body += f"sigma_nu = {sigma_nu}\n"
-        cfgfile.write_text(body)
+        cfgfile.write_text("[weyl]\nN_list = 9,27,81\nnu = 0.1\n")
         code, out, _ = run(capsys, ["weyl-fit", "--config", str(cfgfile)])
         assert code == 0
-        if sigma_nu is None:
-            sigma_nu = annulus_gap_exponent(0.1, 0.63, math.log(3))
-        assert json.loads(out)["report"]["exponent"] == 0.63 - sigma_nu
+        d_h = bowen_dimension([cylinder_table(SPEC32, n) for n in (4, 5, 6)])
+        assert json.loads(out)["report"]["exponent"] == (
+            d_h - annulus_gap_exponent(0.1, d_h, math.log(3)))
 
 
 # (command, config) for a quick run of every command

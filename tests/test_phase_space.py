@@ -486,9 +486,8 @@ class TestShiftedWindow:
 
 
 class TestEscapeFunction:
-    def params(self, N=729, delta=0.4, m_const=1.0, t=1.0):
-        return EscapeParams(h=1.0 / (2 * math.pi * N), delta=delta,
-                            m_const=m_const, t=t)
+    def params(self, N=729, delta=0.4, t=1.0):
+        return EscapeParams(h=1.0 / (2 * math.pi * N), delta=delta, t=t)
 
     def test_zero_on_trapped_corner(self):
         assert escape_g(SPEC32, (0.0, 0.0), self.params()) == 0.0
@@ -524,8 +523,6 @@ class TestEscapeFunction:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             EscapeParams(h=0.01, delta=0.6)
-        with pytest.raises(ValueError):
-            EscapeParams(h=0.01, delta=0.4, m_const=0.0)
         with pytest.raises(ValueError):
             EscapeParams(h=-1.0, delta=0.4)
 
@@ -727,3 +724,12 @@ class TestTraceExperiment:
         with pytest.raises(DimensionCap):
             hs_trace_experiment(SPEC32, [3**9], p, ep)
 
+    def test_repeated_n_rejected_before_any_eigh(self, monkeypatch):
+        def no_eigh(*args):
+            raise AssertionError("eigh ran")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        p = EscapeParams(h=1.0, delta=0.4)
+        ep = ExperimentParams(vartheta=0.1, lambda_max=math.log(3))
+        with pytest.raises(ValueError, match="repeats N=27"):
+            hs_trace_experiment(SPEC32, [27, 81, 27], p, ep)

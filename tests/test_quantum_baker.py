@@ -397,7 +397,7 @@ class TestDenseCap:
 
     @pytest.mark.parametrize("theta", [0.5, 0.0])
     def test_parity_blocks_cap_enforced(self, theta, monkeypatch):
-        # both paths stop before any basis goes through the map
+        # one sector or two, the split stops before any basis goes through the map
         def no_map(*args, **kwargs):
             raise AssertionError("the map ran above the cap")
 

@@ -20,6 +20,7 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -398,7 +399,7 @@ def assert_same_record(got, want):
 
 
 class TestSpectra:
-    """All of a list's parity sectors on one pool against the per-N oracle."""
+    """All of a list's sectors on one pool against the per-N oracle."""
 
     @pytest.mark.parametrize("spec", [SPEC32, BakerSpec(3, (1,))], ids=["3-02", "3-1"])
     def test_records_are_the_per_n_oracle(self, spec):
@@ -450,12 +451,17 @@ class TestSpectra:
         assert blas_counts() == before
 
     def test_mixed_list_keeps_its_order(self):
+        # the maps without the symmetry are one sector each, on the pool
+        # of the others: six tasks in all
         ops = [build(SPEC32, 81, theta=0.0), build(SPEC32, 243), build(SPEC32, 27),
                build(BakerSpec(3, (0, 1)), 81)]
         got = spectral_counting.spectra(ops)
         assert [r.N for r in got] == [81, 243, 27, 81]
+        pool = block_eigenvalues(243, *parity_blocks(ops[1])).blas_threads
         for rec, op in zip(got, ops):
-            assert_same_record(rec, block_eigenvalues(op.N, *parity_blocks(op)))
+            want = block_eigenvalues(op.N, *parity_blocks(op))
+            assert_same_record(rec, replace(want, blas_threads=pool))
+            assert rec.workers == (min(6, pool_size()) if threads.openblas() else 1)
 
     def test_dimension_cap_before_any_task(self, monkeypatch):
         def no_task(*args):
@@ -516,7 +522,6 @@ class TestSpectra:
                     monkeypatch.setattr(module, name, wrapped[value])
         ops = [build(SPEC32, n) for n in (27, 81, 243)] + [build(SPEC32, 81, theta=0.0)]
         spectral_counting.spectra(ops)
-        assert {"parity_blocks", "block_eigenvalues"} <= {name for name, _ in entered}
         assert {thread for _, thread in entered} == {threading.main_thread()}
 
     def test_scipy_loaded_lazily_and_before_the_blas_listing(self):
@@ -625,6 +630,12 @@ class TestWeylFit:
     def test_too_few_records(self):
         with pytest.raises(DegenerateCounts):
             weyl_exponent([synthetic_record(27, 5)] * 2, 0.5)
+
+    def test_repeated_n_degenerate(self):
+        # four nonzero counts, but at two distinct N: the fit is singular
+        recs = [synthetic_record(n, c) for n, c in [(27, 5), (27, 5), (81, 9), (81, 9)]]
+        with pytest.raises(DegenerateCounts, match="3 distinct N"):
+            weyl_exponent(recs, 0.5)
 
     def test_zero_counts_excluded(self):
         recs = [synthetic_record(27 * 3**i, 10 * 2**i) for i in range(3)]
