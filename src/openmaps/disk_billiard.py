@@ -21,6 +21,7 @@ tables and orbit rows are all arrays.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -38,7 +39,9 @@ log = logging.getLogger(__name__)
 RAY_EPS = 1e-9          # minimum admissible flight length in the ray walk
 NEWTON_TOL = 1e-12      # sup-norm gradient target, below the 1e-10 contract
 NEWTON_MAX_ITER = 120
-RAY_CHUNK = 2 ** 17     # Monte-Carlo rays per chunk: its 1-D arrays stay in cache
+# Monte-Carlo rays per chunk, ~120 bytes each in a walk: at 10**6 rays on 2 threads 2**17
+# took 15 MB more peak for about the same time; 2**15 saved 8 MB but lost 10 % to the GIL.
+RAY_CHUNK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -420,60 +423,86 @@ def _draws(seed, start):
     return rng
 
 
-def _walk_rays(config, r_out, max_bounces, disk, phi, eta):
+def _chord(x, y, dx, dy, cx, cy, r2, rx, ry, b, disc):
+    """b = dx rx + dy ry and disc = b b - (rx rx + ry ry - r2), rx, ry = x - cx, y - cy,
+    rounded as written (rx, ry: scratch): the ray meets the circle at t = -b -+ sqrt(disc)."""
+    np.subtract(x, cx, out=rx)
+    np.subtract(y, cy, out=ry)
+    np.add(np.multiply(dx, rx, out=b), np.multiply(dy, ry, out=disc), out=b)
+    np.add(np.multiply(rx, rx, out=disc), np.multiply(ry, ry, out=ry), out=disc)
+    disc -= r2
+    np.subtract(np.multiply(b, b, out=rx), disc, out=disc)
+
+
+def _walk_rays(config, r_out, max_bounces, disk, phi, eta, escaped):
     """Bounce one chunk of start rays until each escapes or the cap is hit.
 
-    Returns the escape times per bounce, the flight times of the rays
-    still alive, and the flights taken per bounce from the third on;
-    each array lists its rays in start order.  A ray never hits the
-    disk it sits on, so that disk is masked out of its next hit.
+    Writes the escape times into `escaped`, inf for the rays still alive,
+    and returns those rays' flight times and the flights per bounce from
+    the third on, in start order.  A ray never hits the disk it sits on,
+    so that disk is masked out of its next hit.  Live rays fill prefixes
+    of buffers made once (`disk` is one); each ufunc keeps its comment's order.
     """
-    radii = np.array(config.radii)
-    centers = np.array(config.centers)
+    radii, centers = np.array(config.radii), np.array(config.centers)
     (cx, cy), (ox, oy) = centers.T, centers.mean(axis=0)
-    cos, sin = np.cos(phi), np.sin(phi)
-    r = radii[disk]
-    x, y = cx[disk] + r * cos, cy[disk] + r * sin
-    root = np.sqrt(1 - eta ** 2)
-    dx, dy = root * cos - eta * sin, eta * cos + root * sin
-
-    # live rays only, compacted after every bounce (order kept)
-    time_live = np.zeros(disk.size)
-    escaped = []
-    late_flights = []
+    m = disk.size                           # live rays, a prefix of every buffer
+    buf, late_flights = np.zeros((11, m)), []
+    x, y, dx, dy, time, t_best, rx, ry, b, disc, t = buf
+    # x, y = c[disk] + r (cos, sin), r = radii[disk];
+    # dx, dy = root (cos, sin) + eta (-sin, cos), root = sqrt(1 - eta ** 2)
+    np.take(radii, disk, out=b)
+    np.cos(phi, out=rx)
+    np.sin(phi, out=ry)
+    del phi
+    np.add(np.take(cx, disk, out=x), np.multiply(b, rx, out=t), out=x)
+    np.add(np.take(cy, disk, out=y), np.multiply(b, ry, out=t), out=y)
+    np.sqrt(np.subtract(1, np.square(eta, out=disc), out=disc), out=disc)
+    np.subtract(np.multiply(disc, rx, out=dx), np.multiply(eta, ry, out=t), out=dx)
+    np.add(np.multiply(eta, rx, out=dy), np.multiply(disc, ry, out=t), out=dy)
+    del eta
     for bounce in range(max_bounces):
-        if time_live.size == 0:
+        if m == 0:
             break
-        t_best = np.full(time_live.size, np.inf)
-        k_best = np.full(time_live.size, -1)
+        t_best[:], best = np.inf, np.full(m, -1)
         for k in range(config.k):
-            rx, ry = x - cx[k], y - cy[k]
-            b = dx * rx + dy * ry
-            disc = b * b - (rx * rx + ry * ry - radii[k] ** 2)
-            t = -b - np.sqrt(np.maximum(disc, 0.0))
-            hit = (disc > 0) & (t > RAY_EPS) & (t < t_best) & (disk != k)
+            # t = -b - sqrt(maximum(disc, 0.0)), kept where it is the first hit
+            _chord(x, y, dx, dy, cx[k], cy[k], radii[k] ** 2, rx, ry, b, disc)
+            np.sqrt(np.maximum(disc, 0.0, out=t), out=t)
+            np.subtract(np.negative(b, out=b), t, out=t)
+            hit = (disc > 0) & (t > RAY_EPS) & (t < t_best) & (disk[:m] != k)
             np.copyto(t_best, t, where=hit)
-            k_best[hit] = k
-        gone = k_best < 0
-        if gone.any():
-            rx, ry, ex, ey = x[gone] - ox, y[gone] - oy, dx[gone], dy[gone]
-            b_out = ex * rx + ey * ry
-            c_out = rx * rx + ry * ry - r_out ** 2
-            escaped.append(time_live[gone] + (-b_out + np.sqrt(b_out * b_out - c_out)))
-            stay = ~gone
-            t_best, k_best = t_best[stay], k_best[stay]
-            x, y, dx, dy, time_live = x[stay], y[stay], dx[stay], dy[stay], time_live[stay]
+            np.copyto(best, k, where=hit)
+        # escape time: time + (-b + sqrt(disc)) out to radius r_out, if no disk is hit
+        _chord(x, y, dx, dy, ox, oy, r_out ** 2, rx, ry, b, disc)
+        np.add(time, np.subtract(np.sqrt(disc, out=disc), b, out=t), out=t)
+        stay = best >= 0
+        n = int(np.count_nonzero(stay))
+        np.compress(~stay, t, out=escaped[n:m])  # the slots the live rays give up
+        for row in buf[:6]:
+            row[:n] = row[:m][stay]
+        disk[:n], m = best[stay], n
+        x, y, dx, dy, time, t_best, rx, ry, b, disc, t = buf[:, :m]
         # flights past the first bounces sample the trapped dynamics
         if bounce >= 2:
-            late_flights.append(t_best)
-        x, y = x + t_best * dx, y + t_best * dy
-        time_live = time_live + t_best
-        disk = k_best
-        r = radii[disk]
-        nx, ny = (x - cx[disk]) / r, (y - cy[disk]) / r
-        two_dot = 2 * (dx * nx + dy * ny)
-        dx, dy = dx - two_dot * nx, dy - two_dot * ny
-    return escaped, time_live, late_flights
+            late_flights.append(t_best.copy())
+        # x, y, time += t_best (dx, dy, 1); d -= 2 (d . n) n, n = (p - c[disk]) / r
+        x += np.multiply(t_best, dx, out=t)
+        y += np.multiply(t_best, dy, out=t)
+        time += t_best
+        np.take(radii, disk[:m], out=b)
+        np.divide(np.subtract(x, np.take(cx, disk[:m], out=rx), out=rx), b, out=rx)
+        np.divide(np.subtract(y, np.take(cy, disk[:m], out=ry), out=ry), b, out=ry)
+        np.add(np.multiply(dx, rx, out=t), np.multiply(dy, ry, out=disc), out=t)
+        t *= 2
+        dx -= np.multiply(t, rx, out=disc)
+        dy -= np.multiply(t, ry, out=disc)
+    escaped[:m] = np.inf
+    return time.copy(), late_flights
+
+
+def _crossing(q, samples, n):
+    """`np.searchsorted(-surv, -q)`, surv[i] = 1.0 - (i + 1) / samples, i < n, by bisection."""
+    return bisect.bisect_left(range(n), True, key=lambda i: 1.0 - (i + 1) / samples <= q)
 
 
 def escape_rate_mc(config, samples, max_bounces=100, rng_seed=0):
@@ -483,14 +512,14 @@ def escape_rate_mc(config, samples, max_bounces=100, rng_seed=0):
     escapes when it misses every disk, and its escape time includes the
     final flight out to a circle circumscribing the obstacle cluster, so
     the survivor curve measures time spent inside the interaction region.
-    Rays are independent: they are walked in chunks of `RAY_CHUNK` on a
-    thread pool with one thread per CPU available to the process, and the
-    chunks are merged in order, so the result does not depend on the
-    thread count.  The start disks, angles and eta are three consecutive
-    runs of `samples` doubles in the seed's Philox stream; each chunk
-    draws its own part of the three runs at its offsets (`_draws`), so
-    no whole-sample array is staged and the draws equal the one-array
-    draws bit for bit.
+    Rays are independent: chunks of `RAY_CHUNK` are walked on a pool of one
+    thread per CPU available to the process, each in ~120 bytes per ray,
+    and merged in order (the escape times, 8 bytes per ray, into one
+    buffer), so the result does not depend on the thread count.  The start
+    disks, angles and eta are three consecutive runs of `samples` doubles
+    in the seed's Philox stream; each chunk draws its own part of the three
+    runs at its offsets (`_draws`), so no whole-sample array is staged and
+    the draws equal the one-array draws bit for bit.
     Log-survivor fraction is fitted over the window where the fraction
     lies in [1e-3, 1e-1].  Escape proceeds in near-synchronized bounce
     generations, so the log-survivor curve rides a wave with the period
@@ -508,23 +537,25 @@ def escape_rate_mc(config, samples, max_bounces=100, rng_seed=0):
     r_out = 2.0 * float(np.max(np.linalg.norm(centers - centroid, axis=1) + radii))
     weights = radii / radii.sum()
 
+    order = np.empty(samples)  # each chunk's escape times at its offset, inf pads
+
     def walk(lo):
         size = min(RAY_CHUNK, samples - lo)
-        disk = _draws(seed, lo).choice(config.k, size=size, p=weights)
-        phi = _draws(seed, samples + lo).uniform(0.0, 2 * math.pi, size)
-        eta = _draws(seed, 2 * samples + lo).uniform(-1.0, 1.0, size)
-        return _walk_rays(config, r_out, max_bounces, disk, phi, eta)
+        return _walk_rays(config, r_out, max_bounces,
+                          _draws(seed, lo).choice(config.k, size=size, p=weights),
+                          _draws(seed, samples + lo).uniform(0.0, 2 * math.pi, size),
+                          _draws(seed, 2 * samples + lo).uniform(-1.0, 1.0, size),
+                          order[lo:lo + size])
 
     with ThreadPoolExecutor(pool_size()) as pool:
-        chunks = list(pool.map(walk, range(0, samples, RAY_CHUNK)))
-    escaped = [t for esc, _, _ in chunks for t in esc]
-    time_live = np.concatenate([live for _, live, _ in chunks])
+        live, late = zip(*pool.map(walk, range(0, samples, RAY_CHUNK)))
+    time_live = np.concatenate(live)
+    order.sort()
+    order = order[:samples - time_live.size]
     # bounce by bounce, chunk by chunk: the one-array walk's order
-    late_flights = [f for i in range(max_bounces) for _, _, late in chunks
-                    for f in late[i:i + 1]]
+    late_flights = [f for i in range(max_bounces) for chunk in late for f in chunk[i:i + 1]]
 
     censored_min = time_live.min() if time_live.size else np.inf
-    order = np.sort(np.concatenate(escaped or [np.empty(0)]))
     if order.size < samples // 2:
         raise TooFewSurvivors("most samples never escaped; raise max_bounces")
     if not late_flights or sum(f.size for f in late_flights) < 100:
@@ -532,11 +563,10 @@ def escape_rate_mc(config, samples, max_bounces=100, rng_seed=0):
     period = float(np.mean(np.concatenate(late_flights)))
 
     # window endpoints: times where the survivor fraction crosses 1e-1, 1e-3
-    surv = 1.0 - np.arange(1, order.size + 1) / samples
-    if surv[-1] + time_live.size / samples > 1e-3:
+    if 1.0 - order.size / samples + time_live.size / samples > 1e-3:
         raise TooFewSurvivors("survivor fraction never reaches 1e-3; raise max_bounces")
-    t_lo = float(order[np.searchsorted(-surv, -1e-1)])
-    t_hi = float(order[np.searchsorted(-surv, -1e-3)])
+    t_lo = float(order[_crossing(1e-1, samples, order.size)])
+    t_hi = float(order[_crossing(1e-3, samples, order.size)])
     if not (t_lo < t_hi < censored_min):
         raise TooFewSurvivors("fit window empty or censored; raise max_bounces")
     grid = np.linspace(t_lo, t_hi, 60)

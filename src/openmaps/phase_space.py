@@ -470,8 +470,8 @@ def hs_trace_experiment(spec, N_list, params, exp_params, depth=None):
     coherent-grid quadrature, summed over the sectors.  params.h is
     rebound to 1/(2πN) per size; before any eigh, N above DENSE_CAP
     raises DimensionCap and an N given twice (a singular fit) ValueError.
-    Returns the per-size records and a least-squares exponent of log
-    trace against log(1/h).
+    Returns the per-size records and the least-squares exponent of log
+    trace against log(1/h) (None below 2 sizes; its stderr, below 3).
     """
     sizes = [int(N) for N in N_list]
     if repeated := sorted({N for N in sizes if sizes.count(N) > 1}):
@@ -515,15 +515,15 @@ def hs_trace_experiment(spec, N_list, params, exp_params, depth=None):
             "split_core": weight * float(np.linalg.norm(leak)) / math.sqrt(direct)})
     xs = np.array([math.log(1.0 / e["h"]) for e in entries])
     ys = np.array([math.log(e["trace_direct"]) for e in entries])
+    exponent = stderr = None  # a line through two points is exact: no error bar
     if len(entries) >= 2:
         design = np.column_stack([np.ones_like(xs), xs])
         coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
+        exponent = float(coef[1])
+    if len(entries) >= 3:
         resid = ys - design @ coef
-        dof = max(len(xs) - 2, 1)
-        cov = np.linalg.inv(design.T @ design) * float(resid @ resid) / dof
-        exponent, stderr = float(coef[1]), float(math.sqrt(max(cov[1, 1], 0.0)))
-    else:
-        exponent, stderr = float("nan"), float("nan")
+        cov = np.linalg.inv(design.T @ design) * float(resid @ resid) / (len(xs) - 2)
+        stderr = float(math.sqrt(max(cov[1, 1], 0.0)))
     return {"t": params.t, "delta": params.delta,
             "vartheta": exp_params.vartheta, "entries": entries,
             "exponent": exponent, "stderr": stderr}

@@ -657,6 +657,30 @@ class TestTraceCheckCommand:
             assert entry["trace_direct"] == pytest.approx(entry["N"],
                                                           abs=1e-8)
 
+    @pytest.mark.parametrize("config, exponent, stderr", [
+        ("[trace]\nN_list = 27\n", False, False),
+        # the default N_list = 27,81: a line through two points is exact
+        (None, True, False),
+        ("[trace]\nN_list = 9,27,81\n", True, True),
+    ], ids=["one_size", "two_sizes", "three_sizes"])
+    def test_fit_reports_only_what_its_sizes_determine(self, capsys, tmp_path,
+                                                        config, exponent, stderr):
+        argv = ["trace-check"]
+        if config is not None:
+            (tmp_path / "c.ini").write_text(config)
+            argv += ["--config", str(tmp_path / "c.ini")]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"payload holds a bare {name}, which is not JSON")
+
+        data = json.loads(out, parse_constant=refuse)
+        assert (data["exponent"] is not None) == exponent
+        assert (data["stderr"] is not None) == stderr
+        for value in (data["exponent"], data["stderr"]):
+            assert value is None or math.isfinite(value)
+
     def test_weyl_fit_runs(self, capsys, tmp_path):
         cfgfile = tmp_path / "c.ini"
         cfgfile.write_text("[weyl]\nN_list = 9,27,81\nnu = 0.1\n")

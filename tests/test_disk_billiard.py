@@ -35,6 +35,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -48,6 +49,7 @@ from openmaps import disk_billiard
 from openmaps.disk_billiard import (
     DiskConfig,
     _cycle_orbits,
+    _crossing,
     _cyclic_words,
     _flight_pairs,
     _initial_angles,
@@ -87,6 +89,10 @@ DOUBLED = DiskConfig(centers=tuple((2 * x, 2 * y) for x, y in TRI.centers),
 # four symbols: diagonal flights pass between two disks without crossing them
 SQUARE = DiskConfig(centers=((0.0, 0.0), (6.0, 0.0), (6.0, 6.0), (0.0, 6.0)),
                     radii=(1.0, 1.0, 1.0, 1.0))
+# centers 8 apart: at 1e5 rays and a cap of 4 or 5 bounces the survivor
+# curve reaches 1e-3 with rays still alive
+WIDE = DiskConfig(centers=((0.0, 0.0), (8.0, 0.0), (4.0, 4.0 * math.sqrt(3.0))),
+                  radii=(1.0, 1.0, 1.0))
 
 GRAZING_BAND = 1e-12
 
@@ -1089,6 +1095,69 @@ class TestEscapeRate:
         monkeypatch.setattr(disk_billiard, "RAY_CHUNK", 2**12 + 3)
         ref = escape_rate_mc_oracle(TRI, samples, rng_seed=1)
         assert escape_rate_mc(TRI, samples, rng_seed=1) == ref
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    @pytest.mark.parametrize("config, max_bounces, outcome", [
+        (TRI, 100, None),
+        (TRI, 2, "too few multi-bounce paths"),
+        (TRI, 3, "survivor fraction never reaches 1e-3"),
+        (WIDE, 4, "fit window empty or censored"),
+        (WIDE, 5, None),
+    ], ids=["tri", "tri_cap2", "tri_cap3", "wide_cap4", "wide_cap5"])
+    def test_walk_edges_match_gather_scatter(self, monkeypatch, config,
+                                             max_bounces, outcome, workers):
+        # the last chunk holds one ray, and low caps leave rays alive for
+        # the fit to count as survivors or to refuse: the outcome, a value
+        # or the refusal, is exactly the oracle's
+        samples = 2**12 * 25 + 1
+        chunks = []
+        real = disk_billiard._walk_rays
+
+        def counting(config, r_out, max_bounces, disk, *rest):
+            chunks.append(disk.size)
+            return real(config, r_out, max_bounces, disk, *rest)
+
+        def run(escape):
+            try:
+                return escape(config, samples, max_bounces, rng_seed=2)
+            except TooFewSurvivors as exc:
+                return str(exc)
+
+        monkeypatch.setattr(disk_billiard, "RAY_CHUNK", 2**12)
+        monkeypatch.setattr(disk_billiard, "_walk_rays", counting)
+        monkeypatch.setattr(disk_billiard, "pool_size", lambda: workers)
+        ref = run(escape_rate_mc_oracle)
+        assert run(escape_rate_mc) == ref
+        assert sorted(chunks)[:2] == [1, 2**12] and sum(chunks) == samples
+        if outcome is None:
+            assert isinstance(ref, tuple)
+        else:
+            assert ref.startswith(outcome)
+
+    @pytest.mark.parametrize("samples", [
+        10**4, 10**4 + 1, 12_345, 10**5 - 1, 10**5, 3 * 10**5 + 1, 10**6, 10**6 + 7])
+    @pytest.mark.parametrize("q", [1e-1, 1e-3])
+    def test_crossing_index_matches_searchsorted(self, samples, q):
+        # every escaped count n within a few of the crossing, and n = samples
+        surv = 1.0 - np.arange(1, samples + 1) / samples
+        cross = int(np.searchsorted(-surv, -q))
+        for n in [*range(cross - 3, cross + 4), samples]:
+            assert _crossing(q, samples, n) == np.searchsorted(-surv[:n], -q)
+
+    @pytest.mark.parametrize("samples", [2 * 10**5, 10**6])
+    def test_traced_peak_is_a_chunk_plus_the_escape_times(self, monkeypatch, samples):
+        # on one worker the walk's buffers take about 120 bytes per ray of
+        # its chunk and the escape times 8 bytes per ray; gathering arrays
+        # per bounce or sorting a copy of the escape times exceeds this
+        monkeypatch.setattr(disk_billiard, "pool_size", lambda: 1)
+        bound = 10 * samples + 150 * disk_billiard.RAY_CHUNK
+        tracemalloc.start()
+        try:
+            escape_rate_mc(TRI, samples, rng_seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     def test_draws_continue_the_whole_stream(self):
         seed = np.random.SeedSequence(4)
