@@ -282,9 +282,10 @@ def _eigensolves(records):
 
 
 def _files(header, rows, series=None):
-    """The command's own CSV of `rows`, and its SVG of `series` if any."""
+    """The command's own CSV of `rows`, and its SVG of `series` if that
+    has a point: an empty series has no plot, and writes none."""
     files = [(None, "csv", partial(_csv, header, rows))]
-    if series is not None:
+    if series:
         files.append((None, "svg", partial(plot_svg, series, kind="series")))
     return files
 
@@ -317,6 +318,8 @@ def cmd_sigma_curve(cfg):
     spec = _baker_spec(cfg)
     depths = _get(cfg, "sigma", "depths", _ints, (4, 5, 6))
     n_points = _get(cfg, "sigma", "n_points", int, 9)
+    if n_points < 1:
+        raise ConfigParse(f"bad value for [sigma] n_points: {n_points} < 1")
     lam = math.log(spec.a)
     tables = _tables(spec, depths)
     gamma_cl = classical_decay_rate(tables)
@@ -392,6 +395,8 @@ def cmd_propagate(cfg):
     N = _get(cfg, "quantum", "N", int)
     rho0 = _get(cfg, "propagate", "rho0", _point, (0.1, 0.1))
     n_max = _get(cfg, "propagate", "n_max", int, 10)
+    if n_max < 0:
+        raise ConfigParse(f"bad value for [propagate] n_max: {n_max} < 0")
     params = _escape_params(cfg, N)
     w = damped_propagation_experiment(spec, N, rho0, params, n_max).tolist()
     payload = _json({
@@ -408,6 +413,8 @@ def cmd_husimi_frames(cfg):
     N = _get(cfg, "quantum", "N", int)
     rho0 = _get(cfg, "husimi", "rho0", _point, (0.1, 0.1))
     frames = _get(cfg, "husimi", "frames", int, 3)
+    if frames < 1:
+        raise ConfigParse(f"bad value for [husimi] frames: {frames} < 1")
     K = _get(cfg, "husimi", "K", int, N)
     op = build(spec, N)
     state = torus_coherent(N, rho0)

@@ -31,7 +31,7 @@ from numpy.polynomial.hermite import hermval
 
 from .errors import DegenerateFrame, DimensionCap, DimensionMismatch, NotSymplectic
 from .quantum_baker import DENSE_CAP, QuantumState, apply, build
-from .quantum_baker import _fold, _fourier_apply, _fourier_inverse_apply
+from .quantum_baker import _fold, _fourier_apply, _twiddles
 from .quantum_baker import _map_rows, _sectors, _unfold
 
 TWO_PI = 2.0 * math.pi
@@ -425,29 +425,54 @@ def damped_propagation_experiment(spec, N, rho0, params, n_max, depth=None):
     encloses the spectrum of G (Weyl's inequality), c and r are its
     center and radius and z = t·r.  The series stops once I_k/I_0 <
     CHEB_TAIL, so equal inputs give bit-identical w.
+
+    The series runs in the twisted frame x = tw ⊙ v, tw the θ=½
+    pre-twiddles of the Fourier kernel F = diag(post)·fft·diag(tw)/√N.
+    The post-twiddles are diagonal of modulus one, so they cancel around
+    diag(λ), and so do the 1/√N of F and F⁻¹: in that frame G acts as
+    x ↦ d ⊙ x + ifft(λ ⊙ fft(x)).  Each step twists the map image once and
+    untwists the sum once; a term of T_{k+1}(Y) = 2Y T_k(Y) − T_{k−1}(Y)
+    is two FFTs and six elementwise passes in reused buffers, with 2/r,
+    e^{-t·lo} and the Bessel weights folded into precomputed symbols and
+    coefficients.  n_max < 0 is ValueError.
     """
     from scipy.special import ive
+    if n_max < 0:
+        raise ValueError(f"n_max={n_max} must be >= 0")
     op = build(spec, N)
     d, lam = _damping_symbols(spec, N, params, depth)
     lo, hi = d.min() + lam.min(), d.max() + lam.max()
     c, r = 0.5 * (hi + lo), 0.5 * (hi - lo)
     z = params.t * r
-    # z = 0 keeps only I_0, so Y, which divides by r, is never applied
     bessel = [ive(0, z)]
     while (nxt := ive(len(bessel), z)) >= CHEB_TAIL * bessel[0]:
         bessel.append(nxt)
+    scale = math.exp(-params.t * lo)
+    coef = [scale * bessel[0]] + [2.0 * scale * b for b in bessel[1:]]
+    if len(bessel) > 1:  # then z > 0, so r > 0: 2Y x = dd ⊙ x − ifft(ll ⊙ fft(x))
+        # complex, so the products skip a real-to-complex cast (same bits)
+        dd, ll = 2.0 * (c - d) / r + 0j, 2.0 * lam / r + 0j
+    tw = _twiddles(N, GRID_THETA)[0]
+    untwist = tw.conj()
+    cur, prev, f = (np.empty(N, dtype=np.complex128) for _ in range(3))
     psi = torus_coherent(N, rho0).amps
     w = [1.0]
     for _ in range(int(n_max)):
-        v = apply(op, QuantumState(N, psi)).amps
-        acc, prev, cur = bessel[0] * v, np.zeros_like(v), v
+        np.multiply(tw, apply(op, QuantumState(N, psi)).amps, out=cur)
+        acc = coef[0] * cur
+        prev.fill(0.0)
         for k in range(1, len(bessel)):
-            twisted = _fourier_apply(cur, GRID_THETA)
-            g_cur = d * cur + _fourier_inverse_apply(lam * twisted, GRID_THETA)
-            y_cur = (c * cur - g_cur) / r
-            prev, cur = cur, (1.0 if k == 1 else 2.0) * y_cur - prev
-            acc += 2.0 * bessel[k] * cur
-        psi = math.exp(-params.t * lo) * acc
+            np.fft.fft(cur, out=f)
+            f *= ll
+            np.fft.ifft(f, out=f)
+            f += prev
+            np.multiply(dd, cur, out=prev)
+            prev -= f  # 2Y T_k − T_{k−1}, into the buffer T_{k−1} held
+            if k == 1:
+                prev *= 0.5  # T_1 = Y T_0; halving is exact
+            prev, cur = cur, prev
+            acc += np.multiply(coef[k], cur, out=f)
+        psi = untwist * acc
         w.append(float(np.vdot(psi, psi).real))
     return np.array(w)
 

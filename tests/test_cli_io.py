@@ -124,8 +124,11 @@ class TestBadValues:
           for rho0 in ("0.3", "0.3,0.1,0.5")],
         *[("weyl-fit", f"[weyl]\nN_list = 9,27,81\nnu = {nu}\n", "[weyl] nu")
           for nu in ("1.5", "0")],
+        ("propagate", "[quantum]\nN = 27\n[propagate]\nn_max = -2\n", "[propagate] n_max"),
+        ("husimi-frames", "[quantum]\nN = 27\n[husimi]\nframes = 0\n", "[husimi] frames"),
     ], ids=["propagate_rho0_one", "propagate_rho0_three", "husimi_rho0_one",
-            "husimi_rho0_three", "nu_above_one", "nu_zero"])
+            "husimi_rho0_three", "nu_above_one", "nu_zero", "n_max_negative",
+            "frames_zero"])
     def test_exits_two_before_any_experiment(self, capsys, tmp_path, monkeypatch,
                                              command, config, named):
         def no_run(*args, **kwargs):
@@ -791,3 +794,25 @@ class TestSvgRendering:
         for name in svgs:
             assert ((tmp_path / "svg" / name).read_bytes()
                     == (tmp_path / "all" / name).read_bytes())
+
+    @pytest.mark.parametrize("command, config, code, files", [
+        # the two-disk table has no cycle of odd length
+        ("billiard-orbits",
+         "[billiard]\nradii = 1,1\ncenters = 0,0;6,0\n[orbits]\ndepth = 3\n", 0,
+         ["billiard-orbits.csv", "billiard-orbits.json", "metadata.json"]),
+        ("sigma-curve", "[sigma]\nn_points = 0\n", 2, None),
+    ], ids=["two_disk_odd_depth", "sigma_no_points"])
+    def test_empty_series_leaves_no_partial_output(self, capsys, tmp_path, command,
+                                                   config, code, files):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(config)
+        out_dir = tmp_path / "out"
+        got, _, _ = run(capsys, [command, "--config", str(cfgfile),
+                                 "--out", str(out_dir), "--format", "all"])
+        assert got == code
+        if files is None:
+            assert not out_dir.exists()
+        else:
+            assert sorted(p.name for p in out_dir.iterdir()) == files
+            meta = json.loads((out_dir / "metadata.json").read_text())
+            assert sorted(meta["written"] + ["metadata.json"]) == files

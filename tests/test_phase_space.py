@@ -9,7 +9,9 @@ escape weight on the full (i/K, j/K) grid (`escape_grid`) lives here,
 not in the package: it is the reference grid of the assembled anti-Wick
 oracle and of the pointwise and norm-bound checks.  So does the
 coherent-state quadrature on a K² grid other than the native one
-(`grid_trace_oracle`), which assembles every coherent state.
+(`grid_trace_oracle`), which assembles every coherent state, and the
+position-basis Chebyshev loop of damped propagation
+(`_untwisted_propagation_oracle`), which the twisted frame replaced.
 """
 
 import math
@@ -31,7 +33,10 @@ from openmaps.errors import (
     NotSymplectic,
 )
 from openmaps.phase_space import (
+    CHEB_TAIL,
+    GRID_THETA,
     _damping_matrix,
+    _damping_symbols,
     _escape_u,
     _gauss_window,
     _signed_roll,
@@ -56,10 +61,12 @@ from openmaps.phase_space import (
     WavePacket,
 )
 from openmaps.quantum_baker import QuantumState, apply, build, dense
+from openmaps.quantum_baker import _fourier_apply, _fourier_inverse_apply
 
 SPEC32 = BakerSpec(3, (0, 2))
 SPEC43 = BakerSpec(4, (0, 3))
 SPEC31 = BakerSpec(3, (1,))
+SPEC301 = BakerSpec(3, (0, 1))  # no parity symmetry, so G is complex
 CLOSED2 = BakerSpec(2, (0, 1))
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 H_REF = 0.05
@@ -155,6 +162,34 @@ def _oracle_propagation(spec, N, rho0, params, n_max, depth=None):
     w = [1.0]
     for _ in range(n_max):
         psi = damp @ apply(op, QuantumState(N, psi)).amps
+        w.append(float(np.vdot(psi, psi).real))
+    return np.array(w)
+
+
+def _untwisted_propagation_oracle(spec, N, rho0, params, n_max):
+    """w_n by the Chebyshev series of e^{-tG} in the position basis: each
+    term applies G as d ⊙ v + F⁻¹(λ ⊙ F v), F the θ=½ Fourier kernel."""
+    from scipy.special import ive
+    op = build(spec, N)
+    d, lam = _damping_symbols(spec, N, params, None)
+    lo, hi = d.min() + lam.min(), d.max() + lam.max()
+    c, r = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    z = params.t * r
+    bessel = [ive(0, z)]
+    while (nxt := ive(len(bessel), z)) >= CHEB_TAIL * bessel[0]:
+        bessel.append(nxt)
+    psi = torus_coherent(N, rho0).amps
+    w = [1.0]
+    for _ in range(n_max):
+        v = apply(op, QuantumState(N, psi)).amps
+        acc, prev, cur = bessel[0] * v, np.zeros_like(v), v
+        for k in range(1, len(bessel)):
+            twisted = _fourier_apply(cur, GRID_THETA)
+            g_cur = d * cur + _fourier_inverse_apply(lam * twisted, GRID_THETA)
+            y_cur = (c * cur - g_cur) / r
+            prev, cur = cur, (1.0 if k == 1 else 2.0) * y_cur - prev
+            acc += 2.0 * bessel[k] * cur
+        psi = math.exp(-params.t * lo) * acc
         w.append(float(np.vdot(psi, psi).real))
     return np.array(w)
 
@@ -623,6 +658,27 @@ class TestDamping:
         w = damped_propagation_experiment(SPEC32, N, rho0, p, 8, depth)
         ref = _oracle_propagation(SPEC32, N, rho0, p, 8, depth)
         assert np.max(np.abs(w - ref) / ref) <= 1e-12
+
+    @pytest.mark.parametrize("spec, N, rho0, t, n_max", [
+        # criterion 09: the trapped edge point and the point 2h^0.4 off it
+        (SPEC32, 2187, (1.0 / 3.0, 0.0), 1.0, 3),
+        (SPEC32, 2187, (1.0 / 3.0 + 2.0 * (2 * math.pi * 2187) ** -0.4, 0.3), 1.0, 8),
+        (SPEC301, 81, (0.3, 0.2), 1.0, 6),
+        (SPEC43, 64, (0.3, 0.2), 0.5, 6),
+        (SPEC32, 81, (0.3, 0.2), 0.0, 4),
+        (CLOSED2, 64, (0.3, 0.6), 1.0, 4),  # r = 0: the series is one term
+    ], ids=["c09_edge", "c09_far", "3-01-81", "4-03-64", "t_zero", "closed"])
+    def test_twisted_recursion_matches_untwisted_oracle(self, spec, N, rho0, t, n_max):
+        p = EscapeParams(h=1.0 / (2 * math.pi * N), delta=0.4, t=t)
+        w = damped_propagation_experiment(spec, N, rho0, p, n_max)
+        ref = _untwisted_propagation_oracle(spec, N, rho0, p, n_max)
+        assert len(w) == n_max + 1
+        assert np.max(np.abs(w - ref) / ref) <= 1e-12
+
+    def test_negative_n_max_rejected(self):
+        p = EscapeParams(h=1.0 / (2 * math.pi * 27), delta=0.4, t=1.0)
+        with pytest.raises(ValueError, match="n_max"):
+            damped_propagation_experiment(SPEC32, 27, (0.1, 0.1), p, -1)
 
     def test_propagation_bit_identical_on_repeat(self):
         N = 243
