@@ -2,11 +2,11 @@
 # Run every experiment config into out/<command>/ with all output
 # formats, from the source tree: no install needed.  Prints each
 # command's wall time and the chain's total.  On a 2-core x86-64 VM
-# the chain took 9.9-10.9 s (five runs): 0.33-0.56 s for each command
-# that does little more than start up (interpreter and imports; scipy
-# is imported only by the commands that call it), 0.73-0.86 s for
-# spectrum, 2.0-2.4 s for each weyl fit, 1.2-1.4 s for trace-check and
-# 1.1-1.3 s for husimi-frames.
+# shared with other work the chain took 7.2-9.2 s (four runs): 0.28-0.42 s
+# for each command that does little more than start up (interpreter and
+# imports; scipy is imported only by the commands that call it),
+# 0.49-0.80 s for spectrum, 1.4-2.0 s for each weyl fit and 0.5-1.3 s
+# each for propagate, husimi-frames and trace-check.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

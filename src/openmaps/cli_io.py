@@ -4,16 +4,22 @@ Commands read an INI-like config (one-level [section] headers over
 key=value pairs), run one experiment, print a deterministic JSON payload
 on stdout, and optionally write payload files under --out in the formats
 requested.  This module is the only one that knows a file format: each
-command is a function of its config alone and returns its payload, its
+command is a function of its config alone and gives its payload, its
 files, each file with a function that renders it, called only when the
 file is written, and the certificates of its run.  Timestamps,
 invocation details and certificates go to a separate metadata.json so
 payload bytes depend only on the config.
 
-Exit codes: 0 on success, 2 on config parse failure (a section or key
-the command never reads is one, and stops it before any file is
-written), 1 on any module error (the error class name is printed
-verbatim on stderr).
+Each command is a generator: up to its bare `yield` it reads its config
+and builds every object its experiment takes, so each value meets its
+rules there (`_read`); then it runs the experiment and yields its result.
+
+Exit codes, stated only here: 0 on success; 2 (`ConfigParse`), before
+any file is written, for text that does not parse, a key given twice or
+missing, a section or key the command never reads, or a value that
+breaks a rule (then no experiment runs); 1 for `BadDimension`,
+`DimensionCap` and anything raised while an experiment runs.  The
+error's class name is printed on stderr.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from .phase_space import (
     husimi_mass,
     torus_coherent,
 )
-from .quantum_baker import apply, build
+from .quantum_baker import _parity_split, apply, build
 from .spectral_counting import (
     annulus_gap_exponent,
     bound_report,
@@ -63,11 +69,11 @@ SVG_W, SVG_H, SVG_MARGIN = 640, 480, 40
 # ---------------------------------------------------------------- config
 
 class Config(dict):
-    """Parsed config, {section: {key: text}}, logging what `_get` looks up."""
+    """Parsed config, {section: {key: text}}; `read` logs what `_get` looks up, in order."""
 
     def __init__(self):
         super().__init__()
-        self.read = set()
+        self.read = {}
 
     def unread(self):
         """The sections never looked up, then the unread keys of the others."""
@@ -111,26 +117,51 @@ def load_config(path):
     if path is None:
         return Config()
     try:
-        text = Path(path).read_text()
+        return parse_config(Path(path).read_text())
     except OSError as exc:
         raise ConfigParse(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
 
 
 _REQUIRED = object()
 
 
 def _get(cfg, section, key, cast, default=_REQUIRED):
-    cfg.read.add((section, key))
+    cfg.read[section, key] = None
     sec = cfg.get(section, {})
     if key not in sec:
         if default is _REQUIRED:
             raise ConfigParse(f"missing [{section}] {key}")
         return default
+    return cast(sec[key])
+
+
+def _check(ok, rule):
+    if not ok:  # a rule no library object checks before the experiment
+        raise ValueError(rule)
+
+
+def _read(command, cfg):
+    """`command` run on `cfg` up to its `yield`, the one value check: a
+    ValueError or TypeError raised by then (by a cast, a library object
+    or `_check`) is ConfigParse naming the first key given, in the order
+    read, by which the values given so far, every later key at its
+    default, raise that error again.  Other errors pass through."""
+    steps = command(cfg)
     try:
-        return cast(sec[key])
+        next(steps)
     except (ValueError, TypeError) as exc:
-        raise ConfigParse(f"bad value for [{section}] {key}: {exc}") from exc
+        given = [(s, k) for s, k in cfg.read if k in cfg.get(s, ())]
+        for n, (section, key) in enumerate(given, 1):
+            trial = Config()
+            for s, k in given[:n]:
+                trial.setdefault(s, {})[k] = cfg[s][k]
+            try:
+                next(command(trial))
+            except (LabError, ValueError, TypeError) as again:
+                if type(again) is type(exc) and again.args == exc.args:
+                    raise ConfigParse(f"bad value for [{section}] {key}: {exc}") from exc
+        raise
+    return steps
 
 
 def _ints(text):
@@ -147,32 +178,36 @@ def _point(text):
 
 
 def _pairs(text):
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        x, y = chunk.split(",")
-        out.append((float(x), float(y)))
-    return tuple(out)
+    return tuple(map(_point, filter(str.strip, text.split(";"))))
 
 
 def _baker_spec(cfg):
-    a = _get(cfg, "map", "a", int, 3)
-    alphabet = _get(cfg, "map", "alphabet", _ints, (0, 2))
-    return BakerSpec(a, alphabet)
+    return BakerSpec(_get(cfg, "map", "a", int, 3),
+                     _get(cfg, "map", "alphabet", _ints, (0, 2)))
 
 
 def _disk_config(cfg):
-    sqrt3 = math.sqrt(3.0)
     centers = _get(cfg, "billiard", "centers", _pairs,
-                   ((0.0, 0.0), (6.0, 0.0), (3.0, 3.0 * sqrt3)))
+                   ((0.0, 0.0), (6.0, 0.0), (3.0, 3.0 * math.sqrt(3.0))))
     radii = _get(cfg, "billiard", "radii", _floats, (1.0, 1.0, 1.0))
     return DiskConfig(centers, radii)
 
 
 def _tables(spec, depths):
+    _check(len(set(depths)) == len(depths) >= 3,
+           "the pressure fit needs >= 3 distinct depths")
     return [cylinder_table(spec, n) for n in depths]
+
+
+def _ops(cfg, section, spec, default, least):
+    """The maps at [section] N_list: BadDimension or DimensionCap (as
+    `spectra` raises it) first, then `least` or more sizes, none repeated."""
+    ops = [build(spec, N) for N in _get(cfg, section, "N_list", _ints, default)]
+    for op in ops:
+        _parity_split(op)
+    _check(len({op.N for op in ops}) == len(ops) >= least,
+           f"need {least} or more sizes, none repeated")
+    return ops
 
 
 # ------------------------------------------------------------------ SVG
@@ -207,25 +242,21 @@ def plot_svg(data, kind, cells=None):
             f'height="{SVG_H}" viewBox="0 0 {SVG_W} {SVG_H}">')
     parts = [head]
     if kind == "series":
-        pts = [(float(x), float(y)) for x, y in data]
-        if not pts:
+        xs, ys = np.array([(float(x), float(y)) for x, y in data]).reshape(-1, 2).T
+        if not xs.size:
             raise EmptyData("empty series")
-        xs = np.array([p[0] for p in pts])
-        ys = np.array([p[1] for p in pts])
         spanx = float(xs.max() - xs.min()) or 1.0
         spany = float(ys.max() - ys.min()) or 1.0
         w = SVG_W - 2 * SVG_MARGIN
         h = SVG_H - 2 * SVG_MARGIN
         px = SVG_MARGIN + (xs - xs.min()) / spanx * w
         py = SVG_H - SVG_MARGIN - (ys - ys.min()) / spany * h
-        parts.append(
-            f'<line x1="{SVG_MARGIN}" y1="{SVG_H - SVG_MARGIN}" '
-            f'x2="{SVG_W - SVG_MARGIN}" y2="{SVG_H - SVG_MARGIN}" '
-            'stroke="#999" stroke-width="1"/>')
-        parts.append(
-            f'<line x1="{SVG_MARGIN}" y1="{SVG_MARGIN}" '
-            f'x2="{SVG_MARGIN}" y2="{SVG_H - SVG_MARGIN}" '
-            'stroke="#999" stroke-width="1"/>')
+        parts += [f'<line x1="{SVG_MARGIN}" y1="{SVG_H - SVG_MARGIN}" '
+                  f'x2="{SVG_W - SVG_MARGIN}" y2="{SVG_H - SVG_MARGIN}" '
+                  'stroke="#999" stroke-width="1"/>',
+                  f'<line x1="{SVG_MARGIN}" y1="{SVG_MARGIN}" '
+                  f'x2="{SVG_MARGIN}" y2="{SVG_H - SVG_MARGIN}" '
+                  'stroke="#999" stroke-width="1"/>']
         coords = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
         parts.append(f'<polyline points="{coords}" fill="none" '
                      'stroke="#1f3a93" stroke-width="1.5"/>')
@@ -294,45 +325,48 @@ def _files(header, rows, series=None):
 
 def cmd_pressure(cfg):
     spec = _baker_spec(cfg)
-    depths = _get(cfg, "pressure", "depths", _ints, (4, 5, 6))
+    tables = _tables(spec, _get(cfg, "pressure", "depths", _ints, (4, 5, 6)))
     c_j = _get(cfg, "pressure", "c_jacobian", float)
     c_t = _get(cfg, "pressure", "c_return", float)
-    est = pressure(_tables(spec, depths), c_j, c_t)
+    yield
+    est = pressure(tables, c_j, c_t)
     rows = [(int(n), float(p)) for n, p in est.per_depth]
     payload = _json({"coeff_J": est.coeff_J, "coeff_t": est.coeff_t,
                      "per_depth": [list(r) for r in rows],
                      "value": est.value, "uncertainty": est.uncertainty})
-    return payload, _files(("depth", "p_n"), rows, rows), {}
+    yield payload, _files(("depth", "p_n"), rows, rows), {}
 
 
 def cmd_dimension(cfg):
     spec = _baker_spec(cfg)
-    depths = _get(cfg, "dimension", "depths", _ints, (4, 5, 6))
-    value = bowen_dimension(_tables(spec, depths))
+    tables = _tables(spec, _get(cfg, "dimension", "depths", _ints, (4, 5, 6)))
+    yield
+    value = bowen_dimension(tables)
     payload = _json({"a": spec.a, "alphabet": list(spec.alphabet),
-                     "depths": list(depths), "dimension": value})
-    return payload, _files(("dimension",), [(float(value),)]), {}
+                     "depths": [tb.n for tb in tables], "dimension": value})
+    yield payload, _files(("dimension",), [(float(value),)]), {}
 
 
 def cmd_sigma_curve(cfg):
     spec = _baker_spec(cfg)
-    depths = _get(cfg, "sigma", "depths", _ints, (4, 5, 6))
+    tables = _tables(spec, _get(cfg, "sigma", "depths", _ints, (4, 5, 6)))
     n_points = _get(cfg, "sigma", "n_points", int, 9)
-    if n_points < 1:
-        raise ConfigParse(f"bad value for [sigma] n_points: {n_points} < 1")
+    _check(n_points >= 1, "n_points >= 1")
+    yield
     lam = math.log(spec.a)
-    tables = _tables(spec, depths)
     gamma_cl = classical_decay_rate(tables)
     gammas = np.linspace(0.0, gamma_cl, n_points)
     rows = [(float(g), float(sigma_of_gamma(tables, g, lam))) for g in gammas]
     payload = _json({"gamma_cl": gamma_cl, "lambda_max": lam,
                      "points": [[g, s] for g, s in rows]})
-    return payload, _files(("gamma", "sigma"), rows, rows), {}
+    yield payload, _files(("gamma", "sigma"), rows, rows), {}
 
 
 def cmd_billiard_orbits(cfg):
     config = _disk_config(cfg)
     depth = _get(cfg, "orbits", "depth", int, 3)
+    _check(depth >= 2, "depth >= 2")
+    yield
     words, angles, lengths, logj, t, residual, dropped = _cycle_orbits(config, depth)
     words, logj, t = words.tolist(), logj.tolist(), t.tolist()
     header = ("word", *(f"angle_{i}" for i in range(depth)),
@@ -342,18 +376,18 @@ def cmd_billiard_orbits(cfg):
     payload = _json({"depth": depth, "orbits": [list(r) for r in zip(words, logj, t)]})
     certificates = {"orbits": {"newton_residual_max": max(residual.tolist(), default=None),
                                "shadowed_words_dropped": dropped}}
-    return payload, _files(header, rows, list(zip(t, logj))), certificates
+    yield payload, _files(header, rows, list(zip(t, logj))), certificates
 
 
 def cmd_spectrum(cfg):
-    spec = _baker_spec(cfg)
-    N = _get(cfg, "quantum", "N", int)
-    variant = _get(cfg, "quantum", "variant", str, "FFT")
-    theta = _get(cfg, "quantum", "theta", float, 0.5)
-    record, = spectra([build(spec, N, variant=variant, theta=theta)])
+    op = build(_baker_spec(cfg), _get(cfg, "quantum", "N", int),
+               variant=_get(cfg, "quantum", "variant", str, "FFT"),
+               theta=_get(cfg, "quantum", "theta", float, 0.5))
+    yield
+    record, = spectra([op])
     vals = record.eigenvalues.tolist()
     payload = _json({
-        "N": N, "backward_error": record.backward_error,
+        "N": op.N, "backward_error": record.backward_error,
         "blocks": list(record.blocks),
         "structural_zeros": record.structural_zeros,
         "eigenvalues": [[z.real, z.imag] for z in vals],
@@ -361,43 +395,41 @@ def cmd_spectrum(cfg):
     moduli = [abs(z) for z in vals]
     rows = [(z.real, z.imag, m) for z, m in zip(vals, moduli)]
     series = list(enumerate(moduli))
-    return payload, _files(("re", "im", "modulus"), rows, series), _eigensolves([record])
+    yield payload, _files(("re", "im", "modulus"), rows, series), _eigensolves([record])
 
 
 def cmd_weyl_fit(cfg):
     spec = _baker_spec(cfg)
-    sizes = _get(cfg, "weyl", "N_list", _ints, (27, 81, 243))
+    ops = _ops(cfg, "weyl", spec, (27, 81, 243), 3)
     nu = _get(cfg, "weyl", "nu", float)
-    if not 0 < nu <= 1:
-        raise ConfigParse(f"bad value for [weyl] nu: {nu} not in (0, 1]")
-    records = spectra([build(spec, n) for n in sizes])
-    fit = weyl_exponent(records, nu)
     d_h = bowen_dimension(_tables(spec, (4, 5, 6)))
-    report = bound_report(fit, d_h, annulus_gap_exponent(nu, d_h, math.log(spec.a)))
+    sigma_nu = annulus_gap_exponent(nu, d_h, math.log(spec.a))
+    yield
+    records = spectra(ops)
+    fit = weyl_exponent(records, nu)
+    report = bound_report(fit, d_h, sigma_nu)
     points = [[int(n), int(c)] for n, c in fit.points]
     payload = _json({"fit": {"nu": fit.nu, "points": points,
                              "slope": fit.slope, "stderr": fit.stderr},
                      "report": report})
     series = [(math.log(n), math.log(c)) for n, c in points if c > 0]
-    return payload, _files(("N", "count"), points, series), _eigensolves(records)
+    yield payload, _files(("N", "count"), points, series), _eigensolves(records)
 
 
 def _escape_params(cfg, N):
-    return EscapeParams(
-        h=1.0 / (2.0 * math.pi * N),
-        delta=_get(cfg, "escape", "delta", float, 0.4),
-        t=_get(cfg, "escape", "t", float, 1.0),
-    )
+    return EscapeParams(h=1.0 / (2.0 * math.pi * N),
+                        delta=_get(cfg, "escape", "delta", float, 0.4),
+                        t=_get(cfg, "escape", "t", float, 1.0))
 
 
 def cmd_propagate(cfg):
     spec = _baker_spec(cfg)
-    N = _get(cfg, "quantum", "N", int)
+    N = build(spec, _get(cfg, "quantum", "N", int)).N
     rho0 = _get(cfg, "propagate", "rho0", _point, (0.1, 0.1))
     n_max = _get(cfg, "propagate", "n_max", int, 10)
-    if n_max < 0:
-        raise ConfigParse(f"bad value for [propagate] n_max: {n_max} < 0")
+    _check(n_max >= 0, "n_max >= 0")
     params = _escape_params(cfg, N)
+    yield
     w = damped_propagation_experiment(spec, N, rho0, params, n_max).tolist()
     payload = _json({
         "N": N, "a": spec.a, "alphabet": list(spec.alphabet), "rho0": list(rho0),
@@ -405,18 +437,18 @@ def cmd_propagate(cfg):
         "n": list(range(len(w))), "w": w,
     })
     rows = list(enumerate(w))
-    return payload, _files(("n", "w"), rows, rows), {}
+    yield payload, _files(("n", "w"), rows, rows), {}
 
 
 def cmd_husimi_frames(cfg):
-    spec = _baker_spec(cfg)
-    N = _get(cfg, "quantum", "N", int)
+    op = build(_baker_spec(cfg), _get(cfg, "quantum", "N", int))
+    N = op.N
     rho0 = _get(cfg, "husimi", "rho0", _point, (0.1, 0.1))
     frames = _get(cfg, "husimi", "frames", int, 3)
-    if frames < 1:
-        raise ConfigParse(f"bad value for [husimi] frames: {frames} < 1")
+    _check(frames >= 1, "frames >= 1")
     K = _get(cfg, "husimi", "K", int, N)
-    op = build(spec, N)
+    _check(K >= 8, "K >= 8")
+    yield
     state = torus_coherent(N, rho0)
     masses = []
     fields = []
@@ -448,18 +480,19 @@ def cmd_husimi_frames(cfg):
             files.append((None, "svg", render))
         files += [(f"husimi_{i:03d}", "csv", partial(csv, field)),
                   (f"husimi_{i:03d}", "svg", render)]
-    return payload, files, {}
+    yield payload, files, {}
 
 
 def cmd_trace_check(cfg):
     spec = _baker_spec(cfg)
-    sizes = _get(cfg, "trace", "N_list", _ints, (27, 81))
+    sizes = [op.N for op in _ops(cfg, "trace", spec, (27, 81), 1)]
     params = _escape_params(cfg, max(sizes))
     lam = math.log(spec.a)
     slack = _get(cfg, "trace", "slack", float, 0.0)
     vartheta = _get(cfg, "trace", "vartheta", float,
                     default_vartheta(0.0, lam) * (1.0 + slack))
     ep = ExperimentParams(vartheta=vartheta, lambda_max=lam, slack=slack)
+    yield
     out = hs_trace_experiment(spec, sizes, params, ep)
     entries = out["entries"]
     rows = [(e["N"], e["h"], e["n"], e["trace_direct"],
@@ -467,7 +500,7 @@ def cmd_trace_check(cfg):
             for e in entries]
     series = [(math.log(1.0 / e["h"]), math.log(e["trace_direct"]))
               for e in entries]
-    return _json(out), _files(
+    yield _json(out), _files(
         ("N", "h", "n", "trace_direct", "trace_quadrature"), rows, series), {}
 
 
@@ -499,8 +532,7 @@ def _write_outputs(args, name, payload, files, certificates, compute_s):
     start = time.perf_counter()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    wants = ({"json", "csv", "svg"} if args.format == "all"
-             else {args.format})
+    wants = {"json", "csv", "svg"} if args.format == "all" else {args.format}
     written = []
     for stem, fmt, render in [(None, "json", lambda: payload + "\n"), *files]:
         if fmt in wants:
@@ -538,16 +570,13 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         start = time.perf_counter()
-        payload, files, certificates = COMMANDS[args.command](cfg)
+        payload, files, certificates = next(_read(COMMANDS[args.command], cfg))
         compute_s = time.perf_counter() - start
         if unread := cfg.unread():
             raise ConfigParse(f"not read by {args.command}: {', '.join(unread)}")
         _write_outputs(args, args.command, payload, files, certificates, compute_s)
         print(payload)
-    except ConfigParse as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except (LabError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigParse) else 1
     return 0

@@ -1,9 +1,9 @@
 """Typed errors shared across the laboratory modules.
 
-Every domain failure raises a subclass of LabError.  The CLI maps any
-LabError to exit code 1 and prints the class name verbatim, so the names
-here are part of the external interface.  Config-file problems use
-ConfigParse, which the CLI maps to exit code 2.
+Every domain failure raises a subclass of LabError.  The CLI prints the
+class name verbatim, so the names here are part of the external
+interface; config-file problems use ConfigParse.  The exit code of each
+is stated in the module docstring of `cli_io`.
 """
 
 

@@ -80,11 +80,6 @@ class WavePacket:
         object.__setattr__(self, "phase", ph)
 
     @property
-    def frame_w(self):
-        (a, b), _ = self.frame
-        return complex(a, b)
-
-    @property
     def squeeze(self):
         """γ of the evaluated Gaussian: (c+id)/(a+ib), Im γ = |a+ib|^{-2}."""
         (a, b), (c, d) = self.frame
@@ -94,13 +89,6 @@ class WavePacket:
             # frame ((1e-160, 0), (0, 1e160)); γ would then overflow
             raise DegenerateFrame("frame top row is numerically null")
         return complex(c, d) / w
-
-    def norm_squared(self):
-        """Exact L² norm²: the n-th basis packet carries weight n!."""
-        return float(sum(
-            abs(z) ** 2 * math.factorial(n)
-            for n, z in enumerate(self.hermite_coeffs)
-        ))
 
 
 def ground_state(h):
@@ -133,7 +121,7 @@ def sample_line(wp, xs):
     xs = np.asarray(xs, dtype=float)
     h = wp.h
     x0, xi0 = wp.center
-    w = wp.frame_w
+    w = complex(*wp.frame[0])
     gamma = wp.squeeze
     aw = abs(w)
     s = w.conjugate() / aw  # branch of ((a-ib)/(a+ib))^{1/2}, used as s^n
@@ -393,13 +381,12 @@ class ExperimentParams:
     vartheta: float
     lambda_max: float
     slack: float = 0.0
-    n_override: int | None = None
 
     def __post_init__(self):
-        if not (self.vartheta > 0 and self.lambda_max > 0):
-            raise ValueError("vartheta and lambda_max must be positive")
         if self.slack < 0:
             raise ValueError("slack >= 0")
+        if not (self.vartheta > 0 and self.lambda_max > 0):
+            raise ValueError("vartheta and lambda_max must be positive")
         cap = (1.0 + self.slack) / (6.0 * self.lambda_max)
         if self.vartheta > cap * (1 + 1e-12):
             raise ValueError(
@@ -407,8 +394,6 @@ class ExperimentParams:
             )
 
     def n_steps(self, h):
-        if self.n_override is not None:
-            return int(self.n_override)
         return int(math.floor(self.vartheta * math.log(1.0 / h)))
 
 

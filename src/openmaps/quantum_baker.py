@@ -228,19 +228,3 @@ def _sector_block(op, own, others):
 def _coupling(parts):
     return reduce(math.hypot, parts, 0.0)  # in sector order, bit for bit
 
-
-def parity_blocks(op):
-    """Kept diagonal blocks of the map in its sector bases, and their coupling.
-
-    Only the allowed-strip indices are kept; the others span excluded
-    columns, which are structural zeros.  Each sector of `_sectors` gives
-    its block by `_sector_block`, one after the other, and the coupling,
-    zero by symmetry up to round-off and 0.0 for one sector, is returned
-    as its Frobenius norm; this is the per-N oracle of
-    `spectral_counting.spectra`.  N above DENSE_CAP raises DimensionCap.
-
-    Returns (blocks, coupling); N minus the total block size is the
-    number of structural zeros.
-    """
-    blocks, parts = zip(*(_sector_block(op, *split) for split in _parity_split(op)))
-    return list(blocks), _coupling(parts)

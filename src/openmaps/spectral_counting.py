@@ -207,11 +207,11 @@ def block_eigenvalues(N, blocks, coupling=0.0):
 
 
 def spectra(ops):
-    """Per operator, the record of ``block_eigenvalues(op.N,
-    *parity_blocks(op))`` bit for bit but `workers` and `blas_threads`,
-    which are those of the one pool (`_pooled`) whose tasks, one per
-    sector of each map, largest N first, build and solve a block.  N
-    above DENSE_CAP raises DimensionCap before any task runs."""
+    """Per operator, the record of `block_eigenvalues` of its kept blocks
+    in its parity sectors and their coupling.  One pool (`_pooled`) runs
+    a task per sector of each map, largest N first, which builds the
+    block (`quantum_baker._sector_block`) and solves it.  N above
+    DENSE_CAP raises DimensionCap before any task runs."""
     tasks = sorted(((i, split) for i, op in enumerate(ops) for split in _parity_split(op)),
                    key=lambda task: -ops[task[0]].N)
     solved, workers, threads = _pooled(

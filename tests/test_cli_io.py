@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +19,11 @@ from openmaps.phase_space import (
     husimi,
     torus_coherent,
 )
-from openmaps.quantum_baker import apply, build, parity_blocks
+from openmaps.quantum_baker import apply, build
 from openmaps.spectral_counting import annulus_gap_exponent, block_eigenvalues, weyl_exponent
 from openmaps.symbolic_pressure import bowen_dimension, pressure
 from openmaps.threads import openblas, pool_size
+from oracles import parity_blocks
 
 GAMMA_CL = 0.3690702464285426
 D_H = 0.6309297535714574
@@ -114,27 +117,72 @@ class TestUnreadConfig:
         assert "not read by dimension: [quantum], [escape], [map] alpha" in err
 
 
+# the experiment each command runs first, after its config is read
+EXPERIMENTS = {
+    "pressure": "pressure", "dimension": "bowen_dimension",
+    "sigma-curve": "classical_decay_rate", "billiard-orbits": "_cycle_orbits",
+    "spectrum": "spectra", "weyl-fit": "spectra",
+    "propagate": "damped_propagation_experiment", "husimi-frames": "torus_coherent",
+    "trace-check": "hs_trace_experiment",
+}
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+# the (command, config) chain of scripts/reproduce.sh, from its `run` lines
+SHIPPED = re.findall(r"^run +(\S+) +(\S+) +\S+$",
+                     (SCRIPTS / "reproduce.sh").read_text(), re.MULTILINE)
+
+Q27 = "[quantum]\nN = 27\n"
+# every value rule: (command, config, the key at fault)
+BAD_VALUES = {
+    **{f"{section}_rho0_{n}": (command, f"{Q27}[{section}]\nrho0 = {rho0}\n",
+                               f"[{section}] rho0")
+       for command, section in [("propagate", "propagate"), ("husimi-frames", "husimi")]
+       for n, rho0 in [("one", "0.3"), ("three", "0.3,0.1,0.5")]},
+    "nu_above_one": ("weyl-fit", "[weyl]\nN_list = 9,27,81\nnu = 1.5\n", "[weyl] nu"),
+    "nu_zero": ("weyl-fit", "[weyl]\nN_list = 9,27,81\nnu = 0\n", "[weyl] nu"),
+    "n_max_negative": ("propagate", f"{Q27}[propagate]\nn_max = -2\n",
+                       "[propagate] n_max"),
+    "frames_zero": ("husimi-frames", f"{Q27}[husimi]\nframes = 0\n", "[husimi] frames"),
+    "n_points_zero": ("sigma-curve", "[sigma]\nn_points = 0\n", "[sigma] n_points"),
+    "propagate_t": ("propagate", f"{Q27}[escape]\nt = -1\n", "[escape] t"),
+    "trace_t": ("trace-check", "[escape]\nt = -1\n", "[escape] t"),
+    "delta": ("propagate", f"{Q27}[escape]\ndelta = 0.7\n", "[escape] delta"),
+    "husimi_K": ("husimi-frames", f"{Q27}[husimi]\nK = 0\n", "[husimi] K"),
+    "pressure_depths": ("pressure", "[pressure]\ndepths = 4\nc_jacobian = -0.63\n"
+                        "c_return = 0.0\n", "[pressure] depths"),
+    "sigma_depths": ("sigma-curve", "[sigma]\ndepths = 4\n", "[sigma] depths"),
+    "dimension_depths": ("dimension", "[dimension]\ndepths = 4\n", "[dimension] depths"),
+    "base_one": ("dimension", "[map]\na = 1\n", "[map] a"),
+    "alphabet_past_base": ("dimension", "[map]\nalphabet = 0,5\n", "[map] alphabet"),
+    "negative_radius": ("billiard-orbits", "[billiard]\nradii = 1,1,-1\n",
+                        "[billiard] radii"),
+    "orbits_depth_one": ("billiard-orbits", "[orbits]\ndepth = 1\n", "[orbits] depth"),
+    # slack < 0 also makes the default vartheta 0: the key at fault is slack
+    "slack": ("trace-check", "[trace]\nslack = -1\n", "[trace] slack"),
+    "vartheta": ("trace-check", "[trace]\nvartheta = 5.0\n", "[trace] vartheta"),
+    "trace_N_repeated": ("trace-check", "[trace]\nN_list = 27,27,81\n", "[trace] N_list"),
+    "variant": ("spectrum", f"{Q27}variant = FOO\n", "[quantum] variant"),
+    "theta": ("spectrum", f"{Q27}theta = 0.3\n", "[quantum] theta"),
+    "weyl_N_repeated": ("weyl-fit", "[weyl]\nN_list = 729,729,2187\nnu = 0.5\n",
+                        "[weyl] N_list"),
+    "weyl_two_N": ("weyl-fit", "[weyl]\nN_list = 81,243\nnu = 0.5\n", "[weyl] N_list"),
+}
+
+
 class TestBadValues:
     """A value the command cannot use exits 2 naming its key, before any
-    experiment runs and before any file is written."""
+    experiment runs and before any file is written; an error raised while
+    an experiment runs exits 1."""
 
-    @pytest.mark.parametrize("command, config, named", [
-        *[(command, f"[quantum]\nN = 27\n[{section}]\nrho0 = {rho0}\n", f"[{section}] rho0")
-          for command, section in [("propagate", "propagate"), ("husimi-frames", "husimi")]
-          for rho0 in ("0.3", "0.3,0.1,0.5")],
-        *[("weyl-fit", f"[weyl]\nN_list = 9,27,81\nnu = {nu}\n", "[weyl] nu")
-          for nu in ("1.5", "0")],
-        ("propagate", "[quantum]\nN = 27\n[propagate]\nn_max = -2\n", "[propagate] n_max"),
-        ("husimi-frames", "[quantum]\nN = 27\n[husimi]\nframes = 0\n", "[husimi] frames"),
-    ], ids=["propagate_rho0_one", "propagate_rho0_three", "husimi_rho0_one",
-            "husimi_rho0_three", "nu_above_one", "nu_zero", "n_max_negative",
-            "frames_zero"])
+    @pytest.mark.parametrize("command, config, named", BAD_VALUES.values(),
+                             ids=BAD_VALUES)
     def test_exits_two_before_any_experiment(self, capsys, tmp_path, monkeypatch,
                                              command, config, named):
         def no_run(*args, **kwargs):
             raise AssertionError("an experiment ran")
 
-        for name in ("spectra", "damped_propagation_experiment", "torus_coherent"):
+        for name in ("spectra", "damped_propagation_experiment", "torus_coherent",
+                     "hs_trace_experiment", "_cycle_orbits", "pressure",
+                     EXPERIMENTS[command]):
             monkeypatch.setattr(cli_io, name, no_run)
         cfgfile = tmp_path / "c.ini"
         cfgfile.write_text(config)
@@ -142,9 +190,38 @@ class TestBadValues:
         code, out, err = run(capsys, [command, "--config", str(cfgfile),
                                       "--out", str(out_dir), "--format", "all"])
         assert code == 2
-        assert err.startswith("ConfigParse") and f"bad value for {named}" in err
+        assert err.startswith(f"ConfigParse: bad value for {named}: ")
         assert out == ""
         assert not out_dir.exists()
+
+    def test_error_while_experiment_runs_exits_one(self, capsys, tmp_path, monkeypatch):
+        def failing(ops):
+            raise ValueError("raised by the experiment")
+
+        monkeypatch.setattr(cli_io, "spectra", failing)
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(Q27)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, ["spectrum", "--config", str(cfgfile),
+                                      "--out", str(out_dir)])
+        assert code == 1
+        assert err == "ValueError: raised by the experiment\n"
+        assert out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command, config", SHIPPED,
+                             ids=[config for _, config in SHIPPED])
+    def test_shipped_configs_reach_their_experiment(self, monkeypatch, command, config):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        assert len(SHIPPED) == 10
+        monkeypatch.setattr(cli_io, EXPERIMENTS[command], reached)
+        with pytest.raises(Reached):
+            main([command, "--config", str(SCRIPTS / "configs" / config)])
 
 
 def field_svg_by_cells(field):
@@ -490,13 +567,6 @@ class TestBilliardCommand:
         assert meta["newton_residual_max"] == max(
             disk_billiard._cycle_orbits(TRI, 4)[5].tolist())
 
-    def test_depth_one_rejected(self, capsys, tmp_path):
-        cfgfile = tmp_path / "c.ini"
-        cfgfile.write_text("[orbits]\ndepth = 1\n")
-        code, _, err = run(capsys, ["billiard-orbits", "--config", str(cfgfile)])
-        assert code == 1
-        assert "ValueError" in err
-
 
 class TestPropagateCommand:
     def config(self, tmp_path):
@@ -795,24 +865,20 @@ class TestSvgRendering:
             assert ((tmp_path / "svg" / name).read_bytes()
                     == (tmp_path / "all" / name).read_bytes())
 
-    @pytest.mark.parametrize("command, config, code, files", [
+    @pytest.mark.parametrize("command, config, files", [
         # the two-disk table has no cycle of odd length
         ("billiard-orbits",
-         "[billiard]\nradii = 1,1\ncenters = 0,0;6,0\n[orbits]\ndepth = 3\n", 0,
+         "[billiard]\nradii = 1,1\ncenters = 0,0;6,0\n[orbits]\ndepth = 3\n",
          ["billiard-orbits.csv", "billiard-orbits.json", "metadata.json"]),
-        ("sigma-curve", "[sigma]\nn_points = 0\n", 2, None),
-    ], ids=["two_disk_odd_depth", "sigma_no_points"])
+    ], ids=["two_disk_odd_depth"])
     def test_empty_series_leaves_no_partial_output(self, capsys, tmp_path, command,
-                                                   config, code, files):
+                                                   config, files):
         cfgfile = tmp_path / "c.ini"
         cfgfile.write_text(config)
         out_dir = tmp_path / "out"
         got, _, _ = run(capsys, [command, "--config", str(cfgfile),
                                  "--out", str(out_dir), "--format", "all"])
-        assert got == code
-        if files is None:
-            assert not out_dir.exists()
-        else:
-            assert sorted(p.name for p in out_dir.iterdir()) == files
-            meta = json.loads((out_dir / "metadata.json").read_text())
-            assert sorted(meta["written"] + ["metadata.json"]) == files
+        assert got == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == files
+        meta = json.loads((out_dir / "metadata.json").read_text())
+        assert sorted(meta["written"] + ["metadata.json"]) == files

@@ -15,7 +15,7 @@ position-basis Chebyshev loop of damped propagation
 """
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -62,6 +62,7 @@ from openmaps.phase_space import (
 )
 from openmaps.quantum_baker import QuantumState, apply, build, dense
 from openmaps.quantum_baker import _fourier_apply, _fourier_inverse_apply
+from oracles import norm_squared
 
 SPEC32 = BakerSpec(3, (0, 2))
 SPEC43 = BakerSpec(4, (0, 3))
@@ -210,6 +211,18 @@ def _trace_oracle_entry(spec, N, params, n, depth=None):
             float(coherent_grid_trace(power.conj().T @ power).real))
 
 
+@dataclass(frozen=True)
+class FixedSteps:
+    """What `hs_trace_experiment` reads of its ExperimentParams, with the
+    step count n fixed whatever h."""
+
+    n: int
+    vartheta: float = 0.1
+
+    def n_steps(self, h):
+        return self.n
+
+
 def random_frame(rng):
     while True:
         a, b, c = rng.uniform(-2, 2, size=3)
@@ -219,14 +232,14 @@ def random_frame(rng):
 
 class TestPacketAlgebra:
     def test_ground_norm_exact(self):
-        assert ground_state(H_REF).norm_squared() == 1.0
+        assert norm_squared(ground_state(H_REF)) == 1.0
 
     def test_hermite_weights(self):
         wp = WavePacket(h=H_REF, center=(0.0, 0.0),
                         frame=((1.0, 0.0), (0.0, 1.0)),
                         hermite_coeffs=(1.0, 0.5, 0.25j))
         expect = 1.0 + 0.25 * 1.0 + 0.0625 * 2.0
-        assert wp.norm_squared() == pytest.approx(expect, rel=1e-14)
+        assert norm_squared(wp) == pytest.approx(expect, rel=1e-14)
 
     def test_bad_frame_determinant_rejected(self):
         with pytest.raises(ValueError):
@@ -287,7 +300,7 @@ class TestLineEvaluation:
                         hermite_coeffs=(1.0, 0.5, 0.25j))
         xs = line_grid(H_REF) + 0.2
         assert quad_norm_sq(sample_line(wp, xs), xs) == pytest.approx(
-            wp.norm_squared(), rel=1e-8)
+            norm_squared(wp), rel=1e-8)
 
     def test_first_excited_node_at_center(self):
         wp = WavePacket(h=H_REF, center=(0.3, 0.0),
@@ -697,11 +710,6 @@ class TestExperimentParams:
         p = ExperimentParams(vartheta=1.0, lambda_max=math.log(3), slack=6.0)
         assert p.n_steps(1e-4) == 9
 
-    def test_override(self):
-        p = ExperimentParams(vartheta=0.1, lambda_max=math.log(3),
-                             n_override=5)
-        assert p.n_steps(1e-12) == 5
-
     def test_default_vartheta_limit(self):
         assert default_vartheta(0.0, math.log(3)) == pytest.approx(
             1.0 / (6 * math.log(3)), rel=1e-14)
@@ -712,8 +720,7 @@ class TestExperimentParams:
 class TestTraceExperiment:
     def test_zero_steps_reproduces_dimension(self):
         p = EscapeParams(h=1.0, delta=0.4, t=1.0)
-        ep = ExperimentParams(vartheta=0.1, lambda_max=math.log(3),
-                              n_override=0)
+        ep = FixedSteps(0)
         out = hs_trace_experiment(SPEC32, [27, 81], p, ep)
         for entry in out["entries"]:
             assert entry["trace_direct"] == pytest.approx(entry["N"],
@@ -723,8 +730,7 @@ class TestTraceExperiment:
 
     def test_two_paths_agree(self):
         p = EscapeParams(h=1.0, delta=0.4, t=1.0)
-        ep = ExperimentParams(vartheta=0.3, lambda_max=math.log(3),
-                              slack=1.0, n_override=2)
+        ep = FixedSteps(2, vartheta=0.3)
         out = hs_trace_experiment(SPEC32, [27, 81], p, ep)
         for entry in out["entries"]:
             rel = abs(entry["trace_quadrature"] - entry["trace_direct"])
@@ -746,8 +752,7 @@ class TestTraceExperiment:
         # parity-symmetric alphabets split into the even and odd sectors,
         # the others keep one complex sector
         p = EscapeParams(h=1.0, delta=delta, t=t)
-        ep = ExperimentParams(vartheta=0.1, lambda_max=math.log(3),
-                              n_override=n)
+        ep = FixedSteps(n)
         out = hs_trace_experiment(spec, sizes, p, ep, depth)
         for entry in out["entries"]:
             direct, quad = _trace_oracle_entry(spec, entry["N"], p, n, depth)
@@ -760,8 +765,7 @@ class TestTraceExperiment:
     def test_size_cap_skips_quadrature(self, monkeypatch):
         monkeypatch.setattr(phase_space, "QUADRATURE_MAX_N", 27)
         p = EscapeParams(h=1.0, delta=0.4, t=0.5)
-        ep = ExperimentParams(vartheta=0.1, lambda_max=math.log(3),
-                              n_override=1)
+        ep = FixedSteps(1)
         out = hs_trace_experiment(SPEC32, [27, 81], p, ep)
         assert out["entries"][0]["trace_quadrature"] is not None
         assert out["entries"][1]["trace_quadrature"] is None
@@ -775,8 +779,7 @@ class TestTraceExperiment:
     def test_dense_cap_enforced(self):
         # the cap check fires before any N×N array exists
         p = EscapeParams(h=1.0, delta=0.4, t=1.0)
-        ep = ExperimentParams(vartheta=0.1, lambda_max=math.log(3),
-                              n_override=1)
+        ep = FixedSteps(1)
         with pytest.raises(DimensionCap):
             hs_trace_experiment(SPEC32, [3**9], p, ep)
 

@@ -4,7 +4,9 @@ Oracles: diagonal matrices with hand-picked spectra; the SVD rank of
 the open baker matrix (rank deficiency forces N·(1-m/a) null
 eigenvalues); the full-matrix `scipy.linalg.eig` spectrum at N <= 729,
 which the deflated Schur path must match, and which in turn is the
-oracle of the parity-split path; `scipy.linalg.schur`, which the ctypes
+oracle of the parity-split path (`oracles.parity_blocks`, the blocks
+of one map built one after the other, is the per-N oracle of
+`spectra`); `scipy.linalg.schur`, which the ctypes
 zgees kernel must equal bit for bit, and the blocks solved one after
 the other with it, which the concurrent solve must match; the exact
 necklace spectrum of the Walsh baker (Nonnenmacher–Zworski); synthetic
@@ -30,7 +32,7 @@ from scipy.optimize import linear_sum_assignment
 from openmaps import quantum_baker, spectral_counting, threads
 from openmaps.baker_classical import BakerSpec
 from openmaps.errors import DegenerateCounts, DimensionCap, NoConvergence
-from openmaps.quantum_baker import build, dense, parity_blocks
+from openmaps.quantum_baker import build, dense
 from openmaps.spectral_counting import (
     RESIDUAL_REL,
     SpectrumRecord,
@@ -42,6 +44,7 @@ from openmaps.spectral_counting import (
     weyl_exponent,
 )
 from openmaps.threads import pool_size
+from oracles import parity_blocks
 
 SPEC32 = BakerSpec(3, (0, 2))
 D_H = 0.6309297535714574
