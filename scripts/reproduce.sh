@@ -2,10 +2,10 @@
 # Run every experiment config into out/<command>/ with all output
 # formats, from the source tree: no install needed.  Prints each
 # command's wall time and the chain's total.  On a 2-core x86-64 VM
-# shared with other work the chain took 7.2-9.2 s (four runs): 0.28-0.42 s
+# shared with other work the chain took 7.6-8.7 s (three runs): 0.32-0.43 s
 # for each command that does little more than start up (interpreter and
 # imports; scipy is imported only by the commands that call it),
-# 0.49-0.80 s for spectrum, 1.4-2.0 s for each weyl fit and 0.5-1.3 s
+# 0.65-0.80 s for spectrum, 1.2-1.6 s for each weyl fit and 0.6-1.5 s
 # each for propagate, husimi-frames and trace-check.
 set -euo pipefail
 

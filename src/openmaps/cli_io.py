@@ -17,9 +17,10 @@ rules there (`_read`); then it runs the experiment and yields its result.
 Exit codes, stated only here: 0 on success; 2 (`ConfigParse`), before
 any file is written, for text that does not parse, a key given twice or
 missing, a section or key the command never reads, or a value that
-breaks a rule (then no experiment runs); 1 for `BadDimension`,
-`DimensionCap` and anything raised while an experiment runs.  The
-error's class name is printed on stderr.
+breaks a rule (a float that is NaN or infinite breaks every rule; then
+no experiment runs); 1 for `BadDimension`, `DimensionCap` and anything
+raised while an experiment runs, a result JSON cannot hold (NaN or
+infinity) included.  The error's class name is printed on stderr.
 """
 
 from __future__ import annotations
@@ -168,8 +169,16 @@ def _ints(text):
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
+def _float(text):
+    """The one float cast of a config value: NaN and ±inf break every rule."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _floats(text):
-    return tuple(float(v) for v in text.split(",") if v.strip())
+    return tuple(_float(v) for v in text.split(",") if v.strip())
 
 
 def _point(text):
@@ -283,8 +292,9 @@ def plot_svg(data, kind, cells=None):
 # ------------------------------------------------------------- formats
 
 def _json(obj):
-    """The one JSON encoding: keys sorted, floats as their shortest repr."""
-    return json.dumps(obj, sort_keys=True)
+    """The one JSON encoding: keys sorted, floats as their shortest repr;
+    NaN or ±inf, which JSON has no text for, is a ValueError."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False)
 
 
 def _csv(header, rows):
@@ -307,7 +317,8 @@ def _husimi_csv(field, prefixes):
 
 def _eigensolves(records):
     """The metadata of eigensolves, one entry per N: the certificate,
-    structural zeros, block sizes, workers and BLAS threads of each."""
+    basis, structural zeros, deflated columns, block sizes, workers and
+    BLAS threads of each."""
     return {"eigensolves": [{k: v for k, v in vars(r).items() if k != "eigenvalues"}
                             for r in records]}
 
@@ -326,8 +337,8 @@ def _files(header, rows, series=None):
 def cmd_pressure(cfg):
     spec = _baker_spec(cfg)
     tables = _tables(spec, _get(cfg, "pressure", "depths", _ints, (4, 5, 6)))
-    c_j = _get(cfg, "pressure", "c_jacobian", float)
-    c_t = _get(cfg, "pressure", "c_return", float)
+    c_j = _get(cfg, "pressure", "c_jacobian", _float)
+    c_t = _get(cfg, "pressure", "c_return", _float)
     yield
     est = pressure(tables, c_j, c_t)
     rows = [(int(n), float(p)) for n, p in est.per_depth]
@@ -382,14 +393,14 @@ def cmd_billiard_orbits(cfg):
 def cmd_spectrum(cfg):
     op = build(_baker_spec(cfg), _get(cfg, "quantum", "N", int),
                variant=_get(cfg, "quantum", "variant", str, "FFT"),
-               theta=_get(cfg, "quantum", "theta", float, 0.5))
+               theta=_get(cfg, "quantum", "theta", _float, 0.5))
     yield
     record, = spectra([op])
     vals = record.eigenvalues.tolist()
     payload = _json({
         "N": op.N, "backward_error": record.backward_error,
-        "blocks": list(record.blocks),
-        "structural_zeros": record.structural_zeros,
+        "basis": record.basis, "blocks": list(record.blocks),
+        "structural_zeros": record.structural_zeros, "deflated": record.deflated,
         "eigenvalues": [[z.real, z.imag] for z in vals],
     })
     moduli = [abs(z) for z in vals]
@@ -401,7 +412,7 @@ def cmd_spectrum(cfg):
 def cmd_weyl_fit(cfg):
     spec = _baker_spec(cfg)
     ops = _ops(cfg, "weyl", spec, (27, 81, 243), 3)
-    nu = _get(cfg, "weyl", "nu", float)
+    nu = _get(cfg, "weyl", "nu", _float)
     d_h = bowen_dimension(_tables(spec, (4, 5, 6)))
     sigma_nu = annulus_gap_exponent(nu, d_h, math.log(spec.a))
     yield
@@ -413,13 +424,16 @@ def cmd_weyl_fit(cfg):
                              "slope": fit.slope, "stderr": fit.stderr},
                      "report": report})
     series = [(math.log(n), math.log(c)) for n, c in points if c > 0]
-    yield payload, _files(("N", "count"), points, series), _eigensolves(records)
+    # how far each count is from changing: the modulus nearest the cut
+    gaps = [[r.N, float(np.min(np.abs(np.abs(r.eigenvalues) - nu)))] for r in records]
+    yield payload, _files(("N", "count"), points, series), {
+        **_eigensolves(records), "nu_gap": gaps}
 
 
 def _escape_params(cfg, N):
     return EscapeParams(h=1.0 / (2.0 * math.pi * N),
-                        delta=_get(cfg, "escape", "delta", float, 0.4),
-                        t=_get(cfg, "escape", "t", float, 1.0))
+                        delta=_get(cfg, "escape", "delta", _float, 0.4),
+                        t=_get(cfg, "escape", "t", _float, 1.0))
 
 
 def cmd_propagate(cfg):
@@ -488,8 +502,8 @@ def cmd_trace_check(cfg):
     sizes = [op.N for op in _ops(cfg, "trace", spec, (27, 81), 1)]
     params = _escape_params(cfg, max(sizes))
     lam = math.log(spec.a)
-    slack = _get(cfg, "trace", "slack", float, 0.0)
-    vartheta = _get(cfg, "trace", "vartheta", float,
+    slack = _get(cfg, "trace", "slack", _float, 0.0)
+    vartheta = _get(cfg, "trace", "vartheta", _float,
                     default_vartheta(0.0, lam) * (1.0 + slack))
     ep = ExperimentParams(vartheta=vartheta, lambda_max=lam, slack=slack)
     yield

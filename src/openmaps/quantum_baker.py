@@ -11,6 +11,17 @@ kernel's twiddles are cached per (M, θ) as read-only arrays, and a batch
 of rows is transformed in place, each allowed strip straight into one
 buffer.  The WALSH variant replaces the Fourier kernel by its base-a
 tensor factorization.
+
+Where the kept indices form one cyclic run (FFT variant, θ = ½, the
+alphabet a cyclic run of digits short of a), the map's compression is
+also taken in a prolate basis.  On the run the inverse transform is
+C = p K p, p diagonal phases and K the centred kernel
+K_ij = N^{-1/2} e^{2πi y_i y_j/N}, y_j = j - n/2 + ½, which commutes
+with a real symmetric tridiagonal T (Slepian 1978, Grünbaum 1981).  With
+V the eigenvectors of T, K V = V diag(μ), and the compression A = C U
+(U the strip transforms) is unitarily similar to W diag(μ),
+W = Vᵀ p U p V, which is block diagonal by parity.  Columns with
+|μ| at most PROLATE_NULL are numerically null and are dropped.
 """
 
 from __future__ import annotations
@@ -26,6 +37,9 @@ from .errors import BadDimension, DimensionCap, DimensionMismatch
 
 TWO_PI = 2.0 * math.pi
 DENSE_CAP = 6561
+# prolate columns whose kernel eigenvalue has at most this modulus are
+# dropped as numerically null
+PROLATE_NULL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -228,3 +242,125 @@ def _sector_block(op, own, others):
 def _coupling(parts):
     return reduce(math.hypot, parts, 0.0)  # in sector order, bit for bit
 
+
+def _run(op):
+    """(s, n): the kept indices as the one cyclic run s, s+1, …, s+n-1
+    (mod N) of n < N, where the prolate basis applies (FFT variant, θ = ½,
+    the alphabet a cyclic run of digits short of a); else None."""
+    a, alphabet = op.spec.a, set(op.spec.alphabet)
+    starts = [j for j in alphabet if (j - 1) % a not in alphabet]
+    if op.variant != "FFT" or op.theta != 0.5 or len(starts) != 1:
+        return None
+    na = op.N // a
+    return starts[0] * na, len(alphabet) * na
+
+
+def _halves(n):
+    """The even and odd sectors (as `_sectors` gives them, each with its
+    sign +1, -1) of the reversal j ↦ n-1-j of the run's n coordinates,
+    ordered from the centre out; for n = 1 the odd one is empty and left
+    out."""
+    m, r = n // 2, math.sqrt(0.5)
+    even, odd = np.arange(m, n), np.arange(n - m, n)
+    centre = even == n - 1 - even  # n odd: the centre first, its own mirror
+    halves = [((even, n - 1 - even, np.where(centre, 1.0, r), np.where(centre, 0.0, r)), 1),
+              ((odd, n - 1 - odd, np.full(m, r), np.full(m, -r)), -1)]
+    return [half for half in halves if half[0][0].size]
+
+
+def _folded(n, N, half):
+    """(d, e, K_S): T folded onto one half's sector S of the run, its
+    diagonal d and off-diagonal e, and K folded onto it, dense; real on
+    the even half, i times this on the odd one."""
+    (idx, mirror, *_), sign = half
+    d = -math.cos(math.pi * n / N) * np.cos(np.pi * (2 * idx + 1 - n) / N)
+    e = np.sin(np.pi * (idx[:-1] + 1) / N) * np.sin(np.pi * (n - 1 - idx[:-1]) / N)
+    centre = idx == mirror
+    if mirror[0] == idx[0] - 1:  # n even: the first vector meets its mirror
+        d[0] += sign * math.sin(math.pi * idx[0] / N) ** 2
+    elif centre[0] and e.size:
+        e[0] *= math.sqrt(2.0)
+    # K_S = ω (E + sign Ē) ω, E_ij = N^{-1/2} e^{2πi y_i y_j/N} over the
+    # half's y ≥ 0, ω = 1 but 1/√2 at the centre; the phase is reduced
+    # mod 2π in integers, 2y being one
+    y2, omega = 2 * idx + 1 - n, np.where(centre, math.sqrt(0.5), 1.0)
+    trig = np.cos if sign > 0 else np.sin
+    kernel = trig(np.pi / (2 * N) * ((y2[:, None] * y2) % (4 * N)))
+    kernel *= np.outer(omega, omega * (2.0 / math.sqrt(N)))
+    return d, e, kernel
+
+
+def _prolate_half(n, N, half):
+    """(G, μ, part) on one half of the run: the columns of G are the
+    eigenvectors of T folded onto the half's sector S, so V = S G; μ_q is
+    K's Rayleigh quotient on them; `part` is the hypot of ||K S G - S G μ||_F
+    and ||GᵀG - I||_F.  K S G is one real gemm (see `_folded`)."""
+    from scipy.linalg import eigh_tridiagonal
+
+    d, e, kernel = _folded(n, N, half)
+    G = eigh_tridiagonal(d, e)[1]
+    kg = kernel @ G
+    mu = np.einsum("iq,iq->q", G, kg)
+    resid = np.linalg.norm(kg - G * mu)
+    return G, mu * (1 if half[1] > 0 else 1j), math.hypot(
+        resid, np.linalg.norm(G.T @ G - np.eye(len(d))))
+
+
+def _prolate_phases(s, n, N):
+    """p on the run: C = p K p, from (x+½)(x'+½) = (c+y)(c+y'), c = s + n/2,
+    and the sign of each index past N - 1 wrapped back to the front."""
+    u, c2 = s + np.arange(n), 2 * s + n
+    p = np.exp(1j * np.pi * ((c2 * (4 * u + 2 - c2)) % (8 * N)) / (4 * N))
+    p[u >= N] *= -1
+    return p
+
+
+def _prolate_block(op, own, others):
+    """The block of the halves `own` in the prolate basis, W_kk diag(μ_k)
+    on their kept columns k, and the norm of what it leaves out: the
+    dropped columns' μ, each half's `_prolate_half` part, and the coupling
+    onto `others`, each a fold of p U p V_k diag(μ_k) (U the strip
+    transforms, in place on the run's rows; p enters through the
+    sectors' weights)."""
+    s, n = _run(op)
+    kept, mus, parts = [], [], []
+    for half in own:
+        G, mu, part = _prolate_half(n, op.N, half)
+        keep = np.abs(mu) > PROLATE_NULL
+        kept.append(G[:, keep])
+        mus.append(mu[keep])
+        parts += [part, np.linalg.norm(mu[~keep])]
+    mu = np.concatenate(mus)
+    p = _prolate_phases(s, n, op.N)
+
+    def phased(half):  # p S for the half's sector S: its weights times p
+        (idx, mirror, w, v), _ = half
+        return idx, mirror, w * p[idx], v * p[mirror]
+
+    rows = np.concatenate([_unfold(Gk.T, phased(half), n) for Gk, half in zip(kept, own)])
+    strips = rows.reshape(rows.shape[0], -1, op.N // op.spec.a)
+    _fourier_apply(strips, 0.5, out=strips)
+    # Gᵀ F as one real gemm on F's interleaved real and imaginary parts
+    folds = [np.ascontiguousarray(_fold(rows, phased(half))) for half in own]
+    block = np.concatenate([(Gk.T @ F.view(np.float64)).view(np.complex128)
+                            for Gk, F in zip(kept, folds)])
+    block *= mu
+    coupling = [np.linalg.norm(_fold(rows, phased(half)) * mu) for half in others]
+    return block, math.hypot(*parts, *coupling)
+
+
+def _basis(op):
+    """(name, block, splits): the basis `spectra` solves the map in, the
+    function giving a split's block and the norm of what it leaves out,
+    and its (own, others) splits.  "prolate" (`_prolate_block`, splits of
+    `_halves`: one per half with the parity symmetry, else one of both)
+    where `_run` applies, else "position" (`_sector_block`, the splits of
+    `_parity_split`).  N above DENSE_CAP is DimensionCap."""
+    splits = _parity_split(op)
+    run = _run(op)
+    if run is None:
+        return "position", _sector_block, splits
+    halves = _halves(run[1])
+    if len(splits) == 1:
+        return "prolate", _prolate_block, [(halves, [])]
+    return "prolate", _prolate_block, [([h], [o for o in halves if o is not h]) for h in halves]

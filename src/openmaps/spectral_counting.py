@@ -13,13 +13,25 @@ compression to the kept indices.  A reflection-symmetric open map
 (theta = 1/2, alphabet closed under j -> a-1-j) commutes with the
 parity x -> 1 - x, and its even and odd blocks, each of half the size,
 cost about a quarter of one full one; any other map is one sector.
-`spectra` solves a list of maps on one thread pool, largest N first,
-one task per sector: it builds the block straight from the map and
-takes its Schur form by LAPACK zgees called through ctypes, which
-releases the GIL.  No eigenvectors are formed.  The certificate is the
-Frobenius backward error of the whole compression: the Schur residuals
-of the blocks with the norm of the coupling between them, which the
-split drops and which is zero by symmetry only up to round-off.
+Where the kept indices form one cyclic run (the FFT map at theta = 1/2
+with an alphabet of consecutive digits, cyclically), `spectra` takes the
+sectors in the prolate basis of `quantum_baker` instead: there about a
+third of every block is numerically null (the uncertainty principle
+between the kept position and momentum strips), and its columns,
+those with |mu| <= PROLATE_NULL, are dropped before the Schur form;
+at N = 2187 the two blocks of 729 become 504 and 503.  The Walsh
+variant, theta = 0, alphabets that are no run and closed maps keep the
+position basis.  `spectra` solves a list of maps on one thread pool,
+largest N first, one task per sector: it builds the block straight from
+the map and takes its Schur form by LAPACK zgees called through ctypes,
+which releases the GIL.  No eigenvectors are formed.  The certificate
+is the Frobenius backward error of the whole compression: the Schur
+residuals of the blocks with the norm of all the split leaves out,
+relative to the norm of the compression.  In the position basis that is
+the coupling between the sectors, zero by symmetry only up to
+round-off; in the prolate basis also the dropped columns' mu, the
+residual ||K V - V mu|| of the prolate basis and its orthogonality
+||V^T V - I||.
 """
 
 from __future__ import annotations
@@ -33,7 +45,7 @@ from functools import cache, partial
 import numpy as np
 
 from .errors import DegenerateCounts, NoConvergence
-from .quantum_baker import _coupling, _parity_split, _sector_block
+from .quantum_baker import _basis, _coupling
 from .threads import blas_threads, pool_size
 
 # counting dead band: moduli within this of nu count as above
@@ -48,7 +60,10 @@ class SpectrumRecord:
 
     ``backward_error`` is the relative Schur backward error of the
     eigensolve and ``structural_zeros`` the number of eigenvalues fixed
-    at exactly zero by identically zero columns.  ``blocks`` holds the
+    at exactly zero by identically zero columns.  ``basis`` names the
+    basis the blocks were taken in ("position" or "prolate") and
+    ``deflated`` the number of prolate columns dropped as numerically
+    null, whose eigenvalues are also exact zeros.  ``blocks`` holds the
     sizes of the blocks solved, ``workers`` the threads that solved them
     and ``blas_threads`` the thread count of each OpenBLAS meanwhile.
     """
@@ -57,6 +72,8 @@ class SpectrumRecord:
     eigenvalues: np.ndarray
     backward_error: float
     structural_zeros: int
+    deflated: int
+    basis: str
     blocks: tuple
     workers: int
     blas_threads: dict
@@ -146,9 +163,10 @@ def _solve(A):
     return np.diag(T), np.linalg.norm(resid), np.linalg.norm(A)
 
 
-def _solve_sector(op, own, others):
-    """`_solve` of the block of a sector, and its coupling part."""
-    block, part = _sector_block(op, own, others)
+def _solve_sector(build, op, own, others):
+    """`_solve` of the block `build` gives a split, and the norm of what
+    the block leaves out."""
+    block, part = build(op, own, others)
     return _solve(block), part
 
 
@@ -167,8 +185,9 @@ def _pooled(tasks):
             return list(pool.map(lambda task: task(), tasks)), workers, threads
 
 
-def _record(N, solved, coupling, workers, threads):
-    """The record of `block_eigenvalues` from the `_solve` of each block."""
+def _record(N, solved, coupling, workers, threads, zeros, basis):
+    """The record of the `_solve` of each block, `zeros` of the N
+    eigenvalues structural, every other one outside the blocks deflated."""
     vals = [v for v, _, _ in solved]
     norm_a = math.hypot(*(a for _, _, a in solved), coupling)
     backward_error = math.hypot(*(r for _, r, _ in solved), coupling) / (norm_a or 1.0)
@@ -182,8 +201,8 @@ def _record(N, solved, coupling, workers, threads):
     order = np.argsort(-np.abs(vals), kind="stable")
     return SpectrumRecord(N=N, eigenvalues=vals[order],
                           backward_error=backward_error,
-                          structural_zeros=N - kept,
-                          blocks=sizes,
+                          structural_zeros=zeros, deflated=N - zeros - kept,
+                          basis=basis, blocks=sizes,
                           workers=workers, blas_threads=threads)
 
 
@@ -203,24 +222,27 @@ def block_eigenvalues(N, blocks, coupling=0.0):
     calling thread (see `_pooled`).
     """
     solved, workers, threads = _pooled([partial(_solve, A) for A in blocks])
-    return _record(N, solved, coupling, workers, threads)
+    return _record(N, solved, coupling, workers, threads,
+                   N - sum(len(A) for A in blocks), "position")
 
 
 def spectra(ops):
-    """Per operator, the record of `block_eigenvalues` of its kept blocks
-    in its parity sectors and their coupling.  One pool (`_pooled`) runs
-    a task per sector of each map, largest N first, which builds the
-    block (`quantum_baker._sector_block`) and solves it.  N above
+    """Per operator, the record of its kept blocks in the sector basis of
+    `quantum_baker._basis` (prolate or position) and the norm of all they
+    leave out.  One pool (`_pooled`) runs a task per sector of each map,
+    largest N first, which builds the block and solves it.  N above
     DENSE_CAP raises DimensionCap before any task runs."""
-    tasks = sorted(((i, split) for i, op in enumerate(ops) for split in _parity_split(op)),
+    bases = [_basis(op) for op in ops]
+    tasks = sorted(((i, split) for i, (_, _, splits) in enumerate(bases) for split in splits),
                    key=lambda task: -ops[task[0]].N)
     solved, workers, threads = _pooled(
-        [partial(_solve_sector, ops[i], *split) for i, split in tasks])
+        [partial(_solve_sector, bases[i][1], ops[i], *split) for i, split in tasks])
     done = [[] for _ in ops]
     for (i, _), result in zip(tasks, solved):
         done[i].append(result)
     return [_record(op.N, [s for s, _ in parts], _coupling(p for _, p in parts),
-                    workers, threads) for op, parts in zip(ops, done)]
+                    workers, threads, op.N - len(op.spec.alphabet) * (op.N // op.spec.a),
+                    name) for op, (name, _, _), parts in zip(ops, bases, done)]
 
 
 def count_annulus(record, nu):

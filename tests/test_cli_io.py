@@ -20,10 +20,9 @@ from openmaps.phase_space import (
     torus_coherent,
 )
 from openmaps.quantum_baker import apply, build
-from openmaps.spectral_counting import annulus_gap_exponent, block_eigenvalues, weyl_exponent
+from openmaps.spectral_counting import annulus_gap_exponent, spectra, weyl_exponent
 from openmaps.symbolic_pressure import bowen_dimension, pressure
 from openmaps.threads import openblas, pool_size
-from oracles import parity_blocks
 
 GAMMA_CL = 0.3690702464285426
 D_H = 0.6309297535714574
@@ -165,6 +164,12 @@ BAD_VALUES = {
     "weyl_N_repeated": ("weyl-fit", "[weyl]\nN_list = 729,729,2187\nnu = 0.5\n",
                         "[weyl] N_list"),
     "weyl_two_N": ("weyl-fit", "[weyl]\nN_list = 81,243\nnu = 0.5\n", "[weyl] N_list"),
+    # NaN and ±inf break every rule, at the one float cast
+    "c_jacobian_nan": ("pressure", "[pressure]\nc_jacobian = nan\nc_return = 0.0\n",
+                       "[pressure] c_jacobian"),
+    "rho0_nan": ("propagate", f"{Q27}[propagate]\nrho0 = nan,0.1\n", "[propagate] rho0"),
+    "trace_t_inf": ("trace-check", "[escape]\nt = inf\n", "[escape] t"),
+    "radius_inf": ("billiard-orbits", "[billiard]\nradii = 1,1,inf\n", "[billiard] radii"),
 }
 
 
@@ -206,6 +211,17 @@ class TestBadValues:
                                       "--out", str(out_dir)])
         assert code == 1
         assert err == "ValueError: raised by the experiment\n"
+        assert out == ""
+        assert not out_dir.exists()
+
+    def test_non_finite_result_exits_one_without_writing(self, capsys, tmp_path,
+                                                         monkeypatch):
+        # JSON has no text for NaN: the payload is an error, not invalid JSON
+        monkeypatch.setattr(cli_io, "bowen_dimension", lambda tables: float("nan"))
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, ["dimension", "--out", str(out_dir)])
+        assert code == 1
+        assert err.startswith("ValueError: Out of range float values")
         assert out == ""
         assert not out_dir.exists()
 
@@ -377,7 +393,7 @@ class TestSpectrumCommand:
         code, _, _ = run(capsys, ["spectrum", "--config", str(cfgfile),
                                   "--out", str(tmp_path), "--format", "csv"])
         assert code == 0
-        record = block_eigenvalues(27, *parity_blocks(build(SPEC32, 27)))
+        record, = spectra([build(SPEC32, 27)])
         lines = (tmp_path / "spectrum.csv").read_text().splitlines()
         assert lines[0] == "re,im,modulus"
         rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
@@ -392,14 +408,19 @@ class TestSpectrumCommand:
         data = json.loads(out)
         assert "residual_max" not in data
         assert data["structural_zeros"] == 9
+        assert (data["basis"], data["deflated"]) == ("prolate", 0)
         assert 0.0 <= data["backward_error"] <= 1e-12
 
     def test_payload_reports_parity_blocks(self, capsys, tmp_path):
+        # the parity blocks of 81 less their numerically null prolate columns
         cfgfile = tmp_path / "c.ini"
         cfgfile.write_text("[quantum]\nN = 243\n")
         code, out, _ = run(capsys, ["spectrum", "--config", str(cfgfile)])
         assert code == 0
-        assert json.loads(out)["blocks"] == [81, 81]
+        data = json.loads(out)
+        assert data["blocks"] == [65, 64]
+        assert (data["structural_zeros"], data["deflated"]) == (81, 33)
+        assert data["eigenvalues"][-114:] == [[0.0, 0.0]] * 114
 
     def test_metadata_records_the_eigensolve(self, capsys, tmp_path):
         cfgfile = tmp_path / "c.ini"
@@ -413,7 +434,8 @@ class TestSpectrumCommand:
         assert "threads" not in meta
         assert meta["eigensolves"] == [{
             "N": 243, "backward_error": data["backward_error"],
-            "structural_zeros": 81, "blocks": [81, 81],
+            "structural_zeros": 81, "deflated": 33, "basis": "prolate",
+            "blocks": [65, 64],
             "workers": min(2, pool_size()) if openblas() else 1,
             "blas_threads": {name: 1 for name in openblas()}}]
 
@@ -426,6 +448,7 @@ class TestSpectrumCommand:
         data = json.loads(out)
         assert data["blocks"] == [162]
         assert data["structural_zeros"] == 81
+        assert (data["basis"], data["deflated"]) == ("position", 0)
 
     @pytest.mark.parametrize("command, body", [
         ("spectrum", "[quantum]\nN = 19683\n"),
@@ -769,8 +792,7 @@ class TestTraceCheckCommand:
         code, out, _ = run(capsys, ["weyl-fit", "--config", str(cfgfile),
                                     "--out", str(tmp_path), "--format", "csv"])
         assert code == 0
-        fit = weyl_exponent([block_eigenvalues(n, *parity_blocks(
-            build(SPEC32, n))) for n in (9, 27, 81)], 0.1)
+        fit = weyl_exponent(spectra([build(SPEC32, n) for n in (9, 27, 81)]), 0.1)
         assert json.loads(out)["fit"] == {
             "nu": 0.1, "points": [list(p) for p in fit.points],
             "slope": fit.slope, "stderr": fit.stderr}
@@ -784,15 +806,20 @@ class TestTraceCheckCommand:
                                   "--out", str(tmp_path)])
         assert code == 0
         meta = json.loads((tmp_path / "metadata.json").read_text())
-        records = [block_eigenvalues(n, *parity_blocks(build(SPEC32, n)))
-                   for n in (9, 27, 81)]
+        records = spectra([build(SPEC32, n) for n in (9, 27, 81)])
         assert meta["eigensolves"] == [
             {"N": r.N, "backward_error": r.backward_error,
-             "structural_zeros": r.structural_zeros, "blocks": list(r.blocks),
+             "structural_zeros": r.structural_zeros, "deflated": r.deflated,
+             "basis": "prolate", "blocks": list(r.blocks),
              "workers": min(6, pool_size()) if openblas() else 1,
              "blas_threads": r.blas_threads}
             for r in records]
-        assert [e["blocks"] for e in meta["eigensolves"]] == [[3, 3], [9, 9], [27, 27]]
+        assert [e["blocks"] for e in meta["eigensolves"]] == [[3, 3], [9, 9], [26, 25]]
+        assert [e["deflated"] for e in meta["eigensolves"]] == [0, 0, 3]
+        # the count certificate: how near the cut the nearest modulus lies
+        gaps = [[r.N, float(np.min(np.abs(np.abs(r.eigenvalues) - 0.1)))] for r in records]
+        assert meta["nu_gap"] == gaps
+        assert all(gap > 1e-3 for _, gap in gaps)
 
 
     def test_weyl_fit_exponent_is_the_bowen_root_less_the_gap(self, capsys, tmp_path):
@@ -803,6 +830,22 @@ class TestTraceCheckCommand:
         d_h = bowen_dimension([cylinder_table(SPEC32, n) for n in (4, 5, 6)])
         assert json.loads(out)["report"]["exponent"] == (
             d_h - annulus_gap_exponent(0.1, d_h, math.log(3)))
+
+    @pytest.mark.parametrize("config, counts", [
+        ("weyl.ini", [27, 60, 127, 271]), ("weyl_high_cut.ini", [3, 3, 3, 3]),
+    ])
+    def test_shipped_weyl_counts(self, capsys, tmp_path, config, counts):
+        code, out, _ = run(capsys, ["weyl-fit", "--config", str(SCRIPTS / "configs" / config),
+                                    "--out", str(tmp_path)])
+        assert code == 0
+        assert json.loads(out)["fit"]["points"] == [
+            [n, c] for n, c in zip((81, 243, 729, 2187), counts)]
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert [e["blocks"] for e in meta["eigensolves"]] == [
+            [26, 25], [65, 64], [176, 176], [504, 503]]
+        assert all(e["basis"] == "prolate" and e["backward_error"] <= 1e-12
+                   for e in meta["eigensolves"])
+        assert all(gap > 1e-6 for _, gap in meta["nu_gap"])
 
 
 # (command, config) for a quick run of every command

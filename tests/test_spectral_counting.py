@@ -5,8 +5,11 @@ the open baker matrix (rank deficiency forces N·(1-m/a) null
 eigenvalues); the full-matrix `scipy.linalg.eig` spectrum at N <= 729,
 which the deflated Schur path must match, and which in turn is the
 oracle of the parity-split path (`oracles.parity_blocks`, the blocks
-of one map built one after the other, is the per-N oracle of
-`spectra`); `scipy.linalg.schur`, which the ctypes
+of one map built one after the other), which in turn is the oracle of
+the prolate path to round-off, counts exactly (`oracles.sector_spectrum`,
+the blocks of `spectra`'s basis built one after the other, is its per-N
+oracle); the dense kernels T, K and C on the run, whose relations the
+prolate basis rests on; `scipy.linalg.schur`, which the ctypes
 zgees kernel must equal bit for bit, and the blocks solved one after
 the other with it, which the concurrent solve must match; the exact
 necklace spectrum of the Walsh baker (Nonnenmacher–Zworski); synthetic
@@ -32,7 +35,7 @@ from scipy.optimize import linear_sum_assignment
 from openmaps import quantum_baker, spectral_counting, threads
 from openmaps.baker_classical import BakerSpec
 from openmaps.errors import DegenerateCounts, DimensionCap, NoConvergence
-from openmaps.quantum_baker import build, dense
+from openmaps.quantum_baker import _fourier_matrix, build, dense
 from openmaps.spectral_counting import (
     RESIDUAL_REL,
     SpectrumRecord,
@@ -44,7 +47,7 @@ from openmaps.spectral_counting import (
     weyl_exponent,
 )
 from openmaps.threads import pool_size
-from oracles import parity_blocks
+from oracles import parity_blocks, sector_spectrum
 
 SPEC32 = BakerSpec(3, (0, 2))
 D_H = 0.6309297535714574
@@ -58,8 +61,8 @@ def synthetic_record(N, n_big):
         np.full(N - n_big, 0.1 + 0j),
     ])
     return SpectrumRecord(N=N, eigenvalues=vals, backward_error=0.0,
-                          structural_zeros=0, blocks=(N,), workers=1,
-                          blas_threads={})
+                          structural_zeros=0, deflated=0, basis="position",
+                          blocks=(N,), workers=1, blas_threads={})
 
 
 class TestEigenvalues:
@@ -397,8 +400,9 @@ def assert_same_record(got, want):
     """Every field of two records equal, bit for bit, but `workers`."""
     assert np.array_equal(got.eigenvalues, want.eigenvalues)
     assert got.backward_error == want.backward_error
-    assert (got.N, got.structural_zeros, got.blocks, got.blas_threads) == (
-        want.N, want.structural_zeros, want.blocks, want.blas_threads)
+    assert (got.N, got.structural_zeros, got.deflated, got.basis, got.blocks,
+            got.blas_threads) == (want.N, want.structural_zeros, want.deflated,
+                                  want.basis, want.blocks, want.blas_threads)
 
 
 class TestSpectra:
@@ -409,8 +413,7 @@ class TestSpectra:
         # (3, {1}) at odd N keeps the middle index: sectors of unequal size
         ops = [build(spec, 3 ** k) for k in range(2, 8)]
         for got, op in zip(spectral_counting.spectra(ops), ops):
-            want = block_eigenvalues(op.N, *parity_blocks(op))
-            assert_same_record(got, want)
+            assert_same_record(got, sector_spectrum(op))
             assert len(got.blocks) == 2
             assert got.workers == (min(12, pool_size()) if threads.openblas() else 1)
 
@@ -441,7 +444,7 @@ class TestSpectra:
     def test_one_block_op_leaves_blas_threads_alone(self, monkeypatch, spec, theta):
         before = blas_counts()
         op = build(spec, 243, theta=theta)
-        want = block_eigenvalues(243, *parity_blocks(op))
+        want = sector_spectrum(op)
 
         def no_set(count):
             assert count is None
@@ -460,9 +463,10 @@ class TestSpectra:
                build(BakerSpec(3, (0, 1)), 81)]
         got = spectral_counting.spectra(ops)
         assert [r.N for r in got] == [81, 243, 27, 81]
-        pool = block_eigenvalues(243, *parity_blocks(ops[1])).blas_threads
+        pool = sector_spectrum(ops[1]).blas_threads
         for rec, op in zip(got, ops):
-            want = block_eigenvalues(op.N, *parity_blocks(op))
+            with threads.blas_threads(1):  # as every task on the pool
+                want = sector_spectrum(op)
             assert_same_record(rec, replace(want, blas_threads=pool))
             assert rec.workers == (min(6, pool_size()) if threads.openblas() else 1)
 
@@ -471,22 +475,23 @@ class TestSpectra:
             raise AssertionError("a task ran")
 
         monkeypatch.setattr(spectral_counting, "_solve", no_task)
-        monkeypatch.setattr(spectral_counting, "_sector_block", no_task)
+        monkeypatch.setattr(quantum_baker, "_sector_block", no_task)
+        monkeypatch.setattr(quantum_baker, "_prolate_block", no_task)
         ops = [build(SPEC32, 81), build(SPEC32, 81, theta=0.0), build(SPEC32, 3 ** 9)]
         with pytest.raises(DimensionCap):
             spectral_counting.spectra(ops)
 
     def test_blas_threads_restored_after_a_task_raises(self, monkeypatch):
         before = blas_counts()
-        sector_block = spectral_counting._sector_block
+        prolate_block = quantum_baker._prolate_block
 
         def poisoned(op, own, other):
-            block, part = sector_block(op, own, other)
+            block, part = prolate_block(op, own, other)
             if op.N == 243:
                 block[0, 0] = np.inf
             return block, part
 
-        monkeypatch.setattr(spectral_counting, "_sector_block", poisoned)
+        monkeypatch.setattr(quantum_baker, "_prolate_block", poisoned)
         with pytest.raises(ValueError, match="infs or NaNs"):
             spectral_counting.spectra([build(SPEC32, n) for n in (81, 243, 729)])
         assert blas_counts() == before
@@ -543,6 +548,150 @@ class TestSpectra:
         loaded, libs = lazy.splitlines()
         assert loaded == "0 0"
         assert libs == eager.strip()
+
+
+def run_kernels(op):
+    """Dense C = [G_N^{-1}]_{X,X} on the run X, the centred kernel K and
+    the tridiagonal T of the same size, as the prolate basis defines them."""
+    s, n = quantum_baker._run(op)
+    N, j = op.N, np.arange(n)
+    chain = (s + j) % N
+    C = _fourier_matrix(N, 0.5).conj()[np.ix_(chain, chain)]
+    y = j - n / 2 + 0.5
+    K = np.exp(2j * np.pi * np.outer(y, y) / N) / math.sqrt(N)
+    d = -math.cos(math.pi * n / N) * np.cos(np.pi * (2 * j + 1 - n) / N)
+    e = np.sin(np.pi * j[1:] / N) * np.sin(np.pi * (n - j[1:]) / N)
+    return C, K, np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def sector_matrix(sector, n):
+    """The n x h matrix whose columns are a sector's vectors."""
+    idx, mirror, w, v = sector
+    S = np.zeros((n, idx.size))
+    S[mirror, np.arange(idx.size)] = v
+    S[idx, np.arange(idx.size)] = w  # after v: the centre is its own mirror
+    return S
+
+
+SMALL_RUNS = [(SPEC32, 27), (SPEC32, 81), (BakerSpec(3, (1,)), 27),
+              (BakerSpec(3, (0, 1)), 81), (BakerSpec(5, (1, 2, 3)), 25),
+              (BakerSpec(4, (3, 0)), 32), (BakerSpec(3, (1,)), 3)]
+SMALL_IDS = ["3-02-27", "3-02-81", "3-1-27", "3-01-81", "5-123-25", "4-30-32", "3-1-3"]
+
+
+class TestProlateRelations:
+    """The identities the prolate basis rests on, against dense kernels."""
+
+    @pytest.mark.parametrize("spec, N", SMALL_RUNS, ids=SMALL_IDS)
+    def test_inverse_transform_is_phased_kernel(self, spec, N):
+        op = build(spec, N)
+        C, K, _ = run_kernels(op)
+        p = quantum_baker._prolate_phases(*quantum_baker._run(op), N)
+        assert np.max(np.abs(C - p[:, None] * K * p)) <= 1e-13
+
+    @pytest.mark.parametrize("spec, N", SMALL_RUNS, ids=SMALL_IDS)
+    def test_tridiagonal_commutes_with_kernel(self, spec, N):
+        _, K, T = run_kernels(build(spec, N))
+        assert np.linalg.norm(T @ K - K @ T) <= 1e-13
+
+    @pytest.mark.parametrize("spec, N", SMALL_RUNS, ids=SMALL_IDS)
+    def test_folded_kernels_are_compressions(self, spec, N):
+        op = build(spec, N)
+        _, K, T = run_kernels(op)
+        n = quantum_baker._run(op)[1]
+        halves = quantum_baker._halves(n)
+        assert sum(half[0][0].size for half in halves) == n
+        for half in halves:
+            S = sector_matrix(half[0], n)
+            d, e, kernel = quantum_baker._folded(n, N, half)
+            folded = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+            assert np.max(np.abs(S.T @ T @ S - folded)) <= 1e-15
+            unit = 1 if half[1] > 0 else 1j
+            assert np.max(np.abs(S.T @ K @ S - unit * kernel)) <= 1e-14
+            assert np.linalg.norm(folded @ kernel - kernel @ folded) <= 1e-13
+
+    def test_no_run_no_prolate_basis(self):
+        for op in [build(SPEC32, 27, variant="WALSH"), build(SPEC32, 27, theta=0.0),
+                   build(BakerSpec(5, (0, 2, 4)), 25), build(BakerSpec(4, (1, 3)), 16),
+                   build(BakerSpec(2, (0, 1)), 16)]:
+            assert quantum_baker._run(op) is None
+            assert quantum_baker._basis(op)[0] == "position"
+
+
+class TestProlateOracle:
+    """The prolate-basis spectrum against the position-basis one."""
+
+    @pytest.fixture(scope="class", params=[
+        (SPEC32, 243), (SPEC32, 729), (BakerSpec(3, (0, 1)), 243),
+        (BakerSpec(3, (0, 1)), 729), (BakerSpec(4, (0, 3)), 256),
+        (BakerSpec(4, (1, 2)), 512),
+    ], ids=["3-02-243", "3-02-729", "3-01-243", "3-01-729", "4-03-256", "4-12-512"])
+    def pair(self, request):
+        op = build(*request.param)
+        rec, = spectral_counting.spectra([op])
+        return rec, block_eigenvalues(op.N, *parity_blocks(op))
+
+    def test_annulus_counts_identical(self, pair):
+        rec, oracle = pair
+        for nu in (0.25, 0.5, 0.85, 0.9):
+            assert count_annulus(rec, nu) == count_annulus(oracle, nu)
+
+    def test_large_eigenvalues_match(self, pair):
+        rec, oracle = pair
+        got = rec.eigenvalues[np.abs(rec.eigenvalues) >= 0.2]
+        want = oracle.eigenvalues[np.abs(oracle.eigenvalues) >= 0.2]
+        assert got.size == want.size
+        gap = np.abs(got[:, None] - want[None, :])
+        rows, cols = linear_sum_assignment(gap)
+        assert gap[rows, cols].max() <= 1e-11
+
+    def test_certificate_within_bound(self, pair):
+        rec, _ = pair
+        assert rec.backward_error <= 1e-12
+
+    def test_columns_dropped_and_accounted(self, pair):
+        rec, oracle = pair
+        assert rec.basis == "prolate"
+        assert rec.structural_zeros == oracle.structural_zeros
+        assert rec.deflated > 0
+        assert sum(rec.blocks) + rec.deflated == sum(oracle.blocks)
+        assert np.count_nonzero(rec.eigenvalues == 0) >= rec.structural_zeros + rec.deflated
+
+    @pytest.mark.parametrize("op", [
+        build(SPEC32, 243, variant="WALSH"), build(SPEC32, 243, theta=0.0),
+        build(BakerSpec(5, (0, 2, 4)), 625), build(BakerSpec(4, (1, 3)), 256),
+    ], ids=["walsh", "theta-0", "5-024", "4-13"])
+    def test_position_maps_are_the_old_result(self, op):
+        rec, = spectral_counting.spectra([op])
+        oracle = block_eigenvalues(op.N, *parity_blocks(op))
+        assert np.array_equal(rec.eigenvalues, oracle.eigenvalues)
+        assert rec.backward_error == oracle.backward_error
+        assert (rec.basis, rec.deflated, rec.structural_zeros, rec.blocks) == (
+            "position", 0, oracle.structural_zeros, oracle.blocks)
+
+    def test_block_sizes(self):
+        # about a third of each parity block is numerically null
+        recs = spectral_counting.spectra([build(SPEC32, n) for n in (81, 243, 729)])
+        assert [r.blocks for r in recs] == [(26, 25), (65, 64), (176, 176)]
+
+    def test_dropped_columns_enter_certificate(self, monkeypatch):
+        # a cut far above the null columns drops what the spectrum needs
+        monkeypatch.setattr(quantum_baker, "PROLATE_NULL", 0.5)
+        with pytest.raises(NoConvergence):
+            spectral_counting.spectra([build(SPEC32, 81)])
+
+    def test_wrong_basis_rejected(self, monkeypatch):
+        # eigenvectors of a perturbed T are no eigenvectors of K: the
+        # residual ||K V - V mu|| enters the certificate
+        folded = quantum_baker._folded
+
+        def perturbed(n, N, half):
+            d, e, kernel = folded(n, N, half)
+            return d + 1e-3 * np.arange(d.size), e, kernel
+
+        monkeypatch.setattr(quantum_baker, "_folded", perturbed)
+        with pytest.raises(NoConvergence):
+            spectral_counting.spectra([build(SPEC32, 81)])
 
 
 def walsh_necklace_spectrum(spec, k, theta=0.5):
