@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Run every experiment config into out/<command>/ with all output
 # formats, from the source tree: no install needed.  Prints each
-# command's wall time and the chain's total.  On a 2-core x86-64 VM
-# shared with other work the chain took 7.6-8.7 s (three runs): 0.32-0.43 s
-# for each command that does little more than start up (interpreter and
-# imports; scipy is imported only by the commands that call it),
-# 0.65-0.80 s for spectrum, 1.2-1.6 s for each weyl fit and 0.6-1.5 s
-# each for propagate, husimi-frames and trace-check.
+# command's wall time, the chain's total and the size of its outputs.
+# On a 2-core x86-64 VM shared with other work the chain took 8.2-8.4 s
+# (three runs) and wrote 5.2 MB: 0.29-0.43 s for each command that does
+# little more than start up (interpreter and imports; scipy is imported
+# only by the commands that call it), 0.68-1.02 s for spectrum,
+# 1.4-1.7 s for each weyl fit, 0.67-0.77 s for propagate, 0.83-1.02 s
+# for husimi-frames and 0.92-1.32 s for trace-check.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -38,4 +39,4 @@ run husimi-frames   husimi.ini         husimi
 run trace-check     trace.ini          trace
 
 echo "chain: $(since "$chain")"
-echo "all outputs under $out/"
+echo "all outputs under $out/: $(du -sh "$out" | cut -f1)"

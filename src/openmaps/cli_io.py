@@ -8,7 +8,11 @@ command is a function of its config alone and gives its payload, its
 files, each file with a function that renders it, called only when the
 file is written, and the certificates of its run.  Timestamps,
 invocation details and certificates go to a separate metadata.json so
-payload bytes depend only on the config.
+payload bytes depend only on the config.  The one exception is a field
+SVG (a Husimi frame): its pixels are a PNG that stdlib zlib compresses,
+so its bytes also depend on the zlib build, and its tests compare the
+decoded pixels.  Every file is written by the shared writers `_csv`,
+`plot_svg` and `_json`.
 
 Each command is a generator: up to its bare `yield` it reads its config
 and builds every object its experiment takes, so each value meets its
@@ -26,13 +30,15 @@ infinity) included.  The error's class name is printed on stderr.
 from __future__ import annotations
 
 import argparse
+import base64
 import json
 import math
+import struct
 import sys
 import time
+import zlib
 from datetime import datetime, timezone
-from functools import cache, partial
-from itertools import starmap
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -225,27 +231,31 @@ def _fmt(v):
     return f"{v:.2f}"
 
 
-def _field_cells(shape):
-    """The strings every field SVG of this shape shares: the `<rect`
-    prefix of each cell (x from i, y from j, row-major) and the 256 grey
-    fills, by level."""
-    n1, n2 = shape
-    cw = (SVG_W - 2 * SVG_MARGIN) / n1
-    ch = (SVG_H - 2 * SVG_MARGIN) / n2
-    size = f'width="{_fmt(cw)}" height="{_fmt(ch)}"'
-    xs = [_fmt(SVG_MARGIN + i * cw) for i in range(n1)]
-    ys = [_fmt(SVG_H - SVG_MARGIN - (j + 1) * ch) for j in range(n2)]
-    rects = [f'<rect x="{x}" y="{y}" {size} ' for x in xs for y in ys]
-    return rects, [f'fill="rgb({l},{l},{l})"/>' for l in range(256)]
+def _png(image):
+    """An 8-bit greyscale PNG of a 2-D uint8 array, row 0 on top: each
+    row takes filter byte 0, the whole raster one zlib stream."""
+    height, width = image.shape
+    raw = np.pad(image, ((0, 0), (1, 0)))
+
+    def chunk(tag, data):
+        body = tag + data
+        return struct.pack(">I", len(data)) + body + struct.pack(">I", zlib.crc32(body))
+
+    return (b"\x89PNG\r\n\x1a\n"
+            + chunk(b"IHDR", struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0))
+            + chunk(b"IDAT", zlib.compress(raw.tobytes()))
+            + chunk(b"IEND", b""))
 
 
-def plot_svg(data, kind, cells=None):
+def plot_svg(data, kind):
     """Render a series (list of (x, y)) or a 2D field to an SVG string.
 
-    Series become a single polyline over light axes; fields become one
-    grayscale rect per cell, darker for larger values.  Output bytes
-    depend only on the data.  A caller rendering many fields of one
-    shape passes their shared `_field_cells` as `cells`.
+    Series become a single polyline over light axes.  A field becomes one
+    `<image>` over the plot area: a greyscale PNG with one pixel per
+    cell, darker for larger values, x from the first index and the
+    second index rising upwards.  Output bytes depend only on the data
+    and, for a field, on the zlib build that compresses its pixels, so a
+    field is checked by its decoded pixels, not its bytes.
     """
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_W}" '
             f'height="{SVG_H}" viewBox="0 0 {SVG_W} {SVG_H}">')
@@ -279,10 +289,13 @@ def plot_svg(data, kind, cells=None):
             raise ValueError("field must be finite")
         vmin = float(field.min())
         span = float(field.max()) - vmin or 1.0
-        rects, fills = cells or _field_cells(field.shape)
         # np.round and round() both round half to even
-        levels = np.round(255 * (1.0 - (field - vmin) / span)).astype(int)
-        parts.extend(map(str.__add__, rects, map(fills.__getitem__, levels.ravel().tolist())))
+        levels = np.round(255 * (1.0 - (field - vmin) / span)).astype(np.uint8)
+        png = base64.b64encode(_png(levels.T[::-1])).decode("ascii")
+        parts.append(f'<image x="{SVG_MARGIN}" y="{SVG_MARGIN}" '
+                     f'width="{SVG_W - 2 * SVG_MARGIN}" height="{SVG_H - 2 * SVG_MARGIN}" '
+                     'preserveAspectRatio="none" style="image-rendering:pixelated" '
+                     f'href="data:image/png;base64,{png}"/>')
     else:
         raise ValueError(f"unknown plot kind {kind!r}")
     parts.append("</svg>")
@@ -303,16 +316,7 @@ def _csv(header, rows):
     A Python float formats as its shortest round-trip repr, so every
     value reads back exactly.
     """
-    line = ",".join(["{}"] * len(header)) + "\n"
-    return line.format(*header) + "".join(starmap(line.format, rows))
-
-
-def _husimi_csv(field, prefixes):
-    """One x_index,xi_index,value row per cell of a Husimi field, as `_csv`
-    writes it; `prefixes` holds each cell's line break and "i,j," prefix,
-    row-major, shared by the fields of one shape."""
-    values = map(repr, field.ravel().tolist())
-    return "x_index,xi_index,value" + "".join(map(str.__add__, prefixes, values)) + "\n"
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
 
 
 def _eigensolves(records):
@@ -464,36 +468,20 @@ def cmd_husimi_frames(cfg):
     _check(K >= 8, "K >= 8")
     yield
     state = torus_coherent(N, rho0)
-    masses = []
     fields = []
     for _ in range(frames):
-        field = husimi(state, K)
-        fields.append(field)
-        masses.append(husimi_mass(field))
+        fields.append(husimi(state, K))
         state = apply(op, state)
-    payload = _json({"N": N, "K": K, "frames": frames,
-                     "masses": [float(m) for m in masses]})
-    # every frame is K x K, so its CSV row prefixes and SVG cell strings
-    # are built once, when the first file that needs them is written
-    prefixes = cache(lambda: [f"\n{i},{j}," for i in range(K) for j in range(K)])
-    cells = cache(partial(_field_cells, (K, K)))
-
-    def csv(field):
-        return _husimi_csv(field, prefixes())
-
-    def svg(field):
-        return plot_svg(field, kind="field", cells=cells())
-
-    files = []
+    masses = list(map(husimi_mass, fields))
+    payload = _json({"N": N, "K": K, "frames": frames, "masses": masses})
+    rows = list(enumerate(masses))
+    files = _files(("frame", "mass"), rows, rows)
+    # each frame's CSV is its K x K grid, one line per x index
+    header = ("x_index", *(f"xi_{j}" for j in range(K)))
     for i, field in enumerate(fields):
-        render = partial(svg, field)
-        if i == frames - 1:
-            # the last frame's SVG is also the command's own: cached, so
-            # it is rendered once
-            render = cache(render)
-            files.append((None, "svg", render))
-        files += [(f"husimi_{i:03d}", "csv", partial(csv, field)),
-                  (f"husimi_{i:03d}", "svg", render)]
+        grid = [(x, *row) for x, row in enumerate(field.tolist())]
+        files += [(f"husimi_{i:03d}", "csv", partial(_csv, header, grid)),
+                  (f"husimi_{i:03d}", "svg", partial(plot_svg, field, kind="field"))]
     yield payload, files, {}
 
 

@@ -22,6 +22,8 @@ import numpy as np
 from .errors import EmptyTable, InsufficientDepths, NoSignChange, NotOpen
 
 ROOT_TOL = 1e-8          # bisection tolerance for all pressure roots
+LAMBDA_FLOOR = 1e-6      # per-step floor of logJ: hyperbolicity
+T_MIN = 1e-6             # per-step floor of the return time t
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,8 +32,8 @@ class CylinderTable:
 
     `words` is an (m, n) integer array of admissible words (its builder
     makes them so), one per entry of `logJ` and `t`.  Floors encode
-    hyperbolicity (logJ >= n*lambda_floor) and positive return times
-    (t >= n*t_min); construction fails loudly, naming the first word in
+    hyperbolicity (logJ >= n*LAMBDA_FLOOR) and positive return times
+    (t >= n*T_MIN); construction fails loudly, naming the first word in
     table order that breaks a check.  The arrays are stored read-only.
     """
 
@@ -39,14 +41,10 @@ class CylinderTable:
     words: np.ndarray
     logJ: np.ndarray
     t: np.ndarray
-    lambda_floor: float = 1e-6
-    t_min: float = 1e-6
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("depth n >= 1")
-        if self.lambda_floor <= 0 or self.t_min <= 0:
-            raise ValueError("floors must be positive")
         words = np.array(self.words, dtype=np.int64)
         logj, t = np.array(self.logJ, dtype=float), np.array(self.t, dtype=float)
         # explicit: a reshape could re-fold words of the wrong width
@@ -55,7 +53,7 @@ class CylinderTable:
             raise ValueError(f"need (m, {self.n}) words and m (logJ, t) pairs, got shapes "
                              f"{words.shape}, {logj.shape}, {t.shape}")
         fails = np.stack([~(np.isfinite(logj) & np.isfinite(t)),
-                          logj < self.n * self.lambda_floor, t < self.n * self.t_min])
+                          logj < self.n * LAMBDA_FLOOR, t < self.n * T_MIN])
         if fails.any():
             i = fails.any(axis=0).argmax()
             word = tuple(words[i].tolist())
@@ -132,7 +130,7 @@ def pressure(tables, coeff_J, coeff_t):
     return PressureEstimate(coeff_J, coeff_t, per_depth, float(value), float(uncertainty))
 
 
-def _bisect(f, lo, hi, tol=ROOT_TOL, side="mid"):
+def _bisect(f, lo, hi, side="mid"):
     """Bisection root of f on [lo, hi].
 
     side="nonneg" returns the bracket endpoint where f >= 0; callers use
@@ -145,7 +143,7 @@ def _bisect(f, lo, hi, tol=ROOT_TOL, side="mid"):
         return hi
     if (flo < 0) == (fhi < 0):
         raise NoSignChange(f"f({lo})={flo:.6g} and f({hi})={fhi:.6g} have equal signs")
-    while hi - lo > tol:
+    while hi - lo > ROOT_TOL:
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if fmid == 0.0:

@@ -1,8 +1,11 @@
 """Command-line front end: config parsing, payload determinism, SVG."""
 
+import base64
 import json
 import math
 import re
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -240,25 +243,37 @@ class TestBadValues:
             main([command, "--config", str(SCRIPTS / "configs" / config)])
 
 
-def field_svg_by_cells(field):
-    """Oracle: the field SVG formatted cell by cell, four floats each."""
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_W}" '
-             f'height="{SVG_H}" viewBox="0 0 {SVG_W} {SVG_H}">']
+def field_levels_by_cells(field):
+    """Oracle: the grey level of each cell, [i][j], by the per-cell rule."""
     vmin = float(field.min())
     span = float(field.max()) - vmin or 1.0
-    n1, n2 = field.shape
-    cw = (SVG_W - 2 * SVG_MARGIN) / n1
-    ch = (SVG_H - 2 * SVG_MARGIN) / n2
-    for i in range(n1):
-        for j in range(n2):
-            level = int(round(255 * (1.0 - (field[i, j] - vmin) / span)))
-            x = SVG_MARGIN + i * cw
-            y = SVG_H - SVG_MARGIN - (j + 1) * ch
-            parts.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw:.2f}" '
-                f'height="{ch:.2f}" fill="rgb({level},{level},{level})"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return [[int(round(255 * (1.0 - (v - vmin) / span))) for v in row]
+            for row in field.tolist()]
+
+
+def field_pixels(svg):
+    """The one `<image>` of a field SVG: its attributes, and its PNG decoded
+    as rows of pixels, top row first, each checked to use filter byte 0."""
+    image, = re.findall(r"<image ([^>]*)/>", svg)
+    attrs = dict(re.findall(r'([\w-]+)="([^"]*)"', image))
+    prefix = "data:image/png;base64,"
+    assert attrs["href"].startswith(prefix)
+    png = base64.b64decode(attrs.pop("href")[len(prefix):], validate=True)
+    assert png[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, pos = [], 8
+    while pos < len(png):
+        size, = struct.unpack(">I", png[pos:pos + 4])
+        body = png[pos + 4:pos + 8 + size]
+        assert struct.unpack(">I", png[pos + 8 + size:pos + 12 + size])[0] == zlib.crc32(body)
+        chunks.append((body[:4], body[4:]))
+        pos += 12 + size
+    assert [tag for tag, _ in chunks] == [b"IHDR", b"IDAT", b"IEND"]
+    width, height, *mode = struct.unpack(">IIBBBBB", chunks[0][1])
+    assert mode == [8, 0, 0, 0, 0]  # 8-bit greyscale, no interlace
+    raw = zlib.decompress(chunks[1][1])
+    rows = [raw[r * (width + 1):(r + 1) * (width + 1)] for r in range(height)]
+    assert len(raw) == height * (width + 1) and all(row[0] == 0 for row in rows)
+    return attrs, [list(row[1:]) for row in rows]
 
 
 class TestPlotSvg:
@@ -267,14 +282,20 @@ class TestPlotSvg:
         assert svg.count("<polyline") == 1
         assert svg.startswith("<svg")
 
-    def test_two_by_two_field_four_rects(self):
+    def test_two_by_two_field_one_image(self):
         svg = plot_svg(np.array([[0.0, 1.0], [2.0, 3.0]]), kind="field")
-        assert svg.count("<rect") == 4
+        assert "<rect" not in svg
+        attrs, _ = field_pixels(svg)
+        assert attrs == {
+            "x": str(SVG_MARGIN), "y": str(SVG_MARGIN),
+            "width": str(SVG_W - 2 * SVG_MARGIN), "height": str(SVG_H - 2 * SVG_MARGIN),
+            "preserveAspectRatio": "none", "style": "image-rendering:pixelated"}
 
     def test_field_grayscale_limits(self):
-        svg = plot_svg(np.array([[0.0, 1.0], [2.0, 3.0]]), kind="field")
-        assert "rgb(255,255,255)" in svg  # smallest value
-        assert "rgb(0,0,0)" in svg        # largest value
+        # x from the first index, the second index rising upwards
+        _, pixels = field_pixels(plot_svg(np.array([[0.0, 1.0], [2.0, 3.0]]),
+                                          kind="field"))
+        assert pixels == [[170, 0], [255, 85]]
 
     def test_field_matches_per_cell_oracle(self):
         # on [0, 1] these values give raw levels of exactly k + 1/2,
@@ -283,11 +304,16 @@ class TestPlotSvg:
                 if 255 * (1.0 - (1.0 - (k + 0.5) / 255)) == k + 0.5]
         assert {k % 2 for k in ties} == {0, 1}
         values = [0.0, 1.0] + [1.0 - (k + 0.5) / 255 for k in ties]
-        field = np.resize(np.array(values), (9, 21))
-        assert plot_svg(field, kind="field") == field_svg_by_cells(field)
         rng = np.random.Generator(np.random.Philox(0))
-        field = rng.random((7, 5))
-        assert plot_svg(field, kind="field") == field_svg_by_cells(field)
+        fields = [np.resize(np.array(values), (9, 21)), rng.random((7, 5)),
+                  np.array([[0.0, 1.0], [2.0, 3.0]]), np.full((4, 6), 2.5)]
+        for field in fields:
+            _, pixels = field_pixels(plot_svg(field, kind="field"))
+            levels = field_levels_by_cells(field)
+            n1, n2 = field.shape
+            assert pixels == [[levels[c][n2 - 1 - r] for c in range(n1)]
+                              for r in range(n2)]
+        assert field_levels_by_cells(fields[-1]) == [[255] * 6] * 4
 
     def test_non_finite_field_rejected(self):
         with pytest.raises(ValueError):
@@ -315,6 +341,19 @@ class TestPlotSvg:
     def test_constant_series_handled(self):
         svg = plot_svg([(0.0, 5.0), (1.0, 5.0)], kind="series")
         assert svg.count("<polyline") == 1
+
+
+class TestCsv:
+    def test_bytes_match_format_oracle(self):
+        header = ("name", "i", "x", "y", "z")
+        rows = [("a", 0, 0.1, 1e16, 1e-300), ("", -7, -0.0, 5e-324, ""),
+                ("b c", 10**20, math.pi, 1.0, 2.5e-8),
+                ("", np.int64(3), np.float64(0.1), np.float64(-0.0), 12345.678)]
+        line = ",".join(["{}"] * len(header)) + "\n"
+        oracle = line.format(*header) + "".join(line.format(*row) for row in rows)
+        assert cli_io._csv(header, rows) == oracle
+        assert cli_io._csv(header, iter(rows)) == oracle
+        assert cli_io._csv(header, []) == "name,i,x,y,z\n"
 
 
 class TestDimensionCommand:
@@ -662,68 +701,65 @@ class TestHusimiFramesCommand:
         cfgfile = tmp_path / "c.ini"
         cfgfile.write_text("[quantum]\nN = 27\n[husimi]\nframes = 3\n")
         out_dir = tmp_path / "out"
-        code, _, _ = run(capsys, ["husimi-frames", "--config", str(cfgfile),
-                                  "--out", str(out_dir), "--format", "all"])
+        code, out, _ = run(capsys, ["husimi-frames", "--config", str(cfgfile),
+                                    "--out", str(out_dir), "--format", "all"])
         assert code == 0
-        assert rendered == ["field"] * 3
+        assert rendered == ["series"] + ["field"] * 3
         assert sorted(p.name for p in out_dir.iterdir()) == [
-            "husimi-frames.json", "husimi-frames.svg",
+            "husimi-frames.csv", "husimi-frames.json", "husimi-frames.svg",
             "husimi_000.csv", "husimi_000.svg", "husimi_001.csv",
             "husimi_001.svg", "husimi_002.csv", "husimi_002.svg",
             "metadata.json"]
-        assert ((out_dir / "husimi-frames.svg").read_bytes()
-                == (out_dir / "husimi_002.svg").read_bytes())
+        masses = json.loads(out)["masses"]
+        assert (out_dir / "husimi-frames.csv").read_text() == cli_io._csv(
+            ("frame", "mass"), enumerate(masses))
 
-    def test_frame_csvs_are_the_fields(self, capsys, tmp_path):
+    @pytest.mark.parametrize("K", [None, 30], ids=["K_is_N", "K_30"])
+    def test_frame_csvs_are_the_fields(self, capsys, tmp_path, K):
         cfgfile = tmp_path / "c.ini"
-        cfgfile.write_text("[quantum]\nN = 27\n"
-                           "[husimi]\nframes = 2\nrho0 = 0.25,0.1\nK = 30\n")
+        cfgfile.write_text("[quantum]\nN = 27\n[husimi]\nframes = 2\nrho0 = 0.25,0.1\n"
+                           + ("" if K is None else f"K = {K}\n"))
         code, _, _ = run(capsys, ["husimi-frames", "--config", str(cfgfile),
                                   "--out", str(tmp_path), "--format", "csv"])
         assert code == 0
+        K = K or 27
         state = torus_coherent(27, (0.25, 0.1))
         for i in range(2):
             lines = (tmp_path / f"husimi_{i:03d}.csv").read_text().splitlines()
-            assert lines[0] == "x_index,xi_index,value"
-            back = np.full((30, 30), np.nan)
-            for line in lines[1:]:
-                x, xi, value = line.split(",")
-                back[int(x), int(xi)] = float(value)
-            assert np.array_equal(back, husimi(state, 30))
+            assert lines[0].split(",") == ["x_index"] + [f"xi_{j}" for j in range(K)]
+            assert [int(line.split(",", 1)[0]) for line in lines[1:]] == list(range(K))
+            back = np.array([[float(v) for v in line.split(",")[1:]]
+                             for line in lines[1:]])
+            assert np.array_equal(back, husimi(state, K))
             state = apply(build(SPEC32, 27), state)
 
     def test_frame_files_match_per_cell_writers(self, capsys, tmp_path,
                                                  monkeypatch):
-        # the shared row prefixes and cell strings are built once per
-        # command, and every frame's files equal the generic CSV writer
-        # and the per-cell SVG oracle byte for byte
-        fields, built = [], []
-        real_husimi, real_cells = cli_io.husimi, cli_io._field_cells
+        # every frame's files are the generic CSV writer on its grid and
+        # the field SVG, whose pixels are the per-cell grey levels
+        fields = []
+        real_husimi = cli_io.husimi
 
         def keeping(state, K):
             fields.append(real_husimi(state, K))
             return fields[-1]
 
-        def counting(shape):
-            built.append(shape)
-            return real_cells(shape)
-
         monkeypatch.setattr(cli_io, "husimi", keeping)
-        monkeypatch.setattr(cli_io, "_field_cells", counting)
         cfgfile = tmp_path / "c.ini"
         cfgfile.write_text("[quantum]\nN = 27\n[husimi]\nframes = 3\nK = 12\n")
         code, _, _ = run(capsys, ["husimi-frames", "--config", str(cfgfile),
                                   "--out", str(tmp_path), "--format", "all"])
         assert code == 0
-        assert built == [(12, 12)] and len(fields) == 3
+        assert len(fields) == 3
+        header = ("x_index", *(f"xi_{j}" for j in range(12)))
         for i, field in enumerate(fields):
-            x, xi = np.indices(field.shape)
-            csv = cli_io._csv(("x_index", "xi_index", "value"),
-                              zip(x.ravel().tolist(), xi.ravel().tolist(),
-                                  field.ravel().tolist()))
+            csv = cli_io._csv(header, [(x, *row) for x, row in enumerate(field.tolist())])
             assert (tmp_path / f"husimi_{i:03d}.csv").read_text() == csv
             svg = (tmp_path / f"husimi_{i:03d}.svg").read_text()
-            assert svg == field_svg_by_cells(field)
+            assert svg == plot_svg(field, kind="field")
+            levels = field_levels_by_cells(field)
+            _, pixels = field_pixels(svg)
+            assert pixels == [[levels[c][11 - r] for c in range(12)] for r in range(12)]
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "svg", "all"])
     def test_metadata_lists_every_file(self, capsys, tmp_path, fmt):
@@ -736,11 +772,10 @@ class TestHusimiFramesCommand:
         written = json.loads((out_dir / "metadata.json").read_text())["written"]
         on_disk = sorted(p.name for p in out_dir.iterdir())
         assert sorted(written) == [n for n in on_disk if n != "metadata.json"]
-        frames = {f"husimi_{i:03d}.{ext}" for i in range(2)
-                  for ext in ("csv", "svg")}
-        wanted = {"csv", "svg"} if fmt == "all" else {fmt}
-        assert frames & set(written) == {
-            n for n in frames if n.rsplit(".", 1)[1] in wanted}
+        files = {f"{stem}.{ext}" for stem in ("husimi-frames", "husimi_000", "husimi_001")
+                 for ext in ("csv", "svg")} | {"husimi-frames.json"}
+        wanted = {"json", "csv", "svg"} if fmt == "all" else {fmt}
+        assert set(written) == {n for n in files if n.rsplit(".", 1)[1] in wanted}
 
 
 class TestTraceCheckCommand:

@@ -176,15 +176,13 @@ def test_table_checks_name_the_first_bad_word(words, logj, t, message):
         CylinderTable(2, np.array(words), np.array(logj), np.array(t))
 
 
-@pytest.mark.parametrize("n, floors, message", [
-    (0, {}, "depth n >= 1"),
-    (2, {"lambda_floor": 0.0}, "floors must be positive"),
-    (2, {"t_min": -1e-6}, "floors must be positive"),
-], ids=["depth", "lambda_floor", "t_min"])
-def test_table_rejects_bad_depth_and_floors(n, floors, message):
+@pytest.mark.parametrize("n, message", [
+    (0, "depth n >= 1"),
+], ids=["depth"])
+def test_table_rejects_bad_depth_and_floors(n, message):
     words = full_shift_words(2, max(n, 1))
     with pytest.raises(ValueError, match=re.escape(message)):
-        CylinderTable(n, words, np.full(len(words), 3.0), np.full(len(words), 3.0), **floors)
+        CylinderTable(n, words, np.full(len(words), 3.0), np.full(len(words), 3.0))
 
 
 # -- pressure extrapolation -------------------------------------------------
