@@ -7,12 +7,15 @@ requested.  This module is the only one that knows a file format: each
 command is a function of its config alone and gives its payload, its
 files, each file with a function that renders it, called only when the
 file is written, and the certificates of its run.  Timestamps,
-invocation details and certificates go to a separate metadata.json so
-payload bytes depend only on the config.  The one exception is a field
-SVG (a Husimi frame): its pixels are a PNG that stdlib zlib compresses,
-so its bytes also depend on the zlib build, and its tests compare the
-decoded pixels.  Every file is written by the shared writers `_csv`,
-`plot_svg` and `_json`.
+invocation details, certificates and the thread count of each OpenBLAS
+(`blas_threads`) go to a separate metadata.json.  Payload bytes depend
+only on the config: every command runs with each OpenBLAS on one
+thread, whatever the CPU count, so a lone large eigensolve or a trace
+at large N gets no BLAS threading on a many-core host.  The one
+exception is a field SVG (a Husimi frame): its pixels are a PNG that
+stdlib zlib compresses, so its bytes also depend on the zlib build, and
+its tests compare the decoded pixels.  Every file is written by the
+shared writers `_csv`, `plot_svg` and `_json`.
 
 Each command is a generator: up to its bare `yield` it reads its config
 and builds every object its experiment takes, so each value meets its
@@ -69,6 +72,7 @@ from .symbolic_pressure import (
     pressure,
     sigma_of_gamma,
 )
+from .threads import blas_threads
 
 SVG_W, SVG_H, SVG_MARGIN = 640, 480, 40
 
@@ -321,8 +325,8 @@ def _csv(header, rows):
 
 def _eigensolves(records):
     """The metadata of eigensolves, one entry per N: the certificate,
-    basis, structural zeros, deflated columns, block sizes, workers and
-    BLAS threads of each."""
+    basis, structural zeros, deflated columns, block sizes and workers
+    of each."""
     return {"eigensolves": [{k: v for k, v in vars(r).items() if k != "eigenvalues"}
                             for r in records]}
 
@@ -468,10 +472,10 @@ def cmd_husimi_frames(cfg):
     _check(K >= 8, "K >= 8")
     yield
     state = torus_coherent(N, rho0)
-    fields = []
-    for _ in range(frames):
-        fields.append(husimi(state, K))
+    fields = [husimi(state, K)]
+    for _ in range(frames - 1):
         state = apply(op, state)
+        fields.append(husimi(state, K))
     masses = list(map(husimi_mass, fields))
     payload = _json({"N": N, "K": K, "frames": frames, "masses": masses})
     rows = list(enumerate(masses))
@@ -570,13 +574,15 @@ def make_parser():
 def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        start = time.perf_counter()
-        payload, files, certificates = next(_read(COMMANDS[args.command], cfg))
-        compute_s = time.perf_counter() - start
-        if unread := cfg.unread():
-            raise ConfigParse(f"not read by {args.command}: {', '.join(unread)}")
-        _write_outputs(args, args.command, payload, files, certificates, compute_s)
+        with blas_threads(1) as threads:
+            cfg = load_config(args.config)
+            start = time.perf_counter()
+            payload, files, certificates = next(_read(COMMANDS[args.command], cfg))
+            compute_s = time.perf_counter() - start
+            if unread := cfg.unread():
+                raise ConfigParse(f"not read by {args.command}: {', '.join(unread)}")
+            _write_outputs(args, args.command, payload, files,
+                           {**certificates, "blas_threads": threads}, compute_s)
         print(payload)
     except (LabError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

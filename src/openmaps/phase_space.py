@@ -252,6 +252,19 @@ def coherent_grid_trace(matrix):
     return complex(np.dot(g0, g0) * np.trace(matrix))
 
 
+def _quadrature(basis, core):
+    """`coherent_grid_trace` of Pᴴ P, P = B core Bᴴ (B = basis), as
+    ‖g₀‖²·‖P‖²_F by its identity; a real B takes real gemms on the
+    core's interleaved real and imaginary parts, giving Pᵀ."""
+    if np.isrealobj(basis):
+        half = (basis @ core.view(np.float64)).view(np.complex128)
+        power = basis @ np.ascontiguousarray(half.T).view(np.float64)
+    else:
+        power = basis @ core @ basis.conj().T
+    g0 = _gauss_window(len(basis))
+    return float(np.dot(g0, g0) * np.vdot(power, power).real)
+
+
 @dataclass(frozen=True)
 class EscapeParams:
     """Knobs of the log-ratio escape weight; epsilon is tied to h."""
@@ -477,7 +490,8 @@ def hs_trace_experiment(spec, N_list, params, exp_params, depth=None):
     dropped cross-sector core blocks over ‖core‖_F by the norm of the
     cross-sector images of Mⁿ S_b V_b times e^{t(λ_max − λ_min)}.  Up to
     N = QUADRATURE_MAX_N the trace of Aⁿ* Aⁿ is recomputed by
-    coherent-grid quadrature, summed over the sectors.  params.h is
+    coherent-grid quadrature, `_quadrature` of P = (S_b V_b) core
+    (S_b V_b)ᴴ summed over the sectors.  params.h is
     rebound to 1/(2πN) per size; before any eigh, N above DENSE_CAP
     raises DimensionCap and an N given twice (a singular fit) ValueError.
     Returns the per-size records and the least-squares exponent of log
@@ -514,8 +528,7 @@ def hs_trace_experiment(spec, N_list, params, exp_params, depth=None):
             direct += float(np.linalg.norm(core, "fro") ** 2)
             if N <= QUADRATURE_MAX_N:
                 basis = _unfold(vecs.T, own, N).T
-                power = basis @ core @ basis.conj().T
-                quad += float(coherent_grid_trace(power.conj().T @ power).real)
+                quad += _quadrature(basis.real if np.isrealobj(vecs) else basis, core)
         weight = math.exp(params.t * np.ptp(np.concatenate(lam)))
         entries.append({
             "N": N, "h": h, "n": n, "trace_direct": direct,

@@ -24,14 +24,16 @@ variant, theta = 0, alphabets that are no run and closed maps keep the
 position basis.  `spectra` solves a list of maps on one thread pool,
 largest N first, one task per sector: it builds the block straight from
 the map and takes its Schur form by LAPACK zgees called through ctypes,
-which releases the GIL.  No eigenvectors are formed.  The certificate
-is the Frobenius backward error of the whole compression: the Schur
-residuals of the blocks with the norm of all the split leaves out,
-relative to the norm of the compression.  In the position basis that is
-the coupling between the sectors, zero by symmetry only up to
-round-off; in the prolate basis also the dropped columns' mu, the
-residual ||K V - V mu|| of the prolate basis and its orthogonality
-||V^T V - I||.
+which releases the GIL.  Every task, a lone one too, runs with each
+OpenBLAS on one thread, so a record's bits depend on neither the maps
+solved beside it nor the number of CPUs.  No eigenvectors are formed.
+The certificate is the Frobenius backward error of the whole
+compression: the Schur residuals of the blocks with the norm of all
+the split leaves out, relative to the norm of the compression.  In the
+position basis that is the coupling between the sectors, zero by
+symmetry only up to round-off; in the prolate basis also the dropped
+columns' mu, the residual ||K V - V mu|| of the prolate basis and its
+orthogonality ||V^T V - I||.
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ class SpectrumRecord:
     basis the blocks were taken in ("position" or "prolate") and
     ``deflated`` the number of prolate columns dropped as numerically
     null, whose eigenvalues are also exact zeros.  ``blocks`` holds the
-    sizes of the blocks solved, ``workers`` the threads that solved them
-    and ``blas_threads`` the thread count of each OpenBLAS meanwhile.
+    sizes of the blocks solved and ``workers`` the threads that solved
+    them, each OpenBLAS on one thread (`_pooled`).
     """
 
     N: int
@@ -76,7 +78,6 @@ class SpectrumRecord:
     basis: str
     blocks: tuple
     workers: int
-    blas_threads: dict
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=np.complex128)
@@ -171,21 +172,21 @@ def _solve_sector(build, op, own, others):
 
 
 def _pooled(tasks):
-    """(results of the calls `tasks`, workers, {OpenBLAS: threads}): two
-    or more on min(#tasks, `pool_size()`) threads, every OpenBLAS on one
-    (zgees gains nothing from more at n = 729), else in this thread, BLAS
-    left alone.  Binding zgees first lists scipy's OpenBLAS in `openblas`."""
-    _zgees()
-    serial = len(tasks) <= 1
-    with blas_threads(None if serial else 1) as threads:
-        workers = 1 if serial or not threads else min(len(tasks), pool_size())
-        if workers == 1:
-            return [task() for task in tasks], workers, threads
+    """(results of the calls `tasks`, workers), every OpenBLAS on one
+    thread whatever the number of tasks, so a result's bits depend on
+    neither the tasks beside it nor the CPUs: on min(#tasks,
+    `pool_size()`) threads, or in this thread if no OpenBLAS count can
+    be set.  zgees gains nothing from more BLAS threads at n = 729; a
+    lone block of 1458 takes about a quarter longer on one than on two."""
+    with blas_threads(1) as threads:
+        workers = min(len(tasks), pool_size()) if threads else 1
+        if workers <= 1:
+            return [task() for task in tasks], workers
         with ThreadPoolExecutor(workers) as pool:
-            return list(pool.map(lambda task: task(), tasks)), workers, threads
+            return list(pool.map(lambda task: task(), tasks)), workers
 
 
-def _record(N, solved, coupling, workers, threads, zeros, basis):
+def _record(N, solved, coupling, workers, zeros, basis):
     """The record of the `_solve` of each block, `zeros` of the N
     eigenvalues structural, every other one outside the blocks deflated."""
     vals = [v for v, _, _ in solved]
@@ -203,7 +204,7 @@ def _record(N, solved, coupling, workers, threads, zeros, basis):
                           backward_error=backward_error,
                           structural_zeros=zeros, deflated=N - zeros - kept,
                           basis=basis, blocks=sizes,
-                          workers=workers, blas_threads=threads)
+                          workers=workers)
 
 
 def block_eigenvalues(N, blocks, coupling=0.0):
@@ -221,9 +222,9 @@ def block_eigenvalues(N, blocks, coupling=0.0):
     Two or more blocks are solved on a thread pool, one block in the
     calling thread (see `_pooled`).
     """
-    solved, workers, threads = _pooled([partial(_solve, A) for A in blocks])
-    return _record(N, solved, coupling, workers, threads,
-                   N - sum(len(A) for A in blocks), "position")
+    solved, workers = _pooled([partial(_solve, A) for A in blocks])
+    return _record(N, solved, coupling, workers, N - sum(len(A) for A in blocks),
+                   "position")
 
 
 def spectra(ops):
@@ -235,13 +236,13 @@ def spectra(ops):
     bases = [_basis(op) for op in ops]
     tasks = sorted(((i, split) for i, (_, _, splits) in enumerate(bases) for split in splits),
                    key=lambda task: -ops[task[0]].N)
-    solved, workers, threads = _pooled(
+    solved, workers = _pooled(
         [partial(_solve_sector, bases[i][1], ops[i], *split) for i, split in tasks])
     done = [[] for _ in ops]
     for (i, _), result in zip(tasks, solved):
         done[i].append(result)
     return [_record(op.N, [s for s, _ in parts], _coupling(p for _, p in parts),
-                    workers, threads, op.N - len(op.spec.alphabet) * (op.N // op.spec.a),
+                    workers, op.N - len(op.spec.alphabet) * (op.N // op.spec.a),
                     name) for op, (name, _, _), parts in zip(ops, bases, done)]
 
 

@@ -7,6 +7,7 @@ import os
 import threading
 from contextlib import contextmanager
 from functools import cache
+from importlib.util import find_spec
 from pathlib import Path
 
 # held while any caller has set or read the counts, so that callers in
@@ -26,7 +27,12 @@ def pool_size():
 @cache
 def openblas():
     """{file name: (get, set_local)} of every loaded OpenBLAS that can
-    report its thread count and set it, returning the old one."""
+    report its thread count and set it, returning the old one.  scipy's
+    LAPACK is loaded first, not imported, so scipy's OpenBLAS is listed
+    even in a process that imports scipy later."""
+    linalg = Path(find_spec("scipy").origin).with_name("linalg")
+    for lapack in linalg.glob("cython_lapack.*.so"):
+        ctypes.CDLL(str(lapack))
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({Path(line.split()[-1]) for line in fh})
@@ -46,12 +52,12 @@ def openblas():
 
 @contextmanager
 def blas_threads(count):
-    """Every OpenBLAS of `openblas` on `count` threads inside the block,
-    or left alone if `count` is None; yields {file name: threads in
-    effect} and restores the old counts on exit."""
+    """Every OpenBLAS of `openblas` on `count` threads inside the block;
+    yields {file name: threads in effect} and restores the old counts
+    on exit."""
     libs = openblas()
     with _COUNTS:
-        old = {} if count is None else {name: s(count) for name, (_, s) in libs.items()}
+        old = {name: s(count) for name, (_, s) in libs.items()}
         try:
             yield {name: get() for name, (get, _) in libs.items()}
         finally:

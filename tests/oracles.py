@@ -40,11 +40,11 @@ def sector_spectrum(op):
     `workers`: the blocks of `quantum_baker._basis` built one after the
     other in this thread, solved by `block_eigenvalues`, the eigenvalues
     outside them split into the excluded strips' structural zeros and the
-    deflated rest.  As in `spectra`, two or more blocks are built with
-    every OpenBLAS on one thread: a gemm's round-off may depend on its
-    thread count."""
+    deflated rest.  As in `spectra`, the blocks are built with every
+    OpenBLAS on one thread: a gemm's round-off may depend on its thread
+    count."""
     name, block, splits = _basis(op)
-    with blas_threads(1 if len(splits) > 1 else None):
+    with blas_threads(1):
         blocks, parts = zip(*(block(op, *split) for split in splits))
     record = block_eigenvalues(op.N, list(blocks), _coupling(parts))
     zeros = op.N - len(op.spec.alphabet) * (op.N // op.spec.a)

@@ -3,8 +3,11 @@
 import base64
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 
@@ -20,6 +23,7 @@ from openmaps.phase_space import (
     EscapeParams,
     damped_propagation_experiment,
     husimi,
+    husimi_mass,
     torus_coherent,
 )
 from openmaps.quantum_baker import apply, build
@@ -475,8 +479,8 @@ class TestSpectrumCommand:
             "N": 243, "backward_error": data["backward_error"],
             "structural_zeros": 81, "deflated": 33, "basis": "prolate",
             "blocks": [65, 64],
-            "workers": min(2, pool_size()) if openblas() else 1,
-            "blas_threads": {name: 1 for name in openblas()}}]
+            "workers": min(2, pool_size()) if openblas() else 1}]
+        assert meta["blas_threads"] == {name: 1 for name in openblas()}
 
     def test_theta_zero_solves_one_block(self, capsys, tmp_path):
         # the offset-free kernel breaks the parity: one compression
@@ -761,6 +765,32 @@ class TestHusimiFramesCommand:
             _, pixels = field_pixels(svg)
             assert pixels == [[levels[c][11 - r] for c in range(12)] for r in range(12)]
 
+    def test_map_applied_once_per_step(self, capsys, tmp_path, monkeypatch):
+        # three frames take two steps; the files are those of the frames
+        # each step's state gives
+        steps = []
+        monkeypatch.setattr(cli_io, "apply",
+                            lambda op, state: steps.append(1) or apply(op, state))
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text("[quantum]\nN = 27\n[husimi]\nframes = 3\nrho0 = 0.25,0.1\n")
+        code, out, _ = run(capsys, ["husimi-frames", "--config", str(cfgfile),
+                                    "--out", str(tmp_path), "--format", "all"])
+        assert code == 0
+        assert len(steps) == 2
+        state, fields = torus_coherent(27, (0.25, 0.1)), []
+        for _ in range(3):
+            fields.append(husimi(state, 27))
+            state = apply(build(SPEC32, 27), state)
+        masses = list(map(husimi_mass, fields))
+        assert out == cli_io._json({"N": 27, "K": 27, "frames": 3, "masses": masses}) + "\n"
+        assert (tmp_path / "husimi-frames.json").read_text() == out
+        header = ("x_index", *(f"xi_{j}" for j in range(27)))
+        for i, field in enumerate(fields):
+            assert (tmp_path / f"husimi_{i:03d}.csv").read_text() == cli_io._csv(
+                header, [(x, *row) for x, row in enumerate(field.tolist())])
+            assert (tmp_path / f"husimi_{i:03d}.svg").read_text() == plot_svg(
+                field, kind="field")
+
     @pytest.mark.parametrize("fmt", ["json", "csv", "svg", "all"])
     def test_metadata_lists_every_file(self, capsys, tmp_path, fmt):
         cfgfile = tmp_path / "c.ini"
@@ -846,9 +876,9 @@ class TestTraceCheckCommand:
             {"N": r.N, "backward_error": r.backward_error,
              "structural_zeros": r.structural_zeros, "deflated": r.deflated,
              "basis": "prolate", "blocks": list(r.blocks),
-             "workers": min(6, pool_size()) if openblas() else 1,
-             "blas_threads": r.blas_threads}
+             "workers": min(6, pool_size()) if openblas() else 1}
             for r in records]
+        assert meta["blas_threads"] == {name: 1 for name in openblas()}
         assert [e["blocks"] for e in meta["eigensolves"]] == [[3, 3], [9, 9], [26, 25]]
         assert [e["deflated"] for e in meta["eigensolves"]] == [0, 0, 3]
         # the count certificate: how near the cut the nearest modulus lies
@@ -960,3 +990,72 @@ class TestSvgRendering:
         assert sorted(p.name for p in out_dir.iterdir()) == files
         meta = json.loads((out_dir / "metadata.json").read_text())
         assert sorted(meta["written"] + ["metadata.json"]) == files
+
+
+def blas_counts():
+    return {name: get() for name, (get, _) in openblas().items()}
+
+
+class TestBlasThreads:
+    """Every command reads, runs and writes with each OpenBLAS on one
+    thread, and leaves the counts as it found them."""
+
+    @pytest.mark.parametrize("command, config", QUICK_RUNS,
+                             ids=[c for c, _ in QUICK_RUNS])
+    def test_metadata_records_one_thread(self, capsys, tmp_path, command, config):
+        before = blas_counts()
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(config)
+        code, _, _ = run(capsys, [command, "--config", str(cfgfile),
+                                  "--out", str(tmp_path / "out")])
+        assert code == 0
+        meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+        assert meta["blas_threads"] == {name: 1 for name in openblas()}
+        assert blas_counts() == before
+
+    def test_counts_restored_after_an_error(self, capsys, tmp_path):
+        before = blas_counts()
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text("[quantum]\nN = 28\n")
+        code, _, _ = run(capsys, ["spectrum", "--config", str(cfgfile)])
+        assert code == 1
+        assert blas_counts() == before
+
+    @pytest.mark.parametrize("command, config", [
+        # one sector: its lone eigensolve ran at the process default before
+        ("spectrum", "[map]\nalphabet = 0,1\n[quantum]\nN = 243\n"),
+        ("trace-check", "[trace]\nN_list = 27,81,243\n"),
+    ], ids=["spectrum-3-01", "trace-check"])
+    def test_payload_bytes_independent_of_the_default(self, capsys, tmp_path,
+                                                       command, config):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(config)
+        for default in (1, 2):
+            old = {name: set_local(default) for name, (_, set_local) in openblas().items()}
+            try:
+                code, _, _ = run(capsys, [command, "--config", str(cfgfile),
+                                          "--out", str(tmp_path / str(default)),
+                                          "--format", "all"])
+            finally:
+                for name, count in old.items():
+                    openblas()[name][1](count)
+            assert code == 0
+        names = sorted(p.name for p in (tmp_path / "1").iterdir() if p.name != "metadata.json")
+        assert names == sorted(p.name for p in (tmp_path / "2").iterdir()
+                               if p.name != "metadata.json")
+        for name in names:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_fresh_process_bytes_independent_of_the_default(self, tmp_path):
+        # a new process lists every OpenBLAS before it imports scipy
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text("[map]\nalphabet = 0,1\n[quantum]\nN = 243\n")
+        for default in ("1", "2"):
+            subprocess.run([sys.executable, "-m", "openmaps", "spectrum", "--config",
+                            str(cfgfile), "--out", str(tmp_path / default)],
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": default},
+                           capture_output=True, timeout=120, check=True)
+            meta = json.loads((tmp_path / default / "metadata.json").read_text())
+            assert meta["blas_threads"] == {name: 1 for name in openblas()}
+        assert ((tmp_path / "1" / "spectrum.json").read_bytes()
+                == (tmp_path / "2" / "spectrum.json").read_bytes())

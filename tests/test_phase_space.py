@@ -762,6 +762,28 @@ class TestTraceExperiment:
             for key in ("split_G", "split_core"):
                 assert 0.0 <= entry[key] <= 1e-10
 
+    @pytest.mark.parametrize("spec, real", [(SPEC32, True), (SPEC301, False)],
+                             ids=["3-02", "3-01"])
+    def test_quadrature_is_grid_trace_of_the_power(self, monkeypatch, spec, real):
+        # each sector's quadrature against the N³ product it replaces,
+        # P = B core Bᴴ on the sector's position-basis vectors B
+        calls = []
+        quadrature = phase_space._quadrature
+
+        def kept(basis, core):
+            calls.append((basis, core, quadrature(basis, core)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(phase_space, "_quadrature", kept)
+        p = EscapeParams(h=1.0, delta=0.4, t=1.0)
+        out = hs_trace_experiment(spec, [27, 81, 243], p, FixedSteps(3))
+        assert len(calls) == sum(e["sectors"] for e in out["entries"])
+        for basis, core, got in calls:
+            assert np.isrealobj(basis) == real
+            power = basis @ core @ basis.conj().T
+            want = float(coherent_grid_trace(power.conj().T @ power).real)
+            assert got == pytest.approx(want, rel=1e-13)
+
     def test_size_cap_skips_quadrature(self, monkeypatch):
         monkeypatch.setattr(phase_space, "QUADRATURE_MAX_N", 27)
         p = EscapeParams(h=1.0, delta=0.4, t=0.5)

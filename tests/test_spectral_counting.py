@@ -25,7 +25,6 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,7 +61,7 @@ def synthetic_record(N, n_big):
     ])
     return SpectrumRecord(N=N, eigenvalues=vals, backward_error=0.0,
                           structural_zeros=0, deflated=0, basis="position",
-                          blocks=(N,), workers=1, blas_threads={})
+                          blocks=(N,), workers=1)
 
 
 class TestEigenvalues:
@@ -233,15 +232,17 @@ class TestParityOracle:
 
 def scipy_block_spectrum(N, blocks, coupling=0.0):
     """Eigenvalues and certificate of the blocks solved one after the
-    other by `scipy.linalg.schur`, in the calling thread."""
+    other by `scipy.linalg.schur`, in the calling thread, each OpenBLAS
+    on one thread as in `block_eigenvalues`."""
     vals, resid_norms, block_norms = [], [], []
-    for A in blocks:
-        T, Z = scipy.linalg.schur(A, output="complex")
-        resid = A @ Z
-        resid -= scipy.linalg.blas.ztrmm(1.0, T, Z, side=1, overwrite_b=True)
-        resid_norms.append(np.linalg.norm(resid))
-        block_norms.append(np.linalg.norm(A))
-        vals.append(np.diag(T))
+    with threads.blas_threads(1):
+        for A in blocks:
+            T, Z = scipy.linalg.schur(A, output="complex")
+            resid = A @ Z
+            resid -= scipy.linalg.blas.ztrmm(1.0, T, Z, side=1, overwrite_b=True)
+            resid_norms.append(np.linalg.norm(resid))
+            block_norms.append(np.linalg.norm(A))
+            vals.append(np.diag(T))
     kept = sum(len(v) for v in vals)
     vals = np.concatenate(vals + [np.zeros(N - kept)])
     backward_error = (math.hypot(*resid_norms, coupling)
@@ -256,7 +257,7 @@ def blas_counts():
 class TestConcurrentSchur:
     """The ctypes zgees kernel and the thread pool against scipy."""
 
-    @pytest.mark.parametrize("count", [None, 1])
+    @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize("n", [1, 2, 27, 243])
     def test_kernel_is_scipy_schur(self, n, count):
         rng = np.random.default_rng(n)
@@ -313,10 +314,19 @@ class TestConcurrentSchur:
         assert records[1].backward_error == records[2].backward_error
         assert records[1].blocks == records[2].blocks == (N // 3, N // 3)
 
-    def test_blas_threads_one_while_blocks_run(self):
-        before = blas_counts()
-        rec = block_eigenvalues(243, *parity_blocks(build(SPEC32, 243)))
-        assert rec.blas_threads == {name: 1 for name in before}
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_blas_threads_one_while_blocks_run(self, monkeypatch, blocks):
+        # one block as two: every solve sees each OpenBLAS on one thread
+        before, seen = blas_counts(), []
+        solve = spectral_counting._solve
+
+        def counted(A):
+            seen.append(blas_counts())
+            return solve(A)
+
+        monkeypatch.setattr(spectral_counting, "_solve", counted)
+        block_eigenvalues(243, parity_blocks(build(SPEC32, 243))[0][:blocks])
+        assert seen == [{name: 1 for name in before}] * blocks
         assert blas_counts() == before
 
     def test_blas_threads_restored_after_a_raise(self):
@@ -326,18 +336,6 @@ class TestConcurrentSchur:
         blocks[1][0, 0] = np.inf
         with pytest.raises(ValueError, match="infs or NaNs"):
             block_eigenvalues(243, blocks)
-        assert blas_counts() == before
-
-    def test_one_block_leaves_blas_threads_alone(self, monkeypatch):
-        before = blas_counts()
-
-        def no_set(count):
-            assert count is None
-            return threads.blas_threads(count)
-
-        monkeypatch.setattr(spectral_counting, "blas_threads", no_set)
-        rec = eigenvalues(dense(build(SPEC32, 81)))
-        assert rec.workers == 1 and rec.blas_threads == before
         assert blas_counts() == before
 
     def test_concurrent_callers(self):
@@ -357,7 +355,6 @@ class TestConcurrentSchur:
             sys.setswitchinterval(switch)
         for i, rec in enumerate(got):
             assert np.array_equal(rec.eigenvalues, want[i % 2].eigenvalues)
-            assert rec.blas_threads == want[i % 2].blas_threads
         assert blas_counts() == before
 
     @pytest.mark.parametrize("spec, theta", [
@@ -400,9 +397,8 @@ def assert_same_record(got, want):
     """Every field of two records equal, bit for bit, but `workers`."""
     assert np.array_equal(got.eigenvalues, want.eigenvalues)
     assert got.backward_error == want.backward_error
-    assert (got.N, got.structural_zeros, got.deflated, got.basis, got.blocks,
-            got.blas_threads) == (want.N, want.structural_zeros, want.deflated,
-                                  want.basis, want.blocks, want.blas_threads)
+    assert (got.N, got.structural_zeros, got.deflated, got.basis, got.blocks) == (
+        want.N, want.structural_zeros, want.deflated, want.basis, want.blocks)
 
 
 class TestSpectra:
@@ -437,24 +433,20 @@ class TestSpectra:
             assert_same_record(one, two)
             assert_same_record(one, many)
 
-    @pytest.mark.parametrize("spec, theta", [
-        (BakerSpec(3, (0, 1)), 0.5),
-        (SPEC32, 0.0),
-    ], ids=["3-01", "theta-0"])
-    def test_one_block_op_leaves_blas_threads_alone(self, monkeypatch, spec, theta):
-        before = blas_counts()
-        op = build(spec, 243, theta=theta)
-        want = sector_spectrum(op)
-
-        def no_set(count):
-            assert count is None
-            return threads.blas_threads(count)
-
-        monkeypatch.setattr(spectral_counting, "blas_threads", no_set)
-        rec, = spectral_counting.spectra([op])
-        assert_same_record(rec, want)
-        assert rec.workers == 1 and rec.blas_threads == before
-        assert blas_counts() == before
+    @pytest.mark.parametrize("spec, N, theta", [
+        (BakerSpec(3, (0, 1)), 243, 0.5),
+        (BakerSpec(3, (0, 1)), 729, 0.5),
+        (SPEC32, 243, 0.0),
+    ], ids=["3-01-243", "3-01-729", "theta-0"])
+    def test_one_block_op_alone_is_its_pooled_record(self, spec, N, theta):
+        # a one-sector map solved alone, as `spectrum` does, and beside
+        # another, as `weyl-fit` does: the same bits
+        op = build(spec, N, theta=theta)
+        alone, = spectral_counting.spectra([op])
+        pooled, _ = spectral_counting.spectra([op, build(SPEC32, 81)])
+        assert_same_record(alone, pooled)
+        assert_same_record(alone, sector_spectrum(op))
+        assert alone.workers == 1
 
     def test_mixed_list_keeps_its_order(self):
         # the maps without the symmetry are one sector each, on the pool
@@ -463,11 +455,8 @@ class TestSpectra:
                build(BakerSpec(3, (0, 1)), 81)]
         got = spectral_counting.spectra(ops)
         assert [r.N for r in got] == [81, 243, 27, 81]
-        pool = sector_spectrum(ops[1]).blas_threads
         for rec, op in zip(got, ops):
-            with threads.blas_threads(1):  # as every task on the pool
-                want = sector_spectrum(op)
-            assert_same_record(rec, replace(want, blas_threads=pool))
+            assert_same_record(rec, sector_spectrum(op))
             assert rec.workers == (min(6, pool_size()) if threads.openblas() else 1)
 
     def test_dimension_cap_before_any_task(self, monkeypatch):
@@ -542,12 +531,16 @@ class TestSpectra:
                 "print(*sorted(threads.openblas()))")
         first = ("import scipy.linalg; from openmaps import threads; "
                  "print(*sorted(threads.openblas()))")
-        lazy, eager = (subprocess.run([sys.executable, "-c", c], capture_output=True,
-                                      text=True, timeout=120, check=True).stdout
-                       for c in (code, first))
+        # listed before scipy is imported, as `cli_io.main` does
+        before = ("import sys; from openmaps import threads; "
+                  "print(*sorted(threads.openblas())); print(int('scipy' in sys.modules))")
+        lazy, eager, listed = (subprocess.run([sys.executable, "-c", c], capture_output=True,
+                                              text=True, timeout=120, check=True).stdout
+                               for c in (code, first, before))
         loaded, libs = lazy.splitlines()
         assert loaded == "0 0"
         assert libs == eager.strip()
+        assert listed.splitlines() == [eager.strip(), "0"]
 
 
 def run_kernels(op):
