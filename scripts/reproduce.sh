@@ -2,12 +2,12 @@
 # Run every experiment config into out/<command>/ with all output
 # formats, from the source tree: no install needed.  Prints each
 # command's wall time, the chain's total and the size of its outputs.
-# On a 2-core x86-64 VM shared with other work the chain took 8.2-8.4 s
-# (three runs) and wrote 5.2 MB: 0.29-0.43 s for each command that does
+# On a 2-core x86-64 VM shared with other work the chain took 6.4-7.3 s
+# (three runs) and wrote 4.1 MB: 0.28-0.44 s for each command that does
 # little more than start up (interpreter and imports; scipy is imported
-# only by the commands that call it), 0.68-1.02 s for spectrum,
-# 1.4-1.7 s for each weyl fit, 0.67-0.77 s for propagate, 0.83-1.02 s
-# for husimi-frames and 0.92-1.32 s for trace-check.
+# only by the commands that call it), 0.55-0.73 s for spectrum,
+# 1.0-1.4 s for each weyl fit, 0.58-0.63 s for propagate, 0.57-0.71 s
+# for husimi-frames and 0.88-1.02 s for trace-check.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

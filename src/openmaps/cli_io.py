@@ -386,7 +386,7 @@ def cmd_billiard_orbits(cfg):
     depth = _get(cfg, "orbits", "depth", int, 3)
     _check(depth >= 2, "depth >= 2")
     yield
-    words, angles, lengths, logj, t, residual, dropped = _cycle_orbits(config, depth)
+    words, angles, lengths, logj, t, residual = _cycle_orbits(config, depth)
     words, logj, t = words.tolist(), logj.tolist(), t.tolist()
     header = ("word", *(f"angle_{i}" for i in range(depth)),
               *(f"length_{i}" for i in range(depth)), "logJ", "t")
@@ -394,7 +394,7 @@ def cmd_billiard_orbits(cfg):
             in zip(words, angles.tolist(), lengths.tolist(), logj, t)]
     payload = _json({"depth": depth, "orbits": [list(r) for r in zip(words, logj, t)]})
     certificates = {"orbits": {"newton_residual_max": max(residual.tolist(), default=None),
-                               "shadowed_words_dropped": dropped}}
+                               "hull_clearance_min": config.clearance}}
     yield payload, _files(header, rows, list(zip(t, logj))), certificates
 
 
@@ -480,10 +480,15 @@ def cmd_husimi_frames(cfg):
     payload = _json({"N": N, "K": K, "frames": frames, "masses": masses})
     rows = list(enumerate(masses))
     files = _files(("frame", "mass"), rows, rows)
-    # each frame's CSV is its K x K grid, one line per x index
+    # each frame's CSV is its K x K grid, one line per x index; an entry
+    # below K eps^2 of the frame's maximum is written as 0.0, since the
+    # FFT's round-off (about eps of the largest amplitude) leaves it few
+    # or no correct digits
     header = ("x_index", *(f"xi_{j}" for j in range(K)))
+    floor = K * np.finfo(float).eps ** 2
     for i, field in enumerate(fields):
-        grid = [(x, *row) for x, row in enumerate(field.tolist())]
+        shown = np.where(field < floor * field.max(), 0.0, field)
+        grid = [(x, *row) for x, row in enumerate(shown.tolist())]
         files += [(f"husimi_{i:03d}", "csv", partial(_csv, header, grid)),
                   (f"husimi_{i:03d}", "svg", partial(plot_svg, field, kind="field"))]
     yield payload, files, {}

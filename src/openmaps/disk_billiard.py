@@ -12,7 +12,8 @@ Trapped periodic orbits are found for cyclic symbolic words (disk
 sequences with no repeats, the wrap from last to first included), held
 as one integer array per length, all words of one length in one batch,
 by minimizing the total flight length over the bounce angles -- the
-no-eclipse condition makes that critical point unique -- and their
+no-eclipse condition, which `DiskConfig` enforces, makes that critical
+point unique and keeps every flight off the other disks -- and their
 linear stability comes from the standard curvature transfer matrices
 (free flight [[1,tau],[0,1]], dispersing reflection
 [[1,0],[2*kappa/cos(phi),1]]).  Solved batches (`OrbitBatch`), cylinder
@@ -22,7 +23,6 @@ tables and orbit rows are all arrays.
 from __future__ import annotations
 
 import bisect
-import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,8 +33,6 @@ import numpy as np
 from .errors import NoConvergence, NotHyperbolic, TooFewSurvivors
 from .symbolic_pressure import CylinderTable
 from .threads import pool_size
-
-log = logging.getLogger(__name__)
 
 RAY_EPS = 1e-9          # minimum admissible flight length in the ray walk
 NEWTON_TOL = 1e-12      # sup-norm gradient target, below the 1e-10 contract
@@ -64,15 +62,15 @@ class DiskConfig:
                 gap = self._dist(i, j) - radii[i] - radii[j]
                 if gap <= 0:
                     raise ValueError(f"disks {i},{j} overlap or touch (gap {gap:.3g})")
-        for i in range(k):
-            for j in range(k):
-                for l in range(j + 1, k):
-                    if i in (j, l):
-                        continue
-                    if self._hull_clearance(i, j, l) <= 0:
-                        raise ValueError(
-                            f"no-eclipse violated: disk {i} meets hull of {j},{l}"
-                        )
+        for i, j, l in self._triples():
+            if self._hull_clearance(i, j, l) <= 0:
+                raise ValueError(f"no-eclipse violated: disk {i} meets hull of {j},{l}")
+
+    def _triples(self):
+        """(i, j, l) for each disk i and each pair j < l of the others."""
+        k = self.k
+        return [(i, j, l) for i in range(k) for j in range(k) for l in range(j + 1, k)
+                if i not in (j, l)]
 
     def _dist(self, i, j):
         (xi, yi), (xj, yj) = self.centers[i], self.centers[j]
@@ -97,24 +95,23 @@ class DiskConfig:
     def k(self):
         return len(self.centers)
 
+    @property
+    def clearance(self):
+        """Least `_hull_clearance` of a disk from the hull of two others, or
+        None for two disks: the margin of the no-eclipse condition.  Each
+        flight of a closed orbit joins two disks inside their hull, so it
+        passes no nearer than this to any third disk."""
+        return min((self._hull_clearance(*t) for t in self._triples()), default=None)
+
 
 class OrbitBatch(NamedTuple):
-    """Closed orbits of a batch of equal-length words, one row per word.
-
-    A row whose `shadow` message is set crosses a third disk: it is the
-    message of its unraised `ShadowedPath`, and its logJ is NaN.
-    """
+    """Closed orbits of a batch of equal-length words, one row per word."""
 
     words: np.ndarray       # (B, n) disk indices
     angles: np.ndarray      # (B, n) boundary angles in [0, 2 pi)
     lengths: np.ndarray     # (B, n) flight k runs from bounce k to k+1 mod n
     residual: np.ndarray    # (B,) gradient sup-norm
     logJ: np.ndarray        # (B,) log of the largest monodromy eigenvalue modulus
-    shadow: list            # (B,) message or None
-
-    @property
-    def clear(self):
-        return np.array([s is None for s in self.shadow], dtype=bool)
 
     @property
     def t_total(self):
@@ -210,26 +207,6 @@ def _initial_angles(config, words):
     return np.array(angles)[where.reshape(words.shape)]
 
 
-def _shadowed(config, words, pts):
-    """Per word, a message naming its first flight through a third disk, or None."""
-    k0, k1 = _flight_pairs(words.shape[1])
-    start = pts[:, k0, None]
-    seg = pts[:, k1, None] - start
-    rel = np.array(config.centers) - start              # (B, flights, disks, 2)
-    t = np.clip(_dot(rel, seg) / _dot(seg, seg), 0.0, 1.0)
-    gap = rel - t[..., None] * seg
-    disks = np.arange(config.k)
-    crosses = ((np.hypot(gap[..., 0], gap[..., 1]) < np.array(config.radii))
-               & (disks != words[:, k0, None]) & (disks != words[:, k1, None]))
-    messages = [None] * len(words)
-    for i in np.flatnonzero(crosses.any(axis=(1, 2))):
-        j, other = np.unravel_index(np.argmax(crosses[i]), crosses[i].shape)
-        word = tuple(words[i].tolist())
-        messages[i] = (f"flight {word[k0[j]]}->{word[k1[j]]} of word {word} "
-                       f"crosses disk {other}")
-    return messages
-
-
 def _solve(a, b):
     """x with a[i] x[i] = b[i] for a stack; NaN rows where a[i] is singular.
 
@@ -254,10 +231,10 @@ def _solve_orbits(config, words):
     that lowers its gradient sup-norm (or any step once mu > 1e6) is
     taken and mu falls tenfold; otherwise, or if its damped Hessian is
     singular, mu rises tenfold.  Returns the `OrbitBatch` of the words,
-    in order, with the (unraised) `ShadowedPath` message of each word
-    whose orbit crosses a third disk; raises `NoConvergence` naming the
-    word, and ValueError unless the other rows have positive flight
-    lengths and residual <= 1e-10.
+    in order; raises `NoConvergence` naming the word, and ValueError
+    unless every row has positive flight lengths and residual <= 1e-10.
+    No flight crosses a third disk: it lies in the hull of the two disks
+    it joins, which `DiskConfig` keeps clear of every other disk.
     """
     _check_words(words)
     phis = _initial_angles(config, words)
@@ -285,15 +262,11 @@ def _solve_orbits(config, words):
         raise NoConvergence(f"word {word}: gradient sup-norm {res[i]:.3g}")
     phis = np.mod(phis, 2 * math.pi)
     lengths, _, _ = _total_length_grad(config, words, phis)
-    shadow = _shadowed(config, words, _bounces(config, words, phis)[2])
-    batch = OrbitBatch(words, phis, lengths, res, np.full(len(words), np.nan), shadow)
-    clear = batch.clear
-    if not (lengths[clear] > 0).all():
+    if not (lengths > 0).all():
         raise ValueError("flight lengths must be positive")
-    if not (res[clear] <= 1e-10).all():
+    if not (res <= 1e-10).all():
         raise ValueError("orbit segments must have residual <= 1e-10")
-    batch.logJ[clear] = _log_expansions(config, words[clear], phis[clear], lengths[clear])
-    return batch
+    return OrbitBatch(words, phis, lengths, res, _log_expansions(config, words, phis, lengths))
 
 
 def _outgoing(config, words, phis):
@@ -381,9 +354,8 @@ def _necklaces(k, n):
 
 
 def _cycle_orbits(config, n):
-    """Closed orbits of the `_cyclic_words` of length n, in order, as
-    aligned arrays: words, angles, flight lengths, logJ, t and residual;
-    then the number of shadowed words, which are dropped.
+    """Closed orbits of the `_cyclic_words` of length n, in order, as six
+    aligned arrays: words, angles, flight lengths, logJ, t and residual.
 
     Every rotation of a word traces the same orbit, so the necklaces
     (prime cycles or repeats of one) are solved as one batch, and each
@@ -394,20 +366,15 @@ def _cycle_orbits(config, n):
         raise ValueError("depth n >= 2")
     words, necklaces, cls, shift = _necklace_classes(config.k, n)
     b = _solve_orbits(config, necklaces)
-    keep = b.clear[cls]
-    dropped = int(np.count_nonzero(~keep))
-    if dropped:
-        log.warning("depth %d cycles: dropped %d shadowed words", n, dropped)
-    words, cls, shift = words[keep], cls[keep], shift[keep]
     back = (np.arange(n) - shift[:, None]) % n
     return (words, np.take_along_axis(b.angles[cls], back, axis=1),
             np.take_along_axis(b.lengths[cls], back, axis=1),
-            b.logJ[cls], b.t_total[cls], b.residual[cls], dropped)
+            b.logJ[cls], b.t_total[cls], b.residual[cls])
 
 
 def cylinder_table(config, n):
-    """Depth-n closed-orbit weights of the unshadowed `_cyclic_words`, in order."""
-    words, _, _, logj, t, _, _ = _cycle_orbits(config, n)
+    """Depth-n closed-orbit weights of every `_cyclic_words`, in order."""
+    words, _, _, logj, t, _ = _cycle_orbits(config, n)
     return CylinderTable(n, words, logj, t)
 
 
@@ -596,7 +563,7 @@ def periodic_points(config, periods):
 
     Points are pooled across disks in local coordinates; for symmetric
     configurations the per-disk traces coincide.  Each period's
-    necklaces are solved as one batch; shadowed ones are skipped.
+    necklaces are solved as one batch.
     """
     pts = []
     for n in periods:
@@ -604,10 +571,8 @@ def periodic_points(config, periods):
         if not len(necklaces):
             continue
         b = _solve_orbits(config, necklaces)
-        clear = b.clear
-        words, phis = b.words[clear], b.angles[clear]
-        y = np.mod(phis, 2 * math.pi) * np.array(config.radii)[words]
-        eta = _outgoing(config, words, phis)[1]
+        y = np.mod(b.angles, 2 * math.pi) * np.array(config.radii)[b.words]
+        eta = _outgoing(config, b.words, b.angles)[1]
         pts.append(np.column_stack([y.ravel(), eta.ravel()]))
     return np.concatenate(pts) if pts else np.empty((0, 2))
 

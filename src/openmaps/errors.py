@@ -35,10 +35,6 @@ class NoConvergence(LabError):
     """Iterative solve did not reach tolerance."""
 
 
-class ShadowedPath(LabError):
-    """A free-flight segment of the requested word crosses a third disk."""
-
-
 class NotHyperbolic(LabError):
     """Closed-orbit monodromy trace has modulus <= 2."""
 

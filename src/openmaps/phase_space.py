@@ -40,6 +40,7 @@ GRID_THETA = 0.5  # half-integer twist on both torus directions
 PERIODIZE_TAIL = 1e-14
 CHEB_TAIL = 1e-17  # the Chebyshev series of e^{-tG} stops at I_k/I_0 below this
 QUADRATURE_MAX_N = 729  # the trace experiment's quadrature runs up to this N
+HUSIMI_ROWS = 256  # window rows per batched inverse FFT of a K = N Husimi field
 
 
 def _as_frame(mat):
@@ -192,15 +193,16 @@ def _gauss_window(N):
     return _periodize(_ground_line(N, 0.0), N)[0]
 
 
-def _signed_roll(g0, i):
-    """The window at x0 = i/N: g₀ shifted by i, the i wrapped entries negated.
+def _windows(g0, rows):
+    """The windows at x0 = i/N, one row per i of the (m, 1) index column
+    `rows`: g₀ shifted by i, the i wrapped entries negated.
 
     Shifting x0 by one grid step shifts the translate index of the
     entries that cross the cell edge by one, so their (−1)^j twist flips.
     """
-    g = np.roll(g0, i)
-    g[:i] *= -1.0
-    return g
+    k = np.arange(len(g0))
+    g = g0[(k - rows) % len(g0)]
+    return np.where(k < rows, -g, g)
 
 
 def husimi(state, K):
@@ -211,12 +213,14 @@ def husimi(state, K):
     u = np.conj(state.amps)
     field = np.empty((K, K))
     if K == N:
-        # at grid step 1/N the lattice-translate phases collapse and the
-        # row over ξ0 is one inverse FFT of the windowed amplitudes
+        # at grid step 1/N the lattice-translate phases collapse and each
+        # row over ξ0 is one inverse FFT of the windowed amplitudes, taken
+        # HUSIMI_ROWS rows at a time to bound the temporaries at large N
         g0 = _gauss_window(N)
-        for i1 in range(K):
-            row = np.fft.ifft(u * _signed_roll(g0, i1)) * N
-            field[i1, :] = N * np.abs(row) ** 2
+        for lo in range(0, N, HUSIMI_ROWS):
+            rows = np.arange(lo, min(lo + HUSIMI_ROWS, N))[:, None]
+            block = np.fft.ifft(u * _windows(g0, rows), axis=1) * N
+            field[lo:lo + len(rows)] = N * np.abs(block) ** 2
         return field
     k2 = np.arange(K)
     phase_k = np.exp(2j * np.pi * np.outer(k2, (np.arange(N) + GRID_THETA)) / K)

@@ -21,6 +21,8 @@ from openmaps.disk_billiard import DiskConfig, _cycle_orbits, _solve_orbits
 from openmaps.errors import ConfigParse, EmptyData
 from openmaps.phase_space import (
     EscapeParams,
+    _gauss_window,
+    _windows,
     damped_propagation_experiment,
     husimi,
     husimi_mass,
@@ -34,6 +36,7 @@ from openmaps.threads import openblas, pool_size
 GAMMA_CL = 0.3690702464285426
 D_H = 0.6309297535714574
 SPEC32 = BakerSpec(3, (0, 2))
+EPS2 = np.finfo(float).eps ** 2
 TRI = DiskConfig(centers=((0.0, 0.0), (6.0, 0.0), (3.0, 3.0 * math.sqrt(3.0))),
                  radii=(1.0, 1.0, 1.0))
 
@@ -596,7 +599,7 @@ class TestBilliardCommand:
         rows = (tmp_path / "billiard-orbits.csv").read_text().splitlines()
         assert rows[0] == ("word,angle_0,angle_1,angle_2,"
                            "length_0,length_1,length_2,logJ,t")
-        words, angles, lengths, logj, t, _, _ = _cycle_orbits(TRI, 3)
+        words, angles, lengths, logj, t, _ = _cycle_orbits(TRI, 3)
         assert rows[1:] == [
             ",".join(["".join(map(str, w)), *map(repr, a), *map(repr, l), repr(lj), repr(tt)])
             for w, a, l, lj, tt in zip(words.tolist(), angles.tolist(), lengths.tolist(),
@@ -605,33 +608,24 @@ class TestBilliardCommand:
         column = np.array([float(r.split(",")[-1]) for r in rows[1:]])
         assert column.tobytes() == disk_billiard.cylinder_table(TRI, 3).t.tobytes()
 
-    def test_metadata_records_the_orbit_certificate(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("table, config, clearance", [
+        ("", TRI, 3.196152422706632),
+        ("[billiard]\nradii = 1,1\ncenters = 0,0;6,0\n",
+         DiskConfig(((0.0, 0.0), (6.0, 0.0)), (1.0, 1.0)), None),
+    ], ids=["tri", "two_disk"])
+    def test_metadata_records_the_orbit_certificate(self, capsys, tmp_path, table, config,
+                                                    clearance):
         cfgfile = tmp_path / "c.ini"
-        cfgfile.write_text("[orbits]\ndepth = 4\n")
-
-        def orbits(out_dir):
-            code, out, _ = run(capsys, ["billiard-orbits", "--config", str(cfgfile),
-                                        "--out", str(out_dir)])
-            assert code == 0
-            meta = json.loads((out_dir / "metadata.json").read_text())["orbits"]
-            return json.loads(out)["orbits"], meta
-
-        rows, meta = orbits(tmp_path / "clear")
-        assert meta["shadowed_words_dropped"] == 0
+        cfgfile.write_text(table + "[orbits]\ndepth = 4\n")
+        code, _, _ = run(capsys, ["billiard-orbits", "--config", str(cfgfile),
+                                  "--out", str(tmp_path)])
+        assert code == 0
+        meta = json.loads((tmp_path / "metadata.json").read_text())["orbits"]
+        # TRI's is 3 sqrt(3) - 2, the apex disk's gap to the base pair's hull;
+        # two disks have no third disk to clear
+        assert meta == {"hull_clearance_min": clearance,
+                        "newton_residual_max": max(_cycle_orbits(config, 4)[5].tolist())}
         assert 0 <= meta["newton_residual_max"] <= 1e-12
-        real = disk_billiard._solve_orbits
-
-        def shadow_repeats(config, words):
-            batch = real(config, words)
-            return batch._replace(shadow=["test" if w == [0, 1, 0, 1] else s
-                                          for w, s in zip(words.tolist(), batch.shadow)])
-
-        monkeypatch.setattr(disk_billiard, "_solve_orbits", shadow_repeats)
-        kept, meta = orbits(tmp_path / "shadowed")
-        assert meta["shadowed_words_dropped"] == 2
-        assert kept == [r for r in rows if r[0] not in ([0, 1, 0, 1], [1, 0, 1, 0])]
-        assert meta["newton_residual_max"] == max(
-            disk_billiard._cycle_orbits(TRI, 4)[5].tolist())
 
 
 class TestPropagateCommand:
@@ -677,6 +671,22 @@ class TestPropagateCommand:
             "t": 1.0, "delta": 0.4, "n": [0, 1, 2, 3], "w": w.tolist()}
         rows = (tmp_path / "propagate.csv").read_text().splitlines()
         assert rows == ["n,w"] + [f"{n},{v!r}" for n, v in enumerate(w.tolist())]
+
+
+def written(field):
+    """A Husimi frame as its CSV holds it: 0.0 below K eps^2 of its maximum."""
+    return np.where(field < field.shape[0] * EPS2 * field.max(), 0.0, field)
+
+
+def husimi_longdouble(state):
+    """The K = N Husimi field of the windowed rows `husimi` transforms, by a
+    DFT in long double (twiddles, products and sums): no FFT round-off."""
+    N = state.N
+    rows = np.conj(state.amps) * _windows(_gauss_window(N), np.arange(N)[:, None])
+    k = np.arange(N)
+    angle = 8 * np.arctan(np.longdouble(1)) * ((k[:, None] * k) % N) / N
+    dft = rows.astype(np.clongdouble) @ (np.cos(angle) + 1j * np.sin(angle))
+    return N * np.abs(dft) ** 2
 
 
 class TestHusimiFramesCommand:
@@ -734,8 +744,30 @@ class TestHusimiFramesCommand:
             assert [int(line.split(",", 1)[0]) for line in lines[1:]] == list(range(K))
             back = np.array([[float(v) for v in line.split(",")[1:]]
                              for line in lines[1:]])
-            assert np.array_equal(back, husimi(state, K))
+            assert np.array_equal(back, written(husimi(state, K)))
             state = apply(build(SPEC32, 27), state)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="long double is no wider than double here")
+    def test_frame_floor_against_long_double_oracle(self, capsys, tmp_path):
+        # husimi.ini's first two frames, N = 243: an entry written is within
+        # 5 % of the long-double field (the worst, 3.0 %, sits just above the
+        # floor), and one written as 0.0 is below 2 K eps^2 of the maximum
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text("[quantum]\nN = 243\n[husimi]\nframes = 2\nrho0 = 0.25,0.1\n")
+        code, _, _ = run(capsys, ["husimi-frames", "--config", str(cfgfile),
+                                  "--out", str(tmp_path), "--format", "csv"])
+        assert code == 0
+        state = torus_coherent(243, (0.25, 0.1))
+        for i in range(2):
+            lines = (tmp_path / f"husimi_{i:03d}.csv").read_text().splitlines()[1:]
+            back = np.array([[float(v) for v in line.split(",")[1:]] for line in lines])
+            oracle = husimi_longdouble(state)
+            kept = back != 0.0
+            assert 0 < np.count_nonzero(~kept) < back.size
+            assert np.all(np.abs(back[kept] - oracle[kept]) <= 5e-2 * oracle[kept])
+            assert np.all(oracle[~kept] < 2 * 243 * EPS2 * oracle.max())
+            state = apply(build(SPEC32, 243), state)
 
     def test_frame_files_match_per_cell_writers(self, capsys, tmp_path,
                                                  monkeypatch):
@@ -757,7 +789,8 @@ class TestHusimiFramesCommand:
         assert len(fields) == 3
         header = ("x_index", *(f"xi_{j}" for j in range(12)))
         for i, field in enumerate(fields):
-            csv = cli_io._csv(header, [(x, *row) for x, row in enumerate(field.tolist())])
+            csv = cli_io._csv(header, [(x, *row) for x, row
+                                       in enumerate(written(field).tolist())])
             assert (tmp_path / f"husimi_{i:03d}.csv").read_text() == csv
             svg = (tmp_path / f"husimi_{i:03d}.svg").read_text()
             assert svg == plot_svg(field, kind="field")
@@ -787,7 +820,7 @@ class TestHusimiFramesCommand:
         header = ("x_index", *(f"xi_{j}" for j in range(27)))
         for i, field in enumerate(fields):
             assert (tmp_path / f"husimi_{i:03d}.csv").read_text() == cli_io._csv(
-                header, [(x, *row) for x, row in enumerate(field.tolist())])
+                header, [(x, *row) for x, row in enumerate(written(field).tolist())])
             assert (tmp_path / f"husimi_{i:03d}.svg").read_text() == plot_svg(
                 field, kind="field")
 

@@ -10,15 +10,16 @@ logJ.  The per-bounce flight-length loop, its finite-differenced
 Hessian and the per-word Newton solve built on them are kept here as
 oracles for the vectorised analytic Hessian and for the
 one-solve-per-necklace cylinder tables.  The per-word damped Newton
-with its per-word start angles, shadow check and monodromy loop, the
-per-necklace periodic-point loop and the gather/scatter Monte-Carlo
-loop with its whole-sample draws are kept as oracles for the batched
-solver and the chunked, threaded escape loop with its per-chunk draws.
-The tuple word builder, the per-word least-rotation search and the
-set-of-cells box count are kept as oracles for their array forms, and
-a dense grid search for the closed-form hull clearance.  The one-word
-solve `orbit_for_word` and its `OrbitSegment` record are test helpers
-over the batched solver.
+with its per-word start angles, flight clearance assertion and
+monodromy loop, the per-necklace periodic-point loop and the
+gather/scatter Monte-Carlo loop with its whole-sample draws are kept as
+oracles for the batched solver and the chunked, threaded escape loop
+with its per-chunk draws.  The tuple word builder, the per-word
+least-rotation search and the set-of-cells box count are kept as
+oracles for their array forms, and a dense grid search for the
+closed-form hull clearance and the table's least clearance.  The
+one-word solve `orbit_for_word` and its `OrbitSegment` record are test
+helpers over the batched solver.
 
 Frozen analytic constants (two disks of radius 1, centers 6 apart):
     bounce orbit flight time     t = 8 per period (two flights of 4)
@@ -30,6 +31,7 @@ Equilateral three-disk system, centers 6 apart, radius 1:
                                  against the finite-difference Jacobian)
 """
 
+import itertools
 import math
 import os
 import re
@@ -68,7 +70,6 @@ from openmaps.errors import (
     LabError,
     NoConvergence,
     NotHyperbolic,
-    ShadowedPath,
     TooFewSurvivors,
 )
 from openmaps.symbolic_pressure import bowen_dimension, classical_decay_rate, finite_pressure
@@ -191,11 +192,8 @@ class OrbitSegment:
 
 
 def orbit_for_word(config, word):
-    """The closed orbit of one cyclic word: the one-word case of
-    `_solve_orbits`, a shadowed orbit raising `ShadowedPath`."""
+    """The closed orbit of one cyclic word: the one-word case of `_solve_orbits`."""
     b = disk_billiard._solve_orbits(config, np.array([word]))
-    if b.shadow[0]:
-        raise ShadowedPath(b.shadow[0])
     return OrbitSegment(tuple(word), tuple(b.angles[0].tolist()), tuple(b.lengths[0].tolist()),
                         float(b.logJ[0]), float(b.t_total[0]), float(b.residual[0]))
 
@@ -288,8 +286,9 @@ def initial_angles_oracle(config, word):
     return phis
 
 
-def shadow_check_oracle(config, word, pts):
-    """Raise ShadowedPath if a flight crosses a third disk, flight by flight."""
+def assert_flights_clear(config, word, pts, clearance):
+    """Assert, flight by flight, that no flight of the closed orbit through
+    `pts` comes nearer than `clearance` (the table's) to a third disk."""
     for k0, k1 in zip(*_flight_pairs(len(word))):
         a, b = pts[k0], pts[k1]
         seg = b - a
@@ -299,11 +298,30 @@ def shadow_check_oracle(config, word, pts):
                 continue
             rel = np.array(config.centers[other]) - a
             t = min(max(float(rel @ seg) / seg_len2, 0.0), 1.0)
-            closest = a + t * seg
-            if np.linalg.norm(np.array(config.centers[other]) - closest) < config.radii[other]:
-                raise ShadowedPath(
-                    f"flight {word[k0]}->{word[k1]} of word {word} crosses disk {other}"
-                )
+            gap = float(np.linalg.norm(rel - t * seg)) - config.radii[other]
+            assert gap >= clearance - 1e-12 * max(1.0, clearance), (
+                f"flight {word[k0]}->{word[k1]} of word {word} passes disk {other} "
+                f"at {gap:.6g}, inside the clearance {clearance:.6g}")
+
+
+def assert_solved_flights_clear(config, periods):
+    """Solve the necklaces of each period as `periodic_points` does, one
+    batch per period, and assert every flight clear of every third disk."""
+    clearance = config.clearance
+    for n in periods:
+        b = disk_billiard._solve_orbits(config, _necklaces(config.k, n))
+        pts = disk_billiard._bounces(config, b.words, b.angles)[2]
+        for word, p in zip(map(tuple, b.words.tolist()), pts):
+            assert_flights_clear(config, word, p, clearance)
+
+
+def grid_clearance(config, i, j, l, t):
+    """Gap from disk i to conv(D_j u D_l) as the least gap to the disks at
+    c_j + t (c_l - c_j) of radius R_j + t (R_l - R_j) over the grid t."""
+    ci, cj, cl = (np.array(config.centers[m]) for m in (i, j, l))
+    c = cj + t[:, None] * (cl - cj)
+    r = config.radii[j] + t * (config.radii[l] - config.radii[j])
+    return float(np.min(np.linalg.norm(ci - c, axis=1) - r)) - config.radii[i]
 
 
 def stability_oracle(config, segment):
@@ -353,7 +371,8 @@ def orbit_oracle(config, word):
     residual = float(np.max(np.abs(grad)))
     assert residual <= 1e-12
     phis = np.mod(phis, 2 * math.pi)
-    shadow_check_oracle(config, word, [point(config, word[k], phis[k]) for k in range(n)])
+    assert_flights_clear(config, word, [point(config, word[k], phis[k]) for k in range(n)],
+                         config.clearance)
     lengths, _, _ = one_word(config, word, phis)
     seg = OrbitSegment(word, tuple(float(p) for p in phis),
                        tuple(float(l) for l in lengths), math.nan,
@@ -366,10 +385,7 @@ def periodic_points_oracle(config, periods):
     pts = []
     for n in periods:
         for w in map(tuple, _necklaces(config.k, n).tolist()):
-            try:
-                seg = orbit_oracle(config, w)
-            except ShadowedPath:
-                continue
+            seg = orbit_oracle(config, w)
             for k in range(n):
                 r = config.radii[seg.word[k]]
                 pts_k = point(config, seg.word[k], seg.angles[k])
@@ -576,6 +592,23 @@ def cyclic_words(draw, k, max_size):
     return word
 
 
+@st.composite
+def no_eclipse_tables(draw):
+    """Tables of 3-5 disks of unequal radii around a jittered ring that
+    `DiskConfig` accepts; some come near eclipse."""
+    k = draw(st.integers(3, 5))
+    centers, radii = [], []
+    for i in range(k):
+        angle = 2 * math.pi * (i + draw(st.floats(-0.2, 0.2))) / k
+        ring = draw(st.floats(4.0, 8.0))
+        centers.append((ring * math.cos(angle), ring * math.sin(angle)))
+        radii.append(draw(st.floats(0.3, 2.0)))
+    try:
+        return DiskConfig(centers, radii)
+    except ValueError:
+        assume(False)
+
+
 def angle_gap(a, b):
     d = np.abs(np.asarray(a) - np.asarray(b)) % (2 * math.pi)
     return float(np.max(np.minimum(d, 2 * math.pi - d)))
@@ -707,10 +740,7 @@ class TestClosedOrbits:
     @given(cyclic_words(3, max_size=5))
     @settings(max_examples=40, deadline=None)
     def test_random_words_converge_and_expand(self, word):
-        try:
-            seg = orbit_for_word(TRI, tuple(word))
-        except ShadowedPath:
-            assume(False)
+        seg = orbit_for_word(TRI, tuple(word))
         assert seg.residual < 1e-9
         assert seg.logJ > 0.0
         # every flight crosses the gap between disk hulls at least once
@@ -837,9 +867,8 @@ class TestCylinderTables:
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_rotated_orbits_match_direct_solves(self, n):
-        words, angles, lengths, logj, t, residual, dropped = _cycle_orbits(TRI, n)
+        words, angles, lengths, logj, t, residual = _cycle_orbits(TRI, n)
         table = cylinder_table(TRI, n)
-        assert dropped == 0
         assert np.array_equal(words, _cyclic_words(3, n))
         # the table's weights, bit for bit
         assert np.array_equal(logj, table.logJ) and np.array_equal(t, table.t)
@@ -850,24 +879,6 @@ class TestCylinderTables:
             assert logj[i] == pytest.approx(direct.logJ, rel=1e-13)
             assert t[i] == pytest.approx(direct.t_total, rel=1e-13)
             assert residual[i] <= 1e-12
-
-    def test_shadowed_words_are_dropped_per_word(self, monkeypatch, caplog):
-        real = disk_billiard._solve_orbits
-
-        def shadow_repeats(config, words):
-            batch = real(config, words)
-            return batch._replace(shadow=["test" if w == [0, 1, 0, 1] else s
-                                          for w, s in zip(words.tolist(), batch.shadow)])
-
-        monkeypatch.setattr(disk_billiard, "_solve_orbits", shadow_repeats)
-        with caplog.at_level("WARNING", logger="openmaps.disk_billiard"):
-            table = cylinder_table(TRI, 4)
-        words = table.words.tolist()
-        assert [0, 1, 0, 1] not in words and [1, 0, 1, 0] not in words
-        assert words == [w for w in _cyclic_words(3, 4).tolist()
-                         if w not in ([0, 1, 0, 1], [1, 0, 1, 0])]
-        assert "dropped 2 shadowed words" in caplog.text
-        assert _cycle_orbits(TRI, 4)[-1] == 2
 
     def test_depth_one_rejected(self):
         with pytest.raises(ValueError):
@@ -902,13 +913,7 @@ class TestBatchedSolver:
         assert np.array_equal(batch.words, words)
         t_total = batch.t_total
         for i, w in enumerate(map(tuple, words.tolist())):
-            try:
-                ref = orbit_oracle(config, w)
-            except ShadowedPath as shadowed:
-                assert batch.shadow[i] == str(shadowed)
-                assert math.isnan(batch.logJ[i])
-                continue
-            assert batch.shadow[i] is None
+            ref = orbit_oracle(config, w)
             assert angle_gap(batch.angles[i], ref.angles) <= 1e-13
             assert np.allclose(batch.lengths[i], ref.lengths, rtol=1e-13, atol=0)
             assert t_total[i] == pytest.approx(ref.t_total, rel=1e-13)
@@ -960,17 +965,6 @@ class TestBatchedSolver:
         assert mus[:16] == pytest.approx([1e-8 * 10.0 ** k for k in range(16)], rel=1e-6)
         assert mus[16:] == pytest.approx([1e6, 1e7] * (disk_billiard.NEWTON_MAX_ITER - 1),
                                          rel=1e-6)
-
-    def test_all_shadowed_batch(self, monkeypatch):
-        monkeypatch.setattr(disk_billiard, "_shadowed",
-                            lambda config, words, pts: ["shadowed"] * len(words))
-        batch = disk_billiard._solve_orbits(TRI, _necklaces(3, 4))
-        assert batch.shadow == ["shadowed"] * len(_necklaces(3, 4))
-        assert not batch.clear.any() and np.isnan(batch.logJ).all()
-        with pytest.raises(ShadowedPath, match="shadowed"):
-            orbit_for_word(TRI, (0, 1, 2))
-        assert cylinder_table(TRI, 4).words.shape == (0, 4)
-        assert len(periodic_points(TRI, [4])) == 0
 
     @pytest.mark.parametrize("words, message", [
         ([(0, 1, 2), (0, 1, 1)], "word (0, 1, 1) repeats a symbol, cyclically"),
@@ -1233,15 +1227,22 @@ class TestConfigValidation:
                     for a, b in ((0, 1), (0, 2), (1, 2))]
             if min(gaps) <= 0:
                 continue
-            ci, cj, cl = centers
-            c = cj + t[:, None] * (cl - cj)
-            r = radii[1] + t * (radii[2] - radii[1])
-            grid = np.min(np.linalg.norm(ci - c, axis=1) - r) - radii[0]
             config = SimpleNamespace(centers=tuple(map(tuple, centers)),
                                      radii=tuple(radii))
+            grid = grid_clearance(config, 0, 1, 2, t)
             exact = DiskConfig._hull_clearance(config, 0, 1, 2)
             assert -1e-12 <= grid - exact <= 1e-8
             checked += 1
+
+    def test_clearance_is_least_over_triples(self):
+        # 3 sqrt(3) - 2: the apex disk's gap to the top edge of the base pair's hull
+        assert TRI.clearance == 3.196152422706632
+        assert TWO_DISK.clearance is None
+        t = np.linspace(0.0, 1.0, 10**5 + 1)
+        for config in (TRI, UNEQUAL, SQUARE, DOUBLED, WIDE):
+            brute = min(grid_clearance(config, *triple, t)
+                        for triple in itertools.permutations(range(config.k), 3))
+            assert -1e-12 <= brute - config.clearance <= 1e-8
 
     def test_import_leaves_scipy_optimize_out(self):
         src = Path(disk_billiard.__file__).resolve().parents[1]
@@ -1253,4 +1254,22 @@ class TestConfigValidation:
     def test_boundary_coord_range(self):
         with pytest.raises(ValueError):
             BoundaryCoord(0, 0.0, 1.0)
+
+
+class TestNoEclipseInvariant:
+    """`DiskConfig` admits only tables that meet the no-eclipse condition,
+    and each flight of a closed orbit lies in the hull of the two disks it
+    joins, so every flight keeps the table's clearance from every third
+    disk: no solved orbit needs filtering."""
+
+    @pytest.mark.parametrize("config", [TRI, UNEQUAL, SQUARE, TWO_DISK],
+                             ids=["tri", "unequal", "square", "two_disk"])
+    def test_solved_flights_keep_the_clearance(self, config):
+        assert_solved_flights_clear(config, range(2, 9))
+
+    @given(no_eclipse_tables())
+    @settings(max_examples=25, deadline=None)
+    def test_random_tables_keep_the_clearance(self, config):
+        assert_solved_flights_clear(config, range(2, 7))
+
 

@@ -11,7 +11,9 @@ oracle and of the pointwise and norm-bound checks.  So does the
 coherent-state quadrature on a K² grid other than the native one
 (`grid_trace_oracle`), which assembles every coherent state, and the
 position-basis Chebyshev loop of damped propagation
-(`_untwisted_propagation_oracle`), which the twisted frame replaced.
+(`_untwisted_propagation_oracle`), which the twisted frame replaced, and
+the one-inverse-FFT-per-row K = N Husimi field (`_husimi_rows`), which
+the batched transform replaced.
 """
 
 import math
@@ -39,7 +41,7 @@ from openmaps.phase_space import (
     _damping_symbols,
     _escape_u,
     _gauss_window,
-    _signed_roll,
+    _windows,
     _torus_amps,
     EscapeParams,
     ExperimentParams,
@@ -103,6 +105,27 @@ def _oracle_windows(N):
     h = 1.0 / (2 * math.pi * N)
     return np.array([_torus_amps(translate(ground_state(h), (i / N, 0.0)), N).real
                      for i in range(N)])
+
+
+def _signed_roll(g0, i):
+    """The window at x0 = i/N as g₀ rolled by i with the i wrapped entries
+    negated, one row at a time."""
+    g = np.roll(g0, i)
+    g[:i] *= -1.0
+    return g
+
+
+def _husimi_rows(state):
+    """K = N Husimi field by one inverse FFT per row of `_signed_roll`
+    windows: the loop the batched `husimi` replaced."""
+    N = state.N
+    u = np.conj(state.amps)
+    g0 = _gauss_window(N)
+    field = np.empty((N, N))
+    for i1 in range(N):
+        row = np.fft.ifft(u * _signed_roll(g0, i1)) * N
+        field[i1, :] = N * np.abs(row) ** 2
+    return field
 
 
 def _husimi_oracle(state):
@@ -512,8 +535,10 @@ class TestShiftedWindow:
     @pytest.mark.parametrize("N", [27, 81, 243, 729])
     def test_signed_roll_matches_translated_packet(self, N):
         g0 = _gauss_window(N)
+        windows = _windows(g0, np.arange(N)[:, None])
         for i, oracle in enumerate(_oracle_windows(N)):
-            err = np.max(np.abs(_signed_roll(g0, i) - oracle))
+            assert np.array_equal(windows[i], _signed_roll(g0, i))
+            err = np.max(np.abs(windows[i] - oracle))
             assert err <= 1e-13 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("N", [27, 81, 243, 729])
@@ -521,8 +546,12 @@ class TestShiftedWindow:
         rng = np.random.Generator(np.random.Philox(N))
         state = QuantumState(N, rng.normal(size=N) + 1j * rng.normal(size=N))
         oracle = _husimi_oracle(state)
-        err = np.max(np.abs(husimi(state, N) - oracle))
+        field = husimi(state, N)
+        err = np.max(np.abs(field - oracle))
         assert err <= 1e-13 * np.max(np.abs(oracle))
+        # the batched transform is the row loop bit for bit; at N = 729
+        # the rows go in three blocks
+        assert np.array_equal(field, _husimi_rows(state))
 
     @pytest.mark.parametrize("N", [27, 81, 243, 729])
     def test_trace_matches_weighted_diagonal_oracle(self, N):
