@@ -37,9 +37,11 @@ from .threads import pool_size
 RAY_EPS = 1e-9          # minimum admissible flight length in the ray walk
 NEWTON_TOL = 1e-12      # sup-norm gradient target, below the 1e-10 contract
 NEWTON_MAX_ITER = 120
-# Monte-Carlo rays per chunk, ~120 bytes each in a walk: at 10**6 rays on 2 threads 2**17
+# Monte-Carlo rays per chunk, ~110 bytes each in a walk: at 10**6 rays on 2 threads 2**17
 # took 15 MB more peak for about the same time; 2**15 saved 8 MB but lost 10 % to the GIL.
 RAY_CHUNK = 2 ** 16
+MAX_PERIOD = 12         # longest periodic orbits pooled for the box dimension
+N_SCALES = 11           # box sizes spread/2 ... spread/2**N_SCALES, halving
 
 
 @dataclass(frozen=True)
@@ -401,53 +403,69 @@ def _chord(x, y, dx, dy, cx, cy, r2, rx, ry, b, disc):
     np.subtract(np.multiply(b, b, out=rx), disc, out=disc)
 
 
-def _walk_rays(config, r_out, max_bounces, disk, phi, eta, escaped):
+def _walk_rays(config, r_out, max_bounces, disk, phi_draws, eta_draws):
     """Bounce one chunk of start rays until each escapes or the cap is hit.
 
-    Writes the escape times into `escaped`, inf for the rays still alive,
-    and returns those rays' flight times and the flights per bounce from
-    the third on, in start order.  A ray never hits the disk it sits on,
-    so that disk is masked out of its next hit.  Live rays fill prefixes
-    of buffers made once (`disk` is one); each ufunc keeps its comment's order.
+    `disk` holds the start disks (in `np.min_scalar_type(-config.k)`); the
+    angle and eta runs are drawn from the generators `phi_draws` and
+    `eta_draws` straight into two walk rows, scaled in place as
+    `Generator.uniform` scales them (one rounding each, so bit for bit).
+    Returns the escape times, the flight times of the rays still alive,
+    both views of one copied row, and the flights per bounce from the
+    third on, in start order.  A ray never hits the disk it sits on, so
+    that disk is masked out of its next hit.  Live rays fill prefixes of
+    buffers made once (`disk` is one), and each compaction writes the
+    escaped rays' times into the tail of the time row that the live rays
+    give up; each ufunc keeps its comment's order.
     """
     radii, centers = np.array(config.radii), np.array(config.centers)
     (cx, cy), (ox, oy) = centers.T, centers.mean(axis=0)
     m = disk.size                           # live rays, a prefix of every buffer
     buf, late_flights = np.zeros((11, m)), []
+    masks, best = np.empty((2, m), dtype=bool), np.empty(m, dtype=disk.dtype)
     x, y, dx, dy, time, t_best, rx, ry, b, disc, t = buf
+    phi, eta = t_best, time                 # both rows are reset before they are read
+    np.multiply(phi_draws.random(out=phi), 2 * math.pi, out=phi)
+    np.subtract(np.multiply(eta_draws.random(out=eta), 2.0, out=eta), 1.0, out=eta)
     # x, y = c[disk] + r (cos, sin), r = radii[disk];
     # dx, dy = root (cos, sin) + eta (-sin, cos), root = sqrt(1 - eta ** 2)
     np.take(radii, disk, out=b)
     np.cos(phi, out=rx)
     np.sin(phi, out=ry)
-    del phi
     np.add(np.take(cx, disk, out=x), np.multiply(b, rx, out=t), out=x)
     np.add(np.take(cy, disk, out=y), np.multiply(b, ry, out=t), out=y)
     np.sqrt(np.subtract(1, np.square(eta, out=disc), out=disc), out=disc)
     np.subtract(np.multiply(disc, rx, out=dx), np.multiply(eta, ry, out=t), out=dx)
     np.add(np.multiply(eta, rx, out=dy), np.multiply(disc, ry, out=t), out=dy)
-    del eta
+    time[:] = 0.0
     for bounce in range(max_bounces):
         if m == 0:
             break
-        t_best[:], best = np.inf, np.full(m, -1)
+        hit, mask = masks[:, :m]
+        t_best[:], best[:m] = np.inf, -1
         for k in range(config.k):
-            # t = -b - sqrt(maximum(disc, 0.0)), kept where it is the first hit
+            # t = -b - sqrt(maximum(disc, 0.0)), kept where it is the first hit:
+            # disc > 0, t > RAY_EPS, t < t_best and disk != k
             _chord(x, y, dx, dy, cx[k], cy[k], radii[k] ** 2, rx, ry, b, disc)
             np.sqrt(np.maximum(disc, 0.0, out=t), out=t)
             np.subtract(np.negative(b, out=b), t, out=t)
-            hit = (disc > 0) & (t > RAY_EPS) & (t < t_best) & (disk[:m] != k)
+            np.greater(disc, 0, out=hit)
+            hit &= np.greater(t, RAY_EPS, out=mask)
+            hit &= np.less(t, t_best, out=mask)
+            hit &= np.not_equal(disk[:m], k, out=mask)
             np.copyto(t_best, t, where=hit)
-            np.copyto(best, k, where=hit)
+            np.copyto(best[:m], k, where=hit)
         # escape time: time + (-b + sqrt(disc)) out to radius r_out, if no disk is hit
         _chord(x, y, dx, dy, ox, oy, r_out ** 2, rx, ry, b, disc)
         np.add(time, np.subtract(np.sqrt(disc, out=disc), b, out=t), out=t)
-        stay = best >= 0
+        stay = np.greater_equal(best[:m], 0, out=hit)
         n = int(np.count_nonzero(stay))
-        np.compress(~stay, t, out=escaped[n:m])  # the slots the live rays give up
         for row in buf[:6]:
             row[:n] = row[:m][stay]
-        disk[:n], m = best[stay], n
+        disk[:n] = best[:m][stay]
+        # the slots the live rays give up take the escape times
+        np.compress(np.logical_not(stay, out=mask), t, out=buf[4, n:m])
+        m = n
         x, y, dx, dy, time, t_best, rx, ry, b, disc, t = buf[:, :m]
         # flights past the first bounces sample the trapped dynamics
         if bounce >= 2:
@@ -463,13 +481,41 @@ def _walk_rays(config, r_out, max_bounces, disk, phi, eta, escaped):
         t *= 2
         dx -= np.multiply(t, rx, out=disc)
         dy -= np.multiply(t, ry, out=disc)
-    escaped[:m] = np.inf
-    return time.copy(), late_flights
+    times = buf[4].copy()
+    return times[m:], times[:m], late_flights
 
 
 def _crossing(q, samples, n):
     """`np.searchsorted(-surv, -q)`, surv[i] = 1.0 - (i + 1) / samples, i < n, by bisection."""
     return bisect.bisect_left(range(n), True, key=lambda i: 1.0 - (i + 1) / samples <= q)
+
+
+def _escape_window(chunks, top, size):
+    """The `top` largest escape times of a stream of chunks, and their count.
+
+    `chunks` yields arrays of at most `size - top` times.  Returns
+    (window, escaped): `window` holds the `top` largest times (all of
+    them if fewer) in ascending order, perhaps after some smaller ones,
+    and `escaped` counts every time seen.  The times go into one buffer
+    of `size` doubles; a chunk that would overflow it first has the
+    buffer cut to its `top` largest (by `partition`), whose least then
+    floors what later chunks add: a time at or below it cannot change
+    the values of the `top` largest.
+    """
+    kept = np.empty(size)
+    fill, floor, escaped = 0, -np.inf, 0
+    for times in chunks:
+        escaped += times.size
+        times = times[times > floor]
+        if fill + times.size > size:
+            kept[:fill].partition(fill - top)
+            kept[:top] = kept[fill - top:fill]
+            fill, floor = top, kept[0]
+        kept[fill:fill + times.size] = times
+        fill += times.size
+    window = kept[:fill]
+    window.sort()
+    return window, escaped
 
 
 def escape_rate_mc(config, samples, max_bounces=100, rng_seed=0):
@@ -480,19 +526,24 @@ def escape_rate_mc(config, samples, max_bounces=100, rng_seed=0):
     final flight out to a circle circumscribing the obstacle cluster, so
     the survivor curve measures time spent inside the interaction region.
     Rays are independent: chunks of `RAY_CHUNK` are walked on a pool of one
-    thread per CPU available to the process, each in ~120 bytes per ray,
-    and merged in order (the escape times, 8 bytes per ray, into one
-    buffer), so the result does not depend on the thread count.  The start
-    disks, angles and eta are three consecutive runs of `samples` doubles
-    in the seed's Philox stream; each chunk draws its own part of the three
-    runs at its offsets (`_draws`), so no whole-sample array is staged and
-    the draws equal the one-array draws bit for bit.
+    thread per CPU available to the process, each in ~110 bytes per ray,
+    and merged in order, so the result does not depend on the thread
+    count.  The start disks, angles and eta are three consecutive runs of
+    `samples` doubles in the seed's Philox stream; each chunk draws its own
+    part of the three runs at its offsets (`_draws`), the angles and eta
+    into its walk's rows, so no whole-sample array is staged and the draws
+    equal the one-array draws bit for bit.
     Log-survivor fraction is fitted over the window where the fraction
-    lies in [1e-3, 1e-1].  Escape proceeds in near-synchronized bounce
-    generations, so the log-survivor curve rides a wave with the period
-    of the typical trapped flight; the regression carries cos/sin columns
-    at that period (measured from the sampled flights) so the wave lands
-    in those columns instead of biasing the slope.
+    lies in [1e-3, 1e-1].  What the fit reads of the escape times (the
+    times at both crossings, and how many rays escaped after each grid
+    time between them) lies in their samples/10 + 1 largest, so only those
+    are kept, in one buffer of that many doubles plus a chunk
+    (`_escape_window`), and the rest are counted.  Escape proceeds in
+    near-synchronized bounce generations, so the log-survivor curve rides
+    a wave with the period of the typical trapped flight; the regression
+    carries cos/sin columns at that period (measured from the sampled
+    flights) so the wave lands in those columns instead of biasing the
+    slope.
     """
     if samples < 10 ** 4:
         raise ValueError("samples >= 1e4")
@@ -503,43 +554,47 @@ def escape_rate_mc(config, samples, max_bounces=100, rng_seed=0):
     # scale-covariant exit radius: rescaling the whole table rescales it
     r_out = 2.0 * float(np.max(np.linalg.norm(centers - centroid, axis=1) + radii))
     weights = radii / radii.sum()
+    index = np.min_scalar_type(-config.k)   # disk indices and the -1 of a miss
+    starts = range(0, samples, RAY_CHUNK)
+    live_min, late = [None] * len(starts), [None] * len(starts)
 
-    order = np.empty(samples)  # each chunk's escape times at its offset, inf pads
-
-    def walk(lo):
+    def walk(i):
+        lo = starts[i]
         size = min(RAY_CHUNK, samples - lo)
-        return _walk_rays(config, r_out, max_bounces,
-                          _draws(seed, lo).choice(config.k, size=size, p=weights),
-                          _draws(seed, samples + lo).uniform(0.0, 2 * math.pi, size),
-                          _draws(seed, 2 * samples + lo).uniform(-1.0, 1.0, size),
-                          order[lo:lo + size])
+        disk = _draws(seed, lo).choice(config.k, size=size, p=weights).astype(index)
+        escapes, alive, late[i] = _walk_rays(config, r_out, max_bounces, disk,
+                                             _draws(seed, samples + lo),
+                                             _draws(seed, 2 * samples + lo))
+        live_min[i] = np.min(alive, initial=np.inf)
+        return escapes
 
+    # survivor fraction 1e-1 is crossed at escape time number samples - top
+    top = samples - _crossing(1e-1, samples, samples)
     with ThreadPoolExecutor(pool_size()) as pool:
-        live, late = zip(*pool.map(walk, range(0, samples, RAY_CHUNK)))
-    time_live = np.concatenate(live)
-    order.sort()
-    order = order[:samples - time_live.size]
+        window, escaped = _escape_window(pool.map(walk, range(len(starts))),
+                                         top, top + RAY_CHUNK)
+    n_live = samples - escaped
     # bounce by bounce, chunk by chunk: the one-array walk's order
     late_flights = [f for i in range(max_bounces) for chunk in late for f in chunk[i:i + 1]]
 
-    censored_min = time_live.min() if time_live.size else np.inf
-    if order.size < samples // 2:
+    censored_min = min(live_min)
+    if escaped < samples // 2:
         raise TooFewSurvivors("most samples never escaped; raise max_bounces")
     if not late_flights or sum(f.size for f in late_flights) < 100:
         raise TooFewSurvivors("too few multi-bounce paths to set the flight period")
     period = float(np.mean(np.concatenate(late_flights)))
 
-    # window endpoints: times where the survivor fraction crosses 1e-1, 1e-3
-    if 1.0 - order.size / samples + time_live.size / samples > 1e-3:
+    # window endpoints: times where the survivor fraction crosses 1e-1, 1e-3,
+    # indexed from the end of the window as from the end of all escape times
+    if 1.0 - escaped / samples + n_live / samples > 1e-3:
         raise TooFewSurvivors("survivor fraction never reaches 1e-3; raise max_bounces")
-    t_lo = float(order[_crossing(1e-1, samples, order.size)])
-    t_hi = float(order[_crossing(1e-3, samples, order.size)])
+    t_lo = float(window[_crossing(1e-1, samples, escaped) - escaped])
+    t_hi = float(window[_crossing(1e-3, samples, escaped) - escaped])
     if not (t_lo < t_hi < censored_min):
         raise TooFewSurvivors("fit window empty or censored; raise max_bounces")
     grid = np.linspace(t_lo, t_hi, 60)
     # survivors at T: escaped later than T, or never escaped
-    frac = (order.size - np.searchsorted(order, grid, side="right")
-            + time_live.size) / samples
+    frac = (window.size - np.searchsorted(window, grid, side="right") + n_live) / samples
     harmonics = 2 if (t_hi - t_lo) > 2 * period else (1 if (t_hi - t_lo) > period else 0)
     x = grid
     y = np.log(frac)
@@ -585,24 +640,24 @@ def _occupied_cells(pts, delta):
     return np.unique(ij[:, 0] * (ij[:, 1].max() + 1) + ij[:, 1]).size
 
 
-def trapped_box_dimension(config, max_period=12, n_scales=11):
+def trapped_box_dimension(config):
     """Box-counting estimate of the one-sided trapped-set dimension.
 
     Counts 2D boxes over pooled periodic points of periods up to
-    max_period and halves the slope (the trapped set is a product of two
-    transverse Cantor sets of equal dimension).  Local slopes oscillate
-    with the lacunarity of the Cantor structure (one period is roughly
-    log2 of the per-bounce expansion), so the fit needs enough octaves
-    to average over a few periods; the resolution guard trims scales the
-    finite point cloud cannot support.
+    `MAX_PERIOD`, at up to `N_SCALES` box sizes, and halves the slope (the
+    trapped set is a product of two transverse Cantor sets of equal
+    dimension).  Local slopes oscillate with the lacunarity of the Cantor
+    structure (one period is roughly log2 of the per-bounce expansion), so
+    the fit needs enough octaves to average over a few periods; the
+    resolution guard trims scales the finite point cloud cannot support.
     """
-    pts = periodic_points(config, range(2, max_period + 1))
+    pts = periodic_points(config, range(2, MAX_PERIOD + 1))
     if len(pts) < 100:
-        raise ValueError("too few periodic points; raise max_period")
+        raise ValueError("too few periodic points; raise MAX_PERIOD")
     spread = max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1]))
     counts = []
     sizes = []
-    for j in range(n_scales):
+    for j in range(N_SCALES):
         delta = spread / 2.0 / 2 ** j
         cells = _occupied_cells(pts, delta)
         # keep only scales that the finite point cloud still resolves

@@ -82,22 +82,10 @@ class PressureEstimate:
 
 
 def _logsumexp(a):
-    """log(sum(exp(a))) of a 1-D float array, by the steps of
-    `scipy.special.logsumexp` (1.17), with its results bit for bit: the
-    maximum terms are taken out of the shifted sum, which then enters
-    through log1p, and a non-finite result is replaced by the direct
-    log(sum(exp(a)))."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = a.max()
-        at_top = a == top
-        count = np.count_nonzero(at_top)
-        rest = np.exp(np.where(at_top, -np.inf, a) - top).sum()
-        if rest != 0:
-            rest = rest / count
-        out = np.log1p(rest) + np.log(count) + top
-        if not np.isfinite(out):
-            out = np.log(np.exp(a).sum())
-    return float(out)
+    """log(sum(exp(a))) of a 1-D float array with a finite maximum, which
+    is taken out of the sum so that no exp overflows."""
+    top = a.max()
+    return float(top + np.log(np.exp(a - top).sum()))
 
 
 def finite_pressure(table, coeff_J, coeff_t):

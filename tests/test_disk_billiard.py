@@ -894,6 +894,16 @@ class TestCylinderTables:
         assert classical_decay_rate(tables) == pytest.approx(LOGJ_TWO_DISK / 8,
                                                              abs=1e-8)
 
+    def test_decay_rate_of_a_shrunk_table_doubles_the_bracket(self, tri_tables):
+        # shrinking every length by 5 keeps logJ and divides t by 5, so
+        # gamma_cl grows fivefold, past 2: the root bracket [0, 1] doubles
+        # twice before the bisection
+        small = DiskConfig(centers=tuple((x / 5, y / 5) for x, y in TRI.centers),
+                           radii=tuple(r / 5 for r in TRI.radii))
+        gamma = classical_decay_rate([cylinder_table(small, n) for n in range(4, 9)])
+        assert 2.0 < gamma < 4.0
+        assert gamma == pytest.approx(5 * classical_decay_rate(tri_tables), abs=1e-7)
+
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_two_disk_odd_depth_table_is_empty(self, n):
         table = cylinder_table(TWO_DISK, n)
@@ -1138,13 +1148,56 @@ class TestEscapeRate:
         for n in [*range(cross - 3, cross + 4), samples]:
             assert _crossing(q, samples, n) == np.searchsorted(-surv[:n], -q)
 
-    @pytest.mark.parametrize("samples", [2 * 10**5, 10**6])
+    @pytest.mark.parametrize("chunk", [7, 512, 4096])
+    @pytest.mark.parametrize("ties, live", [
+        (True, 0), (True, 9), (False, 0), (False, 9), (False, 1500)],
+        ids=["ties_all_escaped", "ties_live", "spread_all_escaped", "spread_live",
+             "spread_many_live"])
+    def test_escape_window_matches_full_sort(self, chunk, ties, live):
+        # t_lo, t_hi and the survivor counts on the fit grid, read from the
+        # window, equal those read from all escape times sorted: with ties
+        # at the cut (40 distinct times), chunks (some empty) far smaller
+        # than the window, every ray escaped, and more rays alive than the
+        # 1e-3 crossing allows, where only t_lo exists
+        samples = 20_011
+        escaped = samples - live
+        rng = np.random.default_rng(chunk + live + ties)
+        times = (rng.integers(0, 40, escaped).astype(float) if ties
+                 else rng.exponential(2.0, escaped))
+        cuts = np.cumsum(rng.integers(0, chunk + 1, escaped))
+        pieces = np.split(times, cuts[cuts < escaped])
+        top = samples - _crossing(1e-1, samples, samples)
+        window, count = disk_billiard._escape_window(iter(pieces), top, top + chunk)
+        order = np.sort(times)
+        c_lo = _crossing(1e-1, samples, escaped)
+        assert count == escaped and c_lo < escaped
+        for q in (1e-1, 1e-3):
+            c = _crossing(q, samples, escaped)
+            assert c < escaped or live > samples // 2000
+            if c < escaped:
+                assert window[c - escaped] == order[c]
+        grid = np.linspace(order[c_lo], order[-1], 60)
+        assert np.array_equal(window.size - np.searchsorted(window, grid, side="right"),
+                              escaped - np.searchsorted(order, grid, side="right"))
+
+    def test_escape_window_admits_a_late_time_above_the_floor(self):
+        # the third chunk overflows four slots: the top two, {3, 4}, are
+        # kept and 3 floors what follows, so the last chunk's 3.5 enters
+        # and its 3.0 does not
+        chunks = [np.array([1.0, 4.0]), np.array([3.0, 2.0]), np.array([2.5]),
+                  np.array([3.5, 3.0])]
+        window, count = disk_billiard._escape_window(iter(chunks), 2, 4)
+        assert count == 7
+        assert window.tolist() == [2.5, 3.0, 3.5, 4.0]
+
+    @pytest.mark.parametrize("samples", [2 * 10**5, 10**6, 10**7])
     def test_traced_peak_is_a_chunk_plus_the_escape_times(self, monkeypatch, samples):
-        # on one worker the walk's buffers take about 120 bytes per ray of
-        # its chunk and the escape times 8 bytes per ray; gathering arrays
-        # per bounce or sorting a copy of the escape times exceeds this
+        # on one worker the walk's buffers take about 110 bytes per ray of
+        # its chunk, and the escape times kept for the fit 0.8 bytes per
+        # ray plus a chunk; keeping every escape time (8 bytes per ray),
+        # sorting a copy of them or gathering arrays per bounce exceeds this
         monkeypatch.setattr(disk_billiard, "pool_size", lambda: 1)
-        bound = 10 * samples + 150 * disk_billiard.RAY_CHUNK
+        bound = 2 * samples + 150 * disk_billiard.RAY_CHUNK
         tracemalloc.start()
         try:
             escape_rate_mc(TRI, samples, rng_seed=0)
@@ -1199,6 +1252,28 @@ class TestTrappedSetGeometry:
     def test_box_dimension_needs_points(self):
         with pytest.raises(ValueError, match="too few periodic points"):
             trapped_box_dimension(TWO_DISK)
+
+    def test_resolution_guard_stops_at_unresolved_scales(self, monkeypatch):
+        # at the 11 default box sizes the 8436 points of periods 2-12
+        # resolve every one; asked for 20, the guard stops at the first
+        # size whose occupied boxes exceed a tenth of the points
+        monkeypatch.setattr(disk_billiard, "N_SCALES", 20)
+        pts = periodic_points(TRI, range(2, 13))
+        spread = max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1]))
+        sizes = [spread / 2.0 / 2 ** j for j in range(20)]
+        cells = [_occupied_cells(pts, delta) for delta in sizes]
+        used = next(j for j, c in enumerate(cells) if c > len(pts) / 10)
+        assert 11 < used < 20
+        design = np.column_stack([np.ones(used), -np.log(sizes[:used])])
+        (_, slope), *_ = np.linalg.lstsq(design, np.log(cells[:used]), rcond=None)
+        assert trapped_box_dimension(TRI) == slope / 2.0
+
+    def test_box_dimension_needs_resolved_scales(self, monkeypatch):
+        # periods 2-4 of the square give 132 points, and its third box size
+        # already holds 25 > 13.2 of them: two usable scales
+        monkeypatch.setattr(disk_billiard, "MAX_PERIOD", 4)
+        with pytest.raises(ValueError, match="not enough usable scales"):
+            trapped_box_dimension(SQUARE)
 
 
 class TestConfigValidation:
