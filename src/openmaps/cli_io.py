@@ -468,24 +468,23 @@ def cmd_husimi_frames(cfg):
     rho0 = _get(cfg, "husimi", "rho0", _point, (0.1, 0.1))
     frames = _get(cfg, "husimi", "frames", int, 3)
     _check(frames >= 1, "frames >= 1")
-    K = _get(cfg, "husimi", "K", int, N)
-    _check(K >= 8, "K >= 8")
+    _check(N >= 8, "N >= 8")
     yield
     state = torus_coherent(N, rho0)
-    fields = [husimi(state, K)]
+    fields = [husimi(state)]
     for _ in range(frames - 1):
         state = apply(op, state)
-        fields.append(husimi(state, K))
+        fields.append(husimi(state))
     masses = list(map(husimi_mass, fields))
-    payload = _json({"N": N, "K": K, "frames": frames, "masses": masses})
+    payload = _json({"N": N, "K": N, "frames": frames, "masses": masses})
     rows = list(enumerate(masses))
     files = _files(("frame", "mass"), rows, rows)
-    # each frame's CSV is its K x K grid, one line per x index; an entry
-    # below K eps^2 of the frame's maximum is written as 0.0, since the
+    # each frame's CSV is its N x N grid, one line per x index; an entry
+    # below N eps^2 of the frame's maximum is written as 0.0, since the
     # FFT's round-off (about eps of the largest amplitude) leaves it few
     # or no correct digits
-    header = ("x_index", *(f"xi_{j}" for j in range(K)))
-    floor = K * np.finfo(float).eps ** 2
+    header = ("x_index", *(f"xi_{j}" for j in range(N)))
+    floor = N * np.finfo(float).eps ** 2
     for i, field in enumerate(fields):
         shown = np.where(field < floor * field.max(), 0.0, field)
         grid = [(x, *row) for x, row in enumerate(shown.tolist())]

@@ -607,9 +607,8 @@ def escape_rate_mc(config, samples, max_bounces=100, rng_seed=0):
     sw = np.sqrt(w)
     coef, *_ = np.linalg.lstsq(sw[:, None] * design, sw * y, rcond=None)
     resid = y - design @ coef
-    dof = max(x.size - design.shape[1], 1)
     cov = np.linalg.inv(design.T @ (w[:, None] * design))
-    var_slope = float(resid @ (w * resid)) / dof * cov[1, 1]
+    var_slope = float(resid @ (w * resid)) / (x.size - design.shape[1]) * cov[1, 1]
     return float(-coef[1]), float(math.sqrt(var_slope))
 
 

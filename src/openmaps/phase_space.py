@@ -40,7 +40,7 @@ GRID_THETA = 0.5  # half-integer twist on both torus directions
 PERIODIZE_TAIL = 1e-14
 CHEB_TAIL = 1e-17  # the Chebyshev series of e^{-tG} stops at I_k/I_0 below this
 QUADRATURE_MAX_N = 729  # the trace experiment's quadrature runs up to this N
-HUSIMI_ROWS = 256  # window rows per batched inverse FFT of a K = N Husimi field
+HUSIMI_ROWS = 256  # window rows per batched inverse FFT of a Husimi field
 
 
 def _as_frame(mat):
@@ -140,34 +140,31 @@ def sample_line(wp, xs):
 
 
 def _periodize(line, N):
-    """Σ_j (−1)^j line(x + j) on the grid x = (k + ½)/N, with its terms.
+    """Σ_j (−1)^j line(x + j) on the grid x = (k + ½)/N.
 
     Walks the lattice translates j = 0, 1, −1, 2, −2, … and stops after
     the first ring ±j whose terms fall below PERIODIZE_TAIL times the
-    peak of the sum so far.  Returns the sum and the (j, signed term)
-    pairs it was built from.
+    peak of the sum so far.
     """
     base = (np.arange(N) + GRID_THETA) / N
-    total, terms = 0.0, []
+    total = 0.0
     for j in range(0, 65):
         ring = 0.0
         for jj in (j, -j) if j else (0,):
             vals = (1.0 if jj % 2 == 0 else -1.0) * line(base + jj)
             total = total + vals
-            terms.append((jj, vals))
             ring = max(ring, float(np.max(np.abs(vals))))
         peak = float(np.max(np.abs(total)))
         if j > 0 and ring <= PERIODIZE_TAIL * max(peak, 1e-300):
             break
-    return total, terms
+    return total
 
 
 def _torus_amps(wp, N):
     """Periodize line values over lattice translates with the grid twist."""
     if abs(wp.h * TWO_PI * N - 1.0) > 1e-9:
         raise DimensionMismatch(f"packet h={wp.h} does not match torus N={N}")
-    amps, _ = _periodize(lambda x: sample_line(wp, x), N)
-    return amps / math.sqrt(N)
+    return _periodize(lambda x: sample_line(wp, x), N) / math.sqrt(N)
 
 
 def to_grid(wp, N):
@@ -181,16 +178,11 @@ def torus_coherent(N, rho):
     return QuantumState(N, amps / np.linalg.norm(amps))
 
 
-def _ground_line(N, x0):
-    """Ground Gaussian centered at x0 on the line, scaled for the N-grid."""
-    h = 1.0 / (TWO_PI * N)
-    pref = (math.pi * h) ** -0.25 / math.sqrt(N)
-    return lambda x: pref * np.exp(-((x - x0) ** 2) / (2 * h))
-
-
 def _gauss_window(N):
     """Signed periodized ground Gaussian g₀ on the N-point grid (x0 = 0)."""
-    return _periodize(_ground_line(N, 0.0), N)[0]
+    h = 1.0 / (TWO_PI * N)
+    pref = (math.pi * h) ** -0.25 / math.sqrt(N)
+    return _periodize(lambda x: pref * np.exp(-(x ** 2) / (2 * h)), N)
 
 
 def _windows(g0, rows):
@@ -205,37 +197,28 @@ def _windows(g0, rows):
     return np.where(k < rows, -g, g)
 
 
-def husimi(state, K):
-    """K×K field of |⟨u, φ_ρ⟩|²/(2πh) over the grid ρ = (i/K, j/K)."""
-    if K < 8:
-        raise ValueError("K >= 8")
+def husimi(state):
+    """N×N field of |⟨u, φ_ρ⟩|²/(2πh) over the coherent grid ρ = (i/N, j/N).
+
+    At grid step 1/N the lattice-translate phases collapse and each row
+    over ξ0 is one inverse FFT of the windowed amplitudes, taken
+    HUSIMI_ROWS rows at a time to bound the temporaries at large N.
+    """
     N = state.N
     u = np.conj(state.amps)
-    field = np.empty((K, K))
-    if K == N:
-        # at grid step 1/N the lattice-translate phases collapse and each
-        # row over ξ0 is one inverse FFT of the windowed amplitudes, taken
-        # HUSIMI_ROWS rows at a time to bound the temporaries at large N
-        g0 = _gauss_window(N)
-        for lo in range(0, N, HUSIMI_ROWS):
-            rows = np.arange(lo, min(lo + HUSIMI_ROWS, N))[:, None]
-            block = np.fft.ifft(u * _windows(g0, rows), axis=1) * N
-            field[lo:lo + len(rows)] = N * np.abs(block) ** 2
-        return field
-    k2 = np.arange(K)
-    phase_k = np.exp(2j * np.pi * np.outer(k2, (np.arange(N) + GRID_THETA)) / K)
-    for i1 in range(K):
-        acc = np.zeros(K, dtype=np.complex128)
-        for jj, amp_j in _periodize(_ground_line(N, i1 / K), N)[1]:
-            acc += np.exp(2j * np.pi * k2 * jj * N / K) * (phase_k @ (u * amp_j))
-        field[i1, :] = N * np.abs(acc) ** 2
+    g0 = _gauss_window(N)
+    field = np.empty((N, N))
+    for lo in range(0, N, HUSIMI_ROWS):
+        rows = np.arange(lo, min(lo + HUSIMI_ROWS, N))[:, None]
+        block = np.fft.ifft(u * _windows(g0, rows), axis=1) * N
+        field[lo:lo + len(rows)] = N * np.abs(block) ** 2
     return field
 
 
 def husimi_mass(field):
-    """Quadrature mass of a Husimi field: cell area 1/K² per node."""
-    K = field.shape[0]
-    return float(field.sum()) / (K * K)
+    """Quadrature mass of a Husimi field: cell area 1/N² per node."""
+    N = field.shape[0]
+    return float(field.sum()) / (N * N)
 
 
 def coherent_grid_trace(matrix):
@@ -335,32 +318,36 @@ def trapped_distance(spec, rho, depth):
     return float(_cover_distance(spec, [rho[0], rho[1]], depth).max())
 
 
-def escape_g(spec, rho, params, depth=None):
+def escape_g(spec, rho, params):
     """Log-ratio escape weight at one phase-space point.
 
     Negative near the forward-trapped set, positive near the
     backward-trapped set, zero on the trapped set itself and anywhere
     the two cover distances tie.
     """
-    u_x, u_xi = _escape_u(spec, [rho[0], rho[1]], params, depth)
+    u_x, u_xi = _escape_u(spec, [rho[0], rho[1]], params)
     return float(u_x - u_xi)
 
 
-def _escape_u(spec, vals, params, depth):
+def _escape_u(spec, vals, params):
     """u = log(2ε + dist²) at each value; the escape weight is u(x) − u(ξ)."""
-    depth = default_depth(spec, params) if depth is None else int(depth)
+    depth = default_depth(spec, params)
     return np.log(2.0 * params.epsilon + _cover_distance(spec, vals, depth) ** 2)
 
 
-def _damping_symbols(spec, N, params, depth):
+def _damping_symbols(spec, N, params):
     """(d, λ) with G = diag(d) + F⁻¹ diag(λ) F, F the θ=½ Fourier kernel.
 
     The window at x0 = i/N is the signed roll of g₀ by i (the sign
     flips on wrap cancel in the squares), so the u(x) part of G is
     diagonal with d = u ⊛ g₀² and the −u(ξ) part is diagonal in momentum
-    with λ = −u ⊛ |F g₀|²: two periodic convolutions, O(N log N).
+    with λ = −u ⊛ |F g₀|²: two periodic convolutions, O(N log N).  An h
+    other than 1/(2πN) would set the cover depth and ε for another N, so
+    it raises DimensionMismatch.
     """
-    u_hat = np.fft.fft(_escape_u(spec, np.arange(N) / N, params, depth))
+    if abs(params.h * TWO_PI * N - 1.0) > 1e-9:
+        raise DimensionMismatch(f"escape h={params.h} does not match torus N={N}")
+    u_hat = np.fft.fft(_escape_u(spec, np.arange(N) / N, params))
     g0 = _gauss_window(N)
 
     def smooth(window):
@@ -369,18 +356,18 @@ def _damping_symbols(spec, N, params, depth):
     return smooth(g0 * g0), -smooth(np.abs(_fourier_apply(g0, GRID_THETA)) ** 2)
 
 
-def _damping_matrix(spec, N, params, depth=None):
+def _damping_matrix(spec, N, params):
     """Anti-Wick quantization G of the escape weight, as a dense matrix.
 
     G = Σ_grid g(ρ) w |φ_ρ⟩⟨φ_ρ| over the N×N coherent grid with weight
-    w = N/K² (K = N).  The weight g(x, ξ) = u(x) − u(ξ) is separable, so
+    w = 1/N.  The weight g(x, ξ) = u(x) − u(ξ) is separable, so
     G = diag(d) + F⁻¹ diag(λ) F (see `_damping_symbols`), whose second
     term is a θ=½ skew-circulant, C_jk = c(j−k) with c(n) = e^{iπn/N}·
     ifft(λ)[n mod N], and c(−n) = conj c(n) as λ is real: one inverse FFT
     and an O(N²) Toeplitz fill, exactly Hermitian.
     """
     from scipy.linalg import toeplitz
-    d, lam = _damping_symbols(spec, N, params, depth)
+    d, lam = _damping_symbols(spec, N, params)
     c = np.exp(1j * np.pi * np.arange(N) / N) * np.fft.ifft(lam)
     G = toeplitz(c, c.conj())
     G[np.diag_indices(N)] += d
@@ -419,7 +406,7 @@ def default_vartheta(epsilon, lambda_max):
     return (1.0 - 4.0 * epsilon) / (6.0 * lambda_max * (1.0 + epsilon) ** 2)
 
 
-def damped_propagation_experiment(spec, N, rho0, params, n_max, depth=None):
+def damped_propagation_experiment(spec, N, rho0, params, n_max):
     """Norm² history w_n = ‖(e^{-tG} M)ⁿ φ_ρ0‖², n = 0..n_max.
 
     Matrix-free: e^{-tG} = e^{-t·lo} Σ' 2 e^{-z} I_k(z) T_k(Y) with
@@ -436,13 +423,14 @@ def damped_propagation_experiment(spec, N, rho0, params, n_max, depth=None):
     untwists the sum once; a term of T_{k+1}(Y) = 2Y T_k(Y) − T_{k−1}(Y)
     is two FFTs and six elementwise passes in reused buffers, with 2/r,
     e^{-t·lo} and the Bessel weights folded into precomputed symbols and
-    coefficients.  n_max < 0 is ValueError.
+    coefficients.  n_max < 0 is ValueError; a params.h other than
+    1/(2πN) is DimensionMismatch.
     """
     from scipy.special import ive
     if n_max < 0:
         raise ValueError(f"n_max={n_max} must be >= 0")
     op = build(spec, N)
-    d, lam = _damping_symbols(spec, N, params, depth)
+    d, lam = _damping_symbols(spec, N, params)
     lo, hi = d.min() + lam.min(), d.max() + lam.max()
     c, r = 0.5 * (hi + lo), 0.5 * (hi - lo)
     z = params.t * r
@@ -479,7 +467,7 @@ def damped_propagation_experiment(spec, N, rho0, params, n_max, depth=None):
     return np.array(w)
 
 
-def hs_trace_experiment(spec, N_list, params, exp_params, depth=None):
+def hs_trace_experiment(spec, N_list, params, exp_params):
     """Hilbert-Schmidt norm² of the damped n-step propagator across sizes.
 
     The step A = e^{-tG} M e^{tG} has Aⁿ = e^{-tG} Mⁿ e^{tG}, so one eigh
@@ -511,7 +499,7 @@ def hs_trace_experiment(spec, N_list, params, exp_params, depth=None):
             raise DimensionCap(f"N={N} exceeds dense cap {DENSE_CAP}")
         h = 1.0 / (TWO_PI * N)
         n = exp_params.n_steps(h)
-        G = _damping_matrix(spec, N, replace(params, h=h), depth)
+        G = _damping_matrix(spec, N, replace(params, h=h))
         sectors, G_norm, dropped = _sectors(op, np.arange(N)), np.linalg.norm(G), []
         if len(sectors) > 1:  # the parity split: G is real up to round-off
             dropped, G = [np.linalg.norm(G.imag)], G.real

@@ -271,8 +271,7 @@ def weyl_exponent(records, nu):
     design = np.column_stack([np.ones(x.size), x])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
-    dof = max(x.size - 2, 1)
-    var = float(resid @ resid) / dof / float(((x - x.mean()) ** 2).sum())
+    var = float(resid @ resid) / (x.size - 2) / float(((x - x.mean()) ** 2).sum())
     return WeylFit(nu=float(nu), points=points, slope=float(coef[1]),
                    stderr=float(math.sqrt(var)))
 

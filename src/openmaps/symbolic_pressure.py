@@ -145,10 +145,10 @@ def _bisect(f, lo, hi, side="mid"):
     return 0.5 * (lo + hi)
 
 
-def bowen_dimension(tables, s_bracket=(0.0, 2.0)):
-    """Root s0 of s -> P(-s*logJ): the trapped set's unstable partial dimension."""
-    lo, hi = s_bracket
-    return _bisect(lambda s: pressure(tables, -s, 0.0).value, lo, hi)
+def bowen_dimension(tables):
+    """Root s0 in [0, 2] of s -> P(-s*logJ): the trapped set's unstable
+    partial dimension."""
+    return _bisect(lambda s: pressure(tables, -s, 0.0).value, 0.0, 2.0)
 
 
 def classical_decay_rate(tables):

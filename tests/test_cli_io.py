@@ -103,10 +103,12 @@ class TestUnreadConfig:
         *[(command, f"{quantum}[escape]\n{key} = {value}\n", f"[escape] {key}")
           for command, quantum in [("propagate", "[quantum]\nN = 27\n"), ("trace-check", "")]
           for key, value in [("depth", "3"), ("m_const", "2.0")]],
+        # and the Husimi grid is the N x N coherent grid
+        ("husimi-frames", "[quantum]\nN = 27\n[husimi]\nK = 27\n", "[husimi] K"),
     ], ids=["unread_key", "unread_case_key", "unread_section", "duplicate_key",
             "weyl_d_h", "weyl_depths", "weyl_sigma_nu", "sigma_lambda_max",
             "sigma_max_gamma", "trace_lambda_max", "trace_n", "propagate_depth",
-            "propagate_m_const", "trace_depth", "trace_m_const"])
+            "propagate_m_const", "trace_depth", "trace_m_const", "husimi_K"])
     def test_exits_two_without_writing(self, capsys, tmp_path, command, config, named):
         cfgfile = tmp_path / "c.ini"
         cfgfile.write_text(config)
@@ -155,7 +157,7 @@ BAD_VALUES = {
     "propagate_t": ("propagate", f"{Q27}[escape]\nt = -1\n", "[escape] t"),
     "trace_t": ("trace-check", "[escape]\nt = -1\n", "[escape] t"),
     "delta": ("propagate", f"{Q27}[escape]\ndelta = 0.7\n", "[escape] delta"),
-    "husimi_K": ("husimi-frames", f"{Q27}[husimi]\nK = 0\n", "[husimi] K"),
+    "husimi_N_below_8": ("husimi-frames", "[quantum]\nN = 6\n", "[quantum] N"),
     "pressure_depths": ("pressure", "[pressure]\ndepths = 4\nc_jacobian = -0.63\n"
                         "c_return = 0.0\n", "[pressure] depths"),
     "sigma_depths": ("sigma-curve", "[sigma]\ndepths = 4\n", "[sigma] depths"),
@@ -674,12 +676,12 @@ class TestPropagateCommand:
 
 
 def written(field):
-    """A Husimi frame as its CSV holds it: 0.0 below K eps^2 of its maximum."""
+    """A Husimi frame as its CSV holds it: 0.0 below N eps^2 of its maximum."""
     return np.where(field < field.shape[0] * EPS2 * field.max(), 0.0, field)
 
 
 def husimi_longdouble(state):
-    """The K = N Husimi field of the windowed rows `husimi` transforms, by a
+    """The Husimi field of the windowed rows `husimi` transforms, by a
     DFT in long double (twiddles, products and sums): no FFT round-off."""
     N = state.N
     rows = np.conj(state.amps) * _windows(_gauss_window(N), np.arange(N)[:, None])
@@ -728,23 +730,20 @@ class TestHusimiFramesCommand:
         assert (out_dir / "husimi-frames.csv").read_text() == cli_io._csv(
             ("frame", "mass"), enumerate(masses))
 
-    @pytest.mark.parametrize("K", [None, 30], ids=["K_is_N", "K_30"])
-    def test_frame_csvs_are_the_fields(self, capsys, tmp_path, K):
+    def test_frame_csvs_are_the_fields(self, capsys, tmp_path):
         cfgfile = tmp_path / "c.ini"
-        cfgfile.write_text("[quantum]\nN = 27\n[husimi]\nframes = 2\nrho0 = 0.25,0.1\n"
-                           + ("" if K is None else f"K = {K}\n"))
+        cfgfile.write_text("[quantum]\nN = 27\n[husimi]\nframes = 2\nrho0 = 0.25,0.1\n")
         code, _, _ = run(capsys, ["husimi-frames", "--config", str(cfgfile),
                                   "--out", str(tmp_path), "--format", "csv"])
         assert code == 0
-        K = K or 27
         state = torus_coherent(27, (0.25, 0.1))
         for i in range(2):
             lines = (tmp_path / f"husimi_{i:03d}.csv").read_text().splitlines()
-            assert lines[0].split(",") == ["x_index"] + [f"xi_{j}" for j in range(K)]
-            assert [int(line.split(",", 1)[0]) for line in lines[1:]] == list(range(K))
+            assert lines[0].split(",") == ["x_index"] + [f"xi_{j}" for j in range(27)]
+            assert [int(line.split(",", 1)[0]) for line in lines[1:]] == list(range(27))
             back = np.array([[float(v) for v in line.split(",")[1:]]
                              for line in lines[1:]])
-            assert np.array_equal(back, written(husimi(state, K)))
+            assert np.array_equal(back, written(husimi(state)))
             state = apply(build(SPEC32, 27), state)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
@@ -752,7 +751,7 @@ class TestHusimiFramesCommand:
     def test_frame_floor_against_long_double_oracle(self, capsys, tmp_path):
         # husimi.ini's first two frames, N = 243: an entry written is within
         # 5 % of the long-double field (the worst, 3.0 %, sits just above the
-        # floor), and one written as 0.0 is below 2 K eps^2 of the maximum
+        # floor), and one written as 0.0 is below 2 N eps^2 of the maximum
         cfgfile = tmp_path / "c.ini"
         cfgfile.write_text("[quantum]\nN = 243\n[husimi]\nframes = 2\nrho0 = 0.25,0.1\n")
         code, _, _ = run(capsys, ["husimi-frames", "--config", str(cfgfile),
@@ -776,18 +775,18 @@ class TestHusimiFramesCommand:
         fields = []
         real_husimi = cli_io.husimi
 
-        def keeping(state, K):
-            fields.append(real_husimi(state, K))
+        def keeping(state):
+            fields.append(real_husimi(state))
             return fields[-1]
 
         monkeypatch.setattr(cli_io, "husimi", keeping)
         cfgfile = tmp_path / "c.ini"
-        cfgfile.write_text("[quantum]\nN = 27\n[husimi]\nframes = 3\nK = 12\n")
+        cfgfile.write_text("[quantum]\nN = 27\n[husimi]\nframes = 3\n")
         code, _, _ = run(capsys, ["husimi-frames", "--config", str(cfgfile),
                                   "--out", str(tmp_path), "--format", "all"])
         assert code == 0
         assert len(fields) == 3
-        header = ("x_index", *(f"xi_{j}" for j in range(12)))
+        header = ("x_index", *(f"xi_{j}" for j in range(27)))
         for i, field in enumerate(fields):
             csv = cli_io._csv(header, [(x, *row) for x, row
                                        in enumerate(written(field).tolist())])
@@ -796,7 +795,7 @@ class TestHusimiFramesCommand:
             assert svg == plot_svg(field, kind="field")
             levels = field_levels_by_cells(field)
             _, pixels = field_pixels(svg)
-            assert pixels == [[levels[c][11 - r] for c in range(12)] for r in range(12)]
+            assert pixels == [[levels[c][26 - r] for c in range(27)] for r in range(27)]
 
     def test_map_applied_once_per_step(self, capsys, tmp_path, monkeypatch):
         # three frames take two steps; the files are those of the frames
@@ -812,7 +811,7 @@ class TestHusimiFramesCommand:
         assert len(steps) == 2
         state, fields = torus_coherent(27, (0.25, 0.1)), []
         for _ in range(3):
-            fields.append(husimi(state, 27))
+            fields.append(husimi(state))
             state = apply(build(SPEC32, 27), state)
         masses = list(map(husimi_mass, fields))
         assert out == cli_io._json({"N": 27, "K": 27, "frames": 3, "masses": masses}) + "\n"

@@ -12,7 +12,7 @@ coherent-state quadrature on a K² grid other than the native one
 (`grid_trace_oracle`), which assembles every coherent state, and the
 position-basis Chebyshev loop of damped propagation
 (`_untwisted_propagation_oracle`), which the twisted frame replaced, and
-the one-inverse-FFT-per-row K = N Husimi field (`_husimi_rows`), which
+the one-inverse-FFT-per-row Husimi field (`_husimi_rows`), which
 the batched transform replaced.
 """
 
@@ -116,7 +116,7 @@ def _signed_roll(g0, i):
 
 
 def _husimi_rows(state):
-    """K = N Husimi field by one inverse FFT per row of `_signed_roll`
+    """Husimi field by one inverse FFT per row of `_signed_roll`
     windows: the loop the batched `husimi` replaced."""
     N = state.N
     u = np.conj(state.amps)
@@ -129,7 +129,7 @@ def _husimi_rows(state):
 
 
 def _husimi_oracle(state):
-    """K = N Husimi field row by row from the oracle windows."""
+    """Husimi field row by row from the oracle windows."""
     N = state.N
     u = np.conj(state.amps)
     field = np.empty((N, N))
@@ -157,15 +157,15 @@ def grid_trace_oracle(matrix, K):
     return complex(total * N / (K * K))
 
 
-def escape_grid(spec, K, params, depth=None):
+def escape_grid(spec, K, params):
     """Escape weight on the (i/K, j/K) grid; separable, so O(K) work."""
-    u = _escape_u(spec, np.arange(K) / K, params, depth)
+    u = _escape_u(spec, np.arange(K) / K, params)
     return u[:, None] - u[None, :]
 
 
-def _assembled_G_oracle(spec, N, params, depth=None):
+def _assembled_G_oracle(spec, N, params):
     """Anti-Wick sum assembled per x0 column as a windowed Toeplitz block."""
-    gfield = escape_grid(spec, N, params, depth)
+    gfield = escape_grid(spec, N, params)
     G = np.zeros((N, N), dtype=np.complex128)
     idx = np.arange(N)
     for i1, g in enumerate(_oracle_windows(N)):
@@ -177,9 +177,9 @@ def _assembled_G_oracle(spec, N, params, depth=None):
     return 0.5 * (G + G.conj().T)
 
 
-def _oracle_propagation(spec, N, rho0, params, n_max, depth=None):
+def _oracle_propagation(spec, N, rho0, params, n_max):
     """w_n with e^{-tG} formed densely from the oracle G by eigh."""
-    evals, evecs = np.linalg.eigh(_assembled_G_oracle(spec, N, params, depth))
+    evals, evecs = np.linalg.eigh(_assembled_G_oracle(spec, N, params))
     damp = (evecs * np.exp(-params.t * evals)) @ evecs.conj().T
     op = build(spec, N)
     psi = torus_coherent(N, rho0).amps
@@ -195,7 +195,7 @@ def _untwisted_propagation_oracle(spec, N, rho0, params, n_max):
     term applies G as d ⊙ v + F⁻¹(λ ⊙ F v), F the θ=½ Fourier kernel."""
     from scipy.special import ive
     op = build(spec, N)
-    d, lam = _damping_symbols(spec, N, params, None)
+    d, lam = _damping_symbols(spec, N, params)
     lo, hi = d.min() + lam.min(), d.max() + lam.max()
     c, r = 0.5 * (hi + lo), 0.5 * (hi - lo)
     z = params.t * r
@@ -225,10 +225,10 @@ def _expm_pair_oracle(G, t):
                  for sign in (-1.0, 1.0))
 
 
-def _trace_oracle_entry(spec, N, params, n, depth=None):
+def _trace_oracle_entry(spec, N, params, n):
     """(trace_direct, trace_quadrature) from the dense step and matrix_power."""
     p = replace(params, h=1.0 / (2 * math.pi * N))
-    damp, undamp = _expm_pair_oracle(_damping_matrix(spec, N, p, depth), p.t)
+    damp, undamp = _expm_pair_oracle(_damping_matrix(spec, N, p), p.t)
     power = np.linalg.matrix_power(damp @ dense(build(spec, N)) @ undamp, n)
     return (float(np.linalg.norm(power, "fro") ** 2),
             float(coherent_grid_trace(power.conj().T @ power).real))
@@ -429,7 +429,7 @@ class TestTorusDiscretization:
     def test_husimi_peaks_at_center(self):
         N = 81
         state = torus_coherent(N, (1 / 3, 2 / 3))
-        field = husimi(state, N)
+        field = husimi(state)
         i, j = np.unravel_index(np.argmax(field), field.shape)
         assert abs(i / N - 1 / 3) <= 1.5 / N
         assert abs(j / N - 2 / 3) <= 1.5 / N
@@ -440,7 +440,7 @@ class TestTorusDiscretization:
         kappa = np.array([[1.0, 0.0], [1.0, 1.0]])
         wp = metaplectic(translate(ground_state(1 / (2 * math.pi * N)), rho),
                          kappa)
-        field = husimi(to_grid(wp, N), N)
+        field = husimi(to_grid(wp, N))
         i, j = np.unravel_index(np.argmax(field), field.shape)
         tx, txi = (kappa @ np.array(rho)) % 1.0
         assert abs(i / N - tx) <= 1.5 / N
@@ -448,28 +448,25 @@ class TestTorusDiscretization:
 
 
 class TestHusimi:
-    def test_small_grid_rejected(self):
-        state = torus_coherent(16, (0.5, 0.5))
-        with pytest.raises(ValueError):
-            husimi(state, 7)
-
     def test_mass_matches_norm(self):
         rng = np.random.Generator(np.random.Philox(3))
         N = 64
         amps = rng.normal(size=N) + 1j * rng.normal(size=N)
         state = QuantumState(N, amps)
-        field = husimi(state, N)
+        field = husimi(state)
         assert husimi_mass(field) == pytest.approx(state.norm() ** 2,
                                                    rel=1e-6)
 
-    def test_general_grid_matches_direct_inner_products(self):
-        N, K = 16, 32
+    @pytest.mark.parametrize("N", [16, 27, 81])
+    def test_grid_matches_direct_inner_products(self, N):
+        # against coherent states sampled from translated packets, which
+        # share no window code with `husimi`
         rng = np.random.Generator(np.random.Philox(5))
         amps = rng.normal(size=N) + 1j * rng.normal(size=N)
         state = QuantumState(N, amps)
-        field = husimi(state, K)
-        for i1, i2 in [(0, 0), (3, 17), (31, 8), (20, 20)]:
-            phi = grid_coherent(N, (i1 / K, i2 / K))
+        field = husimi(state)
+        for i1, i2 in [(0, 0), (3, N - 5), (N - 1, 8), (N // 2, N // 2)]:
+            phi = grid_coherent(N, (i1 / N, i2 / N))
             expect = N * abs(np.vdot(state.amps, phi.amps)) ** 2
             assert field[i1, i2] == pytest.approx(expect, rel=1e-10,
                                                   abs=1e-12)
@@ -479,7 +476,7 @@ class TestHusimi:
         # the smoothed (anti-Wick) variance per coordinate is h
         N = 243
         h = 1.0 / (2 * math.pi * N)
-        field = husimi(torus_coherent(N, (0.5, 0.5)), N)
+        field = husimi(torus_coherent(N, (0.5, 0.5)))
         grid = (np.arange(N) / N) - 0.5
         mass = field.sum()
         mx = (field * grid[:, None] ** 2).sum() / mass
@@ -494,7 +491,7 @@ class TestHusimi:
         image = forward(SPEC32, rho)
         op = build(SPEC32, N)
         state = apply(op, torus_coherent(N, (rho.x, rho.xi)))
-        field = husimi(state, N)
+        field = husimi(state)
         radius = 10.0 * math.sqrt(1.0 / (2 * math.pi * N))
         grid = np.arange(N) / N
         dx = np.abs(grid - image.x)
@@ -546,7 +543,7 @@ class TestShiftedWindow:
         rng = np.random.Generator(np.random.Philox(N))
         state = QuantumState(N, rng.normal(size=N) + 1j * rng.normal(size=N))
         oracle = _husimi_oracle(state)
-        field = husimi(state, N)
+        field = husimi(state)
         err = np.max(np.abs(field - oracle))
         assert err <= 1e-13 * np.max(np.abs(oracle))
         # the batched transform is the row loop bit for bit; at N = 729
@@ -688,17 +685,19 @@ class TestDamping:
         assert np.linalg.norm(G - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
     @pytest.mark.parametrize("N, rho0, delta, t, depth", [
-        (27, (0.1, 0.1), 0.4, 1.0, None),
-        (81, (0.6, 0.2), 0.3, 1.5, 3),
-        (243, (1.0 / 3.0, 0.0), 0.4, 1.0, None),
-        (729, (1.0 / 3.0, 0.0), 0.4, 1.0, None),
-        (729, (0.4, 0.3), 0.4, 0.5, None),
+        (27, (0.1, 0.1), 0.4, 1.0, 4),
+        (81, (0.6, 0.2), 0.25, 1.5, 3),
+        (243, (1.0 / 3.0, 0.0), 0.4, 1.0, 6),
+        (729, (1.0 / 3.0, 0.0), 0.4, 1.0, 7),
+        (729, (0.4, 0.3), 0.4, 0.5, 7),
     ])
     def test_matrix_free_propagation_matches_oracle(self, N, rho0, delta, t,
                                                     depth):
+        # depth: the cover depth delta gives at this N
         p = EscapeParams(h=1.0 / (2 * math.pi * N), delta=delta, t=t)
-        w = damped_propagation_experiment(SPEC32, N, rho0, p, 8, depth)
-        ref = _oracle_propagation(SPEC32, N, rho0, p, 8, depth)
+        assert default_depth(SPEC32, p) == depth
+        w = damped_propagation_experiment(SPEC32, N, rho0, p, 8)
+        ref = _oracle_propagation(SPEC32, N, rho0, p, 8)
         assert np.max(np.abs(w - ref) / ref) <= 1e-12
 
     @pytest.mark.parametrize("spec, N, rho0, t, n_max", [
@@ -716,6 +715,16 @@ class TestDamping:
         ref = _untwisted_propagation_oracle(spec, N, rho0, p, n_max)
         assert len(w) == n_max + 1
         assert np.max(np.abs(w - ref) / ref) <= 1e-12
+
+    def test_h_of_another_size_rejected(self):
+        # the h of N = 27 at N = 243 would cover at depth 4, not 6
+        p = EscapeParams(h=1.0 / (2 * math.pi * 27), delta=0.4, t=1.0)
+        assert default_depth(SPEC32, p) == 4
+        assert default_depth(SPEC32, replace(p, h=1.0 / (2 * math.pi * 243))) == 6
+        with pytest.raises(DimensionMismatch, match="N=243"):
+            damped_propagation_experiment(SPEC32, 243, (0.1, 0.1), p, 3)
+        with pytest.raises(DimensionMismatch, match="N=243"):
+            _damping_matrix(SPEC32, 243, p)
 
     def test_negative_n_max_rejected(self):
         p = EscapeParams(h=1.0 / (2 * math.pi * 27), delta=0.4, t=1.0)
@@ -772,19 +781,22 @@ class TestTraceExperiment:
         (SPEC43, [16, 64, 256], 2),  # even N: no middle index
         (SPEC31, [27, 81, 243], 2),
     ], ids=["3-02", "3-01", "4-03", "3-1"])
-    @pytest.mark.parametrize("t, delta, depth, n", [
-        (1.0, 0.4, None, 0),
-        (1.5, 0.3, 3, 3),
+    @pytest.mark.parametrize("t, delta, n", [
+        (1.0, 0.4, 0),
+        (1.5, 0.2, 3),
     ], ids=["n0", "n3"])
     def test_conjugation_matches_dense_oracle(self, spec, sizes, sectors, t,
-                                              delta, depth, n):
+                                              delta, n):
         # parity-symmetric alphabets split into the even and odd sectors,
-        # the others keep one complex sector
+        # the others keep one complex sector; at delta = 0.2 the cover
+        # depth is 3 at some size of every spec
         p = EscapeParams(h=1.0, delta=delta, t=t)
         ep = FixedSteps(n)
-        out = hs_trace_experiment(spec, sizes, p, ep, depth)
+        out = hs_trace_experiment(spec, sizes, p, ep)
+        if delta == 0.2:
+            assert 3 in [default_depth(spec, replace(p, h=e["h"])) for e in out["entries"]]
         for entry in out["entries"]:
-            direct, quad = _trace_oracle_entry(spec, entry["N"], p, n, depth)
+            direct, quad = _trace_oracle_entry(spec, entry["N"], p, n)
             assert entry["trace_direct"] == pytest.approx(direct, rel=1e-12)
             assert entry["trace_quadrature"] == pytest.approx(quad, rel=1e-12)
             assert entry["sectors"] == sectors

@@ -256,9 +256,11 @@ def test_bowen_dimension_baker_53():
 
 
 def test_bowen_bad_bracket_raises():
-    tables = baker_tables(3, (0, 2), [2, 3, 4])
+    # logJ = 0.1 n on the full 3-shift: P(-s logJ) = log 3 - 0.1 s has its
+    # root at s = 10 log 3, past the bracket [0, 2]
+    tables = [constant_table(3, n, 0.1, 1.0) for n in (2, 3, 4)]
     with pytest.raises(NoSignChange):
-        bowen_dimension(tables, s_bracket=(1.0, 2.0))
+        bowen_dimension(tables)
 
 
 def test_bowen_consistency_at_deepest_table():
