@@ -79,15 +79,6 @@ def forward(spec, p):
     return TorusPoint(_nonneg(v - j), (p.xi + j) / spec.a)
 
 
-def inverse(spec, p):
-    """Exact inverse of forward on its range; None when xi's digit is removed."""
-    v = p.xi * spec.a
-    j = _digit(v, spec.a)
-    if j not in spec.alphabet:
-        return None
-    return TorusPoint((p.x + j) / spec.a, _nonneg(v - j))
-
-
 def cylinder_table(spec, n):
     """Depth-n full m-shift table, words lexicographic: logJ = t = n*log(a) each."""
     if n < 1:

@@ -22,12 +22,13 @@ and builds every object its experiment takes, so each value meets its
 rules there (`_read`); then it runs the experiment and yields its result.
 
 Exit codes, stated only here: 0 on success; 2 (`ConfigParse`), before
-any file is written, for text that does not parse, a key given twice or
-missing, a section or key the command never reads, or a value that
-breaks a rule (a float that is NaN or infinite breaks every rule; then
-no experiment runs); 1 for `BadDimension`, `DimensionCap` and anything
-raised while an experiment runs, a result JSON cannot hold (NaN or
-infinity) included.  The error's class name is printed on stderr.
+any experiment runs and any file is written, for text that does not
+parse, a key given twice or missing, a value that breaks a rule (a
+float that is NaN or infinite breaks every rule), or a section or key
+the command never reads; 1 for `BadDimension`, `DimensionCap` and
+anything raised while an experiment runs, a result JSON cannot hold
+(NaN or infinity) included.  The error's class name is printed on
+stderr.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .phase_space import (
     EscapeParams,
     ExperimentParams,
     damped_propagation_experiment,
-    default_vartheta,
     hs_trace_experiment,
     husimi,
     husimi_mass,
@@ -151,12 +151,14 @@ def _check(ok, rule):
         raise ValueError(rule)
 
 
-def _read(command, cfg):
-    """`command` run on `cfg` up to its `yield`, the one value check: a
-    ValueError or TypeError raised by then (by a cast, a library object
+def _read(name, cfg):
+    """Command `name` run on `cfg` up to its `yield`, the one value check:
+    a ValueError or TypeError raised by then (by a cast, a library object
     or `_check`) is ConfigParse naming the first key given, in the order
     read, by which the values given so far, every later key at its
-    default, raise that error again.  Other errors pass through."""
+    default, raise that error again.  Other errors pass through.  Then a
+    section or key given but never read is ConfigParse naming each."""
+    command = COMMANDS[name]
     steps = command(cfg)
     try:
         next(steps)
@@ -172,6 +174,8 @@ def _read(command, cfg):
                 if type(again) is type(exc) and again.args == exc.args:
                     raise ConfigParse(f"bad value for [{section}] {key}: {exc}") from exc
         raise
+    if unread := cfg.unread():
+        raise ConfigParse(f"not read by {name}: {', '.join(unread)}")
     return steps
 
 
@@ -499,8 +503,7 @@ def cmd_trace_check(cfg):
     params = _escape_params(cfg, max(sizes))
     lam = math.log(spec.a)
     slack = _get(cfg, "trace", "slack", _float, 0.0)
-    vartheta = _get(cfg, "trace", "vartheta", _float,
-                    default_vartheta(0.0, lam) * (1.0 + slack))
+    vartheta = _get(cfg, "trace", "vartheta", _float, 1.0 / (6.0 * lam) * (1.0 + slack))
     ep = ExperimentParams(vartheta=vartheta, lambda_max=lam, slack=slack)
     yield
     out = hs_trace_experiment(spec, sizes, params, ep)
@@ -581,10 +584,8 @@ def main(argv=None):
         with blas_threads(1) as threads:
             cfg = load_config(args.config)
             start = time.perf_counter()
-            payload, files, certificates = next(_read(COMMANDS[args.command], cfg))
+            payload, files, certificates = next(_read(args.command, cfg))
             compute_s = time.perf_counter() - start
-            if unread := cfg.unread():
-                raise ConfigParse(f"not read by {args.command}: {', '.join(unread)}")
             _write_outputs(args, args.command, payload, files,
                            {**certificates, "blas_threads": threads}, compute_s)
         print(payload)

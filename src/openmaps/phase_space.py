@@ -167,14 +167,9 @@ def _torus_amps(wp, N):
     return _periodize(lambda x: sample_line(wp, x), N) / math.sqrt(N)
 
 
-def to_grid(wp, N):
-    """Sample on the N-point torus."""
-    return QuantumState(int(N), _torus_amps(wp, int(N)))
-
-
 def torus_coherent(N, rho):
     """Unit-norm ground coherent state centered at rho on the N-point torus."""
-    amps = to_grid(translate(ground_state(1.0 / (TWO_PI * N)), rho), N).amps
+    amps = _torus_amps(translate(ground_state(1.0 / (TWO_PI * N)), rho), N)
     return QuantumState(N, amps / np.linalg.norm(amps))
 
 
@@ -378,8 +373,9 @@ def _damping_matrix(spec, N, params):
 class ExperimentParams:
     """Propagation-depth policy: n(h) = ⌊vartheta·log(1/h)⌋.
 
-    The conservative window is vartheta ≤ (1-4ε)/(6·lambda_max·(1+ε)²);
-    slack > 0 deliberately allows longer propagation than that window.
+    vartheta may not exceed (1 + slack)/(6·lambda_max): slack = 0 is the
+    conservative window 1/(6·lambda_max), and slack > 0 deliberately
+    allows longer propagation than that.
     """
 
     vartheta: float
@@ -399,11 +395,6 @@ class ExperimentParams:
 
     def n_steps(self, h):
         return int(math.floor(self.vartheta * math.log(1.0 / h)))
-
-
-def default_vartheta(epsilon, lambda_max):
-    """Conservative propagation-rate window for a given regularization."""
-    return (1.0 - 4.0 * epsilon) / (6.0 * lambda_max * (1.0 + epsilon) ** 2)
 
 
 def damped_propagation_experiment(spec, N, rho0, params, n_max):
@@ -538,7 +529,7 @@ def hs_trace_experiment(spec, N_list, params, exp_params):
     if len(entries) >= 3:
         resid = ys - design @ coef
         cov = np.linalg.inv(design.T @ design) * float(resid @ resid) / (len(xs) - 2)
-        stderr = float(math.sqrt(max(cov[1, 1], 0.0)))
+        stderr = float(math.sqrt(cov[1, 1]))
     return {"t": params.t, "delta": params.delta,
             "vartheta": exp_params.vartheta, "entries": entries,
             "exponent": exponent, "stderr": stderr}

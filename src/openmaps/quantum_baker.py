@@ -35,7 +35,6 @@ import numpy as np
 from .baker_classical import BakerSpec
 from .errors import BadDimension, DimensionCap, DimensionMismatch
 
-TWO_PI = 2.0 * math.pi
 DENSE_CAP = 6561
 # prolate columns whose kernel eigenvalue has at most this modulus are
 # dropped as numerically null
@@ -58,11 +57,6 @@ class QuantumState:
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise ValueError("non-finite amplitudes")
         object.__setattr__(self, "amps", amps)
-
-    @property
-    def h(self):
-        # stored derived, never independently: h·2πN = 1 in intent
-        return 1.0 / (TWO_PI * self.N)
 
     def norm(self):
         return float(np.linalg.norm(self.amps))

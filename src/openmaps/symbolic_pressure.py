@@ -15,7 +15,7 @@ classical decay rate, and the improved-gap function sigma(gamma).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,16 +69,9 @@ class CylinderTable:
 class PressureEstimate:
     coeff_J: float
     coeff_t: float
-    per_depth: list = field(default_factory=list)   # [(n, p_n)]
-    value: float = 0.0
-    uncertainty: float = 0.0
-
-    def __post_init__(self):
-        ns = [n for n, _ in self.per_depth]
-        if ns != sorted(set(ns)):
-            raise ValueError("per_depth depths must be strictly increasing")
-        if self.uncertainty < 0:
-            raise ValueError("uncertainty must be >= 0")
+    per_depth: list   # [(n, p_n)], n increasing
+    value: float
+    uncertainty: float
 
 
 def _logsumexp(a):

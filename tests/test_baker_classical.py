@@ -17,7 +17,6 @@ from openmaps.baker_classical import (
     TorusPoint,
     cylinder_table,
     forward,
-    inverse,
 )
 from openmaps.symbolic_pressure import finite_pressure
 
@@ -58,75 +57,53 @@ def test_forward_float_matches_exact():
     assert q.xi == pytest.approx(23 / 30, abs=1e-14)
 
 
-def test_inverse_round_trip_exact():
-    p = TorusPoint(Fraction(1, 10), Fraction(0))
-    q = forward(SPEC32, p)
-    back = inverse(SPEC32, q)
-    assert (back.x, back.xi) == (p.x, p.xi)
-
-
-def test_inverse_removed_xi_strip():
-    assert inverse(SPEC32, TorusPoint(0.3, 0.5)) is None
-
-
-def test_closed_map_inverse_total():
-    spec = BakerSpec(2, (0, 1))
-    for x in (0.0, 0.25, 0.6, 0.99):
-        for xi in (0.0, 0.49, 0.51, 0.875):
-            assert inverse(spec, TorusPoint(x, xi)) is not None
-
-
-@given(
-    st.integers(min_value=0, max_value=3 ** 6 - 1),
-    st.integers(min_value=0, max_value=3 ** 6 - 1),
-)
-@settings(max_examples=200, deadline=None)
-def test_forward_inverse_identity_on_rationals(num_x, num_xi):
-    # forward(inverse(p)) = p wherever inverse is defined (exact rationals)
-    p = TorusPoint(Fraction(num_x, 3 ** 6), Fraction(num_xi, 3 ** 6))
-    q = inverse(SPEC32, p)
-    if q is None:
-        return
-    back = forward(SPEC32, q)
-    assert back is not None
-    assert (back.x, back.xi) == (p.x, p.xi)
-
-
-def torus_dist(u, v):
-    d = abs(u - v) % 1.0
-    return min(d, 1.0 - d)
-
-
-def near_strip_boundary(val, a=3, band=5e-14):
-    w = (val * a) % 1.0
-    return min(w, 1.0 - w) < band
+@given(st.integers(min_value=0, max_value=3 ** 6 - 1))
+@settings(max_examples=20, deadline=None)
+def test_forward_exact_on_rationals(num_xi):
+    # every x of the 3^6 grid, strip boundaries included: (3x - j, (xi + j)/3)
+    # in kept strip j = floor(3x), else None
+    xi = Fraction(num_xi, 3 ** 6)
+    for num_x in range(3 ** 6):
+        x, j = Fraction(num_x, 3 ** 6), 3 * num_x // 3 ** 6
+        q = forward(SPEC32, TorusPoint(x, xi))
+        if j in SPEC32.alphabet:
+            assert (q.x, q.xi) == (3 * x - j, (xi + j) / 3)
+        else:
+            assert q is None
 
 
 @given(st.floats(min_value=0, max_value=1, exclude_max=True),
        st.floats(min_value=0, max_value=1, exclude_max=True))
 @settings(max_examples=200, deadline=None)
-def test_forward_inverse_identity_floats(x, xi):
+def test_forward_floats_match_exact(x, xi):
     # strip boundaries are measure zero and classified by the guard band;
-    # round trips are only claimed away from them (the Fraction test is exact)
-    assume(not near_strip_boundary(x) and not near_strip_boundary(xi))
-    p = TorusPoint(x, xi)
-    q = inverse(SPEC32, p)
-    if q is None:
-        return
-    assume(not near_strip_boundary(q.x) and not near_strip_boundary(q.xi))
-    back = forward(SPEC32, q)
-    assert back is not None
-    assert torus_dist(back.x, p.x) <= 1e-12
-    assert torus_dist(back.xi, p.xi) <= 1e-12
+    # away from them the float step is the exact step of the same floats
+    assume(abs(x * 3 - round(x * 3)) > 5e-14)
+    q, exact = forward(SPEC32, TorusPoint(x, xi)), forward(
+        SPEC32, TorusPoint(Fraction(x), Fraction(xi)))
+    assert (q is None) == (exact is None)
+    if q is not None:
+        assert abs(q.x - exact.x) <= 1e-15 and abs(q.xi - exact.xi) <= 1e-15
+
+
+def test_closed_map_forward_total():
+    # with every strip kept, no point is removed
+    spec = BakerSpec(2, (0, 1))
+    for x in (0.0, 0.25, 0.5, 0.6, 0.99, 0.9999999999999999):
+        for xi in (0.0, 0.49, 0.51, 0.875):
+            assert forward(spec, TorusPoint(x, xi)) is not None
 
 
 def test_seam_points_do_not_crash():
-    # adversarial floats next to the torus seam classify deterministically
-    for x in (0.9999999999999999, 1e-16, 1 / 3, 0.6666666666666666):
+    # adversarial floats next to the torus seam and the strip boundaries
+    # classify deterministically, into the unit square
+    for x in (0.9999999999999999, 1e-16, 1 / 3, math.nextafter(1 / 3, 0),
+              0.6666666666666666, math.nextafter(2 / 3, 1)):
         for xi in (0.0, 0.75, 0.9999999999999999):
-            q = inverse(SPEC32, TorusPoint(x, xi))
+            q = forward(SPEC32, TorusPoint(x, xi))
+            assert q == forward(SPEC32, TorusPoint(x, xi))
             if q is not None:
-                forward(SPEC32, q)
+                assert 0.0 <= q.x < 1.0 and 0.0 <= q.xi < 1.0
 
 
 def test_area_preservation_affine_image():

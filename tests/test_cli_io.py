@@ -21,6 +21,7 @@ from openmaps.disk_billiard import DiskConfig, _cycle_orbits, _solve_orbits
 from openmaps.errors import ConfigParse, EmptyData
 from openmaps.phase_space import (
     EscapeParams,
+    ExperimentParams,
     _gauss_window,
     _windows,
     damped_propagation_experiment,
@@ -79,8 +80,31 @@ class TestConfigParsing:
             parse_config("[map]\na = 3\n[quantum]\n[map]\na = 5\n")
 
 
+# the experiment each command runs first, after its config is read
+EXPERIMENTS = {
+    "pressure": "pressure", "dimension": "bowen_dimension",
+    "sigma-curve": "classical_decay_rate", "billiard-orbits": "_cycle_orbits",
+    "spectrum": "spectra", "weyl-fit": "spectra",
+    "propagate": "damped_propagation_experiment", "husimi-frames": "torus_coherent",
+    "trace-check": "hs_trace_experiment",
+}
+
+
+def forbid_experiments(monkeypatch, command):
+    """Make every experiment `command` could run raise AssertionError,
+    which the CLI does not catch."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("an experiment ran")
+
+    for name in ("spectra", "damped_propagation_experiment", "torus_coherent",
+                 "hs_trace_experiment", "_cycle_orbits", "pressure",
+                 EXPERIMENTS[command]):
+        monkeypatch.setattr(cli_io, name, no_run)
+
+
 class TestUnreadConfig:
-    """A section or key the command never reads stops it before any output."""
+    """A section or key the command never reads stops it before any
+    experiment runs and before any output."""
 
     @pytest.mark.parametrize("command, config, named", [
         # a typo for depths: the default depths would run silently
@@ -109,7 +133,9 @@ class TestUnreadConfig:
             "weyl_d_h", "weyl_depths", "weyl_sigma_nu", "sigma_lambda_max",
             "sigma_max_gamma", "trace_lambda_max", "trace_n", "propagate_depth",
             "propagate_m_const", "trace_depth", "trace_m_const", "husimi_K"])
-    def test_exits_two_without_writing(self, capsys, tmp_path, command, config, named):
+    def test_exits_two_without_writing(self, capsys, tmp_path, monkeypatch,
+                                       command, config, named):
+        forbid_experiments(monkeypatch, command)
         cfgfile = tmp_path / "c.ini"
         cfgfile.write_text(config)
         out_dir = tmp_path / "out"
@@ -128,14 +154,6 @@ class TestUnreadConfig:
         assert "not read by dimension: [quantum], [escape], [map] alpha" in err
 
 
-# the experiment each command runs first, after its config is read
-EXPERIMENTS = {
-    "pressure": "pressure", "dimension": "bowen_dimension",
-    "sigma-curve": "classical_decay_rate", "billiard-orbits": "_cycle_orbits",
-    "spectrum": "spectra", "weyl-fit": "spectra",
-    "propagate": "damped_propagation_experiment", "husimi-frames": "torus_coherent",
-    "trace-check": "hs_trace_experiment",
-}
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 # the (command, config) chain of scripts/reproduce.sh, from its `run` lines
 SHIPPED = re.findall(r"^run +(\S+) +(\S+) +\S+$",
@@ -194,13 +212,7 @@ class TestBadValues:
                              ids=BAD_VALUES)
     def test_exits_two_before_any_experiment(self, capsys, tmp_path, monkeypatch,
                                              command, config, named):
-        def no_run(*args, **kwargs):
-            raise AssertionError("an experiment ran")
-
-        for name in ("spectra", "damped_propagation_experiment", "torus_coherent",
-                     "hs_trace_experiment", "_cycle_orbits", "pressure",
-                     EXPERIMENTS[command]):
-            monkeypatch.setattr(cli_io, name, no_run)
+        forbid_experiments(monkeypatch, command)
         cfgfile = tmp_path / "c.ini"
         cfgfile.write_text(config)
         out_dir = tmp_path / "out"
@@ -849,6 +861,18 @@ class TestTraceCheckCommand:
             assert entry["n"] == 0
             assert entry["trace_direct"] == pytest.approx(entry["N"],
                                                           abs=1e-8)
+
+    @pytest.mark.parametrize("slack", [0.0, 0.5])
+    def test_default_vartheta_is_the_window_cap(self, capsys, tmp_path, slack):
+        # (1 + slack)/(6 log a), the largest vartheta ExperimentParams allows
+        (tmp_path / "c.ini").write_text(f"[trace]\nN_list = 27\nslack = {slack}\n")
+        code, out, _ = run(capsys, ["trace-check", "--config", str(tmp_path / "c.ini")])
+        assert code == 0
+        vartheta = json.loads(out)["vartheta"]
+        assert vartheta == pytest.approx((1.0 + slack) / (6.0 * math.log(3)), rel=1e-15)
+        ExperimentParams(vartheta=vartheta, lambda_max=math.log(3), slack=slack)
+        with pytest.raises(ValueError):
+            ExperimentParams(vartheta=vartheta * 1.001, lambda_max=math.log(3), slack=slack)
 
     @pytest.mark.parametrize("config, exponent, stderr", [
         ("[trace]\nN_list = 27\n", False, False),

@@ -420,8 +420,9 @@ def occupied_cells_oracle(pts, delta):
     return len({(int(p[0] // delta), int(p[1] // delta)) for p in pts})
 
 
-def escape_rate_mc_oracle(config, samples, max_bounces=100, rng_seed=0):
-    """`escape_rate_mc` gathering and scattering full-size arrays per bounce."""
+def escape_rate_mc_oracle(config, samples, rng_seed=0):
+    """`escape_rate_mc` gathering and scattering full-size arrays per bounce,
+    for at most `disk_billiard.MAX_BOUNCES` bounces, read at call time."""
     if samples < 10 ** 4:
         raise ValueError("samples >= 1e4")
     rng = np.random.Generator(np.random.Philox(rng_seed))
@@ -442,7 +443,7 @@ def escape_rate_mc_oracle(config, samples, max_bounces=100, rng_seed=0):
     time_total = np.zeros(samples)
     escape_time = np.full(samples, np.nan)
     late_flights = []
-    for bounce in range(max_bounces):
+    for bounce in range(disk_billiard.MAX_BOUNCES):
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             break
@@ -484,7 +485,7 @@ def escape_rate_mc_oracle(config, samples, max_bounces=100, rng_seed=0):
     censored_min = time_total[alive].min() if alive.any() else np.inf
     times = escape_time[~np.isnan(escape_time)]
     if times.size < samples // 2:
-        raise TooFewSurvivors("most samples never escaped; raise max_bounces")
+        raise TooFewSurvivors("most samples never escaped; raise MAX_BOUNCES")
     if not late_flights or sum(f.size for f in late_flights) < 100:
         raise TooFewSurvivors("too few multi-bounce paths to set the flight period")
     period = float(np.mean(np.concatenate(late_flights)))
@@ -493,11 +494,11 @@ def escape_rate_mc_oracle(config, samples, max_bounces=100, rng_seed=0):
     order = np.sort(times)
     surv = 1.0 - np.arange(1, order.size + 1) / samples
     if surv[-1] + alive.mean() > 1e-3:
-        raise TooFewSurvivors("survivor fraction never reaches 1e-3; raise max_bounces")
+        raise TooFewSurvivors("survivor fraction never reaches 1e-3; raise MAX_BOUNCES")
     t_lo = float(order[np.searchsorted(-surv, -1e-1)])
     t_hi = float(order[np.searchsorted(-surv, -1e-3)])
     if not (t_lo < t_hi < censored_min):
-        raise TooFewSurvivors("fit window empty or censored; raise max_bounces")
+        raise TooFewSurvivors("fit window empty or censored; raise MAX_BOUNCES")
     grid = np.linspace(t_lo, t_hi, 60)
     frac = np.array([
         ((escape_time > T) | np.isnan(escape_time)).mean() for T in grid
@@ -985,11 +986,12 @@ class TestBatchedSolver:
         with pytest.raises(ValueError, match=re.escape(message)):
             disk_billiard._solve_orbits(TRI, np.array(words))
 
-    def test_batch_enforces_residual_contract(self, monkeypatch):
-        # stop Newton at once: the start angles leave residuals above 1e-10
-        monkeypatch.setattr(disk_billiard, "NEWTON_TOL", 1.0)
-        with pytest.raises(ValueError, match=re.escape("residual <= 1e-10")):
-            disk_billiard._solve_orbits(UNEQUAL, _necklaces(3, 5))
+    def test_newton_tol_meets_residual_contract(self):
+        # a solve returns only rows at or below NEWTON_TOL (else NoConvergence),
+        # so the 1e-10 residual contract holds while NEWTON_TOL lies below it
+        assert disk_billiard.NEWTON_TOL <= 1e-10
+        batch = disk_billiard._solve_orbits(UNEQUAL, _necklaces(3, 5))
+        assert (batch.residual <= disk_billiard.NEWTON_TOL).all()
 
     @pytest.mark.parametrize("length", [0.0, -1.0])
     def test_batch_enforces_positive_lengths(self, monkeypatch, length):
@@ -1053,9 +1055,10 @@ class TestEscapeRate:
             escape_rate_mc(TWO_DISK, 100)
 
     @pytest.mark.parametrize("max_bounces", [0, 1])
-    def test_too_few_survivors_when_capped(self, max_bounces):
+    def test_too_few_survivors_when_capped(self, monkeypatch, max_bounces):
+        monkeypatch.setattr(disk_billiard, "MAX_BOUNCES", max_bounces)
         with pytest.raises(TooFewSurvivors):
-            escape_rate_mc(TWO_DISK, 10**5, max_bounces=max_bounces, rng_seed=0)
+            escape_rate_mc(TWO_DISK, 10**5, rng_seed=0)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("config, samples, max_bounces", [
@@ -1078,16 +1081,17 @@ class TestEscapeRate:
             return real(config, r_out, max_bounces, disk, *rest)
 
         monkeypatch.setattr(disk_billiard, "RAY_CHUNK", 2**12)
+        monkeypatch.setattr(disk_billiard, "MAX_BOUNCES", max_bounces)
         monkeypatch.setattr(disk_billiard, "_walk_rays", counting)
-        ref = escape_rate_mc_oracle(config, samples, max_bounces, rng_seed=seed)
-        assert escape_rate_mc(config, samples, max_bounces, rng_seed=seed) == ref
+        ref = escape_rate_mc_oracle(config, samples, rng_seed=seed)
+        assert escape_rate_mc(config, samples, rng_seed=seed) == ref
         assert len(chunks) >= 25 and sum(chunks) == samples
         switch = sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-5)
             for workers in (1, 8):
                 monkeypatch.setattr(disk_billiard, "pool_size", lambda: workers)
-                assert escape_rate_mc(config, samples, max_bounces, rng_seed=seed) == ref
+                assert escape_rate_mc(config, samples, rng_seed=seed) == ref
         finally:
             sys.setswitchinterval(switch)
 
@@ -1123,11 +1127,12 @@ class TestEscapeRate:
 
         def run(escape):
             try:
-                return escape(config, samples, max_bounces, rng_seed=2)
+                return escape(config, samples, rng_seed=2)
             except TooFewSurvivors as exc:
                 return str(exc)
 
         monkeypatch.setattr(disk_billiard, "RAY_CHUNK", 2**12)
+        monkeypatch.setattr(disk_billiard, "MAX_BOUNCES", max_bounces)
         monkeypatch.setattr(disk_billiard, "_walk_rays", counting)
         monkeypatch.setattr(disk_billiard, "pool_size", lambda: workers)
         ref = run(escape_rate_mc_oracle)

@@ -48,7 +48,6 @@ from openmaps.phase_space import (
     coherent_grid_trace,
     damped_propagation_experiment,
     default_depth,
-    default_vartheta,
     escape_g,
     ground_state,
     hs_trace_experiment,
@@ -56,7 +55,6 @@ from openmaps.phase_space import (
     husimi_mass,
     metaplectic,
     sample_line,
-    to_grid,
     torus_coherent,
     translate,
     trapped_distance,
@@ -408,9 +406,14 @@ class TestLineEvaluation:
                                                rel=1e-12)
 
 
+def on_grid(wp, N):
+    """The packet sampled on the N-point torus."""
+    return QuantumState(N, _torus_amps(wp, N))
+
+
 def grid_coherent(N, rho):
     """The coherent state as sampled on the grid, before normalization."""
-    return to_grid(translate(ground_state(1 / (2 * math.pi * N)), rho), N)
+    return on_grid(translate(ground_state(1 / (2 * math.pi * N)), rho), N)
 
 
 class TestTorusDiscretization:
@@ -420,7 +423,7 @@ class TestTorusDiscretization:
 
     def test_h_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
-            to_grid(ground_state(H_REF), 64)
+            on_grid(ground_state(H_REF), 64)
 
     def test_unit_norm(self):
         state = torus_coherent(64, (0.3, 0.7))
@@ -440,7 +443,7 @@ class TestTorusDiscretization:
         kappa = np.array([[1.0, 0.0], [1.0, 1.0]])
         wp = metaplectic(translate(ground_state(1 / (2 * math.pi * N)), rho),
                          kappa)
-        field = husimi(to_grid(wp, N))
+        field = husimi(on_grid(wp, N))
         i, j = np.unravel_index(np.argmax(field), field.shape)
         tx, txi = (kappa @ np.array(rho)) % 1.0
         assert abs(i / N - tx) <= 1.5 / N
@@ -747,12 +750,6 @@ class TestExperimentParams:
     def test_slack_allows_longer_runs(self):
         p = ExperimentParams(vartheta=1.0, lambda_max=math.log(3), slack=6.0)
         assert p.n_steps(1e-4) == 9
-
-    def test_default_vartheta_limit(self):
-        assert default_vartheta(0.0, math.log(3)) == pytest.approx(
-            1.0 / (6 * math.log(3)), rel=1e-14)
-        assert default_vartheta(0.01, math.log(3)) < default_vartheta(
-            0.0, math.log(3))
 
 
 class TestTraceExperiment:

@@ -419,13 +419,3 @@ class TestDenseCap:
         expected = first.copy()
         first[:] = 0.0
         assert np.array_equal(dense(op), expected)
-
-
-class TestQuantumState:
-    def test_h_is_derived(self):
-        psi = rand_state(27, 0)
-        assert psi.h * TWO_PI_N(27) == pytest.approx(1.0, abs=0)
-
-
-def TWO_PI_N(N):
-    return 2 * math.pi * N
