@@ -72,18 +72,47 @@ def test_forward_exact_on_rationals(num_xi):
             assert q is None
 
 
+def torus_dist(u, v):
+    d = abs(u - v) % 1
+    return min(d, 1 - d)
+
+
 @given(st.floats(min_value=0, max_value=1, exclude_max=True),
        st.floats(min_value=0, max_value=1, exclude_max=True))
 @settings(max_examples=200, deadline=None)
 def test_forward_floats_match_exact(x, xi):
     # strip boundaries are measure zero and classified by the guard band;
-    # away from them the float step is the exact step of the same floats
+    # away from them the float step is the exact step of the same floats.
+    # Distances are taken on the torus: (xi + j)/a can round up to 1.0,
+    # which reduces to the seam point 0.0
     assume(abs(x * 3 - round(x * 3)) > 5e-14)
     q, exact = forward(SPEC32, TorusPoint(x, xi)), forward(
         SPEC32, TorusPoint(Fraction(x), Fraction(xi)))
     assert (q is None) == (exact is None)
     if q is not None:
-        assert abs(q.x - exact.x) <= 1e-15 and abs(q.xi - exact.xi) <= 1e-15
+        assert torus_dist(q.x, exact.x) <= 1e-15
+        assert torus_dist(q.xi, exact.xi) <= 1e-15
+
+
+def test_forward_float_seam_wrap():
+    # xi just below 1 in the top kept strip: the float image rounds to 1.0
+    # and wraps to 0.0, a torus distance of one rounding from the exact image
+    xi = 0.9999999999999998
+    q = forward(SPEC32, TorusPoint(0.75, xi))
+    exact = forward(SPEC32, TorusPoint(Fraction(0.75), Fraction(xi)))
+    assert q.xi == 0.0 and exact.xi < 1
+    assert torus_dist(q.xi, exact.xi) <= 1e-15
+
+
+def test_forward_image_avoids_removed_xi_strip():
+    # strip j is written into xi's leading digit: every exact image of the
+    # 3^4 grid has xi in [j/3, (j+1)/3) for a kept j, never in the removed one
+    for num_x, num_xi in itertools.product(range(3 ** 4), repeat=2):
+        p = TorusPoint(Fraction(num_x, 3 ** 4), Fraction(num_xi, 3 ** 4))
+        q = forward(SPEC32, p)
+        if q is not None:
+            assert int(3 * q.xi) == 3 * num_x // 3 ** 4
+            assert int(3 * q.xi) in SPEC32.alphabet
 
 
 def test_closed_map_forward_total():
