@@ -37,8 +37,8 @@ from .threads import pool_size
 RAY_EPS = 1e-9          # minimum admissible flight length in the ray walk
 NEWTON_TOL = 1e-12      # sup-norm gradient target, below the 1e-10 contract
 NEWTON_MAX_ITER = 120
-# Monte-Carlo rays per chunk, ~110 bytes each in a walk: at 10**6 rays on 2 threads 2**17
-# took 15 MB more peak for about the same time; 2**15 saved 8 MB but lost 10 % to the GIL.
+# Monte-Carlo rays per chunk, ~38 bytes each in a walk: at 10**6 rays on 2 threads 2**17
+# took 5.7 MiB more traced peak and 12 % less time; 2**15 saved 2.2 MiB but took 29 % more.
 RAY_CHUNK = 2 ** 16
 MAX_BOUNCES = 100       # a Monte-Carlo ray still inside after this many bounces is censored
 MAX_PERIOD = 12         # longest periodic orbits pooled for the box dimension
@@ -402,46 +402,50 @@ def _chord(x, y, dx, dy, cx, cy, r2, rx, ry, b, disc):
     np.subtract(np.multiply(b, b, out=rx), disc, out=disc)
 
 
-def _walk_rays(config, r_out, max_bounces, disk, phi_draws, eta_draws):
-    """Bounce one chunk of start rays until each escapes or the cap is hit.
+def _start_rays(config, draws, rows, disk):
+    """Draw start rays from `draws` (disk, angle, eta generators) into `disk` and the x, y,
+    dx, dy and zeroed time rows of the eleven `rows`.  A disk counts the cuts of
+    `Generator.choice(k, p=radii / radii.sum())` at or below its double, and the angles and
+    eta are scaled in place as `Generator.uniform` does: the one-array draws, bit for bit."""
+    radii, (cx, cy) = np.array(config.radii), np.array(config.centers).T
+    cdf = np.cumsum(radii / radii.sum())
+    cdf /= cdf[-1]
+    x, y, dx, dy, eta, phi, rx, ry, b, root, t = rows
+    disk[:] = codes = np.searchsorted(cdf, draws[0].random(out=root), side="right")
+    np.multiply(draws[1].random(out=phi), 2 * math.pi, out=phi)
+    np.subtract(np.multiply(draws[2].random(out=eta), 2.0, out=eta), 1.0, out=eta)
+    # x, y = c[disk] + r (cos, sin), r = radii[disk];
+    # dx, dy = root (cos, sin) + eta (-sin, cos), root = sqrt(1 - eta ** 2)
+    np.take(radii, codes, out=b, mode="clip")
+    np.cos(phi, out=rx)
+    np.sin(phi, out=ry)
+    np.add(np.take(cx, codes, out=x, mode="clip"), np.multiply(b, rx, out=t), out=x)
+    np.add(np.take(cy, codes, out=y, mode="clip"), np.multiply(b, ry, out=t), out=y)
+    np.sqrt(np.subtract(1, np.square(eta, out=root), out=root), out=root)
+    np.subtract(np.multiply(root, rx, out=dx), np.multiply(eta, ry, out=t), out=dx)
+    np.add(np.multiply(eta, rx, out=dy), np.multiply(root, ry, out=t), out=dy)
+    eta[:] = 0.0                            # the time row
 
-    `disk` holds the start disks (in `np.min_scalar_type(-config.k)`); the
-    angle and eta runs are drawn from the generators `phi_draws` and
-    `eta_draws` straight into two walk rows, scaled in place as
-    `Generator.uniform` scales them (one rounding each, so bit for bit).
-    Returns the escape times, the flight times of the rays still alive,
-    both views of one copied row, and the flights per bounce from the
-    third on, in start order.  A ray never hits the disk it sits on, so
-    that disk is masked out of its next hit.  Live rays fill prefixes of
-    buffers made once (`disk` is one), and each compaction writes the
-    escaped rays' times into the tail of the time row that the live rays
-    give up; each ufunc keeps its comment's order.
+
+def _walk_rays(config, r_out, max_bounces, size, *draws):
+    """Bounce `size` start rays `_start_rays(draws)` until each escapes or the cap is hit.
+
+    Returns the escape times, the flight times of the rays still alive
+    (views of one row), and the flights per bounce from the third on, in
+    start order.  Bounce 0 takes blocks of `RAY_CHUNK // 4` rays in one
+    buffer; its survivors (a tenth on three disks), reflected and in start
+    order, walk on in buffers of their size.  A ray never hits the disk it
+    sits on, so that disk is masked out of its next hit.  Each compaction
+    keeps the live rays as prefixes and writes the escaped rays' times into
+    the tail of the time row they give up; each ufunc keeps its comment's order.
     """
     radii, centers = np.array(config.radii), np.array(config.centers)
     (cx, cy), (ox, oy) = centers.T, centers.mean(axis=0)
-    m = disk.size                           # live rays, a prefix of every buffer
-    buf, late_flights = np.zeros((11, m)), []
-    masks, best = np.empty((2, m), dtype=bool), np.empty(m, dtype=disk.dtype)
-    x, y, dx, dy, time, t_best, rx, ry, b, disc, t = buf
-    phi, eta = t_best, time                 # both rows are reset before they are read
-    np.multiply(phi_draws.random(out=phi), 2 * math.pi, out=phi)
-    np.subtract(np.multiply(eta_draws.random(out=eta), 2.0, out=eta), 1.0, out=eta)
-    # x, y = c[disk] + r (cos, sin), r = radii[disk];
-    # dx, dy = root (cos, sin) + eta (-sin, cos), root = sqrt(1 - eta ** 2)
-    np.take(radii, disk, out=b)
-    np.cos(phi, out=rx)
-    np.sin(phi, out=ry)
-    np.add(np.take(cx, disk, out=x), np.multiply(b, rx, out=t), out=x)
-    np.add(np.take(cy, disk, out=y), np.multiply(b, ry, out=t), out=y)
-    np.sqrt(np.subtract(1, np.square(eta, out=disc), out=disc), out=disc)
-    np.subtract(np.multiply(disc, rx, out=dx), np.multiply(eta, ry, out=t), out=dx)
-    np.add(np.multiply(eta, rx, out=dy), np.multiply(disc, ry, out=t), out=dy)
-    time[:] = 0.0
-    for bounce in range(max_bounces):
-        if m == 0:
-            break
-        hit, mask = masks[:, :m]
-        t_best[:], best[:m] = np.inf, -1
+
+    def bounce(rows, disk, best, hit, mask):
+        # rows: x, y, dx, dy, time, t_best, five scratch; returns how many stay, as prefixes
+        x, y, dx, dy, time, t_best, rx, ry, b, disc, t = rows
+        t_best[:], best[:] = np.inf, -1
         for k in range(config.k):
             # t = -b - sqrt(maximum(disc, 0.0)), kept where it is the first hit:
             # disc > 0, t > RAY_EPS, t < t_best and disk != k
@@ -451,36 +455,61 @@ def _walk_rays(config, r_out, max_bounces, disk, phi_draws, eta_draws):
             np.greater(disc, 0, out=hit)
             hit &= np.greater(t, RAY_EPS, out=mask)
             hit &= np.less(t, t_best, out=mask)
-            hit &= np.not_equal(disk[:m], k, out=mask)
+            hit &= np.not_equal(disk, k, out=mask)
             np.copyto(t_best, t, where=hit)
-            np.copyto(best[:m], k, where=hit)
+            np.copyto(best, k, where=hit)
         # escape time: time + (-b + sqrt(disc)) out to radius r_out, if no disk is hit
         _chord(x, y, dx, dy, ox, oy, r_out ** 2, rx, ry, b, disc)
         np.add(time, np.subtract(np.sqrt(disc, out=disc), b, out=t), out=t)
-        stay = np.greater_equal(best[:m], 0, out=hit)
+        stay = np.greater_equal(best, 0, out=hit)
         n = int(np.count_nonzero(stay))
-        for row in buf[:6]:
-            row[:n] = row[:m][stay]
-        disk[:n] = best[:m][stay]
+        for row in rows[:6]:
+            row[:n] = row[stay]
+        disk[:n] = best[stay]
         # the slots the live rays give up take the escape times
-        np.compress(np.logical_not(stay, out=mask), t, out=buf[4, n:m])
-        m = n
-        x, y, dx, dy, time, t_best, rx, ry, b, disc, t = buf[:, :m]
-        # flights past the first bounces sample the trapped dynamics
-        if bounce >= 2:
-            late_flights.append(t_best.copy())
+        np.compress(np.logical_not(stay, out=mask), t, out=time[n:])
+        x, y, dx, dy, time, t_best, rx, ry, b, disc, t = (row[:n] for row in rows)
         # x, y, time += t_best (dx, dy, 1); d -= 2 (d . n) n, n = (p - c[disk]) / r
         x += np.multiply(t_best, dx, out=t)
         y += np.multiply(t_best, dy, out=t)
         time += t_best
-        np.take(radii, disk[:m], out=b)
-        np.divide(np.subtract(x, np.take(cx, disk[:m], out=rx), out=rx), b, out=rx)
-        np.divide(np.subtract(y, np.take(cy, disk[:m], out=ry), out=ry), b, out=ry)
+        # one intp copy of the disks, not one per take ("raise" would also copy `out`)
+        np.copyto(codes := disc.view(np.intp), disk[:n])
+        np.take(radii, codes, out=b, mode="clip")
+        np.divide(np.subtract(x, np.take(cx, codes, out=rx, mode="clip"), out=rx), b, out=rx)
+        np.divide(np.subtract(y, np.take(cy, codes, out=ry, mode="clip"), out=ry), b, out=ry)
         np.add(np.multiply(dx, rx, out=t), np.multiply(dy, ry, out=disc), out=t)
         t *= 2
         dx -= np.multiply(t, rx, out=disc)
         dy -= np.multiply(t, ry, out=disc)
-    times = buf[4].copy()
+        return n
+
+    step = min(RAY_CHUNK // 4, size)
+    # survivors' times and disks (-1: a miss) fill these from the front, escapes from the back
+    times, disk = np.empty(size), np.empty(size, dtype=np.min_scalar_type(-config.k))
+    block, masks = np.empty((11, step)), np.empty((2, step), dtype=bool)
+    best = np.empty_like(disk, shape=step)
+    kept, live, end = [], 0, size
+    for lo in range(0, size, step):
+        m = min(step, size - lo)
+        _start_rays(config, draws, rows := block[:, :m], disk[live:live + m])
+        # under a cap of 0 every ray stays, at time 0
+        n = bounce(rows, disk[live:live + m], best[:m], *masks[:, :m]) if max_bounces else m
+        kept.append(rows[:4, :n].copy())
+        times[live:live + n], times[end - m + n:end] = rows[4, :n], rows[4, n:]
+        live, end = live + n, end - m + n
+    del block, rows                         # before the survivors' buffer is made
+    buf, m, late_flights = np.empty((10, live)), live, []
+    rows = [*buf[:4], times[:m], *buf[4:]]
+    np.concatenate(kept, axis=1, out=buf[:4])
+    best, masks = np.empty_like(disk, shape=m), np.empty((2, m), dtype=bool)
+    for bnc in range(1, max_bounces):
+        if m == 0:
+            break
+        m = bounce([row[:m] for row in rows], disk[:m], best[:m], *masks[:, :m])
+        # flights past the first bounces sample the trapped dynamics
+        if bnc >= 2:
+            late_flights.append(rows[5][:m].copy())
     return times[m:], times[:m], late_flights
 
 
@@ -525,12 +554,12 @@ def escape_rate_mc(config, samples, rng_seed=0):
     final flight out to a circle circumscribing the obstacle cluster, so
     the survivor curve measures time spent inside the interaction region.
     Rays are independent: chunks of `RAY_CHUNK` are walked on a pool of one
-    thread per CPU available to the process, each in ~110 bytes per ray,
+    thread per CPU available to the process, each in ~38 bytes per ray,
     and merged in order, so the result does not depend on the thread
     count.  The start disks, angles and eta are three consecutive runs of
     `samples` doubles in the seed's Philox stream; each chunk draws its own
-    part of the three runs at its offsets (`_draws`), the angles and eta
-    into its walk's rows, so no whole-sample array is staged and the draws
+    part of the three runs at its offsets (`_draws`), block by block into
+    its walk's buffer, so no whole-sample array is staged and the draws
     equal the one-array draws bit for bit.
     Log-survivor fraction is fitted over the window where the fraction
     lies in [1e-3, 1e-1].  What the fit reads of the escape times (the
@@ -552,18 +581,14 @@ def escape_rate_mc(config, samples, rng_seed=0):
     centroid = centers.mean(axis=0)
     # scale-covariant exit radius: rescaling the whole table rescales it
     r_out = 2.0 * float(np.max(np.linalg.norm(centers - centroid, axis=1) + radii))
-    weights = radii / radii.sum()
-    index = np.min_scalar_type(-config.k)   # disk indices and the -1 of a miss
     starts = range(0, samples, RAY_CHUNK)
     live_min, late = [None] * len(starts), [None] * len(starts)
 
     def walk(i):
         lo = starts[i]
-        size = min(RAY_CHUNK, samples - lo)
-        disk = _draws(seed, lo).choice(config.k, size=size, p=weights).astype(index)
-        escapes, alive, late[i] = _walk_rays(config, r_out, MAX_BOUNCES, disk,
-                                             _draws(seed, samples + lo),
-                                             _draws(seed, 2 * samples + lo))
+        draws = (_draws(seed, run * samples + lo) for run in range(3))
+        escapes, alive, late[i] = _walk_rays(config, r_out, MAX_BOUNCES,
+                                             min(RAY_CHUNK, samples - lo), *draws)
         live_min[i] = np.min(alive, initial=np.inf)
         return escapes
 

@@ -621,6 +621,27 @@ def tri_tables():
     return [cylinder_table(TRI, n) for n in range(4, 9)]
 
 
+@pytest.fixture
+def walked_chunks(monkeypatch):
+    """The chunk sizes `escape_rate_mc` hands `_walk_rays`, in call order."""
+    chunks, real = [], disk_billiard._walk_rays
+
+    def counting(config, r_out, max_bounces, size, *rest):
+        chunks.append(size)
+        return real(config, r_out, max_bounces, size, *rest)
+
+    monkeypatch.setattr(disk_billiard, "_walk_rays", counting)
+    return chunks
+
+
+def value_or_refusal(escape, config, samples, seed):
+    """`escape(config, samples, rng_seed=seed)`, or its `TooFewSurvivors` text."""
+    try:
+        return escape(config, samples, rng_seed=seed)
+    except TooFewSurvivors as exc:
+        return str(exc)
+
+
 class TestBounceMap:
     def test_axial_shot_hits_opposite_disk(self):
         # fire from the inner point of disk 0 straight at disk 1
@@ -1068,24 +1089,16 @@ class TestEscapeRate:
         # rays still alive after 6 bounces count as survivors in the fit
         (TRI, 10**5, 6),
     ], ids=["tri", "doubled", "two_disk", "tri_censored"])
-    def test_compacted_loop_matches_gather_scatter(self, monkeypatch, config,
+    def test_compacted_loop_matches_gather_scatter(self, monkeypatch, walked_chunks, config,
                                                     samples, max_bounces, seed):
         # same draws, same per-ray arithmetic, same fit: exactly equal, with
         # chunks small enough that the pool walks at least 25 of them, on
         # the default pool, on one thread and on more threads than CPUs
-        chunks = []
-        real = disk_billiard._walk_rays
-
-        def counting(config, r_out, max_bounces, disk, *rest):
-            chunks.append(disk.size)
-            return real(config, r_out, max_bounces, disk, *rest)
-
         monkeypatch.setattr(disk_billiard, "RAY_CHUNK", 2**12)
         monkeypatch.setattr(disk_billiard, "MAX_BOUNCES", max_bounces)
-        monkeypatch.setattr(disk_billiard, "_walk_rays", counting)
         ref = escape_rate_mc_oracle(config, samples, rng_seed=seed)
         assert escape_rate_mc(config, samples, rng_seed=seed) == ref
-        assert len(chunks) >= 25 and sum(chunks) == samples
+        assert len(walked_chunks) >= 25 and sum(walked_chunks) == samples
         switch = sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-5)
@@ -1112,36 +1125,58 @@ class TestEscapeRate:
         (WIDE, 4, "fit window empty or censored"),
         (WIDE, 5, None),
     ], ids=["tri", "tri_cap2", "tri_cap3", "wide_cap4", "wide_cap5"])
-    def test_walk_edges_match_gather_scatter(self, monkeypatch, config,
+    def test_walk_edges_match_gather_scatter(self, monkeypatch, walked_chunks, config,
                                              max_bounces, outcome, workers):
         # the last chunk holds one ray, and low caps leave rays alive for
         # the fit to count as survivors or to refuse: the outcome, a value
         # or the refusal, is exactly the oracle's
         samples = 2**12 * 25 + 1
-        chunks = []
-        real = disk_billiard._walk_rays
-
-        def counting(config, r_out, max_bounces, disk, *rest):
-            chunks.append(disk.size)
-            return real(config, r_out, max_bounces, disk, *rest)
-
-        def run(escape):
-            try:
-                return escape(config, samples, rng_seed=2)
-            except TooFewSurvivors as exc:
-                return str(exc)
-
         monkeypatch.setattr(disk_billiard, "RAY_CHUNK", 2**12)
         monkeypatch.setattr(disk_billiard, "MAX_BOUNCES", max_bounces)
-        monkeypatch.setattr(disk_billiard, "_walk_rays", counting)
         monkeypatch.setattr(disk_billiard, "pool_size", lambda: workers)
-        ref = run(escape_rate_mc_oracle)
-        assert run(escape_rate_mc) == ref
-        assert sorted(chunks)[:2] == [1, 2**12] and sum(chunks) == samples
+        ref = value_or_refusal(escape_rate_mc_oracle, config, samples, 2)
+        assert value_or_refusal(escape_rate_mc, config, samples, 2) == ref
+        assert sorted(walked_chunks)[:2] == [1, 2**12] and sum(walked_chunks) == samples
         if outcome is None:
             assert isinstance(ref, tuple)
         else:
             assert ref.startswith(outcome)
+
+    @pytest.mark.parametrize("config", [UNEQUAL, SQUARE], ids=["unequal", "square"])
+    @pytest.mark.parametrize("max_bounces", [100, 3], ids=["cap100", "cap3"])
+    @pytest.mark.parametrize("tail", [5, 2**10 + 7], ids=["tail_5", "tail_block_and_7"])
+    def test_block_edges_match_gather_scatter(self, monkeypatch, walked_chunks, config,
+                                              max_bounces, tail):
+        # a chunk of 2**12 + 3 rays takes its first bounce in four blocks of
+        # 2**10 and one of 3, and the last chunk is smaller than one block, or
+        # one block and 7 rays: on unequal cdf cuts and on four disks, the value
+        # or the refusal is exactly the oracle's, on one thread and on eight
+        samples = 25 * (2**12 + 3) + tail
+        monkeypatch.setattr(disk_billiard, "RAY_CHUNK", 2**12 + 3)
+        monkeypatch.setattr(disk_billiard, "MAX_BOUNCES", max_bounces)
+        ref = value_or_refusal(escape_rate_mc_oracle, config, samples, 4)
+        for workers in (1, 8):
+            walked_chunks.clear()
+            monkeypatch.setattr(disk_billiard, "pool_size", lambda: workers)
+            assert value_or_refusal(escape_rate_mc, config, samples, 4) == ref
+            assert min(walked_chunks) == tail and sum(walked_chunks) == samples
+
+    @pytest.mark.parametrize("config", [TRI, UNEQUAL, SQUARE], ids=["tri", "unequal", "square"])
+    def test_start_disks_are_the_choice_draws(self, config):
+        # blocks of 1, 7 and 2**10 rays drawn one after another from the same
+        # generators, starting at every offset into Philox's four-double block,
+        # pick the disks `Generator.choice` picks from the same doubles
+        seed = np.random.SeedSequence(6)
+        radii = np.array(config.radii)
+        for start in range(4):
+            ref = disk_billiard._draws(seed, start).choice(config.k, size=1 + 7 + 2**10,
+                                                           p=radii / radii.sum())
+            draws = [disk_billiard._draws(seed, start + run * 10**4) for run in range(3)]
+            got = []
+            for size in (1, 7, 2**10):
+                got.append(np.empty(size, dtype=np.int8))
+                disk_billiard._start_rays(config, draws, np.empty((11, size)), got[-1])
+            assert np.array_equal(np.concatenate(got), ref)
 
     @pytest.mark.parametrize("samples", [
         10**4, 10**4 + 1, 12_345, 10**5 - 1, 10**5, 3 * 10**5 + 1, 10**6, 10**6 + 7])
@@ -1195,14 +1230,18 @@ class TestEscapeRate:
         assert count == 7
         assert window.tolist() == [2.5, 3.0, 3.5, 4.0]
 
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("samples", [2 * 10**5, 10**6, 10**7])
-    def test_traced_peak_is_a_chunk_plus_the_escape_times(self, monkeypatch, samples):
-        # on one worker the walk's buffers take about 110 bytes per ray of
-        # its chunk, and the escape times kept for the fit 0.8 bytes per
+    def test_traced_peak_is_a_chunk_plus_the_escape_times(self, monkeypatch, samples, workers):
+        # each worker's walk takes about 38 bytes per ray of its chunk (its
+        # first bounce in blocks of a quarter chunk, the survivors in buffers
+        # of their size) and holds the chunk's escape times until they are
+        # merged, and the escape times kept for the fit take 0.8 bytes per
         # ray plus a chunk; keeping every escape time (8 bytes per ray),
-        # sorting a copy of them or gathering arrays per bounce exceeds this
-        monkeypatch.setattr(disk_billiard, "pool_size", lambda: 1)
-        bound = 2 * samples + 150 * disk_billiard.RAY_CHUNK
+        # sorting a copy of them, gathering arrays per bounce or walking
+        # whole chunks in 11 rows (about 110 bytes per ray) exceeds this
+        monkeypatch.setattr(disk_billiard, "pool_size", lambda: workers)
+        bound = samples + 80 * disk_billiard.RAY_CHUNK * workers
         tracemalloc.start()
         try:
             escape_rate_mc(TRI, samples, rng_seed=0)
