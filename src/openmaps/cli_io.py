@@ -529,6 +529,20 @@ COMMANDS = {
     "trace-check": cmd_trace_check,
 }
 
+# what `openmaps chain` runs: (command, config in scripts/configs/, directory under --out)
+CHAIN = (
+    ("pressure", "pressure.ini", "pressure"),
+    ("dimension", "dimension.ini", "dimension"),
+    ("sigma-curve", "sigma.ini", "sigma"),
+    ("billiard-orbits", "orbits.ini", "orbits"),
+    ("spectrum", "spectrum.ini", "spectrum"),
+    ("weyl-fit", "weyl.ini", "weyl_nu_05"),
+    ("weyl-fit", "weyl_high_cut.ini", "weyl_nu_09"),
+    ("propagate", "propagate.ini", "propagate"),
+    ("husimi-frames", "husimi.ini", "husimi"),
+    ("trace-check", "trace.ini", "trace"),
+)
+
 
 def _write_outputs(args, name, payload, files, certificates, compute_s):
     """Write the JSON payload and every file in a format asked for.
@@ -569,6 +583,7 @@ def make_parser():
         description="numerical experiments for open maps and their "
                     "quantizations")
     sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("chain").add_argument("--out", default="out", help="output directory")
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="INI-like config file")
@@ -578,8 +593,26 @@ def make_parser():
     return parser
 
 
+def run_chain(out):
+    """CHAIN in this process, all formats into out/<directory>/, printing each
+    command's wall time and the chain's; the first non-zero exit ends it."""
+    configs = Path(__file__).resolve().parents[2] / "scripts" / "configs"
+    chain = time.perf_counter()
+    for command, config, sub in CHAIN:
+        start = time.perf_counter()
+        print(f"== {command} ({config})", flush=True)
+        if code := main([command, "--config", str(configs / config),
+                         "--out", str(Path(out) / sub), "--format", "all"]):
+            return code
+        print(f"   {command} ({config}): {time.perf_counter() - start:.2f} s")
+    print(f"chain: {time.perf_counter() - chain:.2f} s")
+    return 0
+
+
 def main(argv=None):
     args = make_parser().parse_args(argv)
+    if args.command == "chain":
+        return run_chain(args.out)
     try:
         with blas_threads(1) as threads:
             cfg = load_config(args.config)

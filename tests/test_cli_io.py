@@ -155,9 +155,8 @@ class TestUnreadConfig:
 
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-# the (command, config) chain of scripts/reproduce.sh, from its `run` lines
-SHIPPED = re.findall(r"^run +(\S+) +(\S+) +\S+$",
-                     (SCRIPTS / "reproduce.sh").read_text(), re.MULTILINE)
+# the (command, config) chain of `openmaps chain`, which scripts/reproduce.sh runs
+SHIPPED = [(command, config) for command, config, _ in cli_io.CHAIN]
 
 Q27 = "[quantum]\nN = 27\n"
 # every value rule: (command, config, the key at fault)
@@ -1115,3 +1114,64 @@ class TestBlasThreads:
             assert meta["blas_threads"] == {name: 1 for name in openblas()}
         assert ((tmp_path / "1" / "spectrum.json").read_bytes()
                 == (tmp_path / "2" / "spectrum.json").read_bytes())
+
+
+def chain_files(root):
+    """{path under root: bytes} of every file a chain wrote but metadata.json."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file() and p.name != "metadata.json"}
+
+
+def assert_same_files(files, expected):
+    assert sorted(files) == sorted(expected)
+    assert [name for name in files if files[name] != expected[name]] == []
+
+
+@pytest.fixture(scope="module")
+def forward_chain(tmp_path_factory):
+    """The files of one in-process `openmaps chain` in its shipped order."""
+    out = tmp_path_factory.mktemp("forward")
+    assert main(["chain", "--out", str(out)]) == 0
+    return chain_files(out)
+
+
+class TestChain:
+    """`openmaps chain` runs the commands of `CHAIN` in one interpreter:
+    no state one command leaves (a cache, a BLAS thread count) may change
+    the bytes of another."""
+
+    def test_same_bytes_as_one_process_per_command(self, forward_chain, tmp_path):
+        assert {path.split(os.sep)[0] for path in forward_chain} == {
+            sub for _, _, sub in cli_io.CHAIN}
+        for command, config, sub in cli_io.CHAIN:
+            subprocess.run([sys.executable, "-m", "openmaps", command, "--config",
+                            str(SCRIPTS / "configs" / config), "--out", str(tmp_path / sub),
+                            "--format", "all"], capture_output=True, timeout=120, check=True)
+        assert_same_files(chain_files(tmp_path), forward_chain)
+
+    def test_same_bytes_in_reverse_order(self, forward_chain, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_io, "CHAIN", cli_io.CHAIN[::-1])
+        assert main(["chain", "--out", str(tmp_path)]) == 0
+        assert_same_files(chain_files(tmp_path), forward_chain)
+
+    def test_first_failure_stops_the_chain(self, capsys, tmp_path, monkeypatch):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[dimension]\ndepths = 4,4,5\n")
+        first, (command, _, sub), *rest = cli_io.CHAIN
+        # an absolute config path replaces the configs directory it is joined to
+        monkeypatch.setattr(cli_io, "CHAIN", (first, (command, str(bad), sub), *rest))
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, ["chain", "--out", str(out_dir)])
+        assert code == 2
+        assert err.startswith("ConfigParse: bad value for [dimension] depths")
+        assert [line for line in out.splitlines() if line.startswith("== ")] == [
+            f"== {first[0]} ({first[1]})", f"== {command} ({bad})"]
+        assert "chain:" not in out
+        assert [p.name for p in out_dir.iterdir()] == [first[2]]
+        assert sorted(p.name for p in (out_dir / first[2]).iterdir()) == [
+            "metadata.json", "pressure.csv", "pressure.json", "pressure.svg"]
+
+    def test_benchmark_runs_the_shipped_chain(self):
+        from perfbench.workloads import REPRODUCE
+
+        assert cli_io.CHAIN == REPRODUCE
