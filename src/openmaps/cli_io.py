@@ -27,8 +27,8 @@ parse, a key given twice or missing, a value that breaks a rule (a
 float that is NaN or infinite breaks every rule), or a section or key
 the command never reads; 1 for `BadDimension`, `DimensionCap` and
 anything raised while an experiment runs, a result JSON cannot hold
-(NaN or infinity) included.  The error's class name is printed on
-stderr.
+(NaN or infinity) and a float overflow included.  The error's class
+name is printed on stderr.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .phase_space import (
     husimi_mass,
     torus_coherent,
 )
-from .quantum_baker import _parity_split, apply, build
+from .quantum_baker import _basis, apply, build
 from .spectral_counting import (
     annulus_gap_exponent,
     bound_report,
@@ -227,7 +227,7 @@ def _ops(cfg, section, spec, default, least):
     `spectra` raises it) first, then `least` or more sizes, none repeated."""
     ops = [build(spec, N) for N in _get(cfg, section, "N_list", _ints, default)]
     for op in ops:
-        _parity_split(op)
+        _basis(op)
     _check(len({op.N for op in ops}) == len(ops) >= least,
            f"need {least} or more sizes, none repeated")
     return ops
@@ -622,7 +622,7 @@ def main(argv=None):
             _write_outputs(args, args.command, payload, files,
                            {**certificates, "blas_threads": threads}, compute_s)
         print(payload)
-    except (LabError, ValueError) as exc:
+    except (LabError, ValueError, ArithmeticError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigParse) else 1
     return 0

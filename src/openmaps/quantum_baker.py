@@ -21,14 +21,16 @@ with a real symmetric tridiagonal T (Slepian 1978, Grünbaum 1981).  With
 V the eigenvectors of T, K V = V diag(μ), and the compression A = C U
 (U the strip transforms) is unitarily similar to W diag(μ),
 W = Vᵀ p U p V, which is block diagonal by parity.  Columns with
-|μ| at most PROLATE_NULL are numerically null and are dropped.
+|μ| at most PROLATE_NULL are numerically null and are dropped.  Only
+`_basis` splits a map for the eigensolve: its structural zeros, its
+kept indices and one task per block, in either basis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -213,28 +215,12 @@ def _unfold(coeffs, sector, N):
     return rows
 
 
-def _parity_split(op):
-    """(own, others) for each sector of the map on its kept (allowed-strip)
-    indices: one sector with no others without the parity symmetry (see
-    `_sectors`).  N above DENSE_CAP is DimensionCap."""
-    if op.N > DENSE_CAP:
-        raise DimensionCap(f"N={op.N} exceeds dense cap {DENSE_CAP}")
-    na = op.N // op.spec.a
-    keep = np.concatenate([np.arange(j * na, (j + 1) * na) for j in op.spec.alphabet])
-    sectors = _sectors(op, keep)
-    return [(own, [s for s in sectors if s is not own]) for own in sectors]
-
-
 def _sector_block(op, own, others):
     """The block of sector `own` and the norm of its coupling part (0.0
     with no `others`): the images of own's basis, one batch through the
     map, folded onto own and onto each of `others`."""
     images = _map_rows(op, _unfold(np.eye(own[0].size), own, op.N))
     return _fold(images, own), math.hypot(*(np.linalg.norm(_fold(images, s)) for s in others))
-
-
-def _coupling(parts):
-    return reduce(math.hypot, parts, 0.0)  # in sector order, bit for bit
 
 
 def _run(op):
@@ -313,9 +299,9 @@ def _prolate_block(op, own, others):
     """The block of the halves `own` in the prolate basis, W_kk diag(μ_k)
     on their kept columns k, and the norm of what it leaves out: the
     dropped columns' μ, each half's `_prolate_half` part, and the coupling
-    onto `others`, each a fold of p U p V_k diag(μ_k) (U the strip
-    transforms, in place on the run's rows; p enters through the
-    sectors' weights)."""
+    onto the halves of the groups `others`, each a fold of p U p V_k
+    diag(μ_k) (U the strip transforms, in place on the run's rows; p
+    enters through the sectors' weights)."""
     s, n = _run(op)
     kept, mus, parts = [], [], []
     for half in own:
@@ -339,22 +325,27 @@ def _prolate_block(op, own, others):
     block = np.concatenate([(Gk.T @ F.view(np.float64)).view(np.complex128)
                             for Gk, F in zip(kept, folds)])
     block *= mu
-    coupling = [np.linalg.norm(_fold(rows, phased(half)) * mu) for half in others]
+    coupling = [np.linalg.norm(_fold(rows, phased(half)) * mu)
+                for group in others for half in group]
     return block, math.hypot(*parts, *coupling)
 
 
 def _basis(op):
-    """(name, block, splits): the basis `spectra` solves the map in, the
-    function giving a split's block and the norm of what it leaves out,
-    and its (own, others) splits.  "prolate" (`_prolate_block`, splits of
-    `_halves`: one per half with the parity symmetry, else one of both)
-    where `_run` applies, else "position" (`_sector_block`, the splits of
-    `_parity_split`).  N above DENSE_CAP is DimensionCap."""
-    splits = _parity_split(op)
-    run = _run(op)
-    if run is None:
-        return "position", _sector_block, splits
-    halves = _halves(run[1])
-    if len(splits) == 1:
-        return "prolate", _prolate_block, [(halves, [])]
-    return "prolate", _prolate_block, [([h], [o for o in halves if o is not h]) for h in halves]
+    """(name, zeros, tasks): the basis `spectra` solves the map in, its
+    structural zeros (the excluded strips' indices), and per block on the
+    kept indices a call giving it and the norm of what it leaves out, its
+    coupling onto the other blocks included.  "prolate" (`_prolate_block`,
+    each half of `_halves` a block with the parity symmetry, else both
+    one) where `_run` applies, else "position" (`_sector_block`, each
+    sector of `_sectors` a block).  N above DENSE_CAP is DimensionCap."""
+    if op.N > DENSE_CAP:
+        raise DimensionCap(f"N={op.N} exceeds dense cap {DENSE_CAP}")
+    na = op.N // op.spec.a
+    keep = np.concatenate([np.arange(j * na, (j + 1) * na) for j in op.spec.alphabet])
+    name, block, groups = "position", _sector_block, _sectors(op, keep)
+    if (run := _run(op)) is not None:
+        halves = _halves(run[1])
+        name, block = "prolate", _prolate_block
+        groups = [[half] for half in halves] if len(groups) > 1 else [halves]
+    return name, op.N - keep.size, [partial(block, op, own, [g for g in groups if g is not own])
+                                    for own in groups]

@@ -5,35 +5,29 @@ counts in annuli {|z| >= nu} are regressed against the dimension to
 extract the fractal Weyl exponent, and a report compares per-dimension
 counts against an exponent improved by the spectral-gap function.
 
-The eigensolve deflates the identically zero columns first (for the open
-baker map, the excluded strips: N·(1 - m/a) of them), whose eigenvalues
-are exactly zero, and takes the rest from complex Schur forms of the
-kept diagonal blocks.  For a general matrix there is one block, the
-compression to the kept indices.  A reflection-symmetric open map
-(theta = 1/2, alphabet closed under j -> a-1-j) commutes with the
-parity x -> 1 - x, and its even and odd blocks, each of half the size,
-cost about a quarter of one full one; any other map is one sector.
-Where the kept indices form one cyclic run (the FFT map at theta = 1/2
-with an alphabet of consecutive digits, cyclically), `spectra` takes the
-sectors in the prolate basis of `quantum_baker` instead: there about a
-third of every block is numerically null (the uncertainty principle
-between the kept position and momentum strips), and its columns,
-those with |mu| <= PROLATE_NULL, are dropped before the Schur form;
-at N = 2187 the two blocks of 729 become 504 and 503.  The Walsh
-variant, theta = 0, alphabets that are no run and closed maps keep the
-position basis.  `spectra` solves a list of maps on one thread pool,
-largest N first, one task per sector: it builds the block straight from
-the map and takes its Schur form by LAPACK zgees called through ctypes,
-which releases the GIL.  Every task, a lone one too, runs with each
-OpenBLAS on one thread, so a record's bits depend on neither the maps
-solved beside it nor the number of CPUs.  No eigenvectors are formed.
-The certificate is the Frobenius backward error of the whole
-compression: the Schur residuals of the blocks with the norm of all
-the split leaves out, relative to the norm of the compression.  In the
-position basis that is the coupling between the sectors, zero by
-symmetry only up to round-off; in the prolate basis also the dropped
-columns' mu, the residual ||K V - V mu|| of the prolate basis and its
-orthogonality ||V^T V - I||.
+Every spectrum takes one path: calls that each give a kept diagonal
+block and the norm of what it leaves out, run on one pool (`_pooled`),
+merged into one record (`_record`).  `spectra` takes the calls of each
+map from `quantum_baker._basis`, which drops the N·(1 - m/a) identically
+zero columns of the excluded strips as structural zeros and splits the
+rest into parity sectors where the map is reflection symmetric (each
+block of half the size costs about a quarter of a full one), in the
+prolate basis where it applies: there about a third of every block is
+numerically null, dropped (deflated) before the Schur form, and at
+N = 2187 the two blocks of 729 become 504 and 503.  `eigenvalues` is
+the one-block case for any matrix, the compression to the columns that
+are not identically zero.  The pool runs the calls of all maps of a
+list, largest N first, each building its block and taking its Schur
+form by LAPACK zgees called through ctypes, which releases the GIL;
+every call, a lone one too, runs with each OpenBLAS on one thread, so
+a record's bits depend on neither the maps solved beside it nor the
+number of CPUs.  No eigenvectors are formed.  The certificate is the
+Frobenius backward error of the whole compression: the Schur residuals
+of the blocks with the norm of all the split leaves out, relative to
+the norm of the compression.  In the position basis that is the
+coupling between the sectors, zero by symmetry only up to round-off; in
+the prolate basis also the dropped columns' mu, the residual
+||K V - V mu|| of the prolate basis and its orthogonality ||V^T V - I||.
 """
 
 from __future__ import annotations
@@ -42,12 +36,12 @@ import ctypes
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, reduce
 
 import numpy as np
 
 from .errors import DegenerateCounts, NoConvergence
-from .quantum_baker import _basis, _coupling
+from .quantum_baker import _basis
 from .threads import blas_threads, pool_size
 
 # counting dead band: moduli within this of nu count as above
@@ -102,14 +96,15 @@ def eigenvalues(matrix):
     With keep the columns that are not identically zero and A the
     compression matrix[keep, keep], a permutation puts the matrix in the
     block lower triangular form [[A, 0], [C, 0]]; its spectrum is eig(A)
-    plus N - |keep| exact zeros, as computed by `block_eigenvalues`.
+    plus N - |keep| exact zeros: the one-block case of `spectra`.
     """
     matrix = np.asarray(matrix, dtype=np.complex128)
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError("square matrix expected")
     keep = np.flatnonzero(np.any(matrix != 0, axis=0))
-    return block_eigenvalues(n, [matrix[np.ix_(keep, keep)]])
+    solved, workers = _pooled([lambda: (matrix[np.ix_(keep, keep)], 0.0)])
+    return _record(n, solved, workers, n - keep.size, "position")
 
 
 @cache
@@ -164,86 +159,71 @@ def _solve(A):
     return np.diag(T), np.linalg.norm(resid), np.linalg.norm(A)
 
 
-def _solve_sector(build, op, own, others):
-    """`_solve` of the block `build` gives a split, and the norm of what
-    the block leaves out."""
-    block, part = build(op, own, others)
-    return _solve(block), part
-
-
 def _pooled(tasks):
-    """(results of the calls `tasks`, workers), every OpenBLAS on one
-    thread whatever the number of tasks, so a result's bits depend on
-    neither the tasks beside it nor the CPUs: on min(#tasks,
-    `pool_size()`) threads, or in this thread if no OpenBLAS count can
-    be set.  zgees gains nothing from more BLAS threads at n = 729; a
-    lone block of 1458 takes about a quarter longer on one than on two."""
+    """(per call in `tasks`, the `_solve` of the block it gives with the
+    norm it gives beside it; workers), every OpenBLAS on one thread
+    whatever the number of tasks, so a result's bits depend on neither
+    the tasks beside it nor the CPUs: on min(#tasks, `pool_size()`)
+    threads, or in this thread if no OpenBLAS count can be set.  zgees
+    gains nothing from more BLAS threads at n = 729; a lone block of 1458
+    takes about a quarter longer on one than on two."""
+    def solve(task):
+        block, part = task()
+        return _solve(block), part
+
     with blas_threads(1) as threads:
         workers = min(len(tasks), pool_size()) if threads else 1
         if workers <= 1:
-            return [task() for task in tasks], workers
+            return [solve(task) for task in tasks], workers
         with ThreadPoolExecutor(workers) as pool:
-            return list(pool.map(lambda task: task(), tasks)), workers
+            return list(pool.map(solve, tasks)), workers
 
 
-def _record(N, solved, coupling, workers, zeros, basis):
-    """The record of the `_solve` of each block, `zeros` of the N
-    eigenvalues structural, every other one outside the blocks deflated."""
-    vals = [v for v, _, _ in solved]
-    norm_a = math.hypot(*(a for _, _, a in solved), coupling)
-    backward_error = math.hypot(*(r for _, r, _ in solved), coupling) / (norm_a or 1.0)
+def _coupling(parts):
+    return reduce(math.hypot, parts, 0.0)  # in block order, bit for bit
+
+
+def _record(N, solved, workers, zeros, basis):
+    """The record of an N x N matrix from the `_pooled` results of its
+    kept diagonal blocks A_b: `zeros` of its eigenvalues structural, the
+    rest outside the blocks deflated.  In some orthonormal basis the
+    matrix is [[A, 0], [C', 0]], A with the diagonal blocks A_b and, off
+    them, entries of Frobenius norm `_coupling` of the norms beside the
+    blocks.  Its spectrum is taken as that of the A_b, each the diagonal
+    of a Schur form A_b = Z_b T_b Z_b*, plus exact zeros; the certificate
+    is the backward error of the whole of A, sqrt(sum ||A_b Z_b - Z_b
+    T_b||^2 + coupling^2) / sqrt(sum ||A_b||^2 + coupling^2), so dropping
+    the coupling is certified, not assumed; it must be finite and at most
+    RESIDUAL_REL."""
+    vals = [v for (v, _, _), _ in solved]
+    coupling = _coupling(part for _, part in solved)
+    norm_a = math.hypot(*(a for (_, _, a), _ in solved), coupling)
+    backward_error = math.hypot(*(r for (_, r, _), _ in solved), coupling) / (norm_a or 1.0)
     if not backward_error <= RESIDUAL_REL:
-        raise NoConvergence(
-            f"Schur backward error {backward_error:.3e} above {RESIDUAL_REL:.0e}"
-        )
+        raise NoConvergence(f"Schur backward error {backward_error:.3e} above {RESIDUAL_REL:.0e}")
     sizes = tuple(len(v) for v in vals)
-    kept = sum(sizes)
-    vals = np.concatenate(vals + [np.zeros(N - kept)])
+    vals = np.concatenate(vals + [np.zeros(N - sum(sizes))])
     order = np.argsort(-np.abs(vals), kind="stable")
-    return SpectrumRecord(N=N, eigenvalues=vals[order],
-                          backward_error=backward_error,
-                          structural_zeros=zeros, deflated=N - zeros - kept,
-                          basis=basis, blocks=sizes,
-                          workers=workers)
-
-
-def block_eigenvalues(N, blocks, coupling=0.0):
-    """Spectrum of an N x N matrix from the kept diagonal blocks A_b.
-
-    In some orthonormal basis the matrix is [[A, 0], [C', 0]], where A
-    has the diagonal blocks A_b and off-diagonal blocks of Frobenius
-    norm ``coupling``; the spectrum is taken as that of the A_b plus
-    N - sum |A_b| exact zeros.  Each eig(A_b) is the diagonal of the
-    complex Schur form A_b = Z_b T_b Z_b*.  The certificate is the
-    backward error of the whole of A,
-    sqrt(sum ||A_b Z_b - Z_b T_b||^2 + coupling^2)
-    / sqrt(sum ||A_b||^2 + coupling^2), so dropping the coupling is
-    certified, not assumed; it must be finite and at most RESIDUAL_REL.
-    Two or more blocks are solved on a thread pool, one block in the
-    calling thread (see `_pooled`).
-    """
-    solved, workers = _pooled([partial(_solve, A) for A in blocks])
-    return _record(N, solved, coupling, workers, N - sum(len(A) for A in blocks),
-                   "position")
+    return SpectrumRecord(N=N, eigenvalues=vals[order], backward_error=backward_error,
+                          structural_zeros=zeros, deflated=N - zeros - sum(sizes),
+                          basis=basis, blocks=sizes, workers=workers)
 
 
 def spectra(ops):
-    """Per operator, the record of its kept blocks in the sector basis of
-    `quantum_baker._basis` (prolate or position) and the norm of all they
-    leave out.  One pool (`_pooled`) runs a task per sector of each map,
-    largest N first, which builds the block and solves it.  N above
-    DENSE_CAP raises DimensionCap before any task runs."""
+    """Per operator, the record of its blocks in the basis of
+    `quantum_baker._basis` (prolate or position).  One pool (`_pooled`)
+    runs the block tasks of every map, largest N first, each building
+    its block and solving it.  N above DENSE_CAP raises DimensionCap
+    before any task runs."""
     bases = [_basis(op) for op in ops]
-    tasks = sorted(((i, split) for i, (_, _, splits) in enumerate(bases) for split in splits),
+    tasks = sorted(((i, task) for i, basis in enumerate(bases) for task in basis[2]),
                    key=lambda task: -ops[task[0]].N)
-    solved, workers = _pooled(
-        [partial(_solve_sector, bases[i][1], ops[i], *split) for i, split in tasks])
+    solved, workers = _pooled([task for _, task in tasks])
     done = [[] for _ in ops]
     for (i, _), result in zip(tasks, solved):
         done[i].append(result)
-    return [_record(op.N, [s for s, _ in parts], _coupling(p for _, p in parts),
-                    workers, op.N - len(op.spec.alphabet) * (op.N // op.spec.a),
-                    name) for op, (name, _, _), parts in zip(ops, bases, done)]
+    return [_record(op.N, parts, workers, zeros, name)
+            for op, (name, zeros, _), parts in zip(ops, bases, done)]
 
 
 def count_annulus(record, nu):

@@ -145,17 +145,25 @@ def bowen_dimension(tables):
 
 
 def classical_decay_rate(tables):
-    """Root gamma_cl of s -> P(-logJ + s*t); requires P(-logJ) < 0.
+    """Root gamma_cl of s -> P(-logJ + s*t); requires P(-logJ) < 0 by more
+    than its round-off, so that a closed map (P = 0) is NotOpen.
 
-    Returns the P >= 0 side of the final bracket so that the sigma clamp
-    at gamma = gamma_cl/2 is exact rather than off by the bisection tol.
+    To first order, each depth's (1/n) log sum_w exp(-logJ(w)) is good
+    to eps (max_w logJ(w) + log #words) / n, and the fit weights those
+    errors by its intercept row.  Returns the P >= 0 side of the final
+    bracket so that the sigma clamp at gamma = gamma_cl/2 is exact rather
+    than off by the bisection tol.
     """
     def f(s):
         return pressure(tables, -1.0, s).value
 
     p0 = f(0.0)
-    if p0 >= 0.0:
-        raise NotOpen(f"P(-phi_u) = {p0:.6g} >= 0")
+    tail = sorted(tables, key=lambda tb: tb.n)[-3:]
+    intercept = np.linalg.pinv([[1.0, 1.0 / tb.n] for tb in tail])[0]
+    roundoff = np.finfo(float).eps * float(np.abs(intercept) @ [
+        (tb.logJ.max() + math.log(len(tb.logJ))) / tb.n for tb in tail])
+    if p0 >= -roundoff:
+        raise NotOpen(f"P(-phi_u) = {p0:.6g} is not below its round-off -{roundoff:.2g}")
     hi = 1.0
     for _ in range(200):
         if f(hi) > 0.0:

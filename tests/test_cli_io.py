@@ -155,6 +155,8 @@ class TestUnreadConfig:
 
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+# a child interpreter imports the package this one imported
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(cli_io.__file__).parents[1])}
 # the (command, config) chain of `openmaps chain`, which scripts/reproduce.sh runs
 SHIPPED = [(command, config) for command, config, _ in cli_io.CHAIN]
 
@@ -424,6 +426,14 @@ class TestSigmaCurveCommand:
         assert points[0][1] == pytest.approx(0.06151170773809043, abs=1e-12)
 
 
+    def test_closed_map_exits_one(self, capsys, tmp_path):
+        # P(-logJ) is -1.2e-16 at these depths, a round-off of zero
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text("[map]\na = 3\nalphabet = 0,1,2\n[sigma]\ndepths = 4,5,6\n")
+        code, out, err = run(capsys, ["sigma-curve", "--config", str(cfgfile)])
+        assert (code, out) == (1, "")
+        assert err.startswith("NotOpen: P(-phi_u) = ")
+
 class TestSpectrumCommand:
     def test_indivisible_size_exits_one(self, capsys, tmp_path):
         cfgfile = tmp_path / "c.ini"
@@ -684,6 +694,14 @@ class TestPropagateCommand:
             "t": 1.0, "delta": 0.4, "n": [0, 1, 2, 3], "w": w.tolist()}
         rows = (tmp_path / "propagate.csv").read_text().splitlines()
         assert rows == ["n,w"] + [f"{n},{v!r}" for n, v in enumerate(w.tolist())]
+
+    def test_overflow_exits_one(self, capsys, tmp_path):
+        # e^{-t·lo} overflows at this t: one line on stderr, no traceback
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(self.config(tmp_path).read_text().replace(
+            "N = 27", "N = 81").replace("t = 1.0", "t = 1000"))
+        code, out, err = run(capsys, ["propagate", "--config", str(cfgfile)])
+        assert (code, out, err) == (1, "", "OverflowError: math range error\n")
 
 
 def written(field):
@@ -1108,7 +1126,7 @@ class TestBlasThreads:
         for default in ("1", "2"):
             subprocess.run([sys.executable, "-m", "openmaps", "spectrum", "--config",
                             str(cfgfile), "--out", str(tmp_path / default)],
-                           env={**os.environ, "OPENBLAS_NUM_THREADS": default},
+                           env={**CHILD_ENV, "OPENBLAS_NUM_THREADS": default},
                            capture_output=True, timeout=120, check=True)
             meta = json.loads((tmp_path / default / "metadata.json").read_text())
             assert meta["blas_threads"] == {name: 1 for name in openblas()}
@@ -1146,7 +1164,8 @@ class TestChain:
         for command, config, sub in cli_io.CHAIN:
             subprocess.run([sys.executable, "-m", "openmaps", command, "--config",
                             str(SCRIPTS / "configs" / config), "--out", str(tmp_path / sub),
-                            "--format", "all"], capture_output=True, timeout=120, check=True)
+                            "--format", "all"], capture_output=True, timeout=120, check=True,
+                           env=CHILD_ENV)
         assert_same_files(chain_files(tmp_path), forward_chain)
 
     def test_same_bytes_in_reverse_order(self, forward_chain, tmp_path, monkeypatch):
@@ -1170,6 +1189,17 @@ class TestChain:
         assert [p.name for p in out_dir.iterdir()] == [first[2]]
         assert sorted(p.name for p in (out_dir / first[2]).iterdir()) == [
             "metadata.json", "pressure.csv", "pressure.json", "pressure.svg"]
+
+    def test_overflow_stops_the_chain(self, capsys, tmp_path, monkeypatch):
+        bad = tmp_path / "bad.ini"
+        bad.write_text((SCRIPTS / "configs" / "propagate.ini").read_text().replace(
+            "t = 1.0", "t = 1000"))
+        monkeypatch.setattr(cli_io, "CHAIN", (("propagate", str(bad), "propagate"),
+                                              *cli_io.CHAIN[:1]))
+        code, out, err = run(capsys, ["chain", "--out", str(tmp_path / "out")])
+        assert (code, err) == (1, "OverflowError: math range error\n")
+        assert [line for line in out.splitlines() if line.startswith("== ")] == [
+            f"== propagate ({bad})"]
 
     def test_benchmark_runs_the_shipped_chain(self):
         from perfbench.workloads import REPRODUCE

@@ -397,7 +397,7 @@ class TestDenseCap:
             dense(op)
 
     @pytest.mark.parametrize("theta", [0.5, 0.0])
-    def test_parity_blocks_cap_enforced(self, theta, monkeypatch):
+    def test_basis_cap_enforced(self, theta, monkeypatch):
         # one sector or two, the split stops before any basis goes through the map
         def no_map(*args, **kwargs):
             raise AssertionError("the map ran above the cap")
@@ -405,7 +405,7 @@ class TestDenseCap:
         monkeypatch.setattr(quantum_baker, "_map_rows", no_map)
         op = build(SPEC32, 3**9, theta=theta)
         with pytest.raises(DimensionCap):
-            parity_blocks(op)
+            quantum_baker._basis(op)
 
     def test_operator_is_frozen(self):
         op = build(SPEC32, 9)

@@ -21,10 +21,12 @@ import functools
 import inspect
 import itertools
 import math
+import os
 import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,18 +41,19 @@ from openmaps.spectral_counting import (
     RESIDUAL_REL,
     SpectrumRecord,
     annulus_gap_exponent,
-    block_eigenvalues,
     bound_report,
     count_annulus,
     eigenvalues,
     weyl_exponent,
 )
 from openmaps.threads import pool_size
-from oracles import parity_blocks, sector_spectrum
+from oracles import block_spectrum, parity_blocks, sector_spectrum
 
 SPEC32 = BakerSpec(3, (0, 2))
 D_H = 0.6309297535714574
 GAMMA_CL = 0.3690702464285426
+# a child interpreter imports the package this one imported
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(spectral_counting.__file__).parents[1])}
 
 
 def synthetic_record(N, n_big):
@@ -170,7 +173,7 @@ class TestEigOracle:
 
 
 def parity_spectrum(op):
-    return block_eigenvalues(op.N, *parity_blocks(op))
+    return block_spectrum(op.N, *parity_blocks(op))
 
 
 class TestParityOracle:
@@ -224,16 +227,16 @@ class TestParityOracle:
     def test_coupling_enters_certificate(self):
         blocks, coupling = parity_blocks(build(SPEC32, 81))
         norm = math.hypot(*(np.linalg.norm(b) for b in blocks))
-        rec = block_eigenvalues(81, blocks, coupling)
+        rec = block_spectrum(81, blocks, coupling)
         assert rec.backward_error >= coupling / math.hypot(norm, coupling)
         with pytest.raises(NoConvergence):
-            block_eigenvalues(81, blocks, 10 * RESIDUAL_REL * norm)
+            block_spectrum(81, blocks, 10 * RESIDUAL_REL * norm)
 
 
 def scipy_block_spectrum(N, blocks, coupling=0.0):
     """Eigenvalues and certificate of the blocks solved one after the
     other by `scipy.linalg.schur`, in the calling thread, each OpenBLAS
-    on one thread as in `block_eigenvalues`."""
+    on one thread as in `spectral_counting._pooled`."""
     vals, resid_norms, block_norms = [], [], []
     with threads.blas_threads(1):
         for A in blocks:
@@ -252,6 +255,14 @@ def scipy_block_spectrum(N, blocks, coupling=0.0):
 
 def blas_counts():
     return {name: get() for name, (get, _) in threads.openblas().items()}
+
+
+def assert_same_record(got, want):
+    """Every field of two records equal, bit for bit, but `workers`."""
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert got.backward_error == want.backward_error
+    assert (got.N, got.structural_zeros, got.deflated, got.basis, got.blocks) == (
+        want.N, want.structural_zeros, want.deflated, want.basis, want.blocks)
 
 
 class TestConcurrentSchur:
@@ -299,24 +310,24 @@ class TestConcurrentSchur:
                 "print(spectral_counting._zgees.cache_info().currsize, "
                 "threads.openblas.cache_info().currsize)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, timeout=120, check=True)
+                             text=True, timeout=120, check=True, env=CHILD_ENV)
         assert out.stdout.split() == ["0", "0"]
 
-    @pytest.mark.parametrize("N", [81, 2187])
-    def test_records_equal_on_any_pool(self, monkeypatch, N):
-        blocks, coupling = parity_blocks(build(SPEC32, N))
+    @pytest.mark.parametrize("N, blocks", [(81, (26, 25)), (2187, (504, 503))],
+                             ids=["81", "2187"])
+    def test_records_equal_on_any_pool(self, monkeypatch, N, blocks):
+        # the prolate blocks of the map `spectrum` and `weyl-fit` solve
         records = {}
         for workers in (1, 2):
             monkeypatch.setattr(spectral_counting, "pool_size", lambda: workers)
-            records[workers] = block_eigenvalues(N, blocks, coupling)
+            records[workers], = spectral_counting.spectra([build(SPEC32, N)])
             assert records[workers].workers == (workers if threads.openblas() else 1)
-        assert np.array_equal(records[1].eigenvalues, records[2].eigenvalues)
-        assert records[1].backward_error == records[2].backward_error
-        assert records[1].blocks == records[2].blocks == (N // 3, N // 3)
+        assert_same_record(records[1], records[2])
+        assert records[1].blocks == blocks
 
-    @pytest.mark.parametrize("blocks", [1, 2])
-    def test_blas_threads_one_while_blocks_run(self, monkeypatch, blocks):
-        # one block as two: every solve sees each OpenBLAS on one thread
+    @pytest.mark.parametrize("theta, blocks", [(0.0, 1), (0.5, 2)], ids=["1", "2"])
+    def test_blas_threads_one_while_blocks_run(self, monkeypatch, theta, blocks):
+        # one block or two: every solve sees each OpenBLAS on one thread
         before, seen = blas_counts(), []
         solve = spectral_counting._solve
 
@@ -325,36 +336,41 @@ class TestConcurrentSchur:
             return solve(A)
 
         monkeypatch.setattr(spectral_counting, "_solve", counted)
-        block_eigenvalues(243, parity_blocks(build(SPEC32, 243))[0][:blocks])
+        spectral_counting.spectra([build(SPEC32, 243, theta=theta)])
         assert seen == [{name: 1 for name in before}] * blocks
         assert blas_counts() == before
 
-    def test_blas_threads_restored_after_a_raise(self):
+    def test_blas_threads_restored_after_a_raise(self, monkeypatch):
         before = blas_counts()
-        blocks, _ = parity_blocks(build(SPEC32, 243))
-        blocks[1] = blocks[1].copy()
-        blocks[1][0, 0] = np.inf
+        sector_block = quantum_baker._sector_block
+
+        def poisoned(op, own, others):
+            block, part = sector_block(op, own, others)
+            block[0, 0] = np.inf
+            return block, part
+
+        monkeypatch.setattr(quantum_baker, "_sector_block", poisoned)
         with pytest.raises(ValueError, match="infs or NaNs"):
-            block_eigenvalues(243, blocks)
+            spectral_counting.spectra([build(SPEC32, 243, variant="WALSH")])
         assert blas_counts() == before
 
     def test_concurrent_callers(self):
-        # more callers than CPUs, one- and two-block solves mixed, with a
+        # more callers than CPUs, one- and two-block maps mixed, with a
         # short switch interval: every record equals its lone solve and
         # no caller leaves a thread count set
         before = blas_counts()
         ops = [build(SPEC32, 81), build(SPEC32, 81, theta=0.0)]
-        want = [block_eigenvalues(81, *parity_blocks(op)) for op in ops]
+        want = [sector_spectrum(op) for op in ops]
         switch = sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-5)
             with ThreadPoolExecutor(8) as pool:
-                got = list(pool.map(lambda i: block_eigenvalues(
-                    81, *parity_blocks(ops[i % 2])), range(32)))
+                got = list(pool.map(lambda i: spectral_counting.spectra([ops[i % 2]])[0],
+                                    range(32)))
         finally:
             sys.setswitchinterval(switch)
         for i, rec in enumerate(got):
-            assert np.array_equal(rec.eigenvalues, want[i % 2].eigenvalues)
+            assert_same_record(rec, want[i % 2])
         assert blas_counts() == before
 
     @pytest.mark.parametrize("spec, theta", [
@@ -364,7 +380,7 @@ class TestConcurrentSchur:
     def test_one_block_record_is_scipy_result(self, spec, theta):
         blocks, _ = parity_blocks(build(spec, 243, theta=theta))
         assert len(blocks) == 1
-        rec = block_eigenvalues(243, blocks)
+        rec = block_spectrum(243, blocks)
         vals, backward_error = scipy_block_spectrum(243, blocks)
         assert np.array_equal(rec.eigenvalues, vals)
         assert rec.backward_error == backward_error
@@ -380,7 +396,7 @@ class TestConcurrentSchur:
     @pytest.mark.parametrize("N", [81, 243, 729, 2187])
     def test_two_blocks_match_scipy_path(self, N):
         blocks, coupling = parity_blocks(build(SPEC32, N))
-        rec = block_eigenvalues(N, blocks, coupling)
+        rec = block_spectrum(N, blocks, coupling)
         vals, backward_error = scipy_block_spectrum(N, blocks, coupling)
         for nu in (0.25, 0.5, 0.9):
             assert count_annulus(rec, nu) == int(np.sum(np.abs(vals) >= nu - 1e-10))
@@ -391,14 +407,6 @@ class TestConcurrentSchur:
         rows, cols = linear_sum_assignment(gap)
         assert gap[rows, cols].max() <= 1e-12
         assert rec.backward_error <= 1e-12 and backward_error <= 1e-12
-
-
-def assert_same_record(got, want):
-    """Every field of two records equal, bit for bit, but `workers`."""
-    assert np.array_equal(got.eigenvalues, want.eigenvalues)
-    assert got.backward_error == want.backward_error
-    assert (got.N, got.structural_zeros, got.deflated, got.basis, got.blocks) == (
-        want.N, want.structural_zeros, want.deflated, want.basis, want.blocks)
 
 
 class TestSpectra:
@@ -535,12 +543,34 @@ class TestSpectra:
         before = ("import sys; from openmaps import threads; "
                   "print(*sorted(threads.openblas())); print(int('scipy' in sys.modules))")
         lazy, eager, listed = (subprocess.run([sys.executable, "-c", c], capture_output=True,
-                                              text=True, timeout=120, check=True).stdout
+                                              text=True, timeout=120, check=True,
+                                              env=CHILD_ENV).stdout
                                for c in (code, first, before))
         loaded, libs = lazy.splitlines()
         assert loaded == "0 0"
         assert libs == eager.strip()
         assert listed.splitlines() == [eager.strip(), "0"]
+
+
+BASIS_SPECS = [SPEC32, BakerSpec(3, (0, 1)), BakerSpec(5, (0, 2, 4)), BakerSpec(4, (0, 3)),
+               BakerSpec(2, (0, 1))]
+
+
+class TestBasis:
+    """The split `quantum_baker._basis` hands `spectra`, against the dense matrix."""
+
+    @pytest.mark.parametrize("theta", [0.5, 0.0])
+    @pytest.mark.parametrize("variant", ["FFT", "WALSH"])
+    @pytest.mark.parametrize("spec", BASIS_SPECS, ids=["3-02", "3-01", "5-024", "4-03", "2-01"])
+    def test_zeros_and_blocks_account_for_n(self, spec, variant, theta):
+        op = build(spec, spec.a ** (7 - spec.a), variant=variant, theta=theta)
+        name, zeros, tasks = quantum_baker._basis(op)
+        assert zeros == eigenvalues(dense(op)).structural_zeros
+        rec, = spectral_counting.spectra([op])
+        assert (rec.basis, rec.structural_zeros) == (name, zeros)
+        assert rec.blocks == tuple(len(task()[0]) for task in tasks)
+        assert sum(rec.blocks) + rec.deflated + zeros == op.N
+        assert rec.deflated >= 0 and (rec.deflated == 0 or name == "prolate")
 
 
 def run_kernels(op):
@@ -622,7 +652,7 @@ class TestProlateOracle:
     def pair(self, request):
         op = build(*request.param)
         rec, = spectral_counting.spectra([op])
-        return rec, block_eigenvalues(op.N, *parity_blocks(op))
+        return rec, block_spectrum(op.N, *parity_blocks(op))
 
     def test_annulus_counts_identical(self, pair):
         rec, oracle = pair
@@ -656,7 +686,7 @@ class TestProlateOracle:
     ], ids=["walsh", "theta-0", "5-024", "4-13"])
     def test_position_maps_are_the_old_result(self, op):
         rec, = spectral_counting.spectra([op])
-        oracle = block_eigenvalues(op.N, *parity_blocks(op))
+        oracle = block_spectrum(op.N, *parity_blocks(op))
         assert np.array_equal(rec.eigenvalues, oracle.eigenvalues)
         assert rec.backward_error == oracle.backward_error
         assert (rec.basis, rec.deflated, rec.structural_zeros, rec.blocks) == (

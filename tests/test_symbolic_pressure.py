@@ -274,9 +274,14 @@ def test_classical_decay_rate_baker():
     assert gamma == pytest.approx(GAMMA_CL_32, abs=1e-8)
 
 
-def test_closed_baker_not_open():
+@pytest.mark.parametrize("a, depths", [
+    (2, [2, 3, 4]), (3, [4, 5, 6]), (3, [3, 4, 5]), (3, [4, 5, 6, 7]), (3, [1, 2, 5]),
+    (5, [3, 4, 5]), (5, [2, 3, 4]), (7, [1, 2, 3]), (7, [2, 3, 4]),
+])
+def test_closed_baker_not_open(a, depths):
+    # P(-logJ) = 0 exactly, computed as a round-off of either sign
     with pytest.raises(NotOpen):
-        classical_decay_rate(baker_tables(2, (0, 1), [2, 3, 4]))
+        classical_decay_rate(baker_tables(a, tuple(range(a)), depths))
 
 
 # -- sigma ------------------------------------------------------------------
