@@ -21,6 +21,12 @@ Each command is a generator: up to its bare `yield` it reads its config
 and builds every object its experiment takes, so each value meets its
 rules there (`_read`); then it runs the experiment and yields its result.
 
+`spectrum` and `weyl-fit` take their spectra through `_spectra`: a command
+that asks for exactly the maps the previous such command in this process
+asked for gets that command's records back, unsolved, and its
+metadata.json says so.  In `openmaps chain` the two `weyl-fit` configs
+ask for the same four maps, so the second solves nothing.
+
 Exit codes, stated only here: 0 on success; 2 (`ConfigParse`), before
 any experiment runs and any file is written, for text that does not
 parse, a key given twice or missing, a value that breaks a rule (a
@@ -42,7 +48,7 @@ import sys
 import time
 import zlib
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -327,12 +333,14 @@ def _csv(header, rows):
     return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
 
 
-def _eigensolves(records):
+def _eigensolves(records, reused):
     """The metadata of eigensolves, one entry per N: the certificate,
     basis, structural zeros, deflated columns, block sizes and workers
-    of each."""
-    return {"eigensolves": [{k: v for k, v in vars(r).items() if k != "eigenvalues"}
-                            for r in records]}
+    of each, and whether this command took it from the previous one
+    (`_spectra`) instead of solving it; a reused entry keeps the
+    certificate its solve computed."""
+    return {"eigensolves": [{**{k: v for k, v in vars(r).items() if k != "eigenvalues"},
+                             "reused": reused} for r in records]}
 
 
 def _files(header, rows, series=None):
@@ -345,6 +353,29 @@ def _files(header, rows, series=None):
 
 
 # ------------------------------------------------------------- commands
+
+# (maps, records) of the last `_spectra` call that solved, or None
+_last_spectra = None
+
+
+def _spectra(ops):
+    """(`spectra(ops)`, True if those records were reused): the records of
+    the last call that solved are reused when it asked for the same tuple
+    of maps.  That is exact, as a record's bits depend neither on the maps
+    solved beside it nor on the pool (`spectral_counting`) and its
+    eigenvalues are read-only.  One entry, whole-tuple key: a chain run
+    twice in one process solves in each pass what a fresh chain solves,
+    and a call that raises leaves nothing to reuse."""
+    global _last_spectra
+    key = tuple(ops)
+    last = _last_spectra
+    if last is not None and last[0] == key:
+        return last[1], True
+    _last_spectra = None
+    records = tuple(spectra(ops))
+    _last_spectra = key, records
+    return records, False
+
 
 def cmd_pressure(cfg):
     spec = _baker_spec(cfg)
@@ -407,7 +438,7 @@ def cmd_spectrum(cfg):
                variant=_get(cfg, "quantum", "variant", str, "FFT"),
                theta=_get(cfg, "quantum", "theta", _float, 0.5))
     yield
-    record, = spectra([op])
+    (record,), reused = _spectra([op])
     vals = record.eigenvalues.tolist()
     payload = _json({
         "N": op.N, "backward_error": record.backward_error,
@@ -418,7 +449,8 @@ def cmd_spectrum(cfg):
     moduli = [abs(z) for z in vals]
     rows = [(z.real, z.imag, m) for z, m in zip(vals, moduli)]
     series = list(enumerate(moduli))
-    yield payload, _files(("re", "im", "modulus"), rows, series), _eigensolves([record])
+    yield payload, _files(("re", "im", "modulus"), rows, series), _eigensolves(
+        [record], reused)
 
 
 def cmd_weyl_fit(cfg):
@@ -428,7 +460,7 @@ def cmd_weyl_fit(cfg):
     d_h = bowen_dimension(_tables(spec, (4, 5, 6)))
     sigma_nu = annulus_gap_exponent(nu, d_h, math.log(spec.a))
     yield
-    records = spectra(ops)
+    records, reused = _spectra(ops)
     fit = weyl_exponent(records, nu)
     report = bound_report(fit, d_h, sigma_nu)
     points = [[int(n), int(c)] for n, c in fit.points]
@@ -439,7 +471,7 @@ def cmd_weyl_fit(cfg):
     # how far each count is from changing: the modulus nearest the cut
     gaps = [[r.N, float(np.min(np.abs(np.abs(r.eigenvalues) - nu)))] for r in records]
     yield payload, _files(("N", "count"), points, series), {
-        **_eigensolves(records), "nu_gap": gaps}
+        **_eigensolves(records, reused), "nu_gap": gaps}
 
 
 def _escape_params(cfg, N):
@@ -577,7 +609,10 @@ def _write_outputs(args, name, payload, files, certificates, compute_s):
     (out / "metadata.json").write_text(_json(meta) + "\n")
 
 
+@cache
 def make_parser():
+    """The one parser of this process: `openmaps chain` calls `main` once
+    per command."""
     parser = argparse.ArgumentParser(
         prog="openmaps",
         description="numerical experiments for open maps and their "

@@ -73,6 +73,10 @@ class DegenerateFrame(LabError):
     """Frame top row with |a+ib|² < 1e-300; raised to the caller."""
 
 
+class DampingOverflow(LabError):
+    """e^{-t·lo} or a damped norm² w_n is beyond the float range."""
+
+
 # cli_io
 
 class ConfigParse(LabError):

@@ -29,7 +29,13 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite import hermval
 
-from .errors import DegenerateFrame, DimensionCap, DimensionMismatch, NotSymplectic
+from .errors import (
+    DampingOverflow,
+    DegenerateFrame,
+    DimensionCap,
+    DimensionMismatch,
+    NotSymplectic,
+)
 from .quantum_baker import DENSE_CAP, QuantumState, apply, build
 from .quantum_baker import _fold, _fourier_apply, _twiddles
 from .quantum_baker import _map_rows, _sectors, _unfold
@@ -41,6 +47,7 @@ PERIODIZE_TAIL = 1e-14
 CHEB_TAIL = 1e-17  # the Chebyshev series of e^{-tG} stops at I_k/I_0 below this
 QUADRATURE_MAX_N = 729  # the trace experiment's quadrature runs up to this N
 HUSIMI_ROWS = 256  # window rows per batched inverse FFT of a Husimi field
+LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # the largest x with a finite e^x
 
 
 def _as_frame(mat):
@@ -260,8 +267,8 @@ class EscapeParams:
             raise ValueError("h > 0")
         if not (0.0 < self.delta < 0.5):
             raise ValueError("delta in (0, 1/2)")
-        if not (self.t >= 0):
-            raise ValueError("t >= 0")
+        if not (0 <= self.t < math.inf):
+            raise ValueError("t >= 0 and finite")
 
     @property
     def epsilon(self):
@@ -415,20 +422,30 @@ def damped_propagation_experiment(spec, N, rho0, params, n_max):
     is two FFTs and six elementwise passes in reused buffers, with 2/r,
     e^{-t·lo} and the Bessel weights folded into precomputed symbols and
     coefficients.  n_max < 0 is ValueError; a params.h other than
-    1/(2πN) is DimensionMismatch.
+    1/(2πN) is DimensionMismatch.  ‖e^{-tG}‖ can reach e^{-t·lo}, and lo
+    < 0 on an open map, so a large t is DampingOverflow, naming t, lo and
+    N: before the series if e^{-t·lo} is beyond the float range, else at
+    the first w_n that is.
     """
     from scipy.special import ive
     if n_max < 0:
         raise ValueError(f"n_max={n_max} must be >= 0")
     op = build(spec, N)
     d, lam = _damping_symbols(spec, N, params)
-    lo, hi = d.min() + lam.min(), d.max() + lam.max()
+    lo, hi = float(d.min() + lam.min()), float(d.max() + lam.max())
+
+    def overflow(what):
+        return DampingOverflow(f"{what} is beyond the float range at t={params.t!r}, "
+                               f"lo={lo!r}, N={N}")
+
+    if not -params.t * lo <= LOG_FLOAT_MAX:  # before the series: z = t·r may be inf
+        raise overflow("e^(-t*lo)")
+    scale = math.exp(-params.t * lo)
     c, r = 0.5 * (hi + lo), 0.5 * (hi - lo)
     z = params.t * r
     bessel = [ive(0, z)]
     while (nxt := ive(len(bessel), z)) >= CHEB_TAIL * bessel[0]:
         bessel.append(nxt)
-    scale = math.exp(-params.t * lo)
     coef = [scale * bessel[0]] + [2.0 * scale * b for b in bessel[1:]]
     if len(bessel) > 1:  # then z > 0, so r > 0: 2Y x = dd ⊙ x − ifft(ll ⊙ fft(x))
         # complex, so the products skip a real-to-complex cast (same bits)
@@ -438,23 +455,27 @@ def damped_propagation_experiment(spec, N, rho0, params, n_max):
     cur, prev, f = (np.empty(N, dtype=np.complex128) for _ in range(3))
     psi = torus_coherent(N, rho0).amps
     w = [1.0]
-    for _ in range(int(n_max)):
-        np.multiply(tw, apply(op, QuantumState(N, psi)).amps, out=cur)
-        acc = coef[0] * cur
-        prev.fill(0.0)
-        for k in range(1, len(bessel)):
-            np.fft.fft(cur, out=f)
-            f *= ll
-            np.fft.ifft(f, out=f)
-            f += prev
-            np.multiply(dd, cur, out=prev)
-            prev -= f  # 2Y T_k − T_{k−1}, into the buffer T_{k−1} held
-            if k == 1:
-                prev *= 0.5  # T_1 = Y T_0; halving is exact
-            prev, cur = cur, prev
-            acc += np.multiply(coef[k], cur, out=f)
-        psi = untwist * acc
-        w.append(float(np.vdot(psi, psi).real))
+    # an overflow is seen in w_n, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(int(n_max)):
+            np.multiply(tw, apply(op, QuantumState(N, psi)).amps, out=cur)
+            acc = coef[0] * cur
+            prev.fill(0.0)
+            for k in range(1, len(bessel)):
+                np.fft.fft(cur, out=f)
+                f *= ll
+                np.fft.ifft(f, out=f)
+                f += prev
+                np.multiply(dd, cur, out=prev)
+                prev -= f  # 2Y T_k − T_{k−1}, into the buffer T_{k−1} held
+                if k == 1:
+                    prev *= 0.5  # T_1 = Y T_0; halving is exact
+                prev, cur = cur, prev
+                acc += np.multiply(coef[k], cur, out=f)
+            psi = untwist * acc
+            w.append(float(np.vdot(psi, psi).real))
+            if not math.isfinite(w[-1]):
+                raise overflow(f"w_{len(w) - 1}")
     return np.array(w)
 
 

@@ -52,7 +52,8 @@ RESIDUAL_REL = 1e-8
 
 @dataclass(frozen=True)
 class SpectrumRecord:
-    """All N eigenvalues of one matrix, sorted by decreasing modulus.
+    """All N eigenvalues of one matrix, sorted by decreasing modulus, in a
+    read-only copy, so a record can be handed to more than one caller.
 
     ``backward_error`` is the relative Schur backward error of the
     eigensolve and ``structural_zeros`` the number of eigenvalues fixed
@@ -74,9 +75,10 @@ class SpectrumRecord:
     workers: int
 
     def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=np.complex128)
+        vals = np.array(self.eigenvalues, dtype=np.complex128)
         if vals.shape != (self.N,):
             raise ValueError(f"{vals.shape} eigenvalues for N={self.N}")
+        vals.flags.writeable = False
         object.__setattr__(self, "eigenvalues", vals)
 
 

@@ -14,11 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from openmaps import cli_io, disk_billiard, quantum_baker
+from openmaps import cli_io, disk_billiard, quantum_baker, spectral_counting
 from openmaps.baker_classical import BakerSpec, cylinder_table
 from openmaps.cli_io import SVG_H, SVG_MARGIN, SVG_W, main, parse_config, plot_svg
 from openmaps.disk_billiard import DiskConfig, _cycle_orbits, _solve_orbits
-from openmaps.errors import ConfigParse, EmptyData
+from openmaps.errors import ConfigParse, EmptyData, NoConvergence
 from openmaps.phase_space import (
     EscapeParams,
     ExperimentParams,
@@ -46,6 +46,17 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture(autouse=True)
+def no_spectra_to_reuse():
+    """Each test starts and ends with no records for `spectrum` or
+    `weyl-fit` to reuse, so a test that patches the solver or
+    RESIDUAL_REL sees its maps solved, and leaves no records solved
+    that way to the next test."""
+    cli_io._last_spectra = None
+    yield
+    cli_io._last_spectra = None
 
 
 class TestConfigParsing:
@@ -200,6 +211,7 @@ BAD_VALUES = {
                        "[pressure] c_jacobian"),
     "rho0_nan": ("propagate", f"{Q27}[propagate]\nrho0 = nan,0.1\n", "[propagate] rho0"),
     "trace_t_inf": ("trace-check", "[escape]\nt = inf\n", "[escape] t"),
+    "propagate_t_inf": ("propagate", f"{Q27}[escape]\nt = inf\n", "[escape] t"),
     "radius_inf": ("billiard-orbits", "[billiard]\nradii = 1,1,inf\n", "[billiard] radii"),
 }
 
@@ -504,7 +516,7 @@ class TestSpectrumCommand:
         assert meta["eigensolves"] == [{
             "N": 243, "backward_error": data["backward_error"],
             "structural_zeros": 81, "deflated": 33, "basis": "prolate",
-            "blocks": [65, 64],
+            "blocks": [65, 64], "reused": False,
             "workers": min(2, pool_size()) if openblas() else 1}]
         assert meta["blas_threads"] == {name: 1 for name in openblas()}
 
@@ -695,13 +707,17 @@ class TestPropagateCommand:
         rows = (tmp_path / "propagate.csv").read_text().splitlines()
         assert rows == ["n,w"] + [f"{n},{v!r}" for n, v in enumerate(w.tolist())]
 
-    def test_overflow_exits_one(self, capsys, tmp_path):
-        # e^{-t·lo} overflows at this t: one line on stderr, no traceback
+    @pytest.mark.parametrize("N, where", [(27, "w_1"), (81, "e^(-t*lo)")])
+    def test_overflow_exits_one(self, capsys, tmp_path, N, where):
+        # e^{-tG} leaves the float range at this t: one line on stderr
+        # naming t, lo and N, no traceback
         cfgfile = tmp_path / "c.ini"
         cfgfile.write_text(self.config(tmp_path).read_text().replace(
-            "N = 27", "N = 81").replace("t = 1.0", "t = 1000"))
+            "N = 27", f"N = {N}").replace("t = 1.0", "t = 1000"))
         code, out, err = run(capsys, ["propagate", "--config", str(cfgfile)])
-        assert (code, out, err) == (1, "", "OverflowError: math range error\n")
+        assert (code, out) == (1, "")
+        assert re.fullmatch(rf"DampingOverflow: {re.escape(where)} is beyond the float "
+                            rf"range at t=1000\.0, lo=-0\.\d+, N={N}\n", err)
 
 
 def written(field):
@@ -948,7 +964,7 @@ class TestTraceCheckCommand:
         assert meta["eigensolves"] == [
             {"N": r.N, "backward_error": r.backward_error,
              "structural_zeros": r.structural_zeros, "deflated": r.deflated,
-             "basis": "prolate", "blocks": list(r.blocks),
+             "basis": "prolate", "blocks": list(r.blocks), "reused": False,
              "workers": min(6, pool_size()) if openblas() else 1}
             for r in records]
         assert meta["blas_threads"] == {name: 1 for name in openblas()}
@@ -1197,7 +1213,9 @@ class TestChain:
         monkeypatch.setattr(cli_io, "CHAIN", (("propagate", str(bad), "propagate"),
                                               *cli_io.CHAIN[:1]))
         code, out, err = run(capsys, ["chain", "--out", str(tmp_path / "out")])
-        assert (code, err) == (1, "OverflowError: math range error\n")
+        assert code == 1
+        assert err.startswith("DampingOverflow: e^(-t*lo) is beyond the float range")
+        assert err.endswith(", N=729\n") and err.count("\n") == 1
         assert [line for line in out.splitlines() if line.startswith("== ")] == [
             f"== propagate ({bad})"]
 
@@ -1205,3 +1223,110 @@ class TestChain:
         from perfbench.workloads import REPRODUCE
 
         assert cli_io.CHAIN == REPRODUCE
+
+
+def counted_solves(monkeypatch):
+    """The sizes of the blocks `spectral_counting._solve` solves from now on."""
+    sizes, solve = [], spectral_counting._solve
+
+    def counted(A):
+        sizes.append(A.shape[0])
+        return solve(A)
+
+    monkeypatch.setattr(spectral_counting, "_solve", counted)
+    return sizes
+
+
+class TestReusedSpectra:
+    """`spectrum` and `weyl-fit` take the records of the previous such
+    command unsolved when they ask for exactly its maps, and say so in
+    metadata.json; any other list of maps is solved."""
+
+    def weyl(self, capsys, config, out):
+        code, _, _ = run(capsys, ["weyl-fit", "--config", str(SCRIPTS / "configs" / config),
+                                  "--out", str(out), "--format", "all"])
+        assert code == 0
+        return json.loads((out / "metadata.json").read_text())["eigensolves"]
+
+    def test_high_cut_right_after_weyl_solves_nothing(self, capsys, tmp_path,
+                                                      monkeypatch):
+        solves = counted_solves(monkeypatch)
+        first = self.weyl(capsys, "weyl.ini", tmp_path / "weyl_nu_05")
+        assert len(solves) == 8  # two parity blocks per N
+        second = self.weyl(capsys, "weyl_high_cut.ini", tmp_path / "weyl_nu_09")
+        assert len(solves) == 8
+        assert [e.pop("reused") for e in first] == [False] * 4
+        assert [e.pop("reused") for e in second] == [True] * 4
+        assert second == first  # the certificates the solves computed
+        fresh = tmp_path / "fresh"
+        subprocess.run([sys.executable, "-m", "openmaps", "weyl-fit", "--config",
+                        str(SCRIPTS / "configs" / "weyl_high_cut.ini"), "--out", str(fresh),
+                        "--format", "all"], capture_output=True, timeout=120, check=True,
+                       env=CHILD_ENV)
+        assert_same_files(chain_files(fresh), chain_files(tmp_path / "weyl_nu_09"))
+        meta = json.loads((fresh / "metadata.json").read_text())
+        assert [e["reused"] for e in meta["eigensolves"]] == [False] * 4
+
+    def test_spectrum_between_the_fits_solves_both(self, forward_chain, tmp_path,
+                                                   monkeypatch):
+        chain = [entry for entry in cli_io.CHAIN if entry[0] != "spectrum"]
+        at = [entry[0] for entry in chain].index("weyl-fit") + 1
+        chain.insert(at, *[entry for entry in cli_io.CHAIN if entry[0] == "spectrum"])
+        monkeypatch.setattr(cli_io, "CHAIN", tuple(chain))
+        solves = counted_solves(monkeypatch)
+        assert main(["chain", "--out", str(tmp_path)]) == 0
+        assert_same_files(chain_files(tmp_path), forward_chain)
+        assert sorted(solves) == sorted([65, 64] + 2 * [26, 25, 65, 64, 176, 176, 504, 503])
+        for sub in ("spectrum", "weyl_nu_05", "weyl_nu_09"):
+            meta = json.loads((tmp_path / sub / "metadata.json").read_text())
+            assert {e["reused"] for e in meta["eigensolves"]} == {False}
+
+    @pytest.mark.parametrize("change", ["theta = 0.0", "variant = WALSH",
+                                        "[map]\nalphabet = 0,1"],
+                             ids=["theta", "variant", "alphabet"])
+    def test_the_same_sizes_of_another_map_are_solved(self, capsys, tmp_path, change):
+        # the key is the whole map, not its N: any other field solves again
+        cfgfile = tmp_path / "c.ini"
+        reused = []
+        for body in (Q27, Q27, f"{Q27}{change}\n", Q27):
+            cfgfile.write_text(body)
+            assert run(capsys, ["spectrum", "--config", str(cfgfile),
+                                "--out", str(tmp_path)])[0] == 0
+            meta = json.loads((tmp_path / "metadata.json").read_text())
+            reused += [e["reused"] for e in meta["eigensolves"]]
+        assert reused == [False, True, False, False]
+
+    def test_a_raising_solve_leaves_nothing_to_reuse(self, capsys, tmp_path,
+                                                     monkeypatch):
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text("[weyl]\nN_list = 9,27,81\nnu = 0.1\n")
+        argv = ["weyl-fit", "--config", str(cfgfile), "--out", str(tmp_path / "out")]
+
+        def no_convergence(A):
+            raise NoConvergence("zgees failed with info=1")
+
+        monkeypatch.setattr(spectral_counting, "_solve", no_convergence)
+        code, _, err = run(capsys, argv)
+        assert (code, err) == (1, "NoConvergence: zgees failed with info=1\n")
+        monkeypatch.undo()
+        solves = counted_solves(monkeypatch)
+        assert run(capsys, argv)[0] == 0
+        assert sorted(solves) == [3, 3, 9, 9, 25, 26]
+        meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+        assert [e["reused"] for e in meta["eigensolves"]] == [False] * 3
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli_io.make_parser() is cli_io.make_parser()
+
+    @pytest.mark.parametrize("argv", [[], ["no-such-command"],
+                                      ["spectrum", "--format", "xml"]],
+                             ids=["none", "unknown", "bad_choice"])
+    def test_parse_error_exits_two_and_the_parser_still_parses(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert "usage: openmaps" in capsys.readouterr().err
+        code, out, _ = run(capsys, ["dimension"])
+        assert code == 0 and json.loads(out)["depths"] == [4, 5, 6]

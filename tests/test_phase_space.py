@@ -29,6 +29,7 @@ from openmaps import phase_space
 from openmaps.baker_classical import BakerSpec, TorusPoint, forward
 from openmaps.errors import (
     BadDimension,
+    DampingOverflow,
     DegenerateFrame,
     DimensionCap,
     DimensionMismatch,
@@ -603,6 +604,12 @@ class TestEscapeFunction:
         with pytest.raises(ValueError):
             EscapeParams(h=-1.0, delta=0.4)
 
+    @pytest.mark.parametrize("N", [27, 81])
+    @pytest.mark.parametrize("t", [math.inf, -1.0, math.nan])
+    def test_t_finite_and_nonnegative(self, N, t):
+        with pytest.raises(ValueError, match="t >= 0 and finite"):
+            self.params(N=N, t=t)
+
     def test_growth_along_open_dynamics(self):
         # strictly positive increment off the trapped set, on the open
         # map's domain (x inside an allowed strip)
@@ -733,6 +740,25 @@ class TestDamping:
         p = EscapeParams(h=1.0 / (2 * math.pi * 27), delta=0.4, t=1.0)
         with pytest.raises(ValueError, match="n_max"):
             damped_propagation_experiment(SPEC32, 27, (0.1, 0.1), p, -1)
+
+    @pytest.mark.parametrize("N, where", [(27, "w_1"), (81, "e^(-t*lo)")])
+    def test_overflow_names_t_lo_and_n(self, N, where):
+        # ‖e^{-tG}‖ can reach e^{-t·lo}, lo < 0: at t = 1000 that factor is
+        # no float at N = 81 (lo = -0.899), and at N = 27 (lo = -0.385) it
+        # is, but the first step's norm² is not
+        p = EscapeParams(h=1.0 / (2 * math.pi * N), delta=0.4, t=1000.0)
+        d, lam = phase_space._damping_symbols(SPEC32, N, p)
+        lo = float(d.min() + lam.min())
+        with pytest.raises(DampingOverflow) as raised:
+            damped_propagation_experiment(SPEC32, N, (0.1, 0.1), p, 3)
+        assert str(raised.value) == (
+            f"{where} is beyond the float range at t=1000.0, lo={lo!r}, N={N}")
+
+    def test_large_finite_norms_are_kept(self):
+        # the check rejects only what a float cannot hold: w_12 = 1.8e301
+        p = EscapeParams(h=1.0 / (2 * math.pi * 27), delta=0.4, t=100.0)
+        w = damped_propagation_experiment(SPEC32, 27, (1.0 / 3.0, 0.0), p, 12)
+        assert np.all(np.isfinite(w)) and w[-1] > 1e301
 
     def test_propagation_bit_identical_on_repeat(self):
         N = 243

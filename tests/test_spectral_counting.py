@@ -119,6 +119,20 @@ class TestEigenvalues:
         assert rec.structural_zeros == 0
         assert rec.backward_error == 0.0
 
+    def test_eigenvalues_are_a_read_only_copy(self):
+        # a record can be handed to more than one command: none may write
+        # to it, and the array it was built from stays the caller's
+        rec = spectral_counting.spectra([build(SPEC32, 27)])[0]
+        with pytest.raises(ValueError, match="read-only"):
+            rec.eigenvalues[0] = 0.0
+        vals = np.ones(3, dtype=np.complex128)
+        built = SpectrumRecord(
+            N=3, eigenvalues=vals, backward_error=0.0, structural_zeros=0, deflated=0,
+            basis="position", blocks=(3,), workers=1)
+        vals[0] = 2.0
+        assert built.eigenvalues.tolist() == [1.0, 1.0, 1.0]
+        assert not built.eigenvalues.flags.writeable
+
     def test_zero_compression(self):
         # the kept column is nonzero only in a deflated row, so the
         # compression is the 1x1 zero matrix: nilpotent, both eigenvalues 0
