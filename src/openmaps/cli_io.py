@@ -48,7 +48,7 @@ import sys
 import time
 import zlib
 from datetime import datetime, timezone
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -241,10 +241,6 @@ def _ops(cfg, section, spec, default, least):
 
 # ------------------------------------------------------------------ SVG
 
-def _fmt(v):
-    return f"{v:.2f}"
-
-
 def _png(image):
     """An 8-bit greyscale PNG of a 2-D uint8 array, row 0 on top: each
     row takes filter byte 0, the whole raster one zlib stream."""
@@ -290,7 +286,7 @@ def plot_svg(data, kind):
                   f'<line x1="{SVG_MARGIN}" y1="{SVG_MARGIN}" '
                   f'x2="{SVG_MARGIN}" y2="{SVG_H - SVG_MARGIN}" '
                   'stroke="#999" stroke-width="1"/>']
-        coords = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
+        coords = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
         parts.append(f'<polyline points="{coords}" fill="none" '
                      'stroke="#1f3a93" stroke-width="1.5"/>')
     elif kind == "field":
@@ -354,27 +350,22 @@ def _files(header, rows, series=None):
 
 # ------------------------------------------------------------- commands
 
-# (maps, records) of the last `_spectra` call that solved, or None
-_last_spectra = None
+@lru_cache(maxsize=1)
+def _solved(ops):
+    return tuple(spectra(ops))
 
 
 def _spectra(ops):
-    """(`spectra(ops)`, True if those records were reused): the records of
-    the last call that solved are reused when it asked for the same tuple
-    of maps.  That is exact, as a record's bits depend neither on the maps
-    solved beside it nor on the pool (`spectral_counting`) and its
-    eigenvalues are read-only.  One entry, whole-tuple key: a chain run
+    """(`spectra(ops)`, True if those records were reused): a one-entry
+    `lru_cache` keyed by the whole tuple of maps hands back the records of
+    the last call that solved when this call asks for the same maps, and
+    its hit count says whether it did.  That is exact, as a record's bits
+    depend neither on the maps solved beside it nor on the pool
+    (`spectral_counting`) and its eigenvalues are read-only.  A chain run
     twice in one process solves in each pass what a fresh chain solves,
-    and a call that raises leaves nothing to reuse."""
-    global _last_spectra
-    key = tuple(ops)
-    last = _last_spectra
-    if last is not None and last[0] == key:
-        return last[1], True
-    _last_spectra = None
-    records = tuple(spectra(ops))
-    _last_spectra = key, records
-    return records, False
+    and a call that raises caches nothing."""
+    hits = _solved.cache_info().hits
+    return _solved(tuple(ops)), _solved.cache_info().hits > hits
 
 
 def cmd_pressure(cfg):
@@ -515,18 +506,21 @@ def cmd_husimi_frames(cfg):
     payload = _json({"N": N, "K": N, "frames": frames, "masses": masses})
     rows = list(enumerate(masses))
     files = _files(("frame", "mass"), rows, rows)
-    # each frame's CSV is its N x N grid, one line per x index; an entry
-    # below N eps^2 of the frame's maximum is written as 0.0, since the
-    # FFT's round-off (about eps of the largest amplitude) leaves it few
-    # or no correct digits
-    header = ("x_index", *(f"xi_{j}" for j in range(N)))
-    floor = N * np.finfo(float).eps ** 2
     for i, field in enumerate(fields):
-        shown = np.where(field < floor * field.max(), 0.0, field)
-        grid = [(x, *row) for x, row in enumerate(shown.tolist())]
-        files += [(f"husimi_{i:03d}", "csv", partial(_csv, header, grid)),
+        files += [(f"husimi_{i:03d}", "csv", partial(_grid_csv, field)),
                   (f"husimi_{i:03d}", "svg", partial(plot_svg, field, kind="field"))]
     yield payload, files, {}
+
+
+def _grid_csv(field):
+    """A Husimi frame's CSV: its N x N grid, one line per x index.  An
+    entry below N eps^2 of the frame's maximum is written as 0.0, since
+    the FFT's round-off (about eps of the largest amplitude) leaves it
+    few or no correct digits."""
+    N = len(field)
+    shown = np.where(field < N * np.finfo(float).eps ** 2 * field.max(), 0.0, field)
+    return _csv(("x_index", *(f"xi_{j}" for j in range(N))),
+                [(x, *row) for x, row in enumerate(shown.tolist())])
 
 
 def cmd_trace_check(cfg):

@@ -115,6 +115,7 @@ class OrbitBatch(NamedTuple):
     lengths: np.ndarray     # (B, n) flight k runs from bounce k to k+1 mod n
     residual: np.ndarray    # (B,) gradient sup-norm
     logJ: np.ndarray        # (B,) log of the largest monodromy eigenvalue modulus
+    eta: np.ndarray         # (B, n) tangential component of flight k's direction at bounce k
 
     @property
     def t_total(self):
@@ -131,12 +132,6 @@ def _check_words(words):
     if repeats.any():
         word = tuple(words[repeats.argmax()].tolist())
         raise ValueError(f"word {word} repeats a symbol, cyclically")
-
-
-def _flight_pairs(n):
-    """Bounce indices (k0, k1) of each flight; the last one wraps."""
-    k0 = np.arange(n)
-    return k0, (k0 + 1) % n
 
 
 def _dot(a, b):
@@ -168,7 +163,8 @@ def _total_length_grad(config, words, phis):
     """
     batch, n = words.shape
     rho, tan, pts = _bounces(config, words, phis)
-    k0, k1 = _flight_pairs(n)
+    k0 = np.arange(n)
+    k1 = (k0 + 1) % n
     seg = pts[:, k1] - pts[:, k0]
     ell = np.hypot(seg[..., 0], seg[..., 1])
     u = seg / ell[..., None]
@@ -264,34 +260,36 @@ def _solve_orbits(config, words):
         word = tuple(words[i].tolist())
         raise NoConvergence(f"word {word}: gradient sup-norm {res[i]:.3g}")
     phis = np.mod(phis, 2 * math.pi)
-    lengths, _, _ = _total_length_grad(config, words, phis)
+    lengths, cosines, eta = _outgoing(config, words, phis)
     if not (lengths > 0).all():
         raise ValueError("flight lengths must be positive")
-    return OrbitBatch(words, phis, lengths, res, _log_expansions(config, words, phis, lengths))
+    return OrbitBatch(words, phis, lengths, res,
+                      _log_expansions(config, words, lengths, cosines), eta)
 
 
 def _outgoing(config, words, phis):
-    """Normal and tangential components (B, n) of each closed orbit's unit
-    outgoing flight per bounce: the incidence cosine and eta."""
+    """Each closed orbit's outgoing flight per bounce, (B, n) each: its
+    length, and the normal and tangential components of its unit
+    direction, the incidence cosine and eta."""
     rho, tan, pts = _bounces(config, words, phis)
     out = np.roll(pts, -1, axis=1) - pts
     scale = np.linalg.norm(out, axis=-1) * np.array(config.radii)[words]
-    return _dot(out, rho) / scale, _dot(out, tan) / scale
+    return np.hypot(out[..., 0], out[..., 1]), _dot(out, rho) / scale, _dot(out, tan) / scale
 
 
-def _log_expansions(config, words, phis, lengths):
-    """log of the largest monodromy eigenvalue modulus per closed orbit.
+def _log_expansions(config, words, lengths, cosines):
+    """log of the largest monodromy eigenvalue modulus per closed orbit,
+    from its flight lengths and incidence cosines (`_outgoing`).
 
     Batched over words; raises `NotHyperbolic` naming the first word whose
     monodromy has |trace| <= 2.
     """
     batch, n = words.shape
     radii = np.array(config.radii)[words]
-    cosines = np.abs(_outgoing(config, words, phis)[0])
     flight = np.tile(np.eye(2), (batch, n, 1, 1))
     flight[..., 0, 1] = lengths
     refl = np.tile(np.eye(2), (batch, n, 1, 1))
-    refl[..., 1, 0] = 2.0 * (1.0 / radii) / cosines
+    refl[..., 1, 0] = 2.0 * (1.0 / radii) / np.abs(cosines)
     mono = np.tile(np.eye(2), (batch, 1, 1))
     for k in range(n):
         mono = refl[:, (k + 1) % n] @ flight[:, k] @ mono
@@ -609,11 +607,12 @@ def escape_rate_mc(config, samples, rng_seed=0):
     period = float(np.mean(np.concatenate(late_flights)))
 
     # window endpoints: times where the survivor fraction crosses 1e-1, 1e-3,
-    # indexed from the end of the window as from the end of all escape times
-    if 1.0 - escaped / samples + n_live / samples > 1e-3:
+    # indexed from the end of the window as from the end of all escape times;
+    # no escape time crosses 1e-3 where the censored rays alone exceed it
+    if (hi := _crossing(1e-3, samples, escaped)) == escaped:
         raise TooFewSurvivors("survivor fraction never reaches 1e-3; raise MAX_BOUNCES")
     t_lo = float(window[_crossing(1e-1, samples, escaped) - escaped])
-    t_hi = float(window[_crossing(1e-3, samples, escaped) - escaped])
+    t_hi = float(window[hi - escaped])
     if not (t_lo < t_hi < censored_min):
         raise TooFewSurvivors("fit window empty or censored; raise MAX_BOUNCES")
     grid = np.linspace(t_lo, t_hi, 60)
@@ -650,8 +649,7 @@ def periodic_points(config, periods):
             continue
         b = _solve_orbits(config, necklaces)
         y = np.mod(b.angles, 2 * math.pi) * np.array(config.radii)[b.words]
-        eta = _outgoing(config, b.words, b.angles)[1]
-        pts.append(np.column_stack([y.ravel(), eta.ravel()]))
+        pts.append(np.column_stack([y.ravel(), b.eta.ravel()]))
     return np.concatenate(pts) if pts else np.empty((0, 2))
 
 

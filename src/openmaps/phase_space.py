@@ -490,7 +490,8 @@ def hs_trace_experiment(spec, N_list, params, exp_params):
     and odd bases S_b; otherwise S is the identity.  Each S_b V_b goes
     through the map about N/a columns at a time and gives one block of
     the core.  `split_G` is what the split drops from G (its imaginary
-    part and cross-sector blocks) over ‖G‖_F; `split_core` bounds the
+    part and cross-sector blocks) over ‖G‖_F, 0.0 where G = 0 (a constant
+    escape weight on the grid); `split_core` bounds the
     dropped cross-sector core blocks over ‖core‖_F by the norm of the
     cross-sector images of Mⁿ S_b V_b times e^{t(λ_max − λ_min)}.  Up to
     N = QUADRATURE_MAX_N the trace of Aⁿ* Aⁿ is recomputed by
@@ -538,7 +539,7 @@ def hs_trace_experiment(spec, N_list, params, exp_params):
             "N": N, "h": h, "n": n, "trace_direct": direct,
             "trace_quadrature": quad if N <= QUADRATURE_MAX_N else None,
             "sectors": len(sectors),
-            "split_G": float(np.linalg.norm(dropped) / G_norm),
+            "split_G": float(np.linalg.norm(dropped) / G_norm) if G_norm else 0.0,
             "split_core": weight * float(np.linalg.norm(leak)) / math.sqrt(direct)})
     xs = np.array([math.log(1.0 / e["h"]) for e in entries])
     ys = np.array([math.log(e["trace_direct"]) for e in entries])

@@ -163,22 +163,19 @@ def _solve(A):
 
 def _pooled(tasks):
     """(per call in `tasks`, the `_solve` of the block it gives with the
-    norm it gives beside it; workers), every OpenBLAS on one thread
+    norm it gives beside it; workers), on one pool of min(#tasks,
+    `pool_size()`) threads, at least one, every OpenBLAS on one thread
     whatever the number of tasks, so a result's bits depend on neither
-    the tasks beside it nor the CPUs: on min(#tasks, `pool_size()`)
-    threads, or in this thread if no OpenBLAS count can be set.  zgees
-    gains nothing from more BLAS threads at n = 729; a lone block of 1458
-    takes about a quarter longer on one than on two."""
+    the tasks beside it nor the CPUs.  zgees gains nothing from more BLAS
+    threads at n = 729; a lone block of 1458 takes about a quarter longer
+    on one than on two."""
     def solve(task):
         block, part = task()
         return _solve(block), part
 
-    with blas_threads(1) as threads:
-        workers = min(len(tasks), pool_size()) if threads else 1
-        if workers <= 1:
-            return [solve(task) for task in tasks], workers
-        with ThreadPoolExecutor(workers) as pool:
-            return list(pool.map(solve, tasks)), workers
+    workers = max(1, min(len(tasks), pool_size()))
+    with blas_threads(1), ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(solve, tasks)), workers
 
 
 def _coupling(parts):

@@ -54,9 +54,9 @@ def no_spectra_to_reuse():
     `weyl-fit` to reuse, so a test that patches the solver or
     RESIDUAL_REL sees its maps solved, and leaves no records solved
     that way to the next test."""
-    cli_io._last_spectra = None
+    cli_io._solved.cache_clear()
     yield
-    cli_io._last_spectra = None
+    cli_io._solved.cache_clear()
 
 
 class TestConfigParsing:
@@ -517,7 +517,7 @@ class TestSpectrumCommand:
             "N": 243, "backward_error": data["backward_error"],
             "structural_zeros": 81, "deflated": 33, "basis": "prolate",
             "blocks": [65, 64], "reused": False,
-            "workers": min(2, pool_size()) if openblas() else 1}]
+            "workers": min(2, pool_size())}]
         assert meta["blas_threads"] == {name: 1 for name in openblas()}
 
     def test_theta_zero_solves_one_block(self, capsys, tmp_path):
@@ -895,6 +895,14 @@ class TestTraceCheckCommand:
             assert entry["trace_direct"] == pytest.approx(entry["N"],
                                                           abs=1e-8)
 
+    def test_grid_of_a_points_exits_0(self, capsys, tmp_path):
+        # at N = a the damping G is zero: split_G is 0.0, and the JSON finite
+        (tmp_path / "c.ini").write_text("[trace]\nN_list = 3,9\n")
+        code, out, err = run(capsys, ["trace-check", "--config", str(tmp_path / "c.ini")])
+        assert (code, err) == (0, "")
+        entries = json.loads(out, parse_constant=pytest.fail)["entries"]
+        assert [e["N"] for e in entries] == [3, 9] and entries[0]["split_G"] == 0.0
+
     @pytest.mark.parametrize("slack", [0.0, 0.5])
     def test_default_vartheta_is_the_window_cap(self, capsys, tmp_path, slack):
         # (1 + slack)/(6 log a), the largest vartheta ExperimentParams allows
@@ -965,7 +973,7 @@ class TestTraceCheckCommand:
             {"N": r.N, "backward_error": r.backward_error,
              "structural_zeros": r.structural_zeros, "deflated": r.deflated,
              "basis": "prolate", "blocks": list(r.blocks), "reused": False,
-             "workers": min(6, pool_size()) if openblas() else 1}
+             "workers": min(6, pool_size())}
             for r in records]
         assert meta["blas_threads"] == {name: 1 for name in openblas()}
         assert [e["blocks"] for e in meta["eigensolves"]] == [[3, 3], [9, 9], [26, 25]]

@@ -53,7 +53,6 @@ from openmaps.disk_billiard import (
     _cycle_orbits,
     _crossing,
     _cyclic_words,
-    _flight_pairs,
     _initial_angles,
     _log_expansions,
     _necklace_classes,
@@ -72,7 +71,12 @@ from openmaps.errors import (
     NotHyperbolic,
     TooFewSurvivors,
 )
-from openmaps.symbolic_pressure import bowen_dimension, classical_decay_rate, finite_pressure
+from openmaps.symbolic_pressure import (
+    ROOT_TOL,
+    bowen_dimension,
+    classical_decay_rate,
+    finite_pressure,
+)
 
 LOGJ_TWO_DISK = 4.584863339122355
 FLIGHT_TRIANGLE = 4.267949192431123
@@ -216,7 +220,8 @@ def loop_length_grad(config, word, phis):
     pts = [point(config, word[k], phis[k]) for k in range(n)]
     grad = np.zeros(n)
     lengths = []
-    for k0, k1 in zip(*_flight_pairs(n)):
+    for k0 in range(n):
+        k1 = (k0 + 1) % n
         seg = pts[k1] - pts[k0]
         ell = float(np.linalg.norm(seg))
         u = seg / ell
@@ -289,7 +294,8 @@ def initial_angles_oracle(config, word):
 def assert_flights_clear(config, word, pts, clearance):
     """Assert, flight by flight, that no flight of the closed orbit through
     `pts` comes nearer than `clearance` (the table's) to a third disk."""
-    for k0, k1 in zip(*_flight_pairs(len(word))):
+    for k0 in range(len(word)):
+        k1 = (k0 + 1) % len(word)
         a, b = pts[k0], pts[k1]
         seg = b - a
         seg_len2 = float(seg @ seg)
@@ -493,7 +499,7 @@ def escape_rate_mc_oracle(config, samples, rng_seed=0):
     # window endpoints: times where the survivor fraction crosses 1e-1, 1e-3
     order = np.sort(times)
     surv = 1.0 - np.arange(1, order.size + 1) / samples
-    if surv[-1] + alive.mean() > 1e-3:
+    if surv[-1] > 1e-3:  # surv[-1] is the censored fraction
         raise TooFewSurvivors("survivor fraction never reaches 1e-3; raise MAX_BOUNCES")
     t_lo = float(order[np.searchsorted(-surv, -1e-1)])
     t_hi = float(order[np.searchsorted(-surv, -1e-3)])
@@ -934,6 +940,46 @@ class TestCylinderTables:
             finite_pressure(table, -1.0, 0.0)
 
 
+class TestTableMetamorphisms:
+    """A change of units or of disk labels leaves the table's numbers
+    unchanged, on three, unequal and four disks at depths 4-6.  Scaling
+    by s maps gamma_cl to gamma_cl / s; both pressure roots are
+    bisections to ROOT_TOL, each within it of its own table's root, so
+    gamma_cl s may move by (1 + s) ROOT_TOL (measured: 1.9e-8 relative on
+    UNEQUAL at s = 2) and the Bowen root by ROOT_TOL (measured: 0).  The
+    sorted logJ agree to round-off, held to 1e-14 relative (measured:
+    2.3e-16, 3.6e-15 absolute).  The box dimension moves with s and is
+    not checked here."""
+
+    @staticmethod
+    def numbers(config):
+        tables = [cylinder_table(config, n) for n in (4, 5, 6)]
+        return (classical_decay_rate(tables), bowen_dimension(tables),
+                [np.sort(tb.logJ) for tb in tables])
+
+    @staticmethod
+    def assert_same_numbers(got, want, s=1.0):
+        assert abs(got[0] * s - want[0]) <= (1 + s) * ROOT_TOL
+        assert abs(got[1] - want[1]) <= ROOT_TOL
+        for a, b in zip(got[2], want[2]):
+            np.testing.assert_allclose(a, b, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("s", [0.37, 2.0])
+    @pytest.mark.parametrize("config", [TRI, UNEQUAL, SQUARE], ids=["tri", "unequal", "square"])
+    def test_scaling_divides_gamma_only(self, config, s):
+        scaled = DiskConfig(tuple((s * x, s * y) for x, y in config.centers),
+                            tuple(s * r for r in config.radii))
+        self.assert_same_numbers(self.numbers(scaled), self.numbers(config), s)
+
+    @pytest.mark.parametrize("config", [TRI, UNEQUAL, SQUARE], ids=["tri", "unequal", "square"])
+    def test_relabelling_changes_nothing(self, config):
+        want = self.numbers(config)
+        for perm in itertools.permutations(range(config.k)):
+            relabelled = DiskConfig(tuple(config.centers[i] for i in perm),
+                                    tuple(config.radii[i] for i in perm))
+            self.assert_same_numbers(self.numbers(relabelled), want)
+
+
 class TestBatchedSolver:
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("config", [TRI, UNEQUAL, SQUARE],
@@ -1016,14 +1062,14 @@ class TestBatchedSolver:
 
     @pytest.mark.parametrize("length", [0.0, -1.0])
     def test_batch_enforces_positive_lengths(self, monkeypatch, length):
-        real = disk_billiard._total_length_grad
+        real = disk_billiard._outgoing
 
         def one_flat_flight(config, words, phis):
-            ell, grad, hess = real(config, words, phis)
+            ell, cosines, eta = real(config, words, phis)
             ell[-1, 0] = length
-            return ell, grad, hess
+            return ell, cosines, eta
 
-        monkeypatch.setattr(disk_billiard, "_total_length_grad", one_flat_flight)
+        monkeypatch.setattr(disk_billiard, "_outgoing", one_flat_flight)
         with pytest.raises(ValueError, match="flight lengths must be positive"):
             disk_billiard._solve_orbits(UNEQUAL, _necklaces(3, 5))
 
@@ -1034,12 +1080,13 @@ class TestBatchedSolver:
 
     def test_not_hyperbolic_names_the_word(self):
         words = np.array([(0, 1), (1, 0)])
-        phis = np.array([(0.0, math.pi), (math.pi, 0.0)])
+        # both words bounce head-on between the disks' facing points
+        cosines = np.ones((2, 2))
         # negative flights make the second word's monodromy trace -1
         lengths = np.array([(4.0, 4.0), (-0.5, -0.5)])
         with pytest.raises(NotHyperbolic, match=re.escape("word (1, 0)")):
-            _log_expansions(TWO_DISK, words, phis, lengths)
-        logj = _log_expansions(TWO_DISK, words[:1], phis[:1], lengths[:1])
+            _log_expansions(TWO_DISK, words, lengths, cosines)
+        logj = _log_expansions(TWO_DISK, words[:1], lengths[:1], cosines[:1])
         assert logj[0] == pytest.approx(LOGJ_TWO_DISK, abs=1e-10)
 
 
@@ -1122,9 +1169,12 @@ class TestEscapeRate:
         (TRI, 100, None),
         (TRI, 2, "too few multi-bounce paths"),
         (TRI, 3, "survivor fraction never reaches 1e-3"),
+        # 6.2e-4 of the rays stay alive: the survivor fraction reaches 1e-3,
+        # but the fit window ends past the first censored ray
+        (TRI, 4, "fit window empty or censored"),
         (WIDE, 4, "fit window empty or censored"),
         (WIDE, 5, None),
-    ], ids=["tri", "tri_cap2", "tri_cap3", "wide_cap4", "wide_cap5"])
+    ], ids=["tri", "tri_cap2", "tri_cap3", "tri_cap4", "wide_cap4", "wide_cap5"])
     def test_walk_edges_match_gather_scatter(self, monkeypatch, walked_chunks, config,
                                              max_bounces, outcome, workers):
         # the last chunk holds one ray, and low caps leave rays alive for

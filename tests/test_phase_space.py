@@ -826,6 +826,16 @@ class TestTraceExperiment:
             for key in ("split_G", "split_core"):
                 assert 0.0 <= entry[key] <= 1e-10
 
+    def test_zero_G_at_N_equal_a_splits_nothing(self):
+        # at N = a = 3 the escape weight of (3, {0, 2}) is constant on the
+        # grid, so G is exactly zero; the split drops nothing: 0.0, not 0/0
+        p = EscapeParams(h=1.0, delta=0.4, t=1.0)
+        G = _damping_matrix(SPEC32, 3, replace(p, h=1.0 / (2 * math.pi * 3)))
+        assert np.linalg.norm(G) == 0.0
+        entries = hs_trace_experiment(SPEC32, [3, 9], p, FixedSteps(0))["entries"]
+        assert entries[0]["split_G"] == 0.0
+        assert all(math.isfinite(e[key]) for e in entries for key in ("split_G", "split_core"))
+
     @pytest.mark.parametrize("spec, real", [(SPEC32, True), (SPEC301, False)],
                              ids=["3-02", "3-01"])
     def test_quadrature_is_grid_trace_of_the_power(self, monkeypatch, spec, real):

@@ -335,7 +335,7 @@ class TestConcurrentSchur:
         for workers in (1, 2):
             monkeypatch.setattr(spectral_counting, "pool_size", lambda: workers)
             records[workers], = spectral_counting.spectra([build(SPEC32, N)])
-            assert records[workers].workers == (workers if threads.openblas() else 1)
+            assert records[workers].workers == workers
         assert_same_record(records[1], records[2])
         assert records[1].blocks == blocks
 
@@ -433,7 +433,7 @@ class TestSpectra:
         for got, op in zip(spectral_counting.spectra(ops), ops):
             assert_same_record(got, sector_spectrum(op))
             assert len(got.blocks) == 2
-            assert got.workers == (min(12, pool_size()) if threads.openblas() else 1)
+            assert got.workers == min(12, pool_size())
 
     def test_records_equal_on_any_pool(self, monkeypatch):
         # six tasks on one, two and (more than the CPUs) six threads, the
@@ -447,8 +447,7 @@ class TestSpectra:
                 if workers == 8:
                     sys.setswitchinterval(1e-5)
                 records[workers] = spectral_counting.spectra(ops)
-                assert {r.workers for r in records[workers]} == {
-                    min(workers, 6) if threads.openblas() else 1}
+                assert {r.workers for r in records[workers]} == {min(workers, 6)}
         finally:
             sys.setswitchinterval(switch)
         for one, two, many in zip(records[1], records[2], records[8]):
@@ -479,7 +478,7 @@ class TestSpectra:
         assert [r.N for r in got] == [81, 243, 27, 81]
         for rec, op in zip(got, ops):
             assert_same_record(rec, sector_spectrum(op))
-            assert rec.workers == (min(6, pool_size()) if threads.openblas() else 1)
+            assert rec.workers == min(6, pool_size())
 
     def test_dimension_cap_before_any_task(self, monkeypatch):
         def no_task(*args):
