@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoConvergence, NotHyperbolic, TooFewSurvivors
-from .symbolic_pressure import CylinderTable
+from .symbolic_pressure import CylinderTable, _fit_line
 from .threads import pool_size
 
 RAY_EPS = 1e-9          # minimum admissible flight length in the ray walk
@@ -619,20 +619,11 @@ def escape_rate_mc(config, samples, rng_seed=0):
     # survivors at T: escaped later than T, or never escaped
     frac = (window.size - np.searchsorted(window, grid, side="right") + n_live) / samples
     harmonics = 2 if (t_hi - t_lo) > 2 * period else (1 if (t_hi - t_lo) > period else 0)
-    x = grid
-    y = np.log(frac)
-    w = frac  # var(log S) ~ (1-S)/(N S), so S is the inverse-variance weight up to scale
-    cols = [np.ones(x.size), x]
-    for m in range(1, harmonics + 1):
-        cols.append(np.cos(2 * math.pi * m * x / period))
-        cols.append(np.sin(2 * math.pi * m * x / period))
-    design = np.column_stack(cols)
-    sw = np.sqrt(w)
-    coef, *_ = np.linalg.lstsq(sw[:, None] * design, sw * y, rcond=None)
-    resid = y - design @ coef
-    cov = np.linalg.inv(design.T @ (w[:, None] * design))
-    var_slope = float(resid @ (w * resid)) / (x.size - design.shape[1]) * cov[1, 1]
-    return float(-coef[1]), float(math.sqrt(var_slope))
+    waves = [f(2 * math.pi * m * grid / period)
+             for m in range(1, harmonics + 1) for f in (np.cos, np.sin)]
+    # var(log S) ~ (1-S)/(N S), so S is the inverse-variance weight up to scale
+    coef, stderr = _fit_line(grid, np.log(frac), weights=frac, columns=waves)
+    return float(-coef[1]), stderr
 
 
 def periodic_points(config, periods):
@@ -648,7 +639,7 @@ def periodic_points(config, periods):
         if not len(necklaces):
             continue
         b = _solve_orbits(config, necklaces)
-        y = np.mod(b.angles, 2 * math.pi) * np.array(config.radii)[b.words]
+        y = b.angles * np.array(config.radii)[b.words]
         pts.append(np.column_stack([y.ravel(), b.eta.ravel()]))
     return np.concatenate(pts) if pts else np.empty((0, 2))
 
@@ -688,9 +679,6 @@ def trapped_box_dimension(config):
         sizes.append(delta)
     if len(counts) < 3:
         raise ValueError("not enough usable scales for a slope")
-    x = -np.log(np.array(sizes))
-    y = np.log(np.array(counts))
-    design = np.column_stack([np.ones(x.size), x])
-    (_, slope), *_ = np.linalg.lstsq(design, y, rcond=None)
-    return float(slope / 2.0)
+    coef, _ = _fit_line(-np.log(np.array(sizes)), np.log(np.array(counts)))
+    return float(coef[1] / 2.0)
 

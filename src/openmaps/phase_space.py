@@ -39,6 +39,7 @@ from .errors import (
 from .quantum_baker import DENSE_CAP, QuantumState, apply, build
 from .quantum_baker import _fold, _fourier_apply, _twiddles
 from .quantum_baker import _map_rows, _sectors, _unfold
+from .symbolic_pressure import _fit_line
 
 TWO_PI = 2.0 * math.pi
 DET_TOL = 1e-12
@@ -543,15 +544,10 @@ def hs_trace_experiment(spec, N_list, params, exp_params):
             "split_core": weight * float(np.linalg.norm(leak)) / math.sqrt(direct)})
     xs = np.array([math.log(1.0 / e["h"]) for e in entries])
     ys = np.array([math.log(e["trace_direct"]) for e in entries])
-    exponent = stderr = None  # a line through two points is exact: no error bar
+    exponent = stderr = None
     if len(entries) >= 2:
-        design = np.column_stack([np.ones_like(xs), xs])
-        coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
+        coef, stderr = _fit_line(xs, ys)
         exponent = float(coef[1])
-    if len(entries) >= 3:
-        resid = ys - design @ coef
-        cov = np.linalg.inv(design.T @ design) * float(resid @ resid) / (len(xs) - 2)
-        stderr = float(math.sqrt(cov[1, 1]))
     return {"t": params.t, "delta": params.delta,
             "vartheta": exp_params.vartheta, "entries": entries,
             "exponent": exponent, "stderr": stderr}

@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import DegenerateCounts, NoConvergence
 from .quantum_baker import _basis
+from .symbolic_pressure import _fit_line
 from .threads import blas_threads, pool_size
 
 # counting dead band: moduli within this of nu count as above
@@ -245,14 +246,8 @@ def weyl_exponent(records, nu):
     used = [(n, c) for n, c in points if c >= 1]
     if len({n for n, _ in used}) < 3:
         raise DegenerateCounts(f"nonzero counts at fewer than 3 distinct N at nu={nu}")
-    x = np.log([n for n, _ in used])
-    y = np.log([c for _, c in used])
-    design = np.column_stack([np.ones(x.size), x])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    var = float(resid @ resid) / (x.size - 2) / float(((x - x.mean()) ** 2).sum())
-    return WeylFit(nu=float(nu), points=points, slope=float(coef[1]),
-                   stderr=float(math.sqrt(var)))
+    coef, stderr = _fit_line(np.log([n for n, _ in used]), np.log([c for _, c in used]))
+    return WeylFit(nu=float(nu), points=points, slope=float(coef[1]), stderr=stderr)
 
 
 def annulus_gap_exponent(nu, d_h, log_expansion):

@@ -111,6 +111,22 @@ def pressure(tables, coeff_J, coeff_t):
     return PressureEstimate(coeff_J, coeff_t, per_depth, float(value), float(uncertainty))
 
 
+def _fit_line(x, y, weights=None, columns=()):
+    """Weighted least squares of y on the columns 1, x, *columns: the
+    coefficients, and the slope's standard error sqrt(s² [(XᵀWX)⁻¹]₁₁), s²
+    the weighted residual sum of squares per degree of freedom, or None
+    where no degree of freedom is left (an exact fit)."""
+    design = np.column_stack([np.ones(len(x)), x, *columns])
+    w = np.ones(len(x)) if weights is None else weights
+    sw = np.sqrt(w)
+    coef, *_ = np.linalg.lstsq(sw[:, None] * design, sw * y, rcond=None)
+    if (dof := len(x) - design.shape[1]) < 1:
+        return coef, None
+    resid = y - design @ coef
+    cov = np.linalg.inv(design.T @ (w[:, None] * design))
+    return coef, math.sqrt(float(resid @ (w * resid)) / dof * cov[1, 1])
+
+
 def _bisect(f, lo, hi, side="mid"):
     """Bisection root of f on [lo, hi].
 

@@ -16,6 +16,7 @@ the one-inverse-FFT-per-row Husimi field (`_husimi_rows`), which
 the batched transform replaced.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -825,6 +826,44 @@ class TestTraceExperiment:
             assert entry["sectors"] == sectors
             for key in ("split_G", "split_core"):
                 assert 0.0 <= entry[key] <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_split_core_bounds_a_planted_cross_sector_core(self, monkeypatch, n):
+        # the push gains a coupling from the top damping eigenvector of the
+        # even sector onto the bottom one of the odd sector, where the
+        # weight e^{t(λ_j − λ_i)} of a core entry is large; the cross-sector
+        # core blocks the split drops, formed densely, stay within
+        # split_core ‖core‖_F, and above their unweighted norm
+        N, p = 27, EscapeParams(h=1.0, delta=0.4, t=1.0)
+        G = _damping_matrix(SPEC32, N, replace(p, h=1.0 / (2 * math.pi * N))).real
+        i, r = np.arange(N // 2), math.sqrt(0.5)
+        even, odd = np.zeros((N, N // 2 + 1)), np.zeros((N, N // 2))
+        even[i, i] = even[N - 1 - i, i] = odd[i, i] = r
+        odd[N - 1 - i, i] = -r
+        even[N // 2, N // 2] = 1.0  # odd N: the middle index is even
+        sectors = []
+        for S in (even, odd):
+            lam, W = np.linalg.eigh(S.T @ G @ S)
+            sectors.append((lam, S @ W))
+        coupling = 1e-3 * np.outer(sectors[1][1][:, 0], sectors[0][1][:, -1])
+        map_rows = phase_space._map_rows
+
+        def coupled(op, rows):
+            return map_rows(op, rows) + rows @ coupling.T
+
+        monkeypatch.setattr(phase_space, "_map_rows", coupled)
+        entry, = hs_trace_experiment(SPEC32, [N], p, FixedSteps(n))["entries"]
+        power = np.eye(N, dtype=complex)
+        for _ in range(n):
+            power = coupled(build(SPEC32, N), power)  # row q: Mⁿ e_q
+        dropped = unweighted = 0.0
+        for (lam_i, V_i), (lam_j, V_j) in itertools.permutations(sectors, 2):
+            block = V_i.conj().T @ power.T @ V_j
+            weight = np.exp(p.t * (lam_j[None, :] - lam_i[:, None]))
+            dropped = math.hypot(dropped, np.linalg.norm(block * weight))
+            unweighted = math.hypot(unweighted, np.linalg.norm(block))
+        assert dropped > 1.2 * unweighted
+        assert dropped <= entry["split_core"] * math.sqrt(entry["trace_direct"])
 
     def test_zero_G_at_N_equal_a_splits_nothing(self):
         # at N = a = 3 the escape weight of (3, {0, 2}) is constant on the

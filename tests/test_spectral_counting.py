@@ -729,6 +729,29 @@ class TestProlateOracle:
         with pytest.raises(NoConvergence):
             spectral_counting.spectra([build(SPEC32, 81)])
 
+    def test_basis_orthogonality_enters_certificate(self, monkeypatch):
+        # column 1 of each half's G leans by 1e-9 towards column 0, whose
+        # kernel eigenvalue is null, so the residual ||K V - V mu|| stays
+        # at round-off while ||G^T G - I||_F grows to about 1.4e-9 per
+        # half.  The backward error's numerator must hold it: the kept
+        # block and its coupling are a compression of the map, so the
+        # denominator is at most ||dense(op)||_F
+        op = build(SPEC32, 81)
+        clean, = spectral_counting.spectra([op])
+        eigh_tridiagonal, defects = scipy.linalg.eigh_tridiagonal, []
+
+        def leaning(d, e):
+            w, G = eigh_tridiagonal(d, e)
+            G[:, 1] += 1e-9 * G[:, 0]
+            defects.append(np.linalg.norm(G.T @ G - np.eye(len(d))))
+            return w, G
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", leaning)
+        skewed, = spectral_counting.spectra([op])
+        floor = math.hypot(*defects) / np.linalg.norm(dense(op))
+        assert len(defects) == 2 and floor > 1e3 * clean.backward_error
+        assert skewed.backward_error >= floor
+
 
 def walsh_necklace_spectrum(spec, k, theta=0.5):
     """Nonzero spectrum of the Walsh baker at N = a^k, from necklaces.

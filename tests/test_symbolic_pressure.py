@@ -16,12 +16,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import linregress
 
 from openmaps import disk_billiard
 from openmaps.baker_classical import BakerSpec, cylinder_table
 from openmaps.errors import EmptyTable, InsufficientDepths, NoSignChange, NotOpen
 from openmaps.symbolic_pressure import (
     CylinderTable,
+    _fit_line,
     _logsumexp,
     bowen_dimension,
     classical_decay_rate,
@@ -241,6 +243,57 @@ def test_pressure_recovers_exact_c_over_n_law():
     est = pressure(tables, 1.0, 0.0)
     assert est.value == pytest.approx(LOG2 + 1.0, abs=1e-12)
     assert est.uncertainty == pytest.approx(c / 6, abs=1e-12)
+
+
+# -- the least-squares line -------------------------------------------------
+
+def noisy_line(size, seed):
+    """Points on y = 0.7 + 1.3 x with unit-variance scatter."""
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(0.0, 5.0, size))
+    return x, 0.7 + 1.3 * x + rng.normal(0.0, 1.0, size)
+
+
+@pytest.mark.parametrize("size", [3, 8, 60])
+def test_fit_line_stderr_matches_linregress(size):
+    x, y = noisy_line(size, seed=size)
+    (intercept, slope), stderr = _fit_line(x, y)
+    ref = linregress(x, y)
+    assert intercept == pytest.approx(ref.intercept, rel=1e-12)
+    assert slope == pytest.approx(ref.slope, rel=1e-12)
+    assert stderr == pytest.approx(ref.stderr, rel=1e-10)
+
+
+def test_fit_line_weighted_stderr_matches_polyfit():
+    # polyfit's w multiplies the residuals, so it takes the square roots of
+    # the inverse-variance weights
+    x, y = noisy_line(40, seed=5)
+    w = np.random.default_rng(6).uniform(0.1, 3.0, x.size)
+    (intercept, slope), stderr = _fit_line(x, y, weights=w)
+    (ref_slope, ref_intercept), cov = np.polyfit(x, y, 1, w=np.sqrt(w), cov=True)
+    assert (intercept, slope) == pytest.approx((ref_intercept, ref_slope), rel=1e-12)
+    assert stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-10)
+
+
+def test_fit_line_extra_columns_match_polyfit():
+    # an x^2 column: the slope is the linear coefficient of a quadratic fit
+    x, y = noisy_line(30, seed=7)
+    w = np.random.default_rng(8).uniform(0.1, 3.0, x.size)
+    coef, stderr = _fit_line(x, y, weights=w, columns=[x ** 2])
+    ref, cov = np.polyfit(x, y, 2, w=np.sqrt(w), cov=True)
+    assert coef == pytest.approx(ref[::-1], rel=1e-10)
+    assert stderr == pytest.approx(math.sqrt(cov[1, 1]), rel=1e-10)
+
+
+def test_fit_line_exact_fit_has_no_stderr():
+    # as many points as columns: no degree of freedom is left
+    coef, stderr = _fit_line(np.array([1.0, 3.0]), np.array([2.5, 3.5]))
+    assert stderr is None
+    assert coef == pytest.approx([2.0, 0.5], rel=1e-12)
+    x = np.array([1.0, 2.0, 3.0])
+    coef, stderr = _fit_line(x, 2.0 + 0.5 * x - x ** 2, columns=[x ** 2])
+    assert stderr is None
+    assert coef == pytest.approx([2.0, 0.5, -1.0], rel=1e-10)
 
 
 # -- roots ------------------------------------------------------------------
